@@ -160,9 +160,8 @@ def cmd_synth(cfg: PipelineConfig, out, quiet=False, mode=None):
     hulls = None
     confidence = None
     if mode == "polytopic":
-        r = int(cfg._opt(4, "polytope", "subdivisions"))
         hulls = synthesis.build_hulls(
-            design, box, r,
+            design, box, cfg.subdivisions,
             inflation=float(cfg._opt(0.1, "polytope", "inflation")),
             samples_per_axis=int(cfg._opt(5, "polytope", "samples_per_axis")))
         if cfg._opt(False, "stochastic", "chebyshev_inflate"):

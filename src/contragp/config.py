@@ -130,9 +130,8 @@ class PipelineConfig:
                 raise ConfigError(f"grids.{key} must be positive")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}")
-        if self.mode == "polytopic":
-            if int(self._opt(0, "polytope", "subdivisions")) < 1:
-                raise ConfigError("polytope.subdivisions must be positive")
+        if self.mode == "polytopic" and self.subdivisions < 1:
+            raise ConfigError("polytope.subdivisions must be positive")
         sy = np.asarray(self._req("noise", "sigma_y"), dtype=float)
         if np.any(sy < 0.0):
             raise ConfigError("noise.sigma_y must be nonnegative")
@@ -190,6 +189,11 @@ class PipelineConfig:
     @property
     def mode(self):
         return self._opt("two-step", "mode")
+
+    @property
+    def subdivisions(self):
+        """Cells per axis of the polytopic route."""
+        return int(self._opt(4, "polytope", "subdivisions"))
 
     @property
     def model_source(self):

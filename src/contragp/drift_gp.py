@@ -196,9 +196,6 @@ class DriftModel:
     def jacobian(self, x):
         return np.stack([c.grad(x) for c in self.components])
 
-    def mean_and_jac(self, x):
-        return self.mean(x), self.jacobian(x)
-
     def value_std(self, x):
         return np.array([np.sqrt(c.value_variance(x)) for c in self.components])
 

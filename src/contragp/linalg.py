@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky
+from scipy.linalg import cholesky
 
 from .errors import FactorizationError, NumericalFailureError
 
@@ -42,23 +42,16 @@ def chol_with_jitter(A, jitter=None, max_tries=4):
         jitter = 1e-10 * float(np.trace(A)) / dim
     jitter = max(float(jitter), np.finfo(float).tiny)
     eye = np.eye(dim)
-    for _ in range(max_tries):
+    for k in range(max_tries):
+        if k:
+            jitter *= 10.0
         try:
             return cholesky(A + jitter * eye, lower=True), jitter
         except Exception:
-            jitter *= 10.0
+            pass
     raise FactorizationError(
         f"Cholesky factorization failed even with jitter up to {jitter:.3e}; "
         "increase the jitter or check the conditioning of the Gram matrix")
-
-
-def solve_spd(A, b, jitter=None):
-    """Solve A x = b for symmetric positive definite A (jitter on failure).
-
-    Returns ``(x, jitter_used)``.
-    """
-    L, used = chol_with_jitter(A, jitter=jitter)
-    return cho_solve((L, True), np.asarray(b, dtype=float)), used
 
 
 def principal_sqrt_psd(A, clip=-1e-10):

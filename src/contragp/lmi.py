@@ -6,15 +6,16 @@ A problem asks for a decision vector z with
     C_j + sum_k z_k A_{j,k}  >=  eps * I_{s_j}   for every block j,
     l <= z <= u                                  (optional box bounds),
 
-where eps is either fixed at a small tolerance (feasibility objective) or
-maximized (margin objective).  The solver bisects on eps; each trial level
-is decided by a phase-1 interior-point method, i.e. Newton iterations on a
-log-det barrier over the block-diagonal PSD cone that drive the largest
-constraint violation t below zero.  After bisection the iterate is polished
-by analytic centering just below the certified level, which makes solutions
-deterministic and well-centered.  Margins reported on solutions are always
-recomputed from eigenvalue decompositions of the assembled blocks,
-independent of the path the solver took.
+where eps is either required to clear a small tolerance (feasibility
+objective) or maximized (margin objective).  Maximizing the margin is the
+phase-I problem  min t  s.t.  C_j + sum_k z_k A_{j,k} + t I >= 0  (Boyd &
+Vandenberghe, Convex Optimization, sec. 11.4), so both objectives follow one
+central path: Newton centering of  t/mu + Phi(z, t)  for a decreasing
+sequence of mu, where Phi is the log-det barrier over the block-diagonal
+PSD cone plus the box barriers.  A centered iterate is within nu * mu of
+the optimal t (nu is the barrier degree), which gives the stopping rule.
+Margins reported on solutions are always recomputed from eigenvalue
+decompositions of the assembled blocks, independent of the path.
 
 Blocks may carry coefficient matrices for a subset of the decision entries
 (``var_indices``); this keeps large point families cheap when each
@@ -134,13 +135,12 @@ class LmiSolution:
 @dataclass
 class SolverConfig:
     feas_tol: float = 1e-7        # margin at/above this counts as feasible
-    width: float = 1e-5           # eps resolution of the outer bisection
-    margin_cap: float = 1e8       # doubling past this raises UnboundedMarginError
+    width: float = 1e-5           # reported margin is this close to the supremum
+    margin_cap: float = 1e8       # a level t below -margin_cap raises UnboundedMarginError
     max_newton: int = 80
     newton_tol: float = 1e-10
     mu_factor: float = 0.15
     mu_floor: float = 1e-12
-    center_tol: float = 1e-13
     armijo: float = 0.25
 
 
@@ -157,31 +157,32 @@ def assemble_block(block: AffineBlock, z):
     return block.const + np.tensordot(zk, block.coeffs, axes=(0, 0))
 
 
+def block_margins(problem: LmiProblem, z):
+    """Per-block smallest eigenvalues at z."""
+    z = np.asarray(z, dtype=float).reshape(-1)
+    if z.shape[0] != problem.dim:
+        raise DimensionError("z", problem.dim, z.shape[0])
+    out = []
+    for blk in problem.blocks:
+        M = assemble_block(blk, z)
+        out.append(float(np.linalg.eigvalsh(0.5 * (M + M.T))[0]))
+    return np.array(out)
+
+
 def assemble_margin(problem: LmiProblem, z):
     """Smallest eigenvalue over all assembled blocks at z.
 
     This is the a-posteriori certificate every caller relies on; it uses a
     plain symmetric eigensolver and is independent of the solve internals.
     """
-    z = np.asarray(z, dtype=float).reshape(-1)
-    if z.shape[0] != problem.dim:
-        raise DimensionError("z", problem.dim, z.shape[0])
-    worst = np.inf
-    for blk in problem.blocks:
-        M = assemble_block(blk, z)
-        worst = min(worst, float(np.linalg.eigvalsh(0.5 * (M + M.T))[0]))
-    return worst
-
-
-def block_margins(problem: LmiProblem, z):
-    """Per-block smallest eigenvalues at z."""
-    return np.array([float(np.linalg.eigvalsh(
-        0.5 * (assemble_block(b, z) + assemble_block(b, z).T))[0])
-        for b in problem.blocks])
+    return float(block_margins(problem, z).min())
 
 
 # ---------------------------------------------------------------------------
 # solver internals
+#
+# The path runs on w = (z, t), the decision vector with the level t appended,
+# so block j reads  C_j + sum_k z_k A_{j,k} + t I  and is linear in w.
 
 
 class _Workspace:
@@ -190,38 +191,33 @@ class _Workspace:
     Blocks are grouped by (size, active-variable count) so every barrier
     evaluation runs through stacked LAPACK calls: one batched Cholesky per
     group plus batched solves for the gradient/Hessian contributions of the
-    coefficient matrices (an identity slot is appended for the phase-1
-    slack variable).
+    coefficient matrices.  Each group carries an identity slot for t.
     """
 
     def __init__(self, problem: LmiProblem):
-        self.problem = problem
         m = problem.dim
         self.m = m
-        self.n_blocks = len(problem.blocks)
         grouped = {}
-        for j, blk in enumerate(problem.blocks):
+        for blk in problem.blocks:
             idx = (np.arange(m) if blk.var_indices is None
                    else blk.var_indices.astype(int))
             key = (blk.size, idx.shape[0])
-            grouped.setdefault(key, []).append((j, blk.const, blk.coeffs, idx))
+            grouped.setdefault(key, []).append((blk.const, blk.coeffs, idx))
         self.groups = []
-        for (s, k), items in grouped.items():
-            js = np.array([it[0] for it in items])
-            const = np.stack([0.5 * (it[1] + it[1].T) for it in items])
-            coeffs = np.stack([it[2] for it in items]) if k else np.zeros((len(items), 0, s, s))
-            idx_mat = (np.stack([it[3] for it in items]) if k
-                       else np.zeros((len(items), 0), dtype=int))
-            eye_slot = np.broadcast_to(np.eye(s), (len(items), 1, s, s))
-            coeffs_t = np.concatenate([coeffs, eye_slot], axis=1)
-            idx_mat_t = np.concatenate(
-                [idx_mat, np.full((len(items), 1), m, dtype=int)], axis=1)
+        # barrier degree: block sizes plus one per box side
+        self.nu = 0
+        for (s, _), items in grouped.items():
+            n_items = len(items)
+            eye_slot = np.broadcast_to(np.eye(s), (n_items, 1, s, s))
             self.groups.append({
-                "js": js, "size": s, "k": k,
-                "const": const, "coeffs": coeffs, "idx": idx_mat,
-                "coeffs_t": coeffs_t, "idx_t": idx_mat_t,
-                "eye": np.eye(s),
+                "const": np.stack([0.5 * (it[0] + it[0].T) for it in items]),
+                "coeffs": np.concatenate(
+                    [np.stack([it[1] for it in items]), eye_slot], axis=1),
+                "idx": np.concatenate(
+                    [np.stack([it[2] for it in items]),
+                     np.full((n_items, 1), m)], axis=1),
             })
+            self.nu += s * n_items
         lo = (np.full(m, -np.inf) if problem.lower is None
               else np.asarray(problem.lower, dtype=float).copy())
         hi = (np.full(m, np.inf) if problem.upper is None
@@ -229,8 +225,6 @@ class _Workspace:
         self.lo, self.hi = lo, hi
         self.has_lo = np.isfinite(lo)
         self.has_hi = np.isfinite(hi)
-        # barrier degree: one per box side plus block sizes (t shares blocks)
-        self.nu = sum(g["size"] * g["js"].shape[0] for g in self.groups)
         self.nu += int(self.has_lo.sum() + self.has_hi.sum())
 
     def default_start(self):
@@ -246,41 +240,20 @@ class _Workspace:
         return z
 
     def clip_inside(self, z):
-        z = z.copy()
+        """z moved strictly inside the box, 1e-3 of the width (or 1e-3 for
+        one-sided bounds) away from each bound."""
         both = self.has_lo & self.has_hi
-        pad = np.zeros(self.m)
-        pad[both] = 1e-3 * (self.hi[both] - self.lo[both])
-        pad[self.has_lo & ~self.has_hi] = 1e-3
-        z[self.has_lo] = np.maximum(z[self.has_lo], (self.lo + pad)[self.has_lo])
-        pad_hi = np.zeros(self.m)
-        pad_hi[both] = 1e-3 * (self.hi[both] - self.lo[both])
-        pad_hi[self.has_hi & ~self.has_lo] = 1e-3
-        z[self.has_hi] = np.minimum(z[self.has_hi], (self.hi - pad_hi)[self.has_hi])
-        return z
+        pad = np.where(both, 1e-3 * (self.hi - self.lo), 1e-3)
+        return np.clip(z, self.lo + pad, self.hi - pad)
 
-    def _assemble(self, group, z, eps, t, with_t):
-        S = group["const"].copy()
-        if group["k"]:
-            S += np.einsum("jk,jkab->jab", z[group["idx"]], group["coeffs"])
-        shift = (t - eps) if with_t else -eps
-        if shift != 0.0:
-            S += shift * group["eye"]
-        return S
-
-    def margins(self, z):
-        out = np.empty(self.n_blocks)
-        for g in self.groups:
-            S = self._assemble(g, z, 0.0, 0.0, False)
-            out[g["js"]] = np.linalg.eigvalsh(S)[:, 0]
-        return out
-
-    def in_box(self, z):
-        return (np.all(z[self.has_lo] > self.lo[self.has_lo])
-                and np.all(z[self.has_hi] < self.hi[self.has_hi]))
+    @staticmethod
+    def assemble(group, w):
+        return group["const"] + np.einsum("jk,jkab->jab", w[group["idx"]],
+                                          group["coeffs"])
 
 
-def _box_barrier(ws, z, grad=None, hess_diag=None):
-    """Box-barrier value; optionally accumulates gradient/diagonal Hessian.
+def _box_barrier(ws, z, grad, hess_diag):
+    """Box-barrier value; accumulates its gradient and diagonal Hessian.
     Returns None when z is not strictly inside the box."""
     dlo = z - ws.lo
     dhi = ws.hi - z
@@ -288,64 +261,40 @@ def _box_barrier(ws, z, grad=None, hess_diag=None):
         return None
     phi = -(float(np.sum(np.log(dlo[ws.has_lo])))
             + float(np.sum(np.log(dhi[ws.has_hi]))))
-    if grad is not None:
-        grad[:ws.m][ws.has_lo] -= 1.0 / dlo[ws.has_lo]
-        grad[:ws.m][ws.has_hi] += 1.0 / dhi[ws.has_hi]
-    if hess_diag is not None:
-        hess_diag[ws.has_lo] += 1.0 / dlo[ws.has_lo] ** 2
-        hess_diag[ws.has_hi] += 1.0 / dhi[ws.has_hi] ** 2
+    grad[:ws.m][ws.has_lo] -= 1.0 / dlo[ws.has_lo]
+    grad[:ws.m][ws.has_hi] += 1.0 / dhi[ws.has_hi]
+    hess_diag[ws.has_lo] += 1.0 / dlo[ws.has_lo] ** 2
+    hess_diag[ws.has_hi] += 1.0 / dhi[ws.has_hi] ** 2
     return phi
 
 
-def _barrier_value(ws: _Workspace, eps, z, t, mu, with_t):
-    """Value of obj/mu + Phi at (z, t), or None if not strictly feasible."""
-    phi = 0.0
-    for g in ws.groups:
-        S = ws._assemble(g, z, eps, t, with_t)
-        try:
-            L = np.linalg.cholesky(S)
-        except np.linalg.LinAlgError:
-            return None
-        diag = np.diagonal(L, axis1=1, axis2=2)
-        if np.any(diag <= 0.0):
-            return None
-        phi -= 2.0 * float(np.sum(np.log(diag)))
-    box = _box_barrier(ws, z)
-    if box is None:
-        return None
-    phi += box
-    if with_t:
-        phi += t / mu
-    return phi
+def _barrier(ws: _Workspace, w, mu, derivs=True):
+    """Value of  t/mu + Phi  at w = (z, t), with its gradient and Hessian
+    when ``derivs``.
 
-
-def _barrier_terms(ws: _Workspace, eps, z, t, mu, with_t):
-    """Value, gradient and Hessian of  obj/mu + Phi  at (z, t).
-
-    ``obj`` is t when ``with_t`` else 0; Phi is the log-det barrier of the
-    shifted blocks plus box barriers.  Returns None when (z, t) is not
-    strictly feasible for the shifted cone.
+    Phi is the log-det barrier of the blocks plus the box barriers.  Returns
+    None when w is not strictly feasible.
     """
     m = ws.m
-    dim = m + 1 if with_t else m
-    g = np.zeros(dim)
-    H = np.zeros((dim, dim))
-    phi = 0.0
+    g = np.zeros(m + 1)
+    H = np.zeros((m + 1, m + 1))
+    hess_diag = np.zeros(m)
+    phi = _box_barrier(ws, w[:m], g, hess_diag)
+    if phi is None:
+        return None
     for grp in ws.groups:
-        S = ws._assemble(grp, z, eps, t, with_t)
         try:
-            L = np.linalg.cholesky(S)
+            L = np.linalg.cholesky(ws.assemble(grp, w))
         except np.linalg.LinAlgError:
             return None
         diag = np.diagonal(L, axis1=1, axis2=2)
         if np.any(diag <= 0.0):
             return None
         phi -= 2.0 * float(np.sum(np.log(diag)))
-        A = grp["coeffs_t"] if with_t else grp["coeffs"]
-        idx = grp["idx_t"] if with_t else grp["idx"]
-        J, K, s, _ = A.shape
-        if K == 0:
+        if not derivs:
             continue
+        A, idx = grp["coeffs"], grp["idx"]
+        J, K, s, _ = A.shape
         # V_k = L^{-1} A_k L^{-T}; grad gets -tr(V_k), Hessian <V_k, V_l>_F
         X = np.linalg.solve(L[:, None], A)
         V = np.linalg.solve(L[:, None], X.transpose(0, 1, 3, 2))
@@ -356,16 +305,11 @@ def _barrier_terms(ws: _Workspace, eps, z, t, mu, with_t):
         for jj in range(J):
             ii = idx[jj]
             H[np.ix_(ii, ii)] += Hb[jj]
-    hess_diag = np.zeros(m)
-    box = _box_barrier(ws, z, grad=g, hess_diag=hess_diag)
-    if box is None:
-        return None
-    phi += box
+    val = phi + w[m] / mu
+    if not derivs:
+        return val
     H[np.arange(m), np.arange(m)] += hess_diag
-    val = phi
-    if with_t:
-        val += t / mu
-        g[m] += 1.0 / mu
+    g[m] += 1.0 / mu
     return val, g, H
 
 
@@ -383,195 +327,95 @@ def _newton_solve(H, g):
     return np.linalg.lstsq(H + reg * eye, -g, rcond=None)[0]
 
 
-def _minimize_barrier(ws, eps, z, t, mu, with_t, cfg, trace,
-                      stop_margin=None):
-    """Newton descent of obj/mu + Phi; returns (z, t, converged).
+def _minimize_barrier(ws, w, mu, cfg, info, stop_t):
+    """Newton descent of  t/mu + Phi  from w; returns (w, converged).
 
-    If ``stop_margin`` is given, iteration exits early as soon as the
-    recomputed block margin at z reaches it.
+    Returns early, as converged, once t <= ``stop_t``; raises
+    UnboundedMarginError once t falls below -``margin_cap``.
     """
-    cur = _barrier_terms(ws, eps, z, t, mu, with_t)
+    trace = info["trace"]
+    cur = _barrier(ws, w, mu)
     if cur is None:
         raise NumericalFailureError("barrier start point not strictly feasible",
                                     trace)
     f, g, H = cur
     alpha0 = 1.0  # adaptive start; boundary-hugging iterates reuse short steps
     for it in range(cfg.max_newton):
+        if w[-1] <= stop_t:
+            return w, True
+        if w[-1] < -cfg.margin_cap:
+            raise UnboundedMarginError(
+                "margin maximization appears unbounded; add normalization "
+                "bounds on the decision vector")
         step = _newton_solve(H, g)
         decrement = float(-g @ step)
         if not np.isfinite(decrement):
             raise NumericalFailureError("non-finite Newton decrement", trace)
         if decrement <= 2.0 * cfg.newton_tol:
-            return z, t, True
+            return w, True
+        info["newton_steps"] += 1
         alpha = alpha0
-        accepted = False
         for _ in range(60):
-            z_try = z + alpha * step[:ws.m]
-            t_try = t + alpha * step[ws.m] if with_t else t
-            val = _barrier_value(ws, eps, z_try, t_try, mu, with_t)
+            w_try = w + alpha * step
+            val = _barrier(ws, w_try, mu, derivs=False)
             if val is not None and val <= f - cfg.armijo * alpha * decrement:
-                z, t = z_try, t_try
-                f, g, H = _barrier_terms(ws, eps, z, t, mu, with_t)
-                accepted = True
                 break
             alpha *= 0.5
-        if not accepted:
+        else:
             trace.append(f"line search stalled (mu={mu:.2e}, it={it})")
-            return z, t, False
+            return w, False
+        w = w_try
+        f, g, H = _barrier(ws, w, mu)
         alpha0 = min(1.0, 4.0 * alpha)
-        if stop_margin is not None and float(ws.margins(z).min()) >= stop_margin:
-            return z, t, True
     trace.append(f"newton budget exhausted (mu={mu:.2e})")
-    return z, t, False
-
-
-def _phase1(ws: _Workspace, eps, z_start, cfg, trace, tighten=False):
-    """Decide feasibility of  blocks(z) >= eps I  within the box.
-
-    Returns a dict with ``feasible`` plus the final iterate; on infeasible
-    exit ``gap`` estimates how far eps overshoots the best achievable
-    margin.  With ``tighten`` the barrier path is followed until the gap
-    estimate is sharp (used for infeasibility reports); otherwise the probe
-    returns as soon as infeasibility is certified.
-    """
-    z = ws.clip_inside(z_start.copy())
-    margins = ws.margins(z)
-    m0 = float(margins.min())
-    if m0 >= eps:
-        return {"feasible": True, "z": z, "margin": m0}
-    t = (eps - m0) * 1.05 + 1e-8
-    # start the path at the scale of the violation; warm starts are nearly
-    # centered already, so large initial mu only wastes stages
-    mu = max(t, 1e-8)
-    certified = False
-    while True:
-        z, t, converged = _minimize_barrier(
-            ws, eps, z, t, mu, with_t=True, cfg=cfg, trace=trace,
-            stop_margin=eps)
-        mg = float(ws.margins(z).min())
-        if mg >= eps:
-            return {"feasible": True, "z": z, "margin": mg}
-        if t < 0.0:
-            # strictly feasible in t yet margin check missed by roundoff
-            return {"feasible": True, "z": z, "margin": mg}
-        gap_bound = ws.nu * mu
-        if converged and t - gap_bound > 0.0:
-            certified = True
-            if not tighten:
-                return {"feasible": False, "z": z, "gap": t,
-                        "gap_low": t - gap_bound}
-            if gap_bound <= 1e-6 * max(1.0, abs(t)):
-                return {"feasible": False, "z": z, "gap": t,
-                        "gap_low": t - gap_bound}
-        if mu <= cfg.mu_floor * max(1.0, abs(t)):
-            return {"feasible": False, "z": z, "gap": t,
-                    "gap_low": t - gap_bound if certified else None}
-        mu *= cfg.mu_factor
-
-
-def _center(ws: _Workspace, eps, z_start, cfg, trace):
-    """Analytic center of the strictly feasible set at level eps."""
-    z = z_start.copy()
-    t = 0.0
-    if _barrier_value(ws, eps, z, t, 1.0, with_t=False) is None:
-        return z_start
-    tight = SolverConfig(**{**cfg.__dict__, "newton_tol": cfg.center_tol,
-                            "max_newton": 120})
-    try:
-        z, _, _ = _minimize_barrier(ws, eps, z, t, 1.0, with_t=False,
-                                    cfg=tight, trace=trace)
-    except NumericalFailureError:
-        return z_start
-    return z
+    return w, False
 
 
 def solve(problem: LmiProblem, config: SolverConfig | None = None) -> LmiSolution:
     """Solve an LMI family for the requested objective.
 
-    For ``maximize-margin`` the returned status is ``optimal`` and the
-    margin is within the configured bisection width of the supremum; for
-    ``feasibility`` the status is ``feasible`` as soon as the margin clears
-    the feasibility tolerance.  ``infeasible`` solutions carry the best
-    achievable margin estimate in ``info``.  The reported margin is always
-    recomputed from the assembled blocks at the returned z.
+    One central path of  min t  s.t.  blocks(z) + t I >= 0  within the box.
+    For ``maximize-margin`` the path runs until a centered iterate has
+    barrier gap nu * mu <= ``width``, so the returned margin is within
+    ``width`` of the supremum; for ``feasibility`` it stops as soon as the
+    margin reaches ``feas_tol``.  Either way the status is ``infeasible``
+    when the margin at the returned z is below ``feas_tol``; ``info`` then
+    carries that margin as ``best_margin`` and an upper bound on the
+    supremum as ``best_margin_upper``.  ``info["newton_steps"]`` counts the
+    Newton steps taken.  The reported margin is always recomputed from the
+    assembled blocks at the returned z.
     """
     cfg = config or SolverConfig()
     problem.validate()
     ws = _Workspace(problem)
-    trace = []
-    info = {"probes": 0, "trace": trace}
-
-    if problem.dim == 0:
-        z = np.zeros(0)
-        margin = assemble_margin(problem, z)
-        if margin >= cfg.feas_tol:
-            status = "optimal" if problem.objective == MAXIMIZE_MARGIN else "feasible"
-        else:
-            status = "infeasible"
-            info["best_margin"] = margin
-        return LmiSolution(z=z, margin=margin, status=status, info=info)
-
-    z0 = (ws.clip_inside(np.asarray(problem.initial_z, dtype=float).copy())
+    info = {"newton_steps": 0, "trace": []}
+    z0 = (ws.clip_inside(np.asarray(problem.initial_z, dtype=float))
           if problem.initial_z is not None else ws.default_start())
-
+    m0 = assemble_margin(problem, z0)
+    w = np.append(z0, -m0 + 0.05 * abs(m0) + 1e-8)
+    mu = max(1.0, abs(m0))
+    stop_t = -cfg.feas_tol if problem.objective == FEASIBILITY else -np.inf
     try:
-        res = _phase1(ws, cfg.feas_tol, z0, cfg, trace, tighten=True)
-        info["probes"] += 1
-        if not res["feasible"]:
-            best = cfg.feas_tol - res["gap"]
-            info["best_margin"] = best
-            if res.get("gap_low") is not None:
-                info["best_margin_upper"] = cfg.feas_tol - res["gap_low"]
-            return LmiSolution(z=res["z"],
-                               margin=assemble_margin(problem, res["z"]),
-                               status="infeasible", info=info)
-        z_best = res["z"]
-        if problem.objective == FEASIBILITY:
-            return LmiSolution(z=z_best,
-                               margin=assemble_margin(problem, z_best),
-                               status="feasible", info=info)
-
-        lo = float(ws.margins(z_best).min())
-        hi = max(1.0, 2.0 * lo)
         while True:
-            if hi > cfg.margin_cap:
-                raise UnboundedMarginError(
-                    "margin maximization appears unbounded; add normalization "
-                    "bounds on the decision vector")
-            r = _phase1(ws, hi, z_best, cfg, trace)
-            info["probes"] += 1
-            if r["feasible"]:
-                z_best = r["z"]
-                lo = max(lo, float(ws.margins(z_best).min()))
-                hi = 2.0 * hi
-            else:
+            w, converged = _minimize_barrier(ws, w, mu, cfg, info, stop_t)
+            if (w[-1] <= stop_t or (converged and ws.nu * mu <= cfg.width)
+                    or mu <= cfg.mu_floor * max(1.0, abs(w[-1]))):
                 break
-        while hi - lo > cfg.width:
-            mid = 0.5 * (lo + hi)
-            r = _phase1(ws, mid, z_best, cfg, trace)
-            info["probes"] += 1
-            if r["feasible"]:
-                z_best = r["z"]
-                lo = max(mid, float(ws.margins(z_best).min()))
-                if lo >= hi:
-                    hi = lo + 1e-3 * cfg.width
-            else:
-                hi = mid
-        # polish: analytic centering just below the certified level
-        eps_c = lo - max(1e-12, 0.1 * cfg.width)
-        z_c = _center(ws, eps_c, z_best, cfg, trace)
-        if float(ws.margins(z_c).min()) >= eps_c:
-            z_best = z_c
-        margin = assemble_margin(problem, z_best)
-        info["bisection_interval"] = (lo, hi)
-        return LmiSolution(z=z_best, margin=margin, status="optimal", info=info)
-    except UnboundedMarginError:
-        raise
+            mu *= cfg.mu_factor
     except NumericalFailureError as exc:
         info["message"] = str(exc)
-        info["trace"] = exc.trace or trace
+        info["trace"] = exc.trace or info["trace"]
         return LmiSolution(z=z0, margin=-np.inf, status="numerical-failure",
                            info=info)
+    z = w[:-1]
+    margin = assemble_margin(problem, z)
+    if margin >= cfg.feas_tol:
+        status = "feasible" if problem.objective == FEASIBILITY else "optimal"
+    else:
+        status = "infeasible"
+        info["best_margin"] = margin
+        info["best_margin_upper"] = margin + ws.nu * mu
+    return LmiSolution(z=z, margin=margin, status=status, info=info)
 
 
 def dump_problem(problem: LmiProblem, path):

@@ -451,7 +451,8 @@ def _finish_gain(model, P, kernel, X, sigma_p, hulls, sol, mode, eps_p,
         point_margins.append(eig_min_sym(ies_block(P, A)))
     point_margins = np.asarray(point_margins)
     vertex_margins = None
-    diagnostics = {"probes": sol.info.get("probes"), "sigma_p": sigma_p}
+    diagnostics = {"newton_steps": sol.info.get("newton_steps"),
+                   "sigma_p": sigma_p}
     if hulls is not None:
         vertex_margins = []
         for i in range(hulls.n_cells):
@@ -610,7 +611,7 @@ def solve_joint(model, kernel, points, rho=DEFAULT_RHO, config=None,
         mode="joint", P=P, eps_p=None, eps=float(point_margins.min()),
         controller=controller, solver_margin=float(sol.margin), points=X,
         point_margins=point_margins, status=sol.status,
-        diagnostics={"probes": sol.info.get("probes")})
+        diagnostics={"newton_steps": sol.info.get("newton_steps")})
 
 
 # ---------------------------------------------------------------------------

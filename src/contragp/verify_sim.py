@@ -31,7 +31,6 @@ __all__ = [
     "rollout_stochastic",
     "contraction_rate",
     "weighted_norm",
-    "contraction_factor",
 ]
 
 
@@ -39,14 +38,6 @@ def weighted_norm(x, W):
     """sqrt(x^T W x)."""
     x = np.asarray(x, dtype=float).reshape(-1)
     return float(np.sqrt(max(x @ np.asarray(W) @ x, 0.0)))
-
-
-def contraction_factor(A, P):
-    """sigma_max(L^{-1} A L) with P = L L^T: the factor by which one step of
-    the linearization scales distances in the P^{-1}-weighted norm."""
-    L = cholesky(np.asarray(P, dtype=float), lower=True)
-    M = solve_triangular(L, np.asarray(A, dtype=float) @ L, lower=True)
-    return float(np.linalg.svd(M, compute_uv=False)[0])
 
 
 @dataclass
@@ -69,16 +60,6 @@ class VerificationReport:
             "consistent": bool(self.consistent),
             "domain": {"lo": list(self.domain.lo), "hi": list(self.domain.hi)},
         }
-
-
-def closed_loop_jacobian(model, controller, x):
-    J = np.asarray(model.drift_jacobian(x), dtype=float)
-    if controller is None:
-        return J
-    A = J + np.outer(model.input_at(x), controller.control_grad(x))
-    if not model.constant_input:
-        A = A + controller.control(x) * model.input_jac_at(x)
-    return A
 
 
 def verify_grid(model, controller, P, domain: Box, resolution):

@@ -200,6 +200,12 @@ class TestConfigValidation:
         with pytest.raises(Exception):
             PipelineConfig(cfg)
 
+    def test_polytopic_without_polytope_section_validates(self):
+        cfg = small_osc_config()
+        cfg["mode"] = "polytopic"
+        cfg.pop("polytope", None)
+        assert PipelineConfig(cfg).subdivisions == 4
+
     def test_domain_system_dimension_mismatch_rejected(self):
         from contragp.errors import ConfigError
 
