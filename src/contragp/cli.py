@@ -144,12 +144,17 @@ def _error_surfaces(cfg, out, model):
 
 
 def _design_model(cfg, out):
+    """The model synthesis and verification run on, with the configured
+    equilibrium (where synthesis zeroes the law); also the learned drift
+    model, or None for the analytic source."""
     system = cfg.system()
     if cfg.model_source == "analytic":
+        system.equilibrium = cfg.equilibrium()
         return system, None
     data = _load_json(_path(out, "drift_model.json"), "drift-model artifact")
     model = drift_gp.DriftModel.from_dict(data["drift_model"])
-    return model.as_system_model(b=system.b), model
+    return model.as_system_model(b=system.b,
+                                 equilibrium=cfg.equilibrium()), model
 
 
 def cmd_synth(cfg: PipelineConfig, out, quiet=False, mode=None):
@@ -178,13 +183,7 @@ def cmd_synth(cfg: PipelineConfig, out, quiet=False, mode=None):
                                                "control_points_per_axis")))
     report = synthesis.run_synthesis(
         design, kernel, points, mode=mode, sigma_p=cfg.sigma_p,
-        rho=cfg.rho, hulls=hulls, config=cfg.solver_config(),
-        apply_offset=False)
-    eq = cfg.equilibrium()
-    if eq is not None:
-        controller = report.controller.with_offset_at(eq)
-        controller.metric = report.P
-        report.controller = controller
+        rho=cfg.rho, hulls=hulls, config=cfg.solver_config())
     if confidence is not None:
         report.diagnostics["hull_confidence"] = confidence
     write_json(_path(out, "synthesis_report.json"), report.to_dict())
@@ -272,6 +271,28 @@ def _weighted_monotone_stats(traj, W, box, floor=1e-10):
     return viol, inside
 
 
+def _rollouts(system, law, inits, horizon, directory):
+    """Roll the law out on the system from every initial state, writing
+    ``<directory>/traj_XX.csv``; returns the trajectories."""
+    os.makedirs(directory, exist_ok=True)
+    header = ["k"] + [f"x_{i+1}" for i in range(system.n)] + ["u"]
+    trajs = []
+    for idx, x0 in enumerate(inits):
+        traj = verify_sim.rollout(system, law, x0, horizon)
+        rows = [[k] + list(traj.states[k])
+                + [traj.inputs[k] if k < traj.horizon else None]
+                for k in range(traj.horizon + 1)]
+        write_csv(os.path.join(directory, f"traj_{idx:02d}.csv"), header,
+                  rows)
+        trajs.append(traj)
+    return trajs
+
+
+def _final_ratio(traj):
+    return float(np.linalg.norm(traj.states[-1])
+                 / max(np.linalg.norm(traj.states[0]), 1e-300))
+
+
 def cmd_simulate(cfg: PipelineConfig, out, quiet=False):
     controller, P, _ = _load_controller_and_P(out)
     system = cfg.system()
@@ -279,30 +300,21 @@ def cmd_simulate(cfg: PipelineConfig, out, quiet=False):
     horizon = int(cfg._opt(1000, "sim", "horizon"))
     inits = cfg.initial_states()
     W = np.linalg.inv(P)
-    os.makedirs(_path(out, "trajectories"), exist_ok=True)
-    n = system.n
-    header = ["k"] + [f"x_{i+1}" for i in range(n)] + ["u"]
+    trajs = _rollouts(system, controller, inits, horizon,
+                      _path(out, "trajectories"))
     stats = []
-    trajs = []
-    for idx, x0 in enumerate(inits):
-        traj = verify_sim.rollout(system, controller, x0, horizon)
-        trajs.append(traj)
-        rows = [[k] + list(traj.states[k])
-                + [traj.inputs[k] if k < traj.horizon else None]
-                for k in range(traj.horizon + 1)]
-        write_csv(_path(out, f"trajectories/traj_{idx:02d}.csv"), header, rows)
+    for x0, traj in zip(inits, trajs):
         viol, inside = _weighted_monotone_stats(traj, W, box)
-        ratio = float(np.linalg.norm(traj.states[-1])
-                      / max(np.linalg.norm(traj.states[0]), 1e-300))
         stats.append({"initial": [float(v) for v in x0],
-                      "final_ratio": ratio, "diverged": traj.diverged,
+                      "final_ratio": _final_ratio(traj),
+                      "diverged": traj.diverged,
                       "monotone_violations": viol, "steps_inside": inside})
     summary = {"horizon": horizon, "trajectories": stats,
                "max_final_ratio": max(s["final_ratio"] for s in stats),
                "any_diverged": any(s["diverged"] for s in stats),
                "total_monotone_violations": sum(s["monotone_violations"]
                                                 for s in stats)}
-    if cfg._opt(False, "emit_svg") and n == 2:
+    if cfg._opt(False, "emit_svg") and system.n == 2:
         viz.phase_portrait_svg(_path(out, "phase_portrait.svg"), trajs, box,
                                title="closed loop")
     baseline = _baseline_runs(cfg, out, system, inits, horizon, quiet)
@@ -331,25 +343,13 @@ def _baseline_runs(cfg, out, system, inits, horizon, quiet):
         def control(self, x):
             return float(-model.components[comp].mean(x) + gain @ np.asarray(x))
 
-    law = _BaselineLaw()
-    os.makedirs(_path(out, "baseline"), exist_ok=True)
-    n = system.n
-    header = ["k"] + [f"x_{i+1}" for i in range(n)] + ["u"]
-    stats = []
-    trajs = []
-    for idx, x0 in enumerate(inits):
-        traj = verify_sim.rollout(system, law, x0, horizon)
-        trajs.append(traj)
-        rows = [[k] + list(traj.states[k])
-                + [traj.inputs[k] if k < traj.horizon else None]
-                for k in range(traj.horizon + 1)]
-        write_csv(_path(out, f"baseline/traj_{idx:02d}.csv"), header, rows)
-        ratio = float(np.linalg.norm(traj.states[-1])
-                      / max(np.linalg.norm(traj.states[0]), 1e-300))
-        stats.append({"final_ratio": ratio, "diverged": traj.diverged})
+    trajs = _rollouts(system, _BaselineLaw(), inits, horizon,
+                      _path(out, "baseline"))
+    stats = [{"final_ratio": _final_ratio(traj), "diverged": traj.diverged}
+             for traj in trajs]
     nonconv = sum(1 for s in stats
                   if s["diverged"] or s["final_ratio"] > 0.1)
-    if cfg._opt(False, "emit_svg") and n == 2:
+    if cfg._opt(False, "emit_svg") and system.n == 2:
         viz.phase_portrait_svg(_path(out, "baseline_portrait.svg"), trajs,
                                cfg.domain("control"), title="baseline")
     _say(quiet, f"baseline: {nonconv}/{len(stats)} trajectories flagged "

@@ -53,10 +53,6 @@ class DerivativeDataset:
             raise DataError("sigma_p must be nonnegative")
 
     @property
-    def n_points(self):
-        return self.points.shape[0]
-
-    @property
     def dim(self):
         return self.points.shape[1]
 

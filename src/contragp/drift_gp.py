@@ -54,10 +54,6 @@ class DriftDataset:
                                      self.inputs.shape[0])
 
     @property
-    def n_points(self):
-        return self.points.shape[0]
-
-    @property
     def dim(self):
         return self.points.shape[1]
 

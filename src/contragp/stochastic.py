@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import DataError
 from .linalg import eig_min_sym
+from .synthesis import closed_loop_jacobians
 
 __all__ = ["StochasticClosedLoop", "sigma_jacobian", "moment_ies_check",
            "MomentReport", "chebyshev_hulls", "quadratic_margin"]
@@ -84,12 +85,13 @@ class StochasticClosedLoop:
         """Closed loop of a learned mean field under a feedback law applied
         through the constant input vector b."""
         b = np.asarray(b, dtype=float).reshape(-1)
+        system = model.as_system_model(b=b)
 
         def mean(x):
             return model.mean(x) + b * controller.control(x)
 
         def mean_jac(x):
-            return model.jacobian(x) + np.outer(b, controller.control_grad(x))
+            return closed_loop_jacobians(system, controller, x)[0]
 
         def noise_std(x):
             return model.value_std(x)

@@ -8,10 +8,14 @@ Three routes produce a constant metric P and a derivative-GP feedback law:
 * polytopic: the two-step route with per-cell Jacobian hulls, so the
   certificate extends from data points to cells.
 
-All routes assemble :class:`~contragp.lmi.LmiProblem` instances whose
-decision variables are the raw gradient targets (the fitted gradient is an
-invertible linear image of them), solve, fit the controller from the
-optimizer, and recompute every certificate from the fitted law.
+The law's gradient is linear in the targets, so every route's condition is
+the affine family [[P, (A_i P)^T], [A_i P, P]] >= 0 with A_i = J_i + b g_i^T.
+All routes assemble :class:`~contragp.lmi.LmiProblem` instances over the
+design Jacobians (or hull vertices) of :func:`_metric_constraint_mats`, solve
+them through one helper that raises on failure, and finish in
+:func:`_finish_gain`: fit the law to the optimal targets, zero it at the
+model's equilibrium, and recompute every certificate from the fitted law
+through :func:`closed_loop_jacobians`.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ __all__ = [
     "solve_metric",
     "solve_gain",
     "solve_joint",
-    "solve_gain_nonconstant_b",
+    "closed_loop_jacobians",
     "build_hulls",
     "VertexHull",
     "SynthesisReport",
@@ -74,17 +78,12 @@ def sym_basis(n):
     """Basis of symmetric n x n matrices matching the vech ordering
     [(0,0), (1,0), (1,1), (2,0), ...]."""
     basis = []
-    index = []
     for i in range(n):
         for j in range(i + 1):
             E = np.zeros((n, n))
-            if i == j:
-                E[i, i] = 1.0
-            else:
-                E[i, j] = E[j, i] = 1.0
+            E[i, j] = E[j, i] = 1.0
             basis.append(E)
-            index.append((i, j))
-    return basis, index
+    return basis
 
 
 def unvech(z, n):
@@ -112,6 +111,35 @@ def ies_block(P, A):
     M[n:, :n] = AP
     M[n:, n:] = P
     return M
+
+
+def _offdiag(G):
+    """The symmetric block [[0, G^T], [G, 0]] of a square G."""
+    n = G.shape[0]
+    M = np.zeros((2 * n, 2 * n))
+    M[:n, n:] = G.T
+    M[n:, :n] = G
+    return M
+
+
+def closed_loop_jacobians(model, controller, X):
+    """Closed-loop Jacobians J(x) + b(x) grad u(x)^T at the rows of X, plus
+    u(x) db(x) when the input vector varies with the state; (B, n, n)."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    return _close_loop(model, controller, X,
+                       [model.drift_jacobian(x) for x in X])
+
+
+def _close_loop(model, controller, X, jacs):
+    """Add the feedback terms at the rows of X to the drift Jacobians (or
+    hull vertices) ``jacs``, one per row."""
+    grads = controller.control_grad_batch(X)
+    bs = np.stack([model.input_at(x) for x in X])
+    A = np.asarray(jacs, dtype=float) + bs[:, :, None] * grads[:, None, :]
+    if not model.constant_input:
+        dbs = np.stack([model.input_jac_at(x) for x in X])
+        A = A + controller.control_batch(X)[:, None, None] * dbs
+    return A
 
 
 # ---------------------------------------------------------------------------
@@ -268,11 +296,6 @@ class SynthesisReport:
     status: str = "optimal"
     diagnostics: dict = field(default_factory=dict)
 
-    def contraction_weight(self):
-        """Weight matrix of the norm in which the closed loop contracts
-        (the inverse of the block metric P)."""
-        return np.linalg.inv(self.P)
-
     def to_dict(self):
         out = {
             "mode": self.mode,
@@ -299,8 +322,11 @@ class SynthesisReport:
 
 
 def _metric_constraint_mats(model, points, hulls):
-    """Jacobian matrices entering the metric family: one per point, or one
-    per (cell, vertex) when hulls are given; labels identify the source."""
+    """Jacobian matrices entering every family: one per point, or one per
+    (cell, vertex) when hulls are given; labels identify the source, and
+    their second entry is the index of the point."""
+    if hulls is not None and not np.allclose(hulls.centers, points):
+        raise DataError("points must be the hull cell centers")
     mats, labels = [], []
     if hulls is None:
         for i, x in enumerate(points):
@@ -312,6 +338,43 @@ def _metric_constraint_mats(model, points, hulls):
                 mats.append(V)
                 labels.append(("cell-vertex", i, l))
     return mats, labels
+
+
+_P_BOUNDS = ("P-lower", "P-upper")
+
+
+def _metric_bounds(n, rho):
+    """I <= P <= rho I over the vech entries of P, the leading decision
+    entries."""
+    basis = np.stack(sym_basis(n))
+    idx = np.arange(len(basis))
+    return [lmi.AffineBlock(-np.eye(n), basis, var_indices=idx,
+                            label=_P_BOUNDS[0]),
+            lmi.AffineBlock(rho * np.eye(n), -basis, var_indices=idx,
+                            label=_P_BOUNDS[1])]
+
+
+def _solve(problem, config, rho, what):
+    """Solve at the default width 1e-6 rho unless ``config`` is given.
+
+    Raises NumericalFailureError on a numerical failure, and InfeasibleError
+    naming the worst constraint of the family (never a metric bound) when
+    the solver finds the family infeasible.
+    """
+    sol = lmi.solve(problem, config or lmi.SolverConfig(width=1e-6 * rho))
+    if sol.status == "numerical-failure":
+        raise NumericalFailureError(f"{what} solve failed",
+                                    sol.info.get("trace"))
+    if sol.status == "infeasible":
+        margins = lmi.block_margins(problem, sol.z)
+        family = [j for j, blk in enumerate(problem.blocks)
+                  if blk.label not in _P_BOUNDS]
+        worst = problem.blocks[family[int(np.argmin(margins[family]))]].label
+        best = sol.info.get("best_margin")
+        raise InfeasibleError(
+            f"{what} family infeasible: best margin {best:.3e}, "
+            f"worst constraint {worst}", best_margin=best, worst_label=worst)
+    return sol
 
 
 def solve_metric(model, points, hulls=None, rho=DEFAULT_RHO, config=None):
@@ -331,38 +394,19 @@ def solve_metric(model, points, hulls=None, rho=DEFAULT_RHO, config=None):
     Bperp = left_annihilator(model.b)
     if Bperp.shape[0] == 0:
         return np.eye(n), None
-    if hulls is not None and not np.allclose(hulls.centers, points):
-        raise DataError("points must be the hull cell centers")
-
-    basis, _ = sym_basis(n)
-    mdim = len(basis)
-    mats, labels = _metric_constraint_mats(model, points, hulls)
+    basis = sym_basis(n)
     q = Bperp.shape[0]
-    blocks = []
-    for J, label in zip(mats, labels):
-        coeffs = np.stack([Bperp @ (E - J @ E @ J.T) @ Bperp.T for E in basis])
-        blocks.append(lmi.AffineBlock(np.zeros((q, q)), coeffs, label=str(label)))
-    eye_coeffs = np.stack(basis)
-    blocks.append(lmi.AffineBlock(-np.eye(n), eye_coeffs, label="P-lower"))
-    blocks.append(lmi.AffineBlock(rho * np.eye(n), -eye_coeffs, label="P-upper"))
-
-    cfg = config or lmi.SolverConfig(width=1e-6 * rho)
-    problem = lmi.LmiProblem(dim=mdim, blocks=blocks,
+    mats, labels = _metric_constraint_mats(model, points, hulls)
+    blocks = [lmi.AffineBlock(
+        np.zeros((q, q)),
+        np.stack([Bperp @ (E - J @ E @ J.T) @ Bperp.T for E in basis]),
+        label=str(label)) for J, label in zip(mats, labels)]
+    problem = lmi.LmiProblem(dim=len(basis),
+                             blocks=blocks + _metric_bounds(n, rho),
                              initial_z=vech(0.5 * (1.0 + rho) * np.eye(n)))
-    sol = lmi.solve(problem, cfg)
-    if sol.status == "numerical-failure":
-        raise NumericalFailureError("metric solve failed", sol.info.get("trace"))
-    per_block = lmi.block_margins(problem, sol.z)
-    if sol.status == "infeasible":
-        worst = int(np.argmin(per_block[:len(labels)]))
-        raise InfeasibleError(
-            f"no admissible metric: best margin {sol.info.get('best_margin'):.3e}, "
-            f"worst constraint {labels[worst]}",
-            best_margin=sol.info.get("best_margin"),
-            worst_label=labels[worst])
-    P = unvech(sol.z, n)
-    eps_p = float(per_block[:len(labels)].min())
-    return P, eps_p
+    sol = _solve(problem, config, rho, "metric")
+    eps_p = float(lmi.block_margins(problem, sol.z)[:len(labels)].min())
+    return unvech(sol.z, n), eps_p
 
 
 # ---------------------------------------------------------------------------
@@ -391,149 +435,108 @@ def _target_maps(kernel, points, sigma_p, need_value_map=False):
     return T, rows @ Minv
 
 
-def _gain_problem(model, P, kernel, points, sigma_p, hulls, nonconstant=False):
-    X = np.atleast_2d(np.asarray(points, dtype=float))
+def _gain_problem(model, P, kernel, X, sigma_p, mats, labels):
+    """Blocks [[P, (A P)^T], [A P, P]] with A = J + b g^T (+ u db for a
+    state-dependent input vector) affine in the raw targets, one per design
+    Jacobian or hull vertex of the family ``mats``."""
     N, n = X.shape
-    if hulls is not None and not np.allclose(hulls.centers, X):
-        raise DataError("points must be the hull cell centers")
+    nonconstant = not model.constant_input
     T, Tm = _target_maps(kernel, X, sigma_p, need_value_map=nonconstant)
-    dense = sigma_p != 0.0
-    blocks = []
-    for i in range(N):
-        x = X[i]
+    dense = sigma_p != 0.0 or nonconstant
+    coeffs, cols = [], []
+    for i, x in enumerate(X):
         b = model.input_at(x)
         db = model.input_jac_at(x) if nonconstant else None
         rows = slice(i * n, (i + 1) * n)
-        if dense or nonconstant:
-            idx = np.arange(N * n)
-        else:
-            idx = np.arange(i * n, (i + 1) * n)
-        coeffs = []
+        idx = np.arange(N * n) if dense else np.arange(i * n, (i + 1) * n)
+        per_target = []
         for l in idx:
-            u = T[rows, l]  # gradient response of point i to target entry l
-            G = np.outer(b, u)
+            G = np.outer(b, T[rows, l])  # response of point i to target l
             if nonconstant:
                 G = G + Tm[i, l] * db
-            G = G @ P
-            Cb = np.zeros((2 * n, 2 * n))
-            Cb[:n, n:] = G.T
-            Cb[n:, :n] = G
-            coeffs.append(Cb)
-        coeffs = np.stack(coeffs)
-        if hulls is None:
-            blocks.append(lmi.AffineBlock(
-                ies_block(P, np.asarray(model.drift_jacobian(x), dtype=float)),
-                coeffs, var_indices=idx, label=f"('point', {i})"))
-        else:
-            for l, V in enumerate(hulls.vertices(i)):
-                blocks.append(lmi.AffineBlock(
-                    ies_block(P, V), coeffs, var_indices=idx,
-                    label=f"('cell-vertex', {i}, {l})"))
+            per_target.append(_offdiag(G @ P))
+        coeffs.append(np.stack(per_target))
+        cols.append(idx)
+    blocks = [lmi.AffineBlock(ies_block(P, J), coeffs[label[1]],
+                              var_indices=cols[label[1]], label=str(label))
+              for J, label in zip(mats, labels)]
     return lmi.LmiProblem(dim=N * n, blocks=blocks,
                           initial_z=np.zeros(N * n))
 
 
-def _finish_gain(model, P, kernel, X, sigma_p, hulls, sol, mode, eps_p,
-                 apply_offset=True):
-    targets = sol.z.reshape(X.shape)
+def _finish_gain(model, P, kernel, X, targets, sigma_p, mats, labels, sol,
+                 mode, eps_p):
+    """Fit the law to the raw targets, zero it at the model's equilibrium
+    and recompute every certificate from the fitted law.
+
+    Each constraint of the family, a design point's Jacobian or a hull
+    vertex, closes the loop with the law's gradient at its own point (the
+    cell center for a vertex).
+    """
     controller = fit(kernel, DerivativeDataset(X, targets, sigma_p))
-    if apply_offset and model.equilibrium is not None:
+    if model.equilibrium is not None:
         controller = controller.with_offset_at(model.equilibrium)
     controller.metric = P
-    # recompute certificates from the fitted law
-    n = model.n
-    point_margins = []
-    for x in X:
-        A = (np.asarray(model.drift_jacobian(x), dtype=float)
-             + np.outer(model.input_at(x), controller.control_grad(x)))
-        if not model.constant_input:
-            A = A + controller.control(x) * model.input_jac_at(x)
-        point_margins.append(eig_min_sym(ies_block(P, A)))
-    point_margins = np.asarray(point_margins)
-    vertex_margins = None
-    diagnostics = {"newton_steps": sol.info.get("newton_steps"),
-                   "sigma_p": sigma_p}
-    if hulls is not None:
-        vertex_margins = []
-        for i in range(hulls.n_cells):
-            g = controller.control_grad(X[i])
-            b = model.input_at(X[i])
-            vm = [eig_min_sym(ies_block(P, V + np.outer(b, g)))
-                  for V in hulls.vertices(i)]
-            vertex_margins.append(vm)
-        eps = float(min(min(vm) for vm in vertex_margins))
-        # reported (not enforced): how much targets jump between adjacent
-        # cells, the smoothness proxy of the refinement argument
-        pairs = hulls.adjacent_pairs()
-        if pairs:
-            diagnostics["max_neighbor_target_gap"] = float(max(
-                np.linalg.norm(targets[i] - targets[j]) for i, j in pairs))
+    owners = [label[1] for label in labels]
+    margins = np.array([eig_min_sym(ies_block(P, A)) for A in
+                        _close_loop(model, controller, X[owners], mats)])
+    if labels[0][0] == "point":
+        point_margins, vertex_margins = margins, None
     else:
-        eps = float(point_margins.min())
+        point_margins = np.array([
+            eig_min_sym(ies_block(P, A))
+            for A in closed_loop_jacobians(model, controller, X)])
+        vertex_margins = [[] for _ in X]
+        for m, i in zip(margins, owners):
+            vertex_margins[i].append(m)
     return SynthesisReport(
-        mode=mode, P=P, eps_p=eps_p, eps=eps, controller=controller,
-        solver_margin=float(sol.margin), points=X,
+        mode=mode, P=P, eps_p=eps_p, eps=float(margins.min()),
+        controller=controller, solver_margin=float(sol.margin), points=X,
         point_margins=point_margins, vertex_margins=vertex_margins,
-        status=sol.status, diagnostics=diagnostics)
+        status=sol.status,
+        diagnostics={"newton_steps": sol.info.get("newton_steps"),
+                     "sigma_p": sigma_p})
 
 
 def solve_gain(model, P, kernel, points, sigma_p=0.0, hulls=None,
-               eps_p=None, config=None, rho=DEFAULT_RHO, apply_offset=True):
+               eps_p=None, config=None, rho=DEFAULT_RHO):
     """Choose gradient targets so every closed-loop block is PSD with
-    maximal margin, then fit the feedback law from the optimizer."""
-    X = np.atleast_2d(np.asarray(points, dtype=float))
-    P = np.asarray(P, dtype=float)
-    problem = _gain_problem(model, P, kernel, X, sigma_p, hulls)
-    cfg = config or lmi.SolverConfig(width=1e-6 * rho)
-    sol = lmi.solve(problem, cfg)
-    if sol.status == "numerical-failure":
-        raise NumericalFailureError("gain solve failed", sol.info.get("trace"))
-    if sol.status == "infeasible":
-        margins = lmi.block_margins(problem, sol.z)
-        worst = problem.blocks[int(np.argmin(margins))].label
-        raise InfeasibleError(
-            f"no admissible gradient targets for this metric: best margin "
-            f"{sol.info.get('best_margin'):.3e}, worst constraint {worst}",
-            best_margin=sol.info.get("best_margin"), worst_label=worst)
-    mode = "polytopic" if hulls is not None else "two-step"
-    return _finish_gain(model, P, kernel, X, sigma_p, hulls, sol, mode, eps_p,
-                        apply_offset)
+    maximal margin, then fit the feedback law from the optimizer.
 
-
-def solve_gain_nonconstant_b(model, P, kernel, points, sigma_p=0.0,
-                             eps_p=None, config=None, rho=DEFAULT_RHO,
-                             apply_offset=True):
-    """Gain step for state-dependent input fields: the law value multiplies
-    the input Jacobian and its gradient multiplies the input vector, both
-    linearly in the raw targets.
-
-    Unlike the constant-input case, an equilibrium offset shifts the value
-    term inside the certificate blocks; the report's margins are recomputed
-    from the shifted law, so any degradation is visible there.
+    With a state-dependent input vector the law's value multiplies the
+    input Jacobian and its gradient the input vector, both linearly in the
+    raw targets.  The equilibrium offset then shifts the value term inside
+    the blocks; the report's margins are recomputed from the shifted law, so
+    any degradation is visible there.
     """
     X = np.atleast_2d(np.asarray(points, dtype=float))
     P = np.asarray(P, dtype=float)
-    problem = _gain_problem(model, P, kernel, X, sigma_p, hulls=None,
-                            nonconstant=True)
-    cfg = config or lmi.SolverConfig(width=1e-6 * rho)
-    sol = lmi.solve(problem, cfg)
-    if sol.status == "numerical-failure":
-        raise NumericalFailureError("gain solve failed", sol.info.get("trace"))
-    if sol.status == "infeasible":
-        raise InfeasibleError(
-            f"no admissible gradient targets: best margin "
-            f"{sol.info.get('best_margin'):.3e}",
-            best_margin=sol.info.get("best_margin"))
-    return _finish_gain(model, P, kernel, X, sigma_p, None, sol,
-                        "two-step-nonconstant-b", eps_p, apply_offset)
+    mats, labels = _metric_constraint_mats(model, X, hulls)
+    sol = _solve(_gain_problem(model, P, kernel, X, sigma_p, mats, labels),
+                 config, rho, "gain")
+    targets = sol.z.reshape(X.shape)
+    if hulls is not None:
+        mode = "polytopic"
+    elif model.constant_input:
+        mode = "two-step"
+    else:
+        mode = "two-step-nonconstant-b"
+    report = _finish_gain(model, P, kernel, X, targets, sigma_p, mats, labels,
+                          sol, mode, eps_p)
+    pairs = [] if hulls is None else hulls.adjacent_pairs()
+    if pairs:
+        # reported (not enforced): how much targets jump between adjacent
+        # cells, the smoothness proxy of the refinement argument
+        report.diagnostics["max_neighbor_target_gap"] = float(max(
+            np.linalg.norm(targets[i] - targets[j]) for i, j in pairs))
+    return report
 
 
 # ---------------------------------------------------------------------------
 # joint route
 
 
-def solve_joint(model, kernel, points, rho=DEFAULT_RHO, config=None,
-                apply_offset=True):
+def solve_joint(model, kernel, points, rho=DEFAULT_RHO, config=None):
     """Single family over (P, scaled targets); the noise-free route.
 
     The scaled targets multiply the input vector directly, so no coupling
@@ -549,69 +552,28 @@ def solve_joint(model, kernel, points, rho=DEFAULT_RHO, config=None,
     K0 = build_gram_K0(kernel, X)
     chol_with_jitter(K0, jitter=0.0, max_tries=1)
 
-    basis, _ = sym_basis(n)
+    basis = sym_basis(n)
     mP = len(basis)
-    dim = mP + N * n
-    b = model.b
-    blocks = []
-    for i in range(N):
-        J = np.asarray(model.drift_jacobian(X[i]), dtype=float)
-        coeffs = []
-        idx = []
-        for k, E in enumerate(basis):
-            Cb = np.zeros((2 * n, 2 * n))
-            JE = J @ E
-            Cb[:n, :n] = E
-            Cb[n:, n:] = E
-            Cb[:n, n:] = JE.T
-            Cb[n:, :n] = JE
-            coeffs.append(Cb)
-            idx.append(k)
-        for a in range(n):
-            Cb = np.zeros((2 * n, 2 * n))
-            G = np.outer(b, np.eye(n)[a])
-            Cb[:n, n:] = G.T
-            Cb[n:, :n] = G
-            coeffs.append(Cb)
-            idx.append(mP + i * n + a)
-        blocks.append(lmi.AffineBlock(np.zeros((2 * n, 2 * n)), np.stack(coeffs),
-                                      var_indices=np.asarray(idx),
-                                      label=f"('point', {i})"))
-    eyeC = np.stack(basis)
-    pidx = np.arange(mP)
-    blocks.append(lmi.AffineBlock(-np.eye(n), eyeC, var_indices=pidx,
-                                  label="P-lower"))
-    blocks.append(lmi.AffineBlock(rho * np.eye(n), -eyeC, var_indices=pidx,
-                                  label="P-upper"))
-    init = np.zeros(dim)
+    # P's entry E enters block i as ies_block(E, J_i), scaled target
+    # entry a as the off-diagonal pair of b e_a^T
+    eye = np.eye(n)
+    gain = [_offdiag(np.outer(model.b, eye[a])) for a in range(n)]
+    mats, labels = _metric_constraint_mats(model, X, None)
+    blocks = [lmi.AffineBlock(
+        np.zeros((2 * n, 2 * n)),
+        np.stack([ies_block(E, J) for E in basis] + gain),
+        var_indices=np.r_[np.arange(mP), mP + label[1] * n + np.arange(n)],
+        label=str(label)) for J, label in zip(mats, labels)]
+    init = np.zeros(mP + N * n)
     init[:mP] = vech(0.5 * (1.0 + rho) * np.eye(n))
-    problem = lmi.LmiProblem(dim=dim, blocks=blocks, initial_z=init)
-    cfg = config or lmi.SolverConfig(width=1e-6 * rho)
-    sol = lmi.solve(problem, cfg)
-    if sol.status == "numerical-failure":
-        raise NumericalFailureError("joint solve failed", sol.info.get("trace"))
-    if sol.status == "infeasible":
-        raise InfeasibleError(
-            f"joint family infeasible: best margin {sol.info.get('best_margin'):.3e}",
-            best_margin=sol.info.get("best_margin"))
+    problem = lmi.LmiProblem(dim=mP + N * n,
+                             blocks=blocks + _metric_bounds(n, rho),
+                             initial_z=init)
+    sol = _solve(problem, config, rho, "joint")
     P = unvech(sol.z[:mP], n)
-    scaled = sol.z[mP:].reshape(N, n)
-    targets = scaled @ np.linalg.inv(P)
-    controller = fit(kernel, DerivativeDataset(X, targets, 0.0))
-    if apply_offset and model.equilibrium is not None:
-        controller = controller.with_offset_at(model.equilibrium)
-    controller.metric = P
-    point_margins = []
-    for x in X:
-        A = (np.asarray(model.drift_jacobian(x), dtype=float)
-             + np.outer(b, controller.control_grad(x)))
-        point_margins.append(eig_min_sym(ies_block(P, A)))
-    point_margins = np.asarray(point_margins)
-    return SynthesisReport(
-        mode="joint", P=P, eps_p=None, eps=float(point_margins.min()),
-        controller=controller, solver_margin=float(sol.margin), points=X,
-        point_margins=point_margins, status=sol.status,
-        diagnostics={"newton_steps": sol.info.get("newton_steps")})
+    targets = sol.z[mP:].reshape(N, n) @ np.linalg.inv(P)
+    return _finish_gain(model, P, kernel, X, targets, 0.0, mats, labels, sol,
+                        "joint", None)
 
 
 # ---------------------------------------------------------------------------
@@ -619,16 +581,14 @@ def solve_joint(model, kernel, points, rho=DEFAULT_RHO, config=None,
 
 
 def run_synthesis(model, kernel, points, mode="two-step", sigma_p=0.0,
-                  rho=DEFAULT_RHO, hulls=None, config=None, apply_offset=True):
+                  rho=DEFAULT_RHO, hulls=None, config=None):
     """End-to-end synthesis in the requested mode; returns a report."""
     if mode == "joint":
-        return solve_joint(model, kernel, points, rho=rho, config=config,
-                           apply_offset=apply_offset)
+        return solve_joint(model, kernel, points, rho=rho, config=config)
     if mode == "polytopic" and hulls is None:
         raise DataError("polytopic mode requires hulls")
     if mode not in ("two-step", "polytopic"):
         raise DataError(f"unknown synthesis mode '{mode}'")
     P, eps_p = solve_metric(model, points, hulls=hulls, rho=rho, config=config)
     return solve_gain(model, P, kernel, points, sigma_p=sigma_p, hulls=hulls,
-                      eps_p=eps_p, config=config, rho=rho,
-                      apply_offset=apply_offset)
+                      eps_p=eps_p, config=config, rho=rho)

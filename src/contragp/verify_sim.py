@@ -20,7 +20,7 @@ import numpy as np
 from scipy.linalg import cholesky, solve_triangular
 
 from .errors import DataError, DimensionError
-from .synthesis import ies_block
+from .synthesis import closed_loop_jacobians, ies_block
 from .systems import Box, grid_points
 
 __all__ = [
@@ -72,22 +72,15 @@ def verify_grid(model, controller, P, domain: Box, resolution):
     P = np.asarray(P, dtype=float)
     pts = grid_points(domain, resolution)
     L = cholesky(P, lower=True)
-    margins = np.empty(len(pts))
-    factors = np.empty(len(pts))
-    if controller is not None:
-        grads = controller.control_grad_batch(pts)
-        vals = controller.control_batch(pts)
-    for i, x in enumerate(pts):
-        J = np.asarray(model.drift_jacobian(x), dtype=float)
-        if controller is None:
-            A = J
-        else:
-            A = J + np.outer(model.input_at(x), grads[i])
-            if not model.constant_input:
-                A = A + vals[i] * model.input_jac_at(x)
-        margins[i] = np.linalg.eigvalsh(ies_block(P, A))[0]
-        factors[i] = np.linalg.svd(solve_triangular(L, A @ L, lower=True),
-                                   compute_uv=False)[0]
+    if controller is None:
+        closed = [np.asarray(model.drift_jacobian(x), dtype=float)
+                  for x in pts]
+    else:
+        closed = closed_loop_jacobians(model, controller, pts)
+    margins = np.array([np.linalg.eigvalsh(ies_block(P, A))[0]
+                        for A in closed])
+    factors = np.array([np.linalg.svd(solve_triangular(L, A @ L, lower=True),
+                                      compute_uv=False)[0] for A in closed])
     lam = float(factors.max())
     min_margin = float(margins.min())
     consistent = (lam < 1.0) == (min_margin > 0.0)

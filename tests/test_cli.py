@@ -9,6 +9,7 @@ import pytest
 
 from contragp import cli
 from contragp.artifacts import read_csv
+from contragp.deriv_gp import DerivativeController
 from contragp.config import (PipelineConfig, default_oscillator_config,
                              default_sine1d_config)
 
@@ -158,6 +159,27 @@ class TestLearnAndSynth:
                          "--quiet"]) == 0
         assert cli.main(["simulate", "--config", cfg, "--out", out,
                          "--quiet"]) == 0
+        _, table = read_csv(os.path.join(out, "trajectories/traj_00.csv"))
+        np.testing.assert_allclose(table[:, 1:3], 0.0, atol=1e-12)
+
+    def test_learned_source_law_vanishes_at_configured_equilibrium(
+            self, tmp_path):
+        # the learned design model carries the configured equilibrium, so
+        # synthesis zeroes the law there as on the analytic source
+        cfg_d = small_osc_config()
+        cfg_d["synthesis"]["model_source"] = "learned"
+        cfg_d["sim"] = {"horizon": 50, "initial_states": [[0.0, 0.0]],
+                        "baseline": False}
+        cfg = write_cfg(tmp_path, cfg_d)
+        out = str(tmp_path / "out")
+        for command in ("gen-data", "learn", "synth", "simulate"):
+            assert cli.main([command, "--config", cfg, "--out", out,
+                             "--quiet"]) == 0
+        eq = PipelineConfig(cfg_d).equilibrium()
+        law = DerivativeController.from_dict(
+            json.load(open(os.path.join(out, "controller.json"))))
+        np.testing.assert_array_equal(law.offset_point, eq)
+        assert law.control(eq) == 0.0
         _, table = read_csv(os.path.join(out, "trajectories/traj_00.csv"))
         np.testing.assert_allclose(table[:, 1:3], 0.0, atol=1e-12)
 

@@ -75,6 +75,21 @@ class TestSchurEquivalence:
         assert agree == total
 
 
+def _expansive_model(varying_input):
+    """x1+ = 2 x1 whatever the input: no law and no metric contract it."""
+    A = np.diag([2.0, 1.0])
+
+    def drift(x):
+        return A @ np.asarray(x, dtype=float).reshape(-1)
+
+    if not varying_input:
+        return systems.SystemModel(2, drift, lambda x: A, b=[0.0, 1.0])
+    return systems.SystemModel(
+        2, drift, lambda x: A,
+        b_fun=lambda x: np.array([0.0, 1.0 + 0.1 * np.asarray(x)[0] ** 2]),
+        b_jac=lambda x: np.array([[0.0, 0.0], [0.2 * np.asarray(x)[0], 0.0]]))
+
+
 class TestMetricStep:
     def test_contracting_linear_model_feasible(self):
         # A = 0.5 I: hand check with P = I gives annihilated decrease 0.75
@@ -83,12 +98,23 @@ class TestMetricStep:
         assert eps_p > 0.0
         assert np.linalg.eigvalsh(P)[0] >= 1.0 - 1e-6
 
-    def test_expansive_unactuated_direction_infeasible(self):
-        lin = systems.linear_system(np.diag([2.0, 1.0]), [0.0, 1.0])
+    @pytest.mark.parametrize("route", ["metric", "gain", "gain-nonconstant-b",
+                                       "joint"])
+    def test_expansive_unactuated_direction_infeasible(self, route):
+        pts = np.array([[0.5, -0.5], [-1.0, 1.0]])
+        model = _expansive_model(route == "gain-nonconstant-b")
+        kernel = Kernel(dim=2)
         with pytest.raises(InfeasibleError) as err:
-            synthesis.solve_metric(lin, np.zeros((1, 2)))
+            if route == "metric":
+                synthesis.solve_metric(model, pts)
+            elif route == "joint":
+                synthesis.solve_joint(model, kernel, pts, rho=10.0)
+            else:
+                synthesis.solve_gain(model, np.eye(2), kernel, pts)
         assert err.value.best_margin < 0.0
-        assert err.value.worst_label is not None
+        # the worst constraint is a Jacobian block, never a metric bound
+        assert err.value.worst_label in ("('point', 0)", "('point', 1)")
+        assert err.value.worst_label in str(err.value)
 
     def test_scalar_fully_actuated_degenerates(self, toy_scalar):
         P, eps_p = synthesis.solve_metric(toy_scalar, np.zeros((1, 1)))
@@ -142,6 +168,49 @@ class TestGainStep:
         # the solver constrains the smoothed gradients, which is exactly
         # what the noisy fit realizes, so the certificate transfers too
         assert rep.eps == pytest.approx(rep.solver_margin, abs=1e-6)
+
+    def test_noise_regularized_gain_reaches_noise_free_optimum(
+            self, oscillator, control_box):
+        # T = K0 (K0 + sigma_p^2 I)^{-1} is invertible, so sigma_p > 0 only
+        # reparametrizes the targets and both problems share their optimum
+        # (the laws differ off the data points, their margins do not)
+        pts = systems.grid_points(control_box, 6)
+        P, eps_p = synthesis.solve_metric(oscillator, pts, rho=10.0)
+        noisy, exact = (synthesis.solve_gain(oscillator, P, Kernel(dim=2),
+                                             pts, sigma_p=s, eps_p=eps_p,
+                                             rho=10.0)
+                        for s in (0.1, 0.0))
+        assert noisy.eps == pytest.approx(exact.eps, abs=1e-6 * 10.0)
+
+
+class TestClosedLoopJacobians:
+    @staticmethod
+    def _law(rng):
+        pts = rng.uniform(-2.0, 2.0, size=(5, 2))
+        data = deriv_gp.DerivativeDataset(pts, rng.normal(size=(5, 2)))
+        return deriv_gp.fit(Kernel(dim=2), data).with_offset_at([0.3, 0.1])
+
+    @pytest.mark.parametrize("model", ["oscillator", "varying-input"])
+    def test_matches_pointwise_formula(self, model, oscillator):
+        rng = np.random.default_rng(5)
+        law = self._law(rng)
+        if model == "oscillator":
+            model = oscillator
+        else:
+            model = systems.SystemModel(
+                2, oscillator.drift, oscillator.drift_jacobian,
+                b_fun=lambda x: np.array([0.1 * np.asarray(x)[1],
+                                          1.0 + np.sin(np.asarray(x)[0])]),
+                b_jac=lambda x: np.array([[0.0, 0.1],
+                                          [np.cos(np.asarray(x)[0]), 0.0]]))
+        X = rng.uniform(-2.0, 2.0, size=(7, 2))
+        A = synthesis.closed_loop_jacobians(model, law, X)
+        assert A.shape == (7, 2, 2)
+        for a, x in zip(A, X):
+            want = (model.drift_jacobian(x)
+                    + np.outer(model.input_at(x), law.control_grad(x))
+                    + law.control(x) * model.input_jac_at(x))
+            np.testing.assert_allclose(a, want, rtol=1e-12, atol=1e-12)
 
 
 class TestJointRoute:
@@ -273,9 +342,9 @@ class TestNonConstantInput:
             1, toy_scalar.drift, toy_scalar.drift_jacobian,
             b_fun=lambda x: np.array([1.0]),
             b_jac=lambda x: np.zeros((1, 1)), equilibrium=[0.0])
-        rep = synthesis.solve_gain_nonconstant_b(model, np.eye(1),
-                                                 Kernel(dim=1),
-                                                 np.array([[0.0]]))
+        rep = synthesis.solve_gain(model, np.eye(1), Kernel(dim=1),
+                                   np.array([[0.0]]))
+        assert rep.mode == "two-step-nonconstant-b"
         assert rep.eps == pytest.approx(1.0, abs=1e-4)
         np.testing.assert_allclose(rep.controller.control_grad([0.0]), [-2.0],
                                    atol=1e-5)
@@ -290,7 +359,7 @@ class TestNonConstantInput:
             b_jac=lambda x: np.array([[0.2 * float(np.asarray(x).reshape(-1)[0])]]))
         pts = np.array([[-1.0], [0.0], [1.0]])
         kernel = Kernel(dim=1)
-        rep = synthesis.solve_gain_nonconstant_b(model, np.eye(1), kernel, pts)
+        rep = synthesis.solve_gain(model, np.eye(1), kernel, pts)
 
         K0 = deriv_gp.build_gram_K0(kernel, pts)
         rows = kernel.grad_x2_outer(pts, pts).reshape(3, 3)
