@@ -66,10 +66,15 @@ def _fmt(value):
     return str(value)
 
 
+# Python floats and ints (rows built with ``ndarray.tolist()``) skip the
+# type tests of ``_fmt``; the text is the same either way.
+_FORMATS = {float: repr, int: str}
+
+
 def write_csv(path, header, rows):
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+        lines.append(",".join([_FORMATS.get(type(v), _fmt)(v) for v in row]))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

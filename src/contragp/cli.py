@@ -68,7 +68,7 @@ def cmd_gen_data(cfg: PipelineConfig, out, quiet=False, seed=None):
     targets = targets + noise
     n = box.dim
     header = [f"x_{i+1}" for i in range(n)] + [f"y_{i+1}" for i in range(n)]
-    rows = [list(p) + list(t) for p, t in zip(pts, targets)]
+    rows = np.hstack([pts, targets]).tolist()
     write_csv(_path(out, "data.csv"), header, rows)
     _say(quiet, f"wrote {len(rows)} training rows to {_path(out, 'data.csv')}")
     return {"rows": len(rows)}
@@ -208,7 +208,7 @@ def _controller_surface(cfg, out, controller):
     vals = controller.control_batch(pts)
     header = [f"x_{i+1}" for i in range(box.dim)] + ["u"]
     write_csv(_path(out, "controller_surface.csv"), header,
-              [list(p) + [v] for p, v in zip(pts, vals)])
+              np.column_stack([pts, vals]).tolist())
     if cfg._opt(False, "emit_svg") and box.dim == 2:
         xs = np.unique(pts[:, 0])
         ys = np.unique(pts[:, 1])
@@ -233,8 +233,7 @@ def cmd_verify(cfg: PipelineConfig, out, quiet=False):
     rep = verify_sim.verify_grid(design, controller, P, box, res)
     header = [f"x_{i+1}" for i in range(box.dim)] + ["margin", "factor"]
     write_csv(_path(out, "verification.csv"), header,
-              [list(p) + [m, f]
-               for p, m, f in zip(rep.points, rep.margins, rep.factors)])
+              np.column_stack([rep.points, rep.margins, rep.factors]).tolist())
     write_json(_path(out, "verification.json"), rep.to_dict())
     outputs = {"min_margin": rep.min_margin, "lambda": rep.lam,
                "consistent": rep.consistent}
@@ -257,34 +256,25 @@ def _weighted_monotone_stats(traj, W, box, floor=1e-10):
     """Per-step decrease of the weighted norm while the state stays inside
     the certified region; steps already at the numerical floor are skipped
     (ratios there are roundoff noise, not dynamics)."""
-    viol = inside = 0
-    for k in range(traj.horizon):
-        if not box.contains(traj.states[k]):
-            continue
-        d0 = verify_sim.weighted_norm(traj.states[k], W)
-        if d0 < floor:
-            continue
-        inside += 1
-        d1 = verify_sim.weighted_norm(traj.states[k + 1], W)
-        if d1 > d0 * (1.0 + 1e-9):
-            viol += 1
-    return viol, inside
+    d = verify_sim.weighted_norms(traj.states, W)
+    d0, d1 = d[:-1], d[1:]
+    counted = box.contains_rows(traj.states[:-1]) & (d0 >= floor)
+    viol = np.count_nonzero(counted & (d1 > d0 * (1.0 + 1e-9)))
+    return int(viol), int(np.count_nonzero(counted))
 
 
 def _rollouts(system, law, inits, horizon, directory):
-    """Roll the law out on the system from every initial state, writing
-    ``<directory>/traj_XX.csv``; returns the trajectories."""
+    """Roll the law out on the system from every initial state in lockstep,
+    writing ``<directory>/traj_XX.csv``; returns the trajectories."""
     os.makedirs(directory, exist_ok=True)
     header = ["k"] + [f"x_{i+1}" for i in range(system.n)] + ["u"]
-    trajs = []
-    for idx, x0 in enumerate(inits):
-        traj = verify_sim.rollout(system, law, x0, horizon)
-        rows = [[k] + list(traj.states[k])
-                + [traj.inputs[k] if k < traj.horizon else None]
-                for k in range(traj.horizon + 1)]
+    trajs = verify_sim.rollouts(system, law, inits, horizon)
+    for idx, traj in enumerate(trajs):
+        rows = ([k, *x, u] for k, x, u in zip(
+            range(traj.horizon + 1), traj.states.tolist(),
+            traj.inputs.tolist() + [None]))
         write_csv(os.path.join(directory, f"traj_{idx:02d}.csv"), header,
                   rows)
-        trajs.append(traj)
     return trajs
 
 
@@ -340,8 +330,8 @@ def _baseline_runs(cfg, out, system, inits, horizon, quiet):
     comp = int(np.argmax(np.abs(system.b)))
 
     class _BaselineLaw:
-        def control(self, x):
-            return float(-model.components[comp].mean(x) + gain @ np.asarray(x))
+        def control_batch(self, X):
+            return -model.components[comp].mean_batch(X) + X @ gain
 
     trajs = _rollouts(system, _BaselineLaw(), inits, horizon,
                       _path(out, "baseline"))

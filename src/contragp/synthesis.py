@@ -134,7 +134,7 @@ def _close_loop(model, controller, X, jacs):
     """Add the feedback terms at the rows of X to the drift Jacobians (or
     hull vertices) ``jacs``, one per row."""
     grads = controller.control_grad_batch(X)
-    bs = np.stack([model.input_at(x) for x in X])
+    bs = model.input_batch(X)
     A = np.asarray(jacs, dtype=float) + bs[:, :, None] * grads[:, None, :]
     if not model.constant_input:
         dbs = np.stack([model.input_jac_at(x) for x in X])

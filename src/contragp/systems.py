@@ -43,8 +43,13 @@ class Box:
         return np.asarray(self.hi)
 
     def contains(self, x, tol=0.0):
-        x = np.asarray(x)
-        return bool(np.all(x >= self.lo_arr - tol) and np.all(x <= self.hi_arr + tol))
+        return bool(self.contains_rows(np.reshape(x, (1, -1)), tol)[0])
+
+    def contains_rows(self, X, tol=0.0):
+        """Mask of the rows of X that lie in the box, shape (B,)."""
+        X = np.atleast_2d(np.asarray(X))
+        return np.all((X >= self.lo_arr - tol) & (X <= self.hi_arr + tol),
+                      axis=1)
 
     def diameter(self):
         return float(np.linalg.norm(self.hi_arr - self.lo_arr))
@@ -89,16 +94,20 @@ class SystemModel:
     """x_{k+1} = f(x_k) + b(x_k) u_k with a known Jacobian of the drift.
 
     The input direction is either a constant vector ``b`` or an evaluator
-    pair ``(b_fun, b_jac)``.  On construction the drift Jacobian is checked
+    pair ``(b_fun, b_jac)``.  ``drift_batch`` evaluates f on a stack of
+    states, shape (B, n) -> (B, n); without it the per-point ``drift`` is
+    stacked row by row.  On construction the drift Jacobian is checked
     against finite differences at a handful of deterministic probe states,
     and a declared equilibrium must actually be a fixed point of the drift.
     """
 
     def __init__(self, n, drift, drift_jacobian, b=None, b_fun=None,
-                 b_jac=None, equilibrium=None, name=None, validate=True):
+                 b_jac=None, equilibrium=None, name=None, validate=True,
+                 drift_batch=None):
         self.n = int(n)
         self.drift = drift
         self.drift_jacobian = drift_jacobian
+        self._drift_batch = drift_batch
         self.name = name
         if (b is None) == (b_fun is None):
             raise DataError("provide exactly one of b or (b_fun, b_jac)")
@@ -126,14 +135,36 @@ class SystemModel:
     def input_at(self, x):
         return self.b if self.constant_input else np.asarray(self.b_fun(x), dtype=float).reshape(-1)
 
+    def input_batch(self, X):
+        """Input vectors b(x) at a stack of states, shape (B, n)."""
+        X = np.atleast_2d(X)
+        if self.constant_input:
+            return np.broadcast_to(self.b, X.shape)
+        return np.stack([self.input_at(x) for x in X])
+
     def input_jac_at(self, x):
         if self.constant_input:
             return np.zeros((self.n, self.n))
         return np.asarray(self.b_jac(x), dtype=float).reshape(self.n, self.n)
 
+    def drift_batch(self, X):
+        """Drift at a stack of states, shape (B, n)."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        if self._drift_batch is not None:
+            return np.asarray(self._drift_batch(X), dtype=float)
+        return np.stack([np.asarray(self.drift(x), dtype=float).reshape(-1)
+                         for x in X])
+
+    def step_batch(self, X, U):
+        """Next states f(x) + b(x) u at a stack of states and inputs,
+        shape (B, n)."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        U = np.asarray(U, dtype=float).reshape(-1)
+        return self.drift_batch(X) + self.input_batch(X) * U[:, None]
+
     def step(self, x, u):
-        x = np.asarray(x, dtype=float).reshape(-1)
-        return np.asarray(self.drift(x), dtype=float).reshape(-1) + self.input_at(x) * float(u)
+        x = np.asarray(x, dtype=float).reshape(1, -1)
+        return self.step_batch(x, [u])[0]
 
     def _probe_states(self):
         pts = [np.zeros(self.n)]
@@ -174,6 +205,13 @@ class SystemModel:
 # builtin benchmark systems
 
 
+def _pointwise(drift_batch):
+    """Per-point drift from a batched one."""
+    def drift(x):
+        return drift_batch(np.asarray(x, dtype=float).reshape(1, -1))[0]
+    return drift
+
+
 def _osc_h(x1):
     return -x1 + x1 ** 3 - x1 ** 5 / 5.0 + x1 ** 7 / 105.0
 
@@ -200,8 +238,15 @@ def oscillator(dt=0.01):
             [-1.0 + _osc_h_prime(x[0]) * x[1], _osc_h(x[0])],
         ])
 
+    def drift_batch(X):
+        return np.column_stack([X[:, 0] + X[:, 1] * dt, oscillator_f2(X, dt)])
+
+    # the per-point drift stays scalar arithmetic: numpy's array power
+    # rounds differently from its scalar power, and generated data must
+    # keep its bits
     return SystemModel(2, drift, jac, b=np.array([0.0, 1.0]) * dt,
-                       equilibrium=np.zeros(2), name="oscillator")
+                       equilibrium=np.zeros(2), name="oscillator",
+                       drift_batch=drift_batch)
 
 
 def oscillator_f2(X, dt=0.01):
@@ -213,24 +258,27 @@ def oscillator_f2(X, dt=0.01):
 def sine1d(dt=0.1):
     """Scalar benchmark f(x) = x + dt sin(x), b = dt; used for hull tests."""
 
-    def drift(x):
-        x = np.asarray(x, dtype=float).reshape(-1)
-        return x + dt * np.sin(x)
+    def drift_batch(X):
+        return X + dt * np.sin(X)
 
     def jac(x):
         x = np.asarray(x, dtype=float).reshape(-1)
         return np.array([[1.0 + dt * np.cos(x[0])]])
 
-    return SystemModel(1, drift, jac, b=np.array([dt]),
-                       equilibrium=np.zeros(1), name="sine1d")
+    return SystemModel(1, _pointwise(drift_batch), jac, b=np.array([dt]),
+                       equilibrium=np.zeros(1), name="sine1d",
+                       drift_batch=drift_batch)
 
 
 def linear_system(A, b, name=None):
     """x_{k+1} = A x + b u."""
     A = np.asarray(A, dtype=float)
-    n = A.shape[0]
-    return SystemModel(n, lambda x: A @ np.asarray(x, dtype=float).reshape(-1),
-                       lambda x: A, b=b, name=name or "linear")
+
+    def drift_batch(X):
+        return X @ A.T
+
+    return SystemModel(A.shape[0], _pointwise(drift_batch), lambda x: A, b=b,
+                       name=name or "linear", drift_batch=drift_batch)
 
 
 def polynomial_system(spec):
@@ -259,12 +307,11 @@ def polynomial_system(spec):
             parsed.append((expo, float(term["coef"])))
         terms.append(parsed)
 
-    def drift(x):
-        x = np.asarray(x, dtype=float).reshape(-1)
-        out = np.zeros(n)
+    def drift_batch(X):
+        out = np.zeros(X.shape)
         for i, row in enumerate(terms):
             for expo, coef in row:
-                out[i] += coef * np.prod(x ** expo)
+                out[:, i] += coef * np.prod(X ** expo, axis=1)
         return out
 
     def jac(x):
@@ -281,7 +328,8 @@ def polynomial_system(spec):
         return J
 
     eq = spec.get("equilibrium")
-    return SystemModel(n, drift, jac, b=b, equilibrium=eq, name="polynomial")
+    return SystemModel(n, _pointwise(drift_batch), jac, b=b, equilibrium=eq,
+                       name="polynomial", drift_batch=drift_batch)
 
 
 def builtin_system(name, **kwargs):

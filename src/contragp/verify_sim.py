@@ -28,16 +28,24 @@ __all__ = [
     "Trajectory",
     "verify_grid",
     "rollout",
+    "rollouts",
     "rollout_stochastic",
     "contraction_rate",
     "weighted_norm",
+    "weighted_norms",
 ]
+
+
+def weighted_norms(X, W):
+    """sqrt(x^T W x) for every row x of X, shape (B,)."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    q = np.sum((X @ np.asarray(W, dtype=float)) * X, axis=1)
+    return np.sqrt(np.maximum(q, 0.0))
 
 
 def weighted_norm(x, W):
     """sqrt(x^T W x)."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    return float(np.sqrt(max(x @ np.asarray(W) @ x, 0.0)))
+    return float(weighted_norms(np.reshape(x, (1, -1)), W)[0])
 
 
 @dataclass
@@ -107,23 +115,55 @@ class Trajectory:
 DIVERGENCE_LIMIT = 1e6
 
 
-def rollout(model, controller, x0, horizon):
-    """Deterministic closed-loop trajectory; truncates and flags divergence
-    when any coordinate passes 1e6."""
+def _diverged(X):
+    """Rows of X that left the finite range or passed DIVERGENCE_LIMIT."""
+    return np.any(~np.isfinite(X) | (np.abs(X) > DIVERGENCE_LIMIT), axis=-1)
+
+
+def rollouts(model, law, X0, horizon):
+    """Deterministic closed-loop trajectories from every row of ``X0``,
+    simulated in lockstep.
+
+    Each step makes one ``law.control_batch`` call on the stack of active
+    states (zero input when ``law`` is None) and one ``model.step_batch``.
+    A trajectory whose state turns non-finite or passes 1e6 in any
+    coordinate is truncated at that step, flagged as diverged, and leaves
+    the active set.
+    """
     if horizon < 1:
         raise DataError("horizon must be at least 1")
-    x = np.asarray(x0, dtype=float).reshape(-1)
-    states = [x.copy()]
-    inputs = []
-    for _ in range(horizon):
-        u = 0.0 if controller is None else controller.control(x)
-        x = model.step(x, u)
-        inputs.append(u)
-        states.append(x.copy())
-        if np.any(np.abs(x) > DIVERGENCE_LIMIT):
-            return Trajectory(np.asarray(states), np.asarray(inputs),
-                              diverged=True)
-    return Trajectory(np.asarray(states), np.asarray(inputs))
+    X = np.atleast_2d(np.asarray(X0, dtype=float))
+    if not np.all(np.isfinite(X)):
+        raise DataError("initial states contain NaN or infinite entries")
+    count, n = X.shape
+    # one row per trajectory, so each returned trajectory is a view
+    states = np.empty((count, horizon + 1, n))
+    inputs = np.zeros((count, horizon))
+    states[:, 0] = X
+    ends = np.full(count, horizon)
+    diverged = np.zeros(count, dtype=bool)
+    active = np.arange(count)
+    for k in range(horizon):
+        U = np.zeros(active.size) if law is None else law.control_batch(X)
+        inputs[active, k] = U
+        X = model.step_batch(X, U)
+        states[active, k + 1] = X
+        bad = _diverged(X)
+        if np.any(bad):
+            ends[active[bad]] = k + 1
+            diverged[active[bad]] = True
+            active, X = active[~bad], X[~bad]
+            if active.size == 0:
+                break
+    return [Trajectory(states[i, :ends[i] + 1], inputs[i, :ends[i]],
+                       diverged=bool(diverged[i])) for i in range(count)]
+
+
+def rollout(model, controller, x0, horizon):
+    """Deterministic closed-loop trajectory from one initial state; see
+    :func:`rollouts`."""
+    x0 = np.asarray(x0, dtype=float).reshape(1, -1)
+    return rollouts(model, controller, x0, horizon)[0]
 
 
 def rollout_stochastic(loop, x0, horizon, seed):
@@ -143,7 +183,7 @@ def rollout_stochastic(loop, x0, horizon, seed):
         x = np.asarray(loop.mean(x), dtype=float) + np.asarray(loop.noise_std(x)) * w
         inputs.append(u)
         states.append(x.copy())
-        if np.any(np.abs(x) > DIVERGENCE_LIMIT):
+        if _diverged(x):
             return Trajectory(np.asarray(states), np.asarray(inputs),
                               seed=seed, diverged=True)
     return Trajectory(np.asarray(states), np.asarray(inputs), seed=seed)
@@ -164,18 +204,17 @@ def contraction_rate(pairs, P, region: Box | None = None, tiny=1e-12):
         A, B = ta.states, tb.states
         if A.shape != B.shape:
             raise DimensionError("pairs", A.shape, B.shape)
-        for k in range(A.shape[0] - 1):
-            if region is not None and not (
-                    region.contains(A[k]) and region.contains(B[k])):
-                excluded += 1
-                continue
-            d0 = weighted_norm(A[k] - B[k], P)
-            if d0 < tiny:
-                skipped += 1
-                continue
-            d1 = weighted_norm(A[k + 1] - B[k + 1], P)
-            lam = max(lam, d1 / d0)
-            used += 1
+        d = weighted_norms(A - B, P)
+        d0, d1 = d[:-1], d[1:]
+        if region is not None:
+            inside = region.contains_rows(A[:-1]) & region.contains_rows(B[:-1])
+            excluded += int(np.count_nonzero(~inside))
+            d0, d1 = d0[inside], d1[inside]
+        small = d0 < tiny
+        skipped += int(np.count_nonzero(small))
+        used += int(np.count_nonzero(~small))
+        # fmax skips NaN ratios, as the scalar max(lam, nan) did
+        lam = float(np.fmax.reduce(d1[~small] / d0[~small], initial=lam))
     info = {"used": used, "skipped": skipped, "excluded": excluded,
             "all_skipped": used == 0}
     return lam, info

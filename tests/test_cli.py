@@ -316,3 +316,36 @@ class TestSinePolytopic:
                          "--quiet"]) == 0
         assert os.path.exists(os.path.join(out, "controller_surface.svg"))
         assert os.path.exists(os.path.join(out, "phase_portrait.svg"))
+
+
+class TestSimulationStats:
+    def test_weighted_monotone_stats_match_reference_loop(self):
+        from contragp.systems import Box
+        from contragp.verify_sim import Trajectory
+
+        def reference(traj, W, box, floor=1e-10):
+            viol = inside = 0
+            for k in range(traj.horizon):
+                if not box.contains(traj.states[k]):
+                    continue
+                x0, x1 = traj.states[k], traj.states[k + 1]
+                d0 = np.sqrt(max(x0 @ W @ x0, 0.0))
+                if d0 < floor:
+                    continue
+                inside += 1
+                if np.sqrt(max(x1 @ W @ x1, 0.0)) > d0 * (1.0 + 1e-9):
+                    viol += 1
+            return viol, inside
+
+        # starts outside the box, rises twice inside (the second time onto
+        # the boundary), then sinks below the 1e-10 floor, rises from there
+        # and leaves the box
+        states = np.array([[2.0, 0.0], [0.5, 0.5], [0.4, 0.3], [0.45, 0.3],
+                           [1.0, -1.0], [0.1, 0.0], [1e-11, 0.0],
+                           [3e-11, 0.0], [0.0, 0.0], [1.5, 0.0],
+                           [0.2, 0.1]])
+        traj = Trajectory(states, np.zeros(len(states) - 1))
+        W = np.array([[2.0, 0.5], [0.5, 1.0]])
+        box = Box.make([-1.0, -1.0], [1.0, 1.0])
+        got = cli._weighted_monotone_stats(traj, W, box)
+        assert got == reference(traj, W, box) == (2, 5)

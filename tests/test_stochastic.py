@@ -131,6 +131,28 @@ class TestMomentCheck:
         assert rep.margins[0] == pytest.approx(manual, abs=1e-10)
 
 
+    def test_batched_mean_jacobians_match_pointwise_default(self,
+                                                             osc_two_step):
+        rng = np.random.default_rng(12)
+        X = rng.uniform(-2.0, 2.0, size=(25, 2))
+        Y = np.column_stack([X[:, 0] + 0.01 * X[:, 1],
+                             systems.oscillator_f2(X)])
+        model = drift_gp.fit_drift(drift_gp.DriftDataset(X, Y, 0.01),
+                                   Kernel(dim=2))
+        box = systems.Box.make([-2.0, -2.0], [2.0, 2.0])
+        loop = stochastic.StochasticClosedLoop.from_drift_model(
+            model, osc_two_step.controller, np.array([0.0, 0.01]), np.eye(2))
+        # the same loop from its per-point callables only
+        pointwise = stochastic.StochasticClosedLoop(
+            loop.mean, loop.mean_jac, loop.noise_std, loop.noise_jac,
+            loop.metric)
+        grid = systems.grid_points(box, 6)
+        batched = stochastic.moment_ies_check(loop, grid)
+        stacked = stochastic.moment_ies_check(pointwise, grid)
+        np.testing.assert_allclose(batched.margins, stacked.margins,
+                                   rtol=0.0, atol=1e-12)
+
+
 class _StubComponent:
     fixed = False
 

@@ -36,6 +36,39 @@ class TestSystemModel:
         np.testing.assert_allclose(model.step([2.0, 2.0], 3.0),
                                    [1.0, 4.0])
 
+    @pytest.mark.parametrize("name", ["oscillator", "sine1d", "linear",
+                                      "polynomial", "pointwise",
+                                      "varying-input"])
+    def test_step_batch_matches_pointwise_step(self, name):
+        poly = {"n": 2, "b": [1.0, 0.0], "rows": [
+            [{"exponents": [1, 2], "coef": 3.0}],
+            [{"exponents": [3, 0], "coef": -0.5},
+             {"exponents": [0, 1], "coef": 0.9}]]}
+        drift = lambda x: np.sin(np.asarray(x, dtype=float).reshape(-1))
+        jac = lambda x: np.diag(np.cos(np.asarray(x, dtype=float).reshape(-1)))
+        model = {
+            "oscillator": systems.oscillator,
+            "sine1d": systems.sine1d,
+            "linear": lambda: systems.linear_system(
+                [[0.9, 0.2], [-0.1, 0.7]], [0.0, 1.0]),
+            "polynomial": lambda: systems.polynomial_system(poly),
+            "pointwise": lambda: systems.SystemModel(2, drift, jac,
+                                                     b=[0.0, 1.0]),
+            "varying-input": lambda: systems.SystemModel(
+                2, drift, jac, b_fun=lambda x: np.asarray(x) ** 2,
+                b_jac=lambda x: np.diag(2.0 * np.asarray(x))),
+        }[name]()
+        rng = np.random.default_rng(3)
+        X = rng.uniform(-2.0, 2.0, size=(7, model.n))
+        U = rng.normal(size=7)
+        batch = model.step_batch(X, U)
+        assert batch.shape == X.shape
+        for x, u, row in zip(X, U, batch):
+            expected = (np.asarray(model.drift(x)) + model.input_at(x) * u)
+            np.testing.assert_allclose(row, expected, rtol=1e-14, atol=1e-14)
+            np.testing.assert_allclose(model.step(x, u), row, rtol=1e-14,
+                                       atol=1e-14)
+
 
 class TestBuiltins:
     def test_oscillator_structure(self):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from contragp import stochastic, synthesis, systems, verify_sim
+from contragp.deriv_gp import DerivativeController
 from contragp.errors import DataError, DimensionError
 from contragp.kernels import Kernel
 
@@ -85,8 +86,8 @@ class TestRollout:
                                       mode="two-step")
 
         class ExactLaw:
-            def control(self, x):
-                return -2.0 * float(np.asarray(x).reshape(-1)[0])
+            def control_batch(self, X):
+                return -2.0 * np.atleast_2d(X)[:, 0]
 
         traj = verify_sim.rollout(toy, ExactLaw(), [1.0], 3)
         np.testing.assert_allclose(traj.states.reshape(-1), [1.0, 0.0, 0.0, 0.0],
@@ -113,6 +114,60 @@ class TestRollout:
     def test_bad_horizon_rejected(self, oscillator):
         with pytest.raises(DataError):
             verify_sim.rollout(oscillator, None, [0.0, 0.0], 0)
+
+
+class TestLockstepRollouts:
+    def test_matches_single_state_rollouts(self, oscillator, osc_two_step,
+                                           control_box):
+        inits = systems.boundary_states(control_box, 16)
+        law = osc_two_step.controller
+        batch = verify_sim.rollouts(oscillator, law, inits, 300)
+        assert len(batch) == 16
+        for x0, traj in zip(inits, batch):
+            single = verify_sim.rollout(oscillator, law, x0, 300)
+            assert traj.states.shape == (301, 2) and not traj.diverged
+            np.testing.assert_allclose(traj.states, single.states, rtol=0.0,
+                                       atol=1e-12)
+            # the law sums terms up to 3e5 that cancel to O(100): its
+            # roundoff, batched or not, is about 1e-10
+            np.testing.assert_allclose(traj.inputs, single.inputs, rtol=0.0,
+                                       atol=1e-9)
+
+    @pytest.mark.parametrize("horizon", [100, 13])
+    def test_mixed_batch_truncates_each_trajectory(self, horizon):
+        # 3^13 is the first power of 3 above the 1e6 limit, so the first
+        # state diverges at step 13, which is the last step when horizon=13
+        model = systems.linear_system(np.diag([3.0, 0.5]), [0.0, 1.0])
+        grow, shrink = verify_sim.rollouts(model, None,
+                                           [[1.0, 0.0], [0.0, 1.0]], horizon)
+        assert grow.diverged and grow.horizon == 13
+        assert grow.inputs.shape == (13,)
+        np.testing.assert_allclose(grow.states[:, 0], 3.0 ** np.arange(14))
+        assert not shrink.diverged and shrink.horizon == horizon
+        np.testing.assert_allclose(shrink.states[:, 1],
+                                   0.5 ** np.arange(horizon + 1))
+
+    @pytest.mark.parametrize("with_law", [False, True])
+    def test_non_finite_state_is_divergence(self, with_law):
+        # doubling map whose drift is NaN once |x| reaches 3: 1, 2, 4, NaN
+        def drift(x):
+            x = np.asarray(x, dtype=float).reshape(-1)
+            return np.where(np.abs(x) < 3.0, 2.0 * x, np.nan)
+
+        toy = systems.SystemModel(1, drift, lambda x: np.array([[2.0]]),
+                                  b=[1.0], validate=False)
+        # a zero law still refuses non-finite states (scipy's check_finite)
+        law = (DerivativeController(Kernel(dim=1), [[0.0]], [0.0])
+               if with_law else None)
+        traj, calm = verify_sim.rollouts(toy, law, [[1.0], [0.0]], 10)
+        assert traj.diverged and traj.horizon == 3
+        np.testing.assert_array_equal(traj.states[:3, 0], [1.0, 2.0, 4.0])
+        assert np.isnan(traj.states[3, 0])
+        assert not calm.diverged and calm.horizon == 10
+
+    def test_non_finite_initial_state_rejected(self, oscillator):
+        with pytest.raises(DataError):
+            verify_sim.rollouts(oscillator, None, [[np.nan, 0.0]], 5)
 
 
 class TestStochasticRollout:
@@ -238,3 +293,36 @@ class TestContractionRate:
         lam, info = verify_sim.contraction_rate(pairs, W, region=box)
         assert info["used"] > 0
         assert lam < 1.0
+
+    def test_matches_reference_loop(self, oscillator, osc_two_step):
+        def reference(pairs, P, region, tiny=1e-12):
+            lam, used, skipped, excluded = 0.0, 0, 0, 0
+            for ta, tb in pairs:
+                A, B = ta.states, tb.states
+                for k in range(A.shape[0] - 1):
+                    if not (region.contains(A[k]) and region.contains(B[k])):
+                        excluded += 1
+                        continue
+                    d = A[k] - B[k]
+                    d0 = np.sqrt(max(d @ P @ d, 0.0))
+                    if d0 < tiny:
+                        skipped += 1
+                        continue
+                    d = A[k + 1] - B[k + 1]
+                    lam = max(lam, np.sqrt(max(d @ P @ d, 0.0)) / d0)
+                    used += 1
+            return lam, used, skipped, excluded
+
+        rng = np.random.default_rng(54)
+        W = np.linalg.inv(osc_two_step.P)
+        box = systems.Box.make([-1.5, -1.5], [1.5, 1.5])
+        trajs = verify_sim.rollouts(oscillator, osc_two_step.controller,
+                                    rng.uniform(-2, 2, size=(4, 2)), 200)
+        pairs = [(trajs[0], trajs[1]), (trajs[2], trajs[3]),
+                 (trajs[0], trajs[0])]
+        lam, info = verify_sim.contraction_rate(pairs, W, region=box)
+        ref_lam, used, skipped, excluded = reference(pairs, W, box)
+        assert lam == pytest.approx(ref_lam, rel=1e-12)
+        assert (info["used"], info["skipped"], info["excluded"]) == (
+            used, skipped, excluded)
+        assert used > 0 and skipped > 0 and excluded > 0
