@@ -4,8 +4,8 @@ Every Gaussian-process computation in this package reduces to evaluations of
 a kernel k(x, x'), the row vector dk/dx', and the cross Hessian d^2k/dx dx'.
 All three are implemented in closed form per kernel family; finite
 differences appear only in the test suite.  The length-scale matrix is kept
-as a Cholesky factor so that inverse applications go through triangular
-solves.
+as a Cholesky factor and its inverse, so whitening pair differences is one
+matrix product.
 """
 
 from __future__ import annotations
@@ -74,6 +74,7 @@ class Kernel:
         self.dim = sigma.shape[0]
         self._chol = chol
         self._sigma_inv = cho_solve((chol, True), np.eye(self.dim))
+        self._chol_inv = solve_triangular(chol, np.eye(self.dim), lower=True)
 
     # ------------------------------------------------------------------
     # helpers
@@ -90,15 +91,13 @@ class Kernel:
             raise DimensionError(name, f"(*, {self.dim})", X.shape)
         return X
 
-    def _whiten_diffs(self, X, Y):
-        """Return (D, W, q) for all pairs: D = x_i - y_j, W = Sigma^{-1} D,
-        q = D^T Sigma^{-1} D."""
+    def _whiten_diffs(self, X, Y, weighted=True):
+        """Return (D, W, q) for all pairs: D = x_i - y_j, W = Sigma^{-1} D
+        (None unless ``weighted``), q = D^T Sigma^{-1} D."""
         D = X[:, None, :] - Y[None, :, :]
-        flat = D.reshape(-1, self.dim).T
-        half = solve_triangular(self._chol, flat, lower=True)
-        q = np.sum(half * half, axis=0).reshape(D.shape[:2])
-        W = solve_triangular(self._chol.T, half, lower=False).T.reshape(D.shape)
-        return D, W, q
+        half = D @ self._chol_inv.T
+        W = D @ self._sigma_inv if weighted else None
+        return D, W, np.sum(half * half, axis=-1)
 
     # ------------------------------------------------------------------
     # batched evaluations; element [i, j] pairs X[i] with Y[j]
@@ -108,7 +107,7 @@ class Kernel:
         X = self._check_stack(X, "x")
         Y = self._check_stack(Y, "x_prime")
         if self.family == "squared-exponential":
-            _, _, q = self._whiten_diffs(X, Y)
+            _, _, q = self._whiten_diffs(X, Y, weighted=False)
             return self.beta * np.exp(-0.5 * q)
         q = X @ self._sigma_inv @ Y.T
         if self.family == "linear":

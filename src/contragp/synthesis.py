@@ -3,19 +3,20 @@
 Three routes produce a constant metric P and a derivative-GP feedback law:
 
 * two-step: pick P from the input-annihilated metric family, then choose
-  gradient targets so every closed-loop block is PSD with margin;
-* joint: solve a single family over (P, scaled targets) and unscale;
+  the law's design-point gradients so every block is PSD with margin;
+* joint: solve a single family over (P, scaled gradients) and unscale;
 * polytopic: the two-step route with per-cell Jacobian hulls, so the
   certificate extends from data points to cells.
 
-The law's gradient is linear in the targets, so every route's condition is
-the affine family [[P, (A_i P)^T], [A_i P, P]] >= 0 with A_i = J_i + b g_i^T.
-All routes assemble :class:`~contragp.lmi.LmiProblem` instances over the
-design Jacobians (or hull vertices) of :func:`_metric_constraint_mats`, solve
-them through one helper that raises on failure, and finish in
-:func:`_finish_gain`: fit the law to the optimal targets, zero it at the
-model's equilibrium, and recompute every certificate from the fitted law
-through :func:`closed_loop_jacobians`.
+The decision variables are the law's gradients g_i at the design points,
+so every route's condition is the affine family [[P, (A_i P)^T], [A_i P,
+P]] >= 0 with A_i = J_i + b g_i^T.  All routes assemble
+:class:`~contragp.lmi.LmiProblem` instances over the design Jacobians (or
+hull vertices) of :func:`_metric_constraint_mats`, solve them through one
+helper that raises on failure, and finish in :func:`_finish_gain`: fit the
+law to the optimal gradients, zero it at the model's equilibrium, and
+recompute every certificate from the fitted law through
+:func:`closed_loop_jacobians`.
 """
 
 from __future__ import annotations
@@ -24,13 +25,13 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve, qr
+from scipy.linalg import cho_solve, cholesky, qr
 
 from . import lmi
 from .deriv_gp import DerivativeController, DerivativeDataset, build_gram_K0, fit
-from .errors import (DataError, InfeasibleError, NumericalFailureError,
-                     VertexBudgetError)
-from .linalg import chol_with_jitter, eig_min_sym
+from .errors import (DataError, FactorizationError, InfeasibleError,
+                     NumericalFailureError, VertexBudgetError)
+from .linalg import eig_min_sym
 from .systems import Box, grid_points
 
 __all__ = [
@@ -410,52 +411,47 @@ def solve_metric(model, points, hulls=None, rho=DEFAULT_RHO, config=None):
 
 
 # ---------------------------------------------------------------------------
-# step 2: gradient-target selection
+# step 2: gain selection over the law's design-point gradients
 
 
-def _target_maps(kernel, points, sigma_p, need_value_map=False):
-    """Linear maps from raw targets to fitted gradient/value rows at the
-    data points.  With sigma_p = 0 the gradient map is the identity."""
-    X = np.atleast_2d(points)
-    N, n = X.shape
-    K0 = build_gram_K0(kernel, X)
-    if sigma_p == 0.0:
-        # the noise-free route needs a nonsingular gradient Gram matrix
-        L, _ = chol_with_jitter(K0, jitter=0.0, max_tries=1)
-        T = np.eye(N * n)
-        Minv = cho_solve((L, True), np.eye(N * n)) if need_value_map else None
-    else:
-        M = K0 + sigma_p ** 2 * np.eye(N * n)
-        L, _ = chol_with_jitter(M)
-        Minv = cho_solve((L, True), np.eye(N * n))
-        T = np.eye(N * n) - sigma_p ** 2 * Minv
-    if not need_value_map:
-        return T, None
-    rows = kernel.grad_x2_outer(X, X).reshape(N, N * n)
-    return T, rows @ Minv
+def _gram_factor(kernel, X):
+    """Lower Cholesky factor of the gradient Gram matrix K0 of the design
+    points, with no jitter: the gain variables are the law's gradients g
+    there, and its weights are K0^{-1} g."""
+    try:
+        return cholesky(build_gram_K0(kernel, X), lower=True)
+    except np.linalg.LinAlgError as exc:
+        raise FactorizationError(
+            "the gradient Gram matrix K0 of the design points must factor "
+            "without jitter; use fewer or better-separated design "
+            "points") from exc
 
 
-def _gain_problem(model, P, kernel, X, sigma_p, mats, labels):
+def _gain_problem(model, P, kernel, X, L, mats, labels):
     """Blocks [[P, (A P)^T], [A P, P]] with A = J + b g^T (+ u db for a
-    state-dependent input vector) affine in the raw targets, one per design
-    Jacobian or hull vertex of the family ``mats``."""
+    state-dependent input vector) affine in the law's gradients g at the
+    design points, one per design Jacobian or hull vertex of ``mats``.
+    Only a state-dependent input vector couples the points, through the
+    law's values rows @ K0^{-1} g."""
     N, n = X.shape
     nonconstant = not model.constant_input
-    T, Tm = _target_maps(kernel, X, sigma_p, need_value_map=nonconstant)
-    dense = sigma_p != 0.0 or nonconstant
+    eye = np.eye(N * n)
+    if nonconstant:
+        rows = kernel.grad_x2_outer(X, X).reshape(N, N * n)
+        values = rows @ cho_solve((L, True), eye)
     coeffs, cols = [], []
     for i, x in enumerate(X):
         b = model.input_at(x)
         db = model.input_jac_at(x) if nonconstant else None
-        rows = slice(i * n, (i + 1) * n)
-        idx = np.arange(N * n) if dense else np.arange(i * n, (i + 1) * n)
-        per_target = []
+        own = np.arange(i * n, (i + 1) * n)
+        idx = np.arange(N * n) if nonconstant else own
+        per_var = []
         for l in idx:
-            G = np.outer(b, T[rows, l])  # response of point i to target l
+            G = np.outer(b, eye[own, l])  # response of point i to variable l
             if nonconstant:
-                G = G + Tm[i, l] * db
-            per_target.append(_offdiag(G @ P))
-        coeffs.append(np.stack(per_target))
+                G = G + values[i, l] * db
+            per_var.append(_offdiag(G @ P))
+        coeffs.append(np.stack(per_var))
         cols.append(idx)
     blocks = [lmi.AffineBlock(ies_block(P, J), coeffs[label[1]],
                               var_indices=cols[label[1]], label=str(label))
@@ -500,21 +496,27 @@ def _finish_gain(model, P, kernel, X, targets, sigma_p, mats, labels, sol,
 
 def solve_gain(model, P, kernel, points, sigma_p=0.0, hulls=None,
                eps_p=None, config=None, rho=DEFAULT_RHO):
-    """Choose gradient targets so every closed-loop block is PSD with
-    maximal margin, then fit the feedback law from the optimizer.
+    """Choose the law's gradients g at the design points so every
+    closed-loop block is PSD with maximal margin, then fit the law to them.
+
+    The problem does not depend on ``sigma_p``: the law fitted to targets
+    y = g + sigma_p^2 K0^{-1} g with gradient noise sigma_p has gradients g
+    at the design points and weights K0^{-1} g.
 
     With a state-dependent input vector the law's value multiplies the
-    input Jacobian and its gradient the input vector, both linearly in the
-    raw targets.  The equilibrium offset then shifts the value term inside
-    the blocks; the report's margins are recomputed from the shifted law, so
-    any degradation is visible there.
+    input Jacobian and its gradient the input vector, both linearly in g.
+    The equilibrium offset then shifts the value term inside the blocks;
+    the report's margins are recomputed from the shifted law, so any
+    degradation is visible there.
     """
     X = np.atleast_2d(np.asarray(points, dtype=float))
     P = np.asarray(P, dtype=float)
     mats, labels = _metric_constraint_mats(model, X, hulls)
-    sol = _solve(_gain_problem(model, P, kernel, X, sigma_p, mats, labels),
+    L = _gram_factor(kernel, X)
+    sol = _solve(_gain_problem(model, P, kernel, X, L, mats, labels),
                  config, rho, "gain")
-    targets = sol.z.reshape(X.shape)
+    g = sol.z
+    targets = (g + sigma_p ** 2 * cho_solve((L, True), g)).reshape(X.shape)
     if hulls is not None:
         mode = "polytopic"
     elif model.constant_input:
@@ -548,9 +550,7 @@ def solve_joint(model, kernel, points, rho=DEFAULT_RHO, config=None):
     N, n = X.shape
     if not model.constant_input:
         raise DataError("the joint route needs a constant input vector")
-    # the noise-free route requires a nonsingular gradient Gram matrix
-    K0 = build_gram_K0(kernel, X)
-    chol_with_jitter(K0, jitter=0.0, max_tries=1)
+    _gram_factor(kernel, X)  # raises before the solve if K0 is singular
 
     basis = sym_basis(n)
     mP = len(basis)

@@ -148,6 +148,19 @@ class TestLearnAndSynth:
         assert cli.main(["verify", "--config", cfg, "--out",
                          str(tmp_path / "nothing"), "--quiet"]) == 3
 
+    def test_coincident_design_points_exit_numerical(self, tmp_path, capsys):
+        # design points 1e-9 apart make K0 singular; sigma_p > 0 does not
+        # rescue the design, since the law's weights are K0^{-1} g
+        cfg_d = small_osc_config()
+        cfg_d["synthesis"]["model_source"] = "analytic"
+        cfg_d["noise"]["sigma_p"] = 0.1
+        cfg_d["domain"]["control"] = [[0.5, 0.5 + 1e-9], [0.5, 0.5 + 1e-9]]
+        cfg_d["grids"]["control_points_per_axis"] = 2
+        cfg = write_cfg(tmp_path, cfg_d)
+        assert cli.main(["synth", "--config", cfg, "--out",
+                         str(tmp_path / "out"), "--quiet"]) == 4
+        assert "must factor without jitter" in capsys.readouterr().err
+
     def test_simulate_from_equilibrium_is_constant(self, tmp_path):
         cfg_d = small_osc_config()
         cfg_d["synthesis"]["model_source"] = "analytic"

@@ -3,6 +3,7 @@ positive-definiteness / stationarity properties every family must satisfy."""
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from contragp.errors import DataError, DimensionError
 from contragp.kernels import Kernel
@@ -154,6 +155,27 @@ class TestProperties:
             x = rng.normal(size=3)
             H = k.hess_cross(x, x)
             assert np.linalg.eigvalsh(0.5 * (H + H.T)).min() > 0.0
+
+
+class TestWhitening:
+    def test_matches_triangular_solve_reference(self):
+        # the cached inverse factor and Sigma^{-1} reproduce the two
+        # triangular solves for non-identity length scales
+        rng = np.random.default_rng(25)
+        for dim in (1, 2, 3, 5):
+            k = random_kernel("squared-exponential", dim, rng)
+            X, Y = rng.normal(size=(6, dim)), rng.normal(size=(4, dim))
+            D, W, q = k._whiten_diffs(X, Y)
+            ref_D = X[:, None, :] - Y[None, :, :]
+            half = solve_triangular(k._chol, ref_D.reshape(-1, dim).T,
+                                    lower=True)
+            ref_q = np.sum(half * half, axis=0).reshape(6, 4)
+            ref_W = solve_triangular(k._chol.T, half).T.reshape(ref_D.shape)
+            np.testing.assert_array_equal(D, ref_D)
+            for got, want in ((W, ref_W), (q, ref_q)):
+                assert (np.abs(got - want).max()
+                        <= 1e-12 * np.abs(want).max())
+            assert k._whiten_diffs(X, Y, weighted=False)[1] is None
 
 
 class TestValidationAndSerialization:

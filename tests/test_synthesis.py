@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from contragp import deriv_gp, synthesis, systems
-from contragp.errors import DataError, InfeasibleError, VertexBudgetError
+from contragp.errors import (DataError, FactorizationError, InfeasibleError,
+                             VertexBudgetError)
 from contragp.kernels import Kernel
 
 
@@ -90,6 +91,17 @@ def _expansive_model(varying_input):
         b_jac=lambda x: np.array([[0.0, 0.0], [0.2 * np.asarray(x)[0], 0.0]]))
 
 
+def _varying_input(model):
+    """``model``'s drift with the state-dependent input vector
+    b(x) = (0.1 x2, 1 + sin x1)."""
+    return systems.SystemModel(
+        2, model.drift, model.drift_jacobian,
+        b_fun=lambda x: np.array([0.1 * np.asarray(x)[1],
+                                  1.0 + np.sin(np.asarray(x)[0])]),
+        b_jac=lambda x: np.array([[0.0, 0.1],
+                                  [np.cos(np.asarray(x)[0]), 0.0]]))
+
+
 class TestMetricStep:
     def test_contracting_linear_model_feasible(self):
         # A = 0.5 I: hand check with P = I gives annihilated decrease 0.75
@@ -159,28 +171,58 @@ class TestGainStep:
         assert osc_two_step.eps_p > 0.0
         assert osc_two_step.mode == "two-step"
 
-    def test_gain_with_noise_regularization(self, oscillator, control_points):
+    def test_gain_with_noise_regularization(self, oscillator, control_points,
+                                            osc_two_step):
         P, eps_p = synthesis.solve_metric(oscillator, control_points, rho=10.0)
         rep = synthesis.solve_gain(oscillator, P, Kernel(dim=2),
                                    control_points, sigma_p=0.1, eps_p=eps_p,
                                    rho=10.0)
         assert rep.eps > 0.0
-        # the solver constrains the smoothed gradients, which is exactly
+        # the solver constrains the fitted gradients, which is exactly
         # what the noisy fit realizes, so the certificate transfers too
         assert rep.eps == pytest.approx(rep.solver_margin, abs=1e-6)
+        # the decision variables are the law's gradients at the design
+        # points, so sigma_p changes only the targets the law is fitted to:
+        # the same solve as without noise, and the same point margins
+        assert (rep.diagnostics["newton_steps"]
+                == osc_two_step.diagnostics["newton_steps"])
+        np.testing.assert_allclose(rep.point_margins,
+                                   osc_two_step.point_margins,
+                                   rtol=0.0, atol=1e-12)
 
     def test_noise_regularized_gain_reaches_noise_free_optimum(
             self, oscillator, control_box):
-        # T = K0 (K0 + sigma_p^2 I)^{-1} is invertible, so sigma_p > 0 only
-        # reparametrizes the targets and both problems share their optimum
-        # (the laws differ off the data points, their margins do not)
-        pts = systems.grid_points(control_box, 6)
-        P, eps_p = synthesis.solve_metric(oscillator, pts, rho=10.0)
-        noisy, exact = (synthesis.solve_gain(oscillator, P, Kernel(dim=2),
-                                             pts, sigma_p=s, eps_p=eps_p,
-                                             rho=10.0)
-                        for s in (0.1, 0.0))
-        assert noisy.eps == pytest.approx(exact.eps, abs=1e-6 * 10.0)
+        # the fit with sigma_p > 0 maps targets to gradients at the design
+        # points through the invertible K0 (K0 + sigma_p^2 I)^{-1}, so both
+        # problems share their optimum (the laws differ off the data
+        # points, their margins do not); the oscillator's metric admits
+        # the state-dependent input vector only near the origin
+        near = systems.Box.make([-0.5, -0.5], [0.5, 0.5])
+        for model, pts in ((oscillator, systems.grid_points(control_box, 6)),
+                           (_varying_input(oscillator),
+                            systems.grid_points(near, 4))):
+            P, eps_p = synthesis.solve_metric(oscillator, pts, rho=10.0)
+            noisy, exact = (synthesis.solve_gain(model, P, Kernel(dim=2),
+                                                 pts, sigma_p=s, eps_p=eps_p,
+                                                 rho=10.0)
+                            for s in (0.1, 0.0))
+            assert noisy.eps == pytest.approx(exact.eps, abs=1e-6 * 10.0)
+
+    @pytest.mark.parametrize("route", ["gain", "joint"])
+    def test_singular_gram_matrix_raises_without_jitter(self, oscillator,
+                                                        route):
+        # two design points 1e-9 apart make K0 singular in floating point;
+        # sigma_p > 0 does not help, since the law's weights are K0^{-1} g
+        pts = np.array([[0.5, 0.5], [0.5 + 1e-9, 0.5]])
+        with pytest.raises(FactorizationError,
+                           match="must factor without jitter") as err:
+            if route == "gain":
+                synthesis.solve_gain(oscillator, np.eye(2), Kernel(dim=2),
+                                     pts, sigma_p=0.1)
+            else:
+                synthesis.solve_joint(oscillator, Kernel(dim=2), pts)
+        assert "better-separated design points" in str(err.value)
+        assert "increase the jitter" not in str(err.value)
 
 
 class TestClosedLoopJacobians:
@@ -194,15 +236,8 @@ class TestClosedLoopJacobians:
     def test_matches_pointwise_formula(self, model, oscillator):
         rng = np.random.default_rng(5)
         law = self._law(rng)
-        if model == "oscillator":
-            model = oscillator
-        else:
-            model = systems.SystemModel(
-                2, oscillator.drift, oscillator.drift_jacobian,
-                b_fun=lambda x: np.array([0.1 * np.asarray(x)[1],
-                                          1.0 + np.sin(np.asarray(x)[0])]),
-                b_jac=lambda x: np.array([[0.0, 0.1],
-                                          [np.cos(np.asarray(x)[0]), 0.0]]))
+        model = (oscillator if model == "oscillator"
+                 else _varying_input(oscillator))
         X = rng.uniform(-2.0, 2.0, size=(7, 2))
         A = synthesis.closed_loop_jacobians(model, law, X)
         assert A.shape == (7, 2, 2)
