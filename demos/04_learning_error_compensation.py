@@ -20,7 +20,7 @@ box = systems.Box.make([0.0], [np.pi])
 # 1. Learn the drift from noisy one-step data.
 
 pts = systems.grid_points(box, 15)
-targets = np.stack([system.drift(x) for x in pts])
+targets = system.drift(pts)
 targets += 0.005 * rng.standard_normal(targets.shape)
 model = drift_gp.fit_drift(
     drift_gp.DriftDataset(pts, targets, sigma_y=0.005), Kernel(dim=1))

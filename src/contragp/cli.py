@@ -63,7 +63,7 @@ def cmd_gen_data(cfg: PipelineConfig, out, quiet=False, seed=None):
     pts = grid_points(box, int(cfg._req("grids", "model_points_per_axis")))
     sigma_y = cfg.sigma_y()
     rng = np.random.default_rng(cfg.seed("data") if seed is None else seed)
-    targets = np.stack([np.asarray(system.drift(x)) for x in pts])
+    targets = np.asarray(system.drift(pts), dtype=float)
     noise = rng.standard_normal(targets.shape) * sigma_y[None, :]
     targets = targets + noise
     n = box.dim
@@ -130,17 +130,14 @@ def _error_surfaces(cfg, out, model):
                    + [f"dmu_{i+1}_d{j+1}" for j in range(n)]
                    + [f"df_{i+1}_d{j+1}" for j in range(n)])
         cols.append(i)
-    rows = []
-    for x in pts:
-        f = np.asarray(system.drift(x))
-        J = np.asarray(system.drift_jacobian(x))
-        row = list(x)
-        for i in cols:
-            comp = model.components[i]
-            row += [comp.mean(x), f[i]]
-            row += list(comp.grad(x)) + list(J[i])
-        rows.append(row)
-    write_csv(_path(out, "learn_errors.csv"), header, rows)
+    f = system.drift(pts)
+    J = system.drift_jacobian(pts)
+    table = [pts]
+    for i in cols:
+        comp = model.components[i]
+        table += [comp.mean(pts), f[:, i], comp.grad(pts), J[:, i]]
+    write_csv(_path(out, "learn_errors.csv"), header,
+              np.column_stack(table).tolist())
 
 
 def _design_model(cfg, out):
@@ -331,7 +328,7 @@ def _baseline_runs(cfg, out, system, inits, horizon, quiet):
 
     class _BaselineLaw:
         def control_batch(self, X):
-            return -model.components[comp].mean_batch(X) + X @ gain
+            return -model.components[comp].mean(X) + X @ gain
 
     trajs = _rollouts(system, _BaselineLaw(), inits, horizon,
                       _path(out, "baseline"))

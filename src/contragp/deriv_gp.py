@@ -17,7 +17,7 @@ from scipy.linalg import cho_solve
 
 from .errors import DataError, DimensionError, FactorizationError
 from .kernels import Kernel
-from .linalg import chol_with_jitter
+from .linalg import blockwise, chol_with_jitter
 
 __all__ = [
     "DerivativeDataset",
@@ -61,13 +61,12 @@ class DerivativeDataset:
         return self.targets.reshape(-1)
 
 
-def build_gram_K0(kernel: Kernel, points, return_info=False):
+def build_gram_K0(kernel: Kernel, points):
     """Block Gram matrix of cross-second kernel derivatives.
 
     Block (i, j) of the returned (nN, nN) matrix is the cross Hessian of the
     kernel at (points[i], points[j]); the result is symmetric by
-    construction.  With ``return_info`` a small metadata dict is attached,
-    flagging duplicate points (which make the matrix singular).
+    construction.
     """
     X = np.atleast_2d(np.asarray(points, dtype=float))
     if X.shape[0] < 1:
@@ -77,16 +76,7 @@ def build_gram_K0(kernel: Kernel, points, return_info=False):
     blocks = kernel.hess_cross_outer(X, X)  # (N, N, n, n)
     N, _, n, _ = blocks.shape
     K = blocks.transpose(0, 2, 1, 3).reshape(N * n, N * n)
-    K = 0.5 * (K + K.T)
-    if not return_info:
-        return K
-    diff = X[:, None, :] - X[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=-1))
-    np.fill_diagonal(dist, np.inf)
-    min_spacing = float(dist.min()) if N > 1 else np.inf
-    info = {"duplicate_points": bool(min_spacing < 1e-12),
-            "min_spacing": min_spacing}
-    return K, info
+    return 0.5 * (K + K.T)
 
 
 class DerivativeController:
@@ -133,7 +123,8 @@ class DerivativeController:
 
     def control_batch(self, X):
         """Control values at a stack of states, shape (B,)."""
-        return self._raw_batch(X) - self.offset
+        X = self.kernel._check_stack(X, "x")
+        return blockwise(self._raw_batch, X) - self.offset
 
     def control(self, x):
         """Scalar control value at a single state."""
@@ -142,7 +133,9 @@ class DerivativeController:
 
     def control_grad_batch(self, X):
         """Control gradients (rows) at a stack of states, shape (B, n)."""
-        X = self.kernel._check_stack(X, "x")
+        return blockwise(self._grad_batch, self.kernel._check_stack(X, "x"))
+
+    def _grad_batch(self, X):
         n = self.kernel.dim
         H = self.kernel.hess_cross_outer(X, self.points)  # (B, N, n, n)
         grads = np.einsum("bNij,Nj->bi", H, self.weights.reshape(-1, n))

@@ -4,7 +4,8 @@ Each drift component is learned from noisy one-step data; posterior means,
 their exact gradients, and the posterior covariances of both (values and
 Jacobian rows) are available in closed form.  Components whose structure is
 known exactly (for instance integrator rows of a discretization) can be
-declared fixed and skip regression entirely.
+declared fixed and skip regression entirely.  Means and gradients are
+evaluated on stacks of states, (B, n); the posterior covariances per state.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from scipy.linalg import cho_solve
 
 from .errors import DataError, DimensionError, FactorizationError
 from .kernels import Kernel
-from .linalg import chol_with_jitter, principal_sqrt_psd, symmetrize
+from .linalg import blockwise, chol_with_jitter, symmetrize
 from .systems import SystemModel
 
 __all__ = ["DriftDataset", "FixedAffineComponent", "GPComponent",
@@ -67,14 +68,13 @@ class FixedAffineComponent:
 
     fixed = True
 
-    def mean(self, x):
-        return self.const + float(self.linear @ np.asarray(x, dtype=float).reshape(-1))
+    def mean(self, X):
+        """Values at a stack of states, shape (B,)."""
+        return self.const + X @ self.linear
 
-    def mean_batch(self, X):
-        return self.const + np.atleast_2d(X) @ self.linear
-
-    def grad(self, x):
-        return self.linear.copy()
+    def grad(self, X):
+        """Gradient rows at a stack of states, shape (B, n)."""
+        return np.broadcast_to(self.linear, X.shape)
 
     def value_variance(self, x):
         return 0.0
@@ -132,17 +132,26 @@ class GPComponent:
             return np.zeros((0, self.kernel.dim))
         return self.kernel.grad_x2_outer(self.points, np.atleast_2d(x))[:, 0, :]
 
-    def mean(self, x):
-        return float(self._kvec(x) @ self.weights)
-
-    def mean_batch(self, X):
-        X = np.atleast_2d(X)
+    def mean(self, X):
+        """Posterior means at a stack of states, shape (B,)."""
         if self.points.shape[0] == 0:
             return np.zeros(X.shape[0])
-        return self.kernel.value_outer(X, self.points) @ self.weights
+        return blockwise(
+            lambda Y: self.kernel.value_outer(Y, self.points) @ self.weights,
+            X)
 
-    def grad(self, x):
-        return self._kvec_grad(x).T @ self.weights
+    def grad(self, X):
+        """Gradient rows of the posterior mean at a stack of states, shape
+        (B, n)."""
+        if self.points.shape[0] == 0:
+            return np.zeros(X.shape)
+        # each state's (n, N) slice is the transpose of a C-ordered (N, n)
+        # block, as a single-state evaluation lays it out, so every row
+        # keeps the bits of its one-row call
+        return blockwise(
+            lambda Y: np.ascontiguousarray(self.kernel.grad_x2_outer(
+                self.points, Y).transpose(1, 0, 2)).transpose(0, 2, 1)
+            @ self.weights, X)
 
     def _solve(self, B):
         if self.points.shape[0] == 0:
@@ -186,23 +195,19 @@ class DriftModel:
         self.inputs = None if inputs is None else np.asarray(inputs, dtype=float)
         self.n = len(self.components)
 
-    def mean(self, x):
-        return np.array([c.mean(x) for c in self.components])
+    def mean(self, X):
+        """Posterior mean field at a stack of states, shape (B, n)."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        return np.column_stack([c.mean(X) for c in self.components])
 
-    def jacobian(self, x):
-        return np.stack([c.grad(x) for c in self.components])
+    def jacobian(self, X):
+        """Jacobians of the posterior mean at a stack of states, shape
+        (B, n, n)."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        return np.stack([c.grad(X) for c in self.components], axis=1)
 
     def value_std(self, x):
         return np.array([np.sqrt(c.value_variance(x)) for c in self.components])
-
-    def variances(self, x):
-        """Per component: (sigma_i(x), principal sqrt of the Jacobian-row
-        covariance)."""
-        out = []
-        for c in self.components:
-            sd = float(np.sqrt(c.value_variance(x)))
-            out.append((sd, principal_sqrt_psd(c.jac_variance(x))))
-        return out
 
     def jac_row_variance(self, i, x):
         return self.components[i].jac_variance(x)

@@ -1,11 +1,11 @@
-"""Dense symmetric linear-algebra helpers used throughout the package."""
+"""Dense linear-algebra helpers used throughout the package."""
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.linalg import cholesky
 
-from .errors import FactorizationError, NumericalFailureError
+from .errors import FactorizationError
 
 
 def symmetrize(A):
@@ -17,12 +17,28 @@ def eig_min_sym(A):
     return float(np.linalg.eigvalsh(symmetrize(np.asarray(A, dtype=float)))[0])
 
 
-def chol_with_jitter(A, jitter=None, max_tries=4):
+JITTER_TRIES = 4
+
+# states per kernel evaluation of a posterior mean, a law or their
+# gradients: bounds the (B, N, ...) temporaries of large stacks
+BLOCK = 256
+
+
+def blockwise(fn, X):
+    """``fn(X)`` evaluated on consecutive blocks of at most ``BLOCK`` rows
+    of X and concatenated along the first axis."""
+    if X.shape[0] <= BLOCK:
+        return fn(X)
+    return np.concatenate([fn(X[i:i + BLOCK])
+                           for i in range(0, X.shape[0], BLOCK)])
+
+
+def chol_with_jitter(A, jitter=None):
     """Lower Cholesky factor of A, adding diagonal jitter only on failure.
 
     Returns ``(L, jitter_used)``.  The starting jitter defaults to
-    ``1e-10 * trace(A) / dim`` and escalates tenfold up to ``max_tries``
-    times before giving up with an advisory.
+    ``1e-10 * trace(A) / dim`` and escalates tenfold, ``JITTER_TRIES``
+    jitters in all, before giving up with an advisory.
     """
     A = np.asarray(A, dtype=float)
     dim = A.shape[0]
@@ -42,7 +58,7 @@ def chol_with_jitter(A, jitter=None, max_tries=4):
         jitter = 1e-10 * float(np.trace(A)) / dim
     jitter = max(float(jitter), np.finfo(float).tiny)
     eye = np.eye(dim)
-    for k in range(max_tries):
+    for k in range(JITTER_TRIES):
         if k:
             jitter *= 10.0
         try:
@@ -52,19 +68,3 @@ def chol_with_jitter(A, jitter=None, max_tries=4):
     raise FactorizationError(
         f"Cholesky factorization failed even with jitter up to {jitter:.3e}; "
         "increase the jitter or check the conditioning of the Gram matrix")
-
-
-def principal_sqrt_psd(A, clip=-1e-10):
-    """Principal square root of a (numerically) PSD symmetric matrix.
-
-    Eigenvalues within ``clip`` of zero are clipped to zero; anything more
-    negative raises, since that indicates a genuinely indefinite input.
-    """
-    A = symmetrize(np.asarray(A, dtype=float))
-    vals, vecs = np.linalg.eigh(A)
-    scale = max(1.0, float(np.abs(vals).max(initial=0.0)))
-    if vals.min(initial=0.0) < clip * scale:
-        raise NumericalFailureError(
-            f"matrix is not PSD within tolerance (min eigenvalue {vals.min():.3e})")
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.T

@@ -66,30 +66,21 @@ class StochasticClosedLoop:
 
     Built either from raw callables or from a learned drift model plus a
     feedback law; ``metric`` is the weight of the moment margin check.
-    ``mean_jac_batch`` maps a stack of states to the stack of mean
-    Jacobians; without it ``mean_jac`` is stacked point by point.
+    ``mean`` and ``mean_jac`` map a stack of states, shape (B, n), to
+    (B, n) and (B, n, n); ``noise_std`` and ``noise_jac`` take one state.
     """
 
     def __init__(self, mean, mean_jac, noise_std, noise_jac, metric,
-                 control=None, mean_jac_batch=None):
+                 control=None):
         self.mean = mean
         self.mean_jac = mean_jac
         self.noise_std = noise_std
         self.noise_jac = noise_jac
         self.metric = np.asarray(metric, dtype=float)
         self._control = control
-        self._mean_jac_batch = mean_jac_batch
 
     def control_value(self, x):
         return 0.0 if self._control is None else float(self._control(x))
-
-    def mean_jac_batch(self, X):
-        """Mean Jacobians at a stack of states, shape (B, n, n)."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if self._mean_jac_batch is not None:
-            return np.asarray(self._mean_jac_batch(X), dtype=float)
-        return np.stack([np.asarray(self.mean_jac(x), dtype=float)
-                         for x in X])
 
     @classmethod
     def from_drift_model(cls, model, controller, b, metric):
@@ -98,14 +89,11 @@ class StochasticClosedLoop:
         b = np.asarray(b, dtype=float).reshape(-1)
         system = model.as_system_model(b=b)
 
-        def mean(x):
-            return model.mean(x) + b * controller.control(x)
+        def mean(X):
+            return model.mean(X) + b * controller.control_batch(X)[:, None]
 
-        def mean_jac_batch(X):
+        def mean_jac(X):
             return closed_loop_jacobians(system, controller, X)
-
-        def mean_jac(x):
-            return mean_jac_batch(x)[0]
 
         def noise_std(x):
             return model.value_std(x)
@@ -114,7 +102,7 @@ class StochasticClosedLoop:
             return sigma_jacobian(model, x)
 
         return cls(mean, mean_jac, noise_std, noise_jac, metric,
-                   control=controller.control, mean_jac_batch=mean_jac_batch)
+                   control=controller.control)
 
 
 @dataclass
@@ -150,7 +138,7 @@ def moment_ies_check(loop: StochasticClosedLoop, grid):
     margins = np.empty(len(pts))
     noise_terms = np.empty(len(pts))
     flagged = np.zeros(len(pts), dtype=bool)
-    for idx, (x, J) in enumerate(zip(pts, loop.mean_jac_batch(pts))):
+    for idx, (x, J) in enumerate(zip(pts, loop.mean_jac(pts))):
         rows = loop.noise_jac(x)
         if isinstance(rows, tuple):
             rows, flags = rows

@@ -127,19 +127,17 @@ def closed_loop_jacobians(model, controller, X):
     """Closed-loop Jacobians J(x) + b(x) grad u(x)^T at the rows of X, plus
     u(x) db(x) when the input vector varies with the state; (B, n, n)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    return _close_loop(model, controller, X,
-                       [model.drift_jacobian(x) for x in X])
+    return _close_loop(model, controller, X, model.drift_jacobian(X))
 
 
 def _close_loop(model, controller, X, jacs):
     """Add the feedback terms at the rows of X to the drift Jacobians (or
     hull vertices) ``jacs``, one per row."""
     grads = controller.control_grad_batch(X)
-    bs = model.input_batch(X)
-    A = np.asarray(jacs, dtype=float) + bs[:, :, None] * grads[:, None, :]
+    A = (np.asarray(jacs, dtype=float)
+         + model.input(X)[:, :, None] * grads[:, None, :])
     if not model.constant_input:
-        dbs = np.stack([model.input_jac_at(x) for x in X])
-        A = A + controller.control_batch(X)[:, None, None] * dbs
+        A = A + controller.control_batch(X)[:, None, None] * model.input_jac(X)
     return A
 
 
@@ -221,19 +219,23 @@ class VertexHull:
 
     def check_membership(self, jac_fn, per_axis=6, tol=1e-9):
         """Certify entrywise that Jacobians over a validation subgrid stay
-        inside each cell's intervals.  Returns (ok, max_violation, per_cell).
+        inside each cell's intervals; ``jac_fn`` maps a stack of states to
+        its Jacobians.  Returns (ok, max_violation, per_cell).
         """
-        worst = 0.0
-        per_cell = []
-        for i, cell in enumerate(self.cells):
-            pts = grid_points(cell, per_axis)
-            v = 0.0
-            for x in pts:
-                J = np.asarray(jac_fn(x), dtype=float)
-                v = max(v, float(np.max(self.lo[i] - J)), float(np.max(J - self.hi[i])))
-            per_cell.append(v)
-            worst = max(worst, v)
-        return worst <= tol, worst, per_cell
+        J = _cell_jacobians(jac_fn, self.cells, per_axis)
+        excess = np.maximum(self.lo[:, None] - J, J - self.hi[:, None])
+        per_cell = np.maximum(
+            excess.reshape(self.n_cells, -1).max(axis=1), 0.0)
+        worst = float(per_cell.max())
+        return worst <= tol, worst, per_cell.tolist()
+
+
+def _cell_jacobians(jac_fn, cells, per_axis):
+    """Jacobians at every cell's sampling subgrid from one call on all the
+    cells' samples; shape (cells, samples, n, n)."""
+    pts = np.concatenate([grid_points(cell, per_axis) for cell in cells])
+    J = np.asarray(jac_fn(pts), dtype=float)
+    return J.reshape((len(cells), -1) + J.shape[1:])
 
 
 def build_hulls(model, domain: Box, r, inflation=0.1, samples_per_axis=5,
@@ -250,30 +252,21 @@ def build_hulls(model, domain: Box, r, inflation=0.1, samples_per_axis=5,
         raise DataError("r must be at least 1")
     n = domain.dim
     edges = [np.linspace(domain.lo[i], domain.hi[i], r + 1) for i in range(n)]
-    cells = []
-    centers = []
-    los, his, pins = [], [], []
-    for combo in itertools.product(range(r), repeat=n):
-        lo = np.array([edges[i][combo[i]] for i in range(n)])
-        hi = np.array([edges[i][combo[i] + 1] for i in range(n)])
-        cell = Box.make(lo, hi)
-        cells.append(cell)
-        centers.append(0.5 * (lo + hi))
-        pts = grid_points(cell, samples_per_axis)
-        J = np.stack([np.asarray(model.drift_jacobian(x), dtype=float) for x in pts])
-        Jlo = J.min(axis=0)
-        Jhi = J.max(axis=0)
-        width = Jhi - Jlo
-        scale = np.maximum(1.0, np.maximum(np.abs(Jlo), np.abs(Jhi)))
-        pinned = width <= 1e-10 * scale
-        pad = inflation * (width + cell.diameter())
-        pad[pinned] = 0.0
-        los.append(Jlo - pad)
-        his.append(Jhi + pad)
-        pins.append(pinned)
-    hull = VertexHull(cells=cells, centers=np.asarray(centers),
-                      lo=np.stack(los), hi=np.stack(his),
-                      pinned=np.stack(pins), vertex_cap=vertex_cap,
+    cells = [Box.make([edges[i][c] for i, c in enumerate(combo)],
+                      [edges[i][c + 1] for i, c in enumerate(combo)])
+             for combo in itertools.product(range(r), repeat=n)]
+    centers = np.array([0.5 * (cell.lo_arr + cell.hi_arr) for cell in cells])
+    J = _cell_jacobians(model.drift_jacobian, cells, samples_per_axis)
+    Jlo = J.min(axis=1)
+    Jhi = J.max(axis=1)
+    width = Jhi - Jlo
+    scale = np.maximum(1.0, np.maximum(np.abs(Jlo), np.abs(Jhi)))
+    pinned = width <= 1e-10 * scale
+    diameters = np.array([cell.diameter() for cell in cells])
+    pad = inflation * (width + diameters[:, None, None])
+    pad[pinned] = 0.0
+    hull = VertexHull(cells=cells, centers=centers, lo=Jlo - pad,
+                      hi=Jhi + pad, pinned=pinned, vertex_cap=vertex_cap,
                       subdivisions=int(r))
     hull.check_budget()
     return hull
@@ -328,16 +321,14 @@ def _metric_constraint_mats(model, points, hulls):
     their second entry is the index of the point."""
     if hulls is not None and not np.allclose(hulls.centers, points):
         raise DataError("points must be the hull cell centers")
-    mats, labels = [], []
     if hulls is None:
-        for i, x in enumerate(points):
-            mats.append(np.asarray(model.drift_jacobian(x), dtype=float))
-            labels.append(("point", i))
-    else:
-        for i in range(hulls.n_cells):
-            for l, V in enumerate(hulls.vertices(i)):
-                mats.append(V)
-                labels.append(("cell-vertex", i, l))
+        mats = np.asarray(model.drift_jacobian(points), dtype=float)
+        return mats, [("point", i) for i in range(len(points))]
+    mats, labels = [], []
+    for i in range(hulls.n_cells):
+        for l, V in enumerate(hulls.vertices(i)):
+            mats.append(V)
+            labels.append(("cell-vertex", i, l))
     return mats, labels
 
 
@@ -436,20 +427,20 @@ def _gain_problem(model, P, kernel, X, L, mats, labels):
     N, n = X.shape
     nonconstant = not model.constant_input
     eye = np.eye(N * n)
+    bs = model.input(X)
     if nonconstant:
         rows = kernel.grad_x2_outer(X, X).reshape(N, N * n)
         values = rows @ cho_solve((L, True), eye)
+        dbs = model.input_jac(X)
     coeffs, cols = [], []
-    for i, x in enumerate(X):
-        b = model.input_at(x)
-        db = model.input_jac_at(x) if nonconstant else None
+    for i, b in enumerate(bs):
         own = np.arange(i * n, (i + 1) * n)
         idx = np.arange(N * n) if nonconstant else own
         per_var = []
         for l in idx:
             G = np.outer(b, eye[own, l])  # response of point i to variable l
             if nonconstant:
-                G = G + values[i, l] * db
+                G = G + values[i, l] * dbs[i]
             per_var.append(_offdiag(G @ P))
         coeffs.append(np.stack(per_var))
         cols.append(idx)

@@ -93,21 +93,20 @@ def boundary_states(box: Box, count):
 class SystemModel:
     """x_{k+1} = f(x_k) + b(x_k) u_k with a known Jacobian of the drift.
 
-    The input direction is either a constant vector ``b`` or an evaluator
-    pair ``(b_fun, b_jac)``.  ``drift_batch`` evaluates f on a stack of
-    states, shape (B, n) -> (B, n); without it the per-point ``drift`` is
-    stacked row by row.  On construction the drift Jacobian is checked
-    against finite differences at a handful of deterministic probe states,
-    and a declared equilibrium must actually be a fixed point of the drift.
+    Every quantity is evaluated on a stack of states X of shape (B, n):
+    ``drift(X)`` is (B, n) and ``drift_jacobian(X)`` is (B, n, n).  The
+    input direction is either a constant vector ``b`` or an evaluator pair
+    ``(b_fun, b_jac)`` mapping X to (B, n) and (B, n, n).  On construction
+    the drift Jacobian and the input Jacobian are checked against central
+    differences at a stack of deterministic probe states, and a declared
+    equilibrium must actually be a fixed point of the drift.
     """
 
     def __init__(self, n, drift, drift_jacobian, b=None, b_fun=None,
-                 b_jac=None, equilibrium=None, name=None, validate=True,
-                 drift_batch=None):
+                 b_jac=None, equilibrium=None, name=None, validate=True):
         self.n = int(n)
         self.drift = drift
         self.drift_jacobian = drift_jacobian
-        self._drift_batch = drift_batch
         self.name = name
         if (b is None) == (b_fun is None):
             raise DataError("provide exactly one of b or (b_fun, b_jac)")
@@ -132,70 +131,61 @@ class SystemModel:
     def constant_input(self):
         return self.b is not None
 
-    def input_at(self, x):
-        return self.b if self.constant_input else np.asarray(self.b_fun(x), dtype=float).reshape(-1)
-
-    def input_batch(self, X):
+    def input(self, X):
         """Input vectors b(x) at a stack of states, shape (B, n)."""
-        X = np.atleast_2d(X)
         if self.constant_input:
             return np.broadcast_to(self.b, X.shape)
-        return np.stack([self.input_at(x) for x in X])
+        return np.asarray(self.b_fun(X), dtype=float)
 
-    def input_jac_at(self, x):
+    def input_jac(self, X):
+        """Input Jacobians db(x) at a stack of states, shape (B, n, n)."""
         if self.constant_input:
-            return np.zeros((self.n, self.n))
-        return np.asarray(self.b_jac(x), dtype=float).reshape(self.n, self.n)
+            return np.zeros((X.shape[0], self.n, self.n))
+        return np.asarray(self.b_jac(X), dtype=float)
 
-    def drift_batch(self, X):
-        """Drift at a stack of states, shape (B, n)."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if self._drift_batch is not None:
-            return np.asarray(self._drift_batch(X), dtype=float)
-        return np.stack([np.asarray(self.drift(x), dtype=float).reshape(-1)
-                         for x in X])
-
-    def step_batch(self, X, U):
+    def step(self, X, U):
         """Next states f(x) + b(x) u at a stack of states and inputs,
         shape (B, n)."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         U = np.asarray(U, dtype=float).reshape(-1)
-        return self.drift_batch(X) + self.input_batch(X) * U[:, None]
-
-    def step(self, x, u):
-        x = np.asarray(x, dtype=float).reshape(1, -1)
-        return self.step_batch(x, [u])[0]
+        return (np.asarray(self.drift(X), dtype=float)
+                + self.input(X) * U[:, None])
 
     def _probe_states(self):
-        pts = [np.zeros(self.n)]
-        for i in range(self.n):
-            e = np.zeros(self.n)
-            e[i] = 1.0
-            pts.append(e)
-            pts.append(-0.5 * e)
+        # the origin, then e_i and -e_i / 2 for each axis, then 3 random
+        eye = np.eye(self.n)
+        axes = np.stack([eye, -0.5 * eye], axis=1).reshape(-1, self.n)
         rng = np.random.default_rng(20240401)
-        pts.extend(rng.uniform(-1.0, 1.0, size=(3, self.n)))
-        return pts
+        return np.vstack([np.zeros((1, self.n)), axes,
+                          rng.uniform(-1.0, 1.0, size=(3, self.n))])
 
     def _validate(self):
-        for x in self._probe_states():
-            J = np.asarray(self.drift_jacobian(x), dtype=float)
-            if J.shape != (self.n, self.n):
-                raise DimensionError("drift_jacobian(x)", (self.n, self.n), J.shape)
-            h = 1e-6
-            fd = np.zeros_like(J)
-            for i in range(self.n):
-                e = np.zeros(self.n)
-                e[i] = h
-                fd[:, i] = (np.asarray(self.drift(x + e)) - np.asarray(self.drift(x - e))) / (2 * h)
-            scale = 1.0 + np.abs(J).max()
-            if np.abs(J - fd).max() > 1e-4 * scale:
+        X = self._probe_states()
+        K, n = X.shape
+        # one stack holds every probe shifted by +-h along every axis
+        h = 1e-6
+        shifts = h * np.eye(n)
+        Xs = np.concatenate([X[:, None, :] + shifts, X[:, None, :] - shifts]
+                            ).reshape(-1, n)
+        checks = [("drift_jacobian", self.drift, self.drift_jacobian)]
+        if not self.constant_input:
+            checks.append(("b_jac", self.b_fun, self.b_jac))
+        for name, fun, jac in checks:
+            J = np.asarray(jac(X), dtype=float)
+            if J.shape != (K, n, n):
+                raise DimensionError(f"{name}(X)", (K, n, n), J.shape)
+            F = np.asarray(fun(Xs), dtype=float).reshape(2, K, n, n)
+            fd = ((F[0] - F[1]) / (2 * h)).transpose(0, 2, 1)
+            dev = np.abs(J - fd).max(axis=(1, 2))
+            bad = dev > 1e-4 * (1.0 + np.abs(J).max(axis=(1, 2)))
+            if np.any(bad):
+                i = int(np.argmax(bad))
                 raise DataError(
-                    f"drift_jacobian disagrees with finite differences at {x} "
-                    f"(max deviation {np.abs(J - fd).max():.3e})")
+                    f"{name} disagrees with finite differences at {X[i]} "
+                    f"(max deviation {dev[i]:.3e})")
         if self.equilibrium is not None:
             x = self.equilibrium
-            resid = np.linalg.norm(np.asarray(self.drift(x)) - x)
+            resid = np.linalg.norm(np.asarray(self.drift(x[None]))[0] - x)
             if resid > 1e-8:
                 raise DataError(
                     f"declared equilibrium is not a fixed point (|f(x*)-x*| = {resid:.3e})")
@@ -203,13 +193,6 @@ class SystemModel:
 
 # ---------------------------------------------------------------------------
 # builtin benchmark systems
-
-
-def _pointwise(drift_batch):
-    """Per-point drift from a batched one."""
-    def drift(x):
-        return drift_batch(np.asarray(x, dtype=float).reshape(1, -1))[0]
-    return drift
 
 
 def _osc_h(x1):
@@ -227,26 +210,20 @@ def oscillator(dt=0.01):
     actuated through b = [0, 1] dt; the origin is a fixed point.
     """
 
-    def drift(x):
-        x = np.asarray(x, dtype=float).reshape(-1)
-        return x + np.array([x[1], -x[0] + _osc_h(x[0]) * x[1]]) * dt
-
-    def jac(x):
-        x = np.asarray(x, dtype=float).reshape(-1)
-        return np.eye(2) + dt * np.array([
-            [0.0, 1.0],
-            [-1.0 + _osc_h_prime(x[0]) * x[1], _osc_h(x[0])],
-        ])
-
-    def drift_batch(X):
+    def drift(X):
         return np.column_stack([X[:, 0] + X[:, 1] * dt, oscillator_f2(X, dt)])
 
-    # the per-point drift stays scalar arithmetic: numpy's array power
-    # rounds differently from its scalar power, and generated data must
-    # keep its bits
+    def jac(X):
+        x1, x2 = X[:, 0], X[:, 1]
+        J = np.empty((X.shape[0], 2, 2))
+        J[:, 0, 0] = 1.0
+        J[:, 0, 1] = dt
+        J[:, 1, 0] = dt * (-1.0 + _osc_h_prime(x1) * x2)
+        J[:, 1, 1] = 1.0 + dt * _osc_h(x1)
+        return J
+
     return SystemModel(2, drift, jac, b=np.array([0.0, 1.0]) * dt,
-                       equilibrium=np.zeros(2), name="oscillator",
-                       drift_batch=drift_batch)
+                       equilibrium=np.zeros(2), name="oscillator")
 
 
 def oscillator_f2(X, dt=0.01):
@@ -258,27 +235,27 @@ def oscillator_f2(X, dt=0.01):
 def sine1d(dt=0.1):
     """Scalar benchmark f(x) = x + dt sin(x), b = dt; used for hull tests."""
 
-    def drift_batch(X):
+    def drift(X):
         return X + dt * np.sin(X)
 
-    def jac(x):
-        x = np.asarray(x, dtype=float).reshape(-1)
-        return np.array([[1.0 + dt * np.cos(x[0])]])
+    def jac(X):
+        return (1.0 + dt * np.cos(X))[:, :, None]
 
-    return SystemModel(1, _pointwise(drift_batch), jac, b=np.array([dt]),
-                       equilibrium=np.zeros(1), name="sine1d",
-                       drift_batch=drift_batch)
+    return SystemModel(1, drift, jac, b=np.array([dt]),
+                       equilibrium=np.zeros(1), name="sine1d")
 
 
 def linear_system(A, b, name=None):
     """x_{k+1} = A x + b u."""
     A = np.asarray(A, dtype=float)
 
-    def drift_batch(X):
+    def drift(X):
         return X @ A.T
 
-    return SystemModel(A.shape[0], _pointwise(drift_batch), lambda x: A, b=b,
-                       name=name or "linear", drift_batch=drift_batch)
+    def jac(X):
+        return np.broadcast_to(A, (X.shape[0],) + A.shape)
+
+    return SystemModel(A.shape[0], drift, jac, b=b, name=name or "linear")
 
 
 def polynomial_system(spec):
@@ -307,29 +284,25 @@ def polynomial_system(spec):
             parsed.append((expo, float(term["coef"])))
         terms.append(parsed)
 
-    def drift_batch(X):
+    def drift(X):
         out = np.zeros(X.shape)
         for i, row in enumerate(terms):
             for expo, coef in row:
                 out[:, i] += coef * np.prod(X ** expo, axis=1)
         return out
 
-    def jac(x):
-        x = np.asarray(x, dtype=float).reshape(-1)
-        J = np.zeros((n, n))
+    def jac(X):
+        J = np.zeros((X.shape[0], n, n))
         for i, row in enumerate(terms):
             for expo, coef in row:
-                for j in range(n):
-                    if expo[j] == 0:
-                        continue
+                for j in np.flatnonzero(expo):
                     de = expo.copy()
                     de[j] -= 1
-                    J[i, j] += coef * expo[j] * np.prod(x ** de)
+                    J[:, i, j] += coef * expo[j] * np.prod(X ** de, axis=1)
         return J
 
     eq = spec.get("equilibrium")
-    return SystemModel(n, _pointwise(drift_batch), jac, b=b, equilibrium=eq,
-                       name="polynomial", drift_batch=drift_batch)
+    return SystemModel(n, drift, jac, b=b, equilibrium=eq, name="polynomial")
 
 
 def builtin_system(name, **kwargs):

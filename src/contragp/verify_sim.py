@@ -81,8 +81,7 @@ def verify_grid(model, controller, P, domain: Box, resolution):
     pts = grid_points(domain, resolution)
     L = cholesky(P, lower=True)
     if controller is None:
-        closed = [np.asarray(model.drift_jacobian(x), dtype=float)
-                  for x in pts]
+        closed = np.asarray(model.drift_jacobian(pts), dtype=float)
     else:
         closed = closed_loop_jacobians(model, controller, pts)
     margins = np.array([np.linalg.eigvalsh(ies_block(P, A))[0]
@@ -125,7 +124,7 @@ def rollouts(model, law, X0, horizon):
     simulated in lockstep.
 
     Each step makes one ``law.control_batch`` call on the stack of active
-    states (zero input when ``law`` is None) and one ``model.step_batch``.
+    states (zero input when ``law`` is None) and one ``model.step``.
     A trajectory whose state turns non-finite or passes 1e6 in any
     coordinate is truncated at that step, flagged as diverged, and leaves
     the active set.
@@ -146,7 +145,7 @@ def rollouts(model, law, X0, horizon):
     for k in range(horizon):
         U = np.zeros(active.size) if law is None else law.control_batch(X)
         inputs[active, k] = U
-        X = model.step_batch(X, U)
+        X = model.step(X, U)
         states[active, k + 1] = X
         bad = _diverged(X)
         if np.any(bad):
@@ -172,15 +171,18 @@ def rollout_stochastic(loop, x0, horizon, seed):
     fixed seed."""
     if horizon < 1:
         raise DataError("horizon must be at least 1")
-    rng = np.random.default_rng(seed)
     x = np.asarray(x0, dtype=float).reshape(-1)
+    if not np.all(np.isfinite(x)):
+        raise DataError("initial state contains NaN or infinite entries")
+    rng = np.random.default_rng(seed)
     n = x.shape[0]
     states = [x.copy()]
     inputs = []
     for _ in range(horizon):
         u = loop.control_value(x)
         w = rng.standard_normal(n)
-        x = np.asarray(loop.mean(x), dtype=float) + np.asarray(loop.noise_std(x)) * w
+        x = (np.asarray(loop.mean(x[None]), dtype=float)[0]
+             + np.asarray(loop.noise_std(x)) * w)
         inputs.append(u)
         states.append(x.copy())
         if _diverged(x):

@@ -150,8 +150,8 @@ def test_criterion_06_oscillator_end_to_end(oscillator, control_box,
 def test_criterion_07_joint_vs_two_step(oscillator, control_box, osc_two_step,
                                         osc_joint):
     toy = systems.SystemModel(
-        1, lambda x: 2.0 * np.asarray(x, dtype=float).reshape(-1),
-        lambda x: np.array([[2.0]]), b=[1.0], equilibrium=[0.0])
+        1, lambda X: 2.0 * X, lambda X: np.full((len(X), 1, 1), 2.0),
+        b=[1.0], equilibrium=[0.0])
     t2 = synthesis.run_synthesis(toy, Kernel(dim=1), np.array([[0.0]]),
                                  mode="two-step")
     tj = synthesis.run_synthesis(toy, Kernel(dim=1), np.array([[0.0]]),
@@ -201,8 +201,8 @@ def test_criterion_09_learned_pipeline(reproduced_dir):
 def test_criterion_10_moment_arithmetic():
     def loop(noise_grad):
         return stochastic.StochasticClosedLoop(
-            mean=lambda x: 0.5 * np.asarray(x, dtype=float).reshape(-1),
-            mean_jac=lambda x: np.array([[0.5]]),
+            mean=lambda X: 0.5 * X,
+            mean_jac=lambda X: np.full((len(X), 1, 1), 0.5),
             noise_std=lambda x: np.array([0.1]),
             noise_jac=lambda x: np.array([[noise_grad]]),
             metric=np.array([[1.0]]))
@@ -216,8 +216,9 @@ def test_criterion_10_moment_arithmetic():
     Pbar = M @ M.T + 0.5 * np.eye(2)
     J = 0.4 * rng.normal(size=(2, 2))
     det_loop = stochastic.StochasticClosedLoop(
-        mean=lambda x: J @ np.asarray(x, dtype=float).reshape(-1),
-        mean_jac=lambda x: J, noise_std=lambda x: np.zeros(2),
+        mean=lambda X: X @ J.T,
+        mean_jac=lambda X: np.broadcast_to(J, (len(X), 2, 2)),
+        noise_std=lambda x: np.zeros(2),
         noise_jac=lambda x: np.zeros((2, 2)), metric=Pbar)
     margins = stochastic.moment_ies_check(det_loop,
                                           rng.normal(size=(5, 2))).margins

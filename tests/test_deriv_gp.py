@@ -31,13 +31,6 @@ class TestGram:
         K = deriv_gp.build_gram_K0(Kernel(beta=1.3, sigma=np.diag([2.0, 0.7])), X)
         np.testing.assert_array_equal(K, K.T)
 
-    def test_duplicate_points_flagged(self):
-        X = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
-        K, info = deriv_gp.build_gram_K0(Kernel(dim=2), X, return_info=True)
-        assert info["duplicate_points"]
-        _, info2 = deriv_gp.build_gram_K0(Kernel(dim=2), X[1:], return_info=True)
-        assert not info2["duplicate_points"]
-
 
 class TestFit:
     def test_hand_solved_single_point(self):
@@ -168,6 +161,21 @@ class TestValueConditioning:
                 (c.control(x + h * np.eye(2)[i]) - c.control(x - h * np.eye(2)[i]))
                 / (2 * h) for i in range(2)])
             assert np.abs(c.control_grad(x) - fd).max() < 1e-5
+
+    def test_long_stack_matches_one_row_calls(self):
+        # stacks longer than linalg.BLOCK are evaluated block by block
+        rng = np.random.default_rng(11)
+        ds = deriv_gp.DerivativeDataset(rng.normal(size=(4, 2)),
+                                        rng.normal(size=(4, 2)), 0.0)
+        vals = [(rng.normal(size=2), float(rng.normal())) for _ in range(2)]
+        c = deriv_gp.fit_with_values(Kernel(dim=2), ds, vals, sigma=0.0)
+        X = rng.normal(size=(600, 2))
+        u, g = c.control_batch(X), c.control_grad_batch(X)
+        assert u.shape == (600,) and g.shape == (600, 2)
+        np.testing.assert_allclose(u, [c.control(x) for x in X],
+                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(g, [c.control_grad(x) for x in X],
+                                   rtol=1e-12, atol=1e-12)
 
 
 class TestOffsetAndSerialization:

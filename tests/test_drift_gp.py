@@ -13,16 +13,16 @@ class TestFit:
     def test_single_point_interpolation(self):
         ds = drift_gp.DriftDataset([[0.0]], [[3.0]], sigma_y=0.0)
         m = drift_gp.fit_drift(ds, Kernel(dim=1))
-        assert m.mean([0.0])[0] == pytest.approx(3.0, rel=1e-12)
+        assert m.mean([[0.0]])[0, 0] == pytest.approx(3.0, rel=1e-12)
 
     def test_zero_targets(self):
         rng = np.random.default_rng(1)
         X = rng.normal(size=(5, 2))
         m = drift_gp.fit_drift(drift_gp.DriftDataset(X, np.zeros((5, 2))),
                                Kernel(dim=2))
-        x = rng.normal(size=2)
-        np.testing.assert_array_equal(m.mean(x), np.zeros(2))
-        np.testing.assert_array_equal(m.jacobian(x), np.zeros((2, 2)))
+        x = rng.normal(size=(1, 2))
+        np.testing.assert_array_equal(m.mean(x)[0], np.zeros(2))
+        np.testing.assert_array_equal(m.jacobian(x)[0], np.zeros((2, 2)))
 
     def test_noiseless_interpolation_at_all_training_points(self):
         rng = np.random.default_rng(2)
@@ -30,7 +30,7 @@ class TestFit:
         Y = rng.normal(size=(6, 2))
         m = drift_gp.fit_drift(drift_gp.DriftDataset(X, Y, 0.0), Kernel(dim=2))
         for x, y in zip(X, Y):
-            np.testing.assert_allclose(m.mean(x), y, atol=1e-8)
+            np.testing.assert_allclose(m.mean(x[None])[0], y, atol=1e-8)
 
     def test_oscillator_second_component_interior_error(self):
         # learned mean tracks the analytic drift component well inside the
@@ -45,9 +45,8 @@ class TestFit:
             Kernel(dim=2),
             fixed={0: drift_gp.FixedAffineComponent([1.0, 0.01])})
         interior = systems.grid_points(systems.Box.make([-2, -2], [2, 2]), 21)
-        err = np.array([model.components[1].mean(x)
-                        - systems.oscillator_f2(x[None])[0]
-                        for x in interior])
+        err = (model.components[1].mean(interior)
+               - systems.oscillator_f2(interior))
         assert np.abs(err).max() < 0.05 * np.abs(f2).max()
 
 
@@ -58,15 +57,29 @@ class TestGradients:
         Y = rng.normal(size=(6, 2))
         m = drift_gp.fit_drift(drift_gp.DriftDataset(X, Y, 0.05), Kernel(dim=2))
         h = 1e-5
-        for x in rng.normal(size=(50, 2)):
-            J = m.jacobian(x)
-            fd = np.zeros((2, 2))
-            for j in range(2):
-                e = np.zeros(2)
-                e[j] = h
-                fd[:, j] = (m.mean(x + e) - m.mean(x - e)) / (2 * h)
+        X = rng.normal(size=(50, 2))
+        Js = m.jacobian(X)
+        fds = np.stack([(m.mean(X + h * e) - m.mean(X - h * e)) / (2 * h)
+                        for e in np.eye(2)], axis=2)
+        for J, fd in zip(Js, fds):
             scale = max(1.0, np.abs(fd).max())
             assert np.abs(J - fd).max() < 1e-6 * scale
+
+    def test_long_stack_rows_keep_one_row_bits(self):
+        # stacks longer than linalg.BLOCK are evaluated block by block; each
+        # gradient row keeps the bits of its one-row call
+        rng = np.random.default_rng(12)
+        X = rng.normal(size=(8, 2))
+        m = drift_gp.fit_drift(
+            drift_gp.DriftDataset(X, rng.normal(size=(8, 2)), 0.05),
+            Kernel(dim=2))
+        Z = rng.normal(size=(600, 2))
+        for comp in m.components:
+            np.testing.assert_array_equal(
+                comp.grad(Z), np.concatenate([comp.grad(z[None]) for z in Z]))
+            np.testing.assert_allclose(
+                comp.mean(Z), np.concatenate([comp.mean(z[None]) for z in Z]),
+                rtol=1e-12, atol=1e-12)
 
     def test_single_unit_weight_gradient_closed_form(self):
         # one data point at the origin with unit weight: the mean is
@@ -75,7 +88,8 @@ class TestGradients:
         comp.weights = np.array([1.0])
         x = np.array([0.4, -1.1])
         expected = -x * np.exp(-0.5 * x @ x)
-        np.testing.assert_allclose(comp.grad(x), expected, rtol=1e-10)
+        np.testing.assert_allclose(comp.grad(x[None])[0], expected,
+                                   rtol=1e-10)
 
 
 class TestVariances:
@@ -126,9 +140,9 @@ class TestVariances:
     def test_variances_interface(self):
         ds = drift_gp.DriftDataset([[0.0]], [[3.0]], sigma_y=0.0)
         m = drift_gp.fit_drift(ds, Kernel(dim=1))
-        sd, sd_jac = m.variances([1.0])[0]
-        assert sd == pytest.approx(np.sqrt(1.0 - np.exp(-1.0)), rel=1e-8)
-        assert sd_jac.shape == (1, 1)
+        sd = m.value_std([1.0])
+        assert sd.shape == (1,)
+        assert sd[0] == pytest.approx(np.sqrt(1.0 - np.exp(-1.0)), rel=1e-8)
 
 
 class TestInputAugmented:
@@ -156,7 +170,7 @@ class TestInputAugmented:
         model, gains = drift_gp.fit_drift_with_input(ds, Kernel(dim=1))
 
         def mu_bar(x, u):
-            return model.components[0].mean(x) + gains[0] * u
+            return model.components[0].mean(x[None])[0] + gains[0] * u
 
         x = rng.normal(size=1)
         for a in (0.3, -2.0, 5.5):
@@ -186,8 +200,9 @@ class TestFixedRowsAndSerialization:
                                    sigma_y=[0.0, 0.0])
         m = drift_gp.fit_drift(ds, Kernel(dim=2), fixed={0: fixed})
         x = np.array([0.7, 2.0])
-        assert m.mean(x)[0] == pytest.approx(0.7 + 0.01 * 2.0, rel=1e-14)
-        np.testing.assert_array_equal(m.jacobian(x)[0], [1.0, 0.01])
+        assert m.mean(x[None])[0, 0] == pytest.approx(0.7 + 0.01 * 2.0,
+                                                      rel=1e-14)
+        np.testing.assert_array_equal(m.jacobian(x[None])[0, 0], [1.0, 0.01])
         assert m.components[0].value_variance(x) == 0.0
 
     def test_round_trip_through_dict(self):
@@ -201,11 +216,11 @@ class TestFixedRowsAndSerialization:
 
         m2 = drift_gp.DriftModel.from_dict(
             json.loads(json.dumps(m.to_dict())))
-        x = rng.normal(size=2)
-        np.testing.assert_array_equal(m.mean(x), m2.mean(x))
-        np.testing.assert_array_equal(m.jacobian(x), m2.jacobian(x))
-        assert m2.components[1].value_variance(x) == pytest.approx(
-            m.components[1].value_variance(x), rel=1e-12)
+        X = rng.normal(size=(1, 2))
+        np.testing.assert_array_equal(m.mean(X), m2.mean(X))
+        np.testing.assert_array_equal(m.jacobian(X), m2.jacobian(X))
+        assert m2.components[1].value_variance(X[0]) == pytest.approx(
+            m.components[1].value_variance(X[0]), rel=1e-12)
 
     def test_as_system_model(self):
         rng = np.random.default_rng(9)
@@ -213,6 +228,6 @@ class TestFixedRowsAndSerialization:
         Y = rng.normal(size=(5, 2))
         m = drift_gp.fit_drift(drift_gp.DriftDataset(X, Y, 0.05), Kernel(dim=2))
         sysm = m.as_system_model(b=[0.0, 1.0])
-        x = rng.normal(size=2)
-        np.testing.assert_array_equal(sysm.drift(x), m.mean(x))
-        np.testing.assert_array_equal(sysm.drift_jacobian(x), m.jacobian(x))
+        X = rng.normal(size=(1, 2))
+        np.testing.assert_array_equal(sysm.drift(X), m.mean(X))
+        np.testing.assert_array_equal(sysm.drift_jacobian(X), m.jacobian(X))

@@ -14,8 +14,8 @@ from contragp.kernels import Kernel
 
 def scalar_loop(slope, noise_grad, metric=1.0, noise_level=0.1):
     return stochastic.StochasticClosedLoop(
-        mean=lambda x: slope * np.asarray(x, dtype=float).reshape(-1),
-        mean_jac=lambda x: np.array([[slope]]),
+        mean=lambda X: slope * X,
+        mean_jac=lambda X: np.full((len(X), 1, 1), slope),
         noise_std=lambda x: np.array([noise_level]),
         noise_jac=lambda x: np.array([[noise_grad]]),
         metric=np.array([[float(metric)]]))
@@ -93,8 +93,8 @@ class TestMomentCheck:
         Pbar = M @ M.T + 0.5 * np.eye(2)
         J = 0.3 * rng.normal(size=(2, 2))
         loop = stochastic.StochasticClosedLoop(
-            mean=lambda x: J @ np.asarray(x, dtype=float).reshape(-1),
-            mean_jac=lambda x: J,
+            mean=lambda X: X @ J.T,
+            mean_jac=lambda X: np.broadcast_to(J, (len(X), 2, 2)),
             noise_std=lambda x: np.zeros(2),
             noise_jac=lambda x: np.zeros((2, 2)),
             metric=Pbar)
@@ -122,7 +122,7 @@ class TestMomentCheck:
         loop = stochastic.StochasticClosedLoop.from_drift_model(
             model, ctrl, np.array([0.0, 1.0]), np.eye(2))
         rep = stochastic.moment_ies_check(loop, np.array([[3.0, 3.0]]))
-        J = model.jacobian([3.0, 3.0]) + np.outer(
+        J = model.jacobian([[3.0, 3.0]])[0] + np.outer(
             [0.0, 1.0], ctrl.control_grad([3.0, 3.0]))
         rows, _ = stochastic.sigma_jacobian(model, [3.0, 3.0])
         manual = np.linalg.eigvalsh(
@@ -142,10 +142,11 @@ class TestMomentCheck:
         box = systems.Box.make([-2.0, -2.0], [2.0, 2.0])
         loop = stochastic.StochasticClosedLoop.from_drift_model(
             model, osc_two_step.controller, np.array([0.0, 0.01]), np.eye(2))
-        # the same loop from its per-point callables only
+        # the same loop with its mean Jacobians taken one state at a time
         pointwise = stochastic.StochasticClosedLoop(
-            loop.mean, loop.mean_jac, loop.noise_std, loop.noise_jac,
-            loop.metric)
+            loop.mean,
+            lambda X: np.concatenate([loop.mean_jac(x[None]) for x in X]),
+            loop.noise_std, loop.noise_jac, loop.metric)
         grid = systems.grid_points(box, 6)
         batched = stochastic.moment_ies_check(loop, grid)
         stacked = stochastic.moment_ies_check(pointwise, grid)

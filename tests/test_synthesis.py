@@ -6,7 +6,7 @@ pipeline certificates."""
 import numpy as np
 import pytest
 
-from contragp import deriv_gp, synthesis, systems
+from contragp import deriv_gp, drift_gp, synthesis, systems
 from contragp.errors import (DataError, FactorizationError, InfeasibleError,
                              VertexBudgetError)
 from contragp.kernels import Kernel
@@ -16,8 +16,8 @@ from contragp.kernels import Kernel
 def toy_scalar():
     """f(x) = 2x, b = 1: the one-point design problem solvable by hand."""
     return systems.SystemModel(
-        1, lambda x: 2.0 * np.asarray(x, dtype=float).reshape(-1),
-        lambda x: np.array([[2.0]]), b=[1.0], equilibrium=[0.0])
+        1, lambda X: 2.0 * X, lambda X: np.full((len(X), 1, 1), 2.0),
+        b=[1.0], equilibrium=[0.0])
 
 
 class TestLeftAnnihilator:
@@ -80,26 +80,53 @@ def _expansive_model(varying_input):
     """x1+ = 2 x1 whatever the input: no law and no metric contract it."""
     A = np.diag([2.0, 1.0])
 
-    def drift(x):
-        return A @ np.asarray(x, dtype=float).reshape(-1)
+    def drift(X):
+        return X @ A.T
+
+    def jac(X):
+        return np.broadcast_to(A, (len(X), 2, 2))
 
     if not varying_input:
-        return systems.SystemModel(2, drift, lambda x: A, b=[0.0, 1.0])
+        return systems.SystemModel(2, drift, jac, b=[0.0, 1.0])
+
+    def b_jac(X):
+        J = np.zeros((len(X), 2, 2))
+        J[:, 1, 0] = 0.2 * X[:, 0]
+        return J
+
     return systems.SystemModel(
-        2, drift, lambda x: A,
-        b_fun=lambda x: np.array([0.0, 1.0 + 0.1 * np.asarray(x)[0] ** 2]),
-        b_jac=lambda x: np.array([[0.0, 0.0], [0.2 * np.asarray(x)[0], 0.0]]))
+        2, drift, jac,
+        b_fun=lambda X: np.column_stack([np.zeros(len(X)),
+                                         1.0 + 0.1 * X[:, 0] ** 2]),
+        b_jac=b_jac)
 
 
 def _varying_input(model):
     """``model``'s drift with the state-dependent input vector
     b(x) = (0.1 x2, 1 + sin x1)."""
+
+    def b_jac(X):
+        J = np.zeros((len(X), 2, 2))
+        J[:, 0, 1] = 0.1
+        J[:, 1, 0] = np.cos(X[:, 0])
+        return J
+
     return systems.SystemModel(
         2, model.drift, model.drift_jacobian,
-        b_fun=lambda x: np.array([0.1 * np.asarray(x)[1],
-                                  1.0 + np.sin(np.asarray(x)[0])]),
-        b_jac=lambda x: np.array([[0.0, 0.1],
-                                  [np.cos(np.asarray(x)[0]), 0.0]]))
+        b_fun=lambda X: np.column_stack([0.1 * X[:, 1],
+                                         1.0 + np.sin(X[:, 0])]),
+        b_jac=b_jac)
+
+
+def _learned_oscillator():
+    """A drift model fitted to noisy oscillator data, as a system model."""
+    rng = np.random.default_rng(4)
+    X = rng.uniform(-2.5, 2.5, size=(40, 2))
+    Y = np.column_stack([X[:, 0] + 0.01 * X[:, 1], systems.oscillator_f2(X)])
+    Y = Y + 0.01 * rng.standard_normal(Y.shape)
+    model = drift_gp.fit_drift(drift_gp.DriftDataset(X, Y, 0.01),
+                               Kernel(dim=2))
+    return model.as_system_model(b=[0.0, 0.01])
 
 
 class TestMetricStep:
@@ -232,19 +259,22 @@ class TestClosedLoopJacobians:
         data = deriv_gp.DerivativeDataset(pts, rng.normal(size=(5, 2)))
         return deriv_gp.fit(Kernel(dim=2), data).with_offset_at([0.3, 0.1])
 
-    @pytest.mark.parametrize("model", ["oscillator", "varying-input"])
+    @pytest.mark.parametrize("model", ["oscillator", "varying-input",
+                                       "learned"])
     def test_matches_pointwise_formula(self, model, oscillator):
         rng = np.random.default_rng(5)
         law = self._law(rng)
-        model = (oscillator if model == "oscillator"
-                 else _varying_input(oscillator))
+        model = {"oscillator": lambda: oscillator,
+                 "varying-input": lambda: _varying_input(oscillator),
+                 "learned": _learned_oscillator}[model]()
         X = rng.uniform(-2.0, 2.0, size=(7, 2))
         A = synthesis.closed_loop_jacobians(model, law, X)
         assert A.shape == (7, 2, 2)
         for a, x in zip(A, X):
-            want = (model.drift_jacobian(x)
-                    + np.outer(model.input_at(x), law.control_grad(x))
-                    + law.control(x) * model.input_jac_at(x))
+            one = x[None]
+            want = (model.drift_jacobian(one)[0]
+                    + np.outer(model.input(one)[0], law.control_grad(x))
+                    + law.control(x) * model.input_jac(one)[0])
             np.testing.assert_allclose(a, want, rtol=1e-12, atol=1e-12)
 
 
@@ -265,7 +295,7 @@ class TestJointRoute:
         P = osc_two_step.P
         ctrl = osc_two_step.controller
         for x in osc_two_step.points:
-            A = oscillator.drift_jacobian(x) + np.outer(
+            A = oscillator.drift_jacobian(x[None])[0] + np.outer(
                 oscillator.b, ctrl.control_grad(x))
             assert np.linalg.eigvalsh(synthesis.ies_block(P, A))[0] > 0.0
 
@@ -311,16 +341,43 @@ class TestHulls:
                                           per_axis=6)
         assert ok, f"hull violated by {worst}"
 
+    def test_matches_per_cell_reference_loop(self, oscillator):
+        # the hull and its membership check from one Jacobian call on all
+        # cells' samples equal a per-cell, per-point loop bit for bit
+        box = systems.Box.make([-2, -1], [2, 3])
+        h = synthesis.build_hulls(oscillator, box, 3, inflation=0.1,
+                                  samples_per_axis=4)
+        ok, worst, per_cell = h.check_membership(oscillator.drift_jacobian,
+                                                 per_axis=5)
+        for i, cell in enumerate(h.cells):
+            J = np.stack([oscillator.drift_jacobian(x[None])[0]
+                          for x in systems.grid_points(cell, 4)])
+            Jlo, Jhi = J.min(axis=0), J.max(axis=0)
+            width = Jhi - Jlo
+            pinned = width <= 1e-10 * np.maximum(
+                1.0, np.maximum(np.abs(Jlo), np.abs(Jhi)))
+            pad = np.where(pinned, 0.0, 0.1 * (width + cell.diameter()))
+            np.testing.assert_array_equal(h.pinned[i], pinned)
+            np.testing.assert_array_equal(h.lo[i], Jlo - pad)
+            np.testing.assert_array_equal(h.hi[i], Jhi + pad)
+            np.testing.assert_array_equal(h.centers[i],
+                                          0.5 * (cell.lo_arr + cell.hi_arr))
+            v = 0.0
+            for x in systems.grid_points(cell, 5):
+                Jx = oscillator.drift_jacobian(x[None])[0]
+                v = max(v, float(np.max(h.lo[i] - Jx)),
+                        float(np.max(Jx - h.hi[i])))
+            assert per_cell[i] == v
+        assert worst == max(per_cell) and ok == (worst <= 1e-9)
+
     def test_vertex_budget_enforced(self):
         rng = np.random.default_rng(1)
 
-        def messy_drift(x):
-            x = np.asarray(x, dtype=float).reshape(-1)
-            return np.sin(3 * x) + x ** 2
+        def messy_drift(X):
+            return np.sin(3 * X) + X ** 2
 
-        def messy_jac(x):
-            x = np.asarray(x, dtype=float).reshape(-1)
-            return np.diag(3 * np.cos(3 * x) + 2 * x)
+        def messy_jac(X):
+            return (3 * np.cos(3 * X) + 2 * X)[:, :, None] * np.eye(3)
 
         model = systems.SystemModel(3, messy_drift, messy_jac,
                                     b=[0.0, 0.0, 1.0], validate=False)
@@ -375,8 +432,8 @@ class TestNonConstantInput:
     def test_constant_b_through_nonconstant_path(self, toy_scalar):
         model = systems.SystemModel(
             1, toy_scalar.drift, toy_scalar.drift_jacobian,
-            b_fun=lambda x: np.array([1.0]),
-            b_jac=lambda x: np.zeros((1, 1)), equilibrium=[0.0])
+            b_fun=lambda X: np.ones((len(X), 1)),
+            b_jac=lambda X: np.zeros((len(X), 1, 1)), equilibrium=[0.0])
         rep = synthesis.solve_gain(model, np.eye(1), Kernel(dim=1),
                                    np.array([[0.0]]))
         assert rep.mode == "two-step-nonconstant-b"
@@ -388,10 +445,9 @@ class TestNonConstantInput:
         # f = 1.5x, b(x) = 1 + 0.1 x^2 on {-1, 0, 1}: grid-search candidate
         # target vectors and keep the best pointwise margin as the oracle
         model = systems.SystemModel(
-            1, lambda x: 1.5 * np.asarray(x, dtype=float).reshape(-1),
-            lambda x: np.array([[1.5]]),
-            b_fun=lambda x: np.array([1.0 + 0.1 * float(np.asarray(x).reshape(-1)[0]) ** 2]),
-            b_jac=lambda x: np.array([[0.2 * float(np.asarray(x).reshape(-1)[0])]]))
+            1, lambda X: 1.5 * X, lambda X: np.full((len(X), 1, 1), 1.5),
+            b_fun=lambda X: 1.0 + 0.1 * X ** 2,
+            b_jac=lambda X: (0.2 * X)[:, :, None])
         pts = np.array([[-1.0], [0.0], [1.0]])
         kernel = Kernel(dim=1)
         rep = synthesis.solve_gain(model, np.eye(1), kernel, pts)
@@ -399,6 +455,8 @@ class TestNonConstantInput:
         K0 = deriv_gp.build_gram_K0(kernel, pts)
         rows = kernel.grad_x2_outer(pts, pts).reshape(3, 3)
         Tm = rows @ np.linalg.inv(K0)
+        Js, bs, dbs = (model.drift_jacobian(pts), model.input(pts),
+                       model.input_jac(pts))
         best = -np.inf
         grid = np.linspace(-4.0, 0.5, 19)
         for t0 in grid:
@@ -407,10 +465,9 @@ class TestNonConstantInput:
                     z = np.array([t0, t1, t2])
                     mvals = Tm @ z
                     worst = np.inf
-                    for i, x in enumerate(pts):
-                        A = (model.drift_jacobian(x)
-                             + mvals[i] * model.input_jac_at(x)
-                             + np.outer(model.input_at(x), [z[i]]))
+                    for i in range(len(pts)):
+                        A = (Js[i] + mvals[i] * dbs[i]
+                             + np.outer(bs[i], [z[i]]))
                         worst = min(worst, float(np.linalg.eigvalsh(
                             synthesis.ies_block(np.eye(1), A))[0]))
                     best = max(best, worst)
@@ -433,7 +490,7 @@ class TestPolytopicConvexity:
             g = rep.controller.control_grad(hulls.centers[i])
             vmin = min(rep.vertex_margins[i])
             for x in systems.grid_points(cell, 7):
-                J = sine.drift_jacobian(x)
+                J = sine.drift_jacobian(x[None])[0]
                 assert np.all(J >= hulls.lo[i] - 1e-12)
                 assert np.all(J <= hulls.hi[i] + 1e-12)
                 m = float(np.linalg.eigvalsh(

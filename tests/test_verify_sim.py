@@ -41,8 +41,8 @@ class TestVerifyGrid:
         # f = 2x under u = -2x gives closed-loop map 0: factor 0 and
         # uniform margin 1 for P = 1
         toy = systems.SystemModel(
-            1, lambda x: 2.0 * np.asarray(x, dtype=float).reshape(-1),
-            lambda x: np.array([[2.0]]), b=[1.0], equilibrium=[0.0])
+            1, lambda X: 2.0 * X, lambda X: np.full((len(X), 1, 1), 2.0),
+            b=[1.0], equilibrium=[0.0])
 
         class LinearLaw:
             def control_batch(self, X):
@@ -80,8 +80,8 @@ class TestRollout:
 
     def test_toy_reaches_origin_in_one_step(self):
         toy = systems.SystemModel(
-            1, lambda x: 2.0 * np.asarray(x, dtype=float).reshape(-1),
-            lambda x: np.array([[2.0]]), b=[1.0], equilibrium=[0.0])
+            1, lambda X: 2.0 * X, lambda X: np.full((len(X), 1, 1), 2.0),
+            b=[1.0], equilibrium=[0.0])
         rep = synthesis.run_synthesis(toy, Kernel(dim=1), np.array([[0.0]]),
                                       mode="two-step")
 
@@ -101,7 +101,8 @@ class TestRollout:
         traj = verify_sim.rollout(oscillator, osc_two_step.controller,
                                   [1.0, -1.0], 20)
         for k in range(traj.horizon):
-            expected = oscillator.step(traj.states[k], traj.inputs[k])
+            expected = oscillator.step(traj.states[k:k + 1],
+                                       traj.inputs[k:k + 1])[0]
             np.testing.assert_allclose(traj.states[k + 1], expected,
                                        atol=1e-12)
 
@@ -150,11 +151,11 @@ class TestLockstepRollouts:
     @pytest.mark.parametrize("with_law", [False, True])
     def test_non_finite_state_is_divergence(self, with_law):
         # doubling map whose drift is NaN once |x| reaches 3: 1, 2, 4, NaN
-        def drift(x):
-            x = np.asarray(x, dtype=float).reshape(-1)
-            return np.where(np.abs(x) < 3.0, 2.0 * x, np.nan)
+        def drift(X):
+            return np.where(np.abs(X) < 3.0, 2.0 * X, np.nan)
 
-        toy = systems.SystemModel(1, drift, lambda x: np.array([[2.0]]),
+        toy = systems.SystemModel(1, drift,
+                                  lambda X: np.full((len(X), 1, 1), 2.0),
                                   b=[1.0], validate=False)
         # a zero law still refuses non-finite states (scipy's check_finite)
         law = (DerivativeController(Kernel(dim=1), [[0.0]], [0.0])
@@ -168,13 +169,20 @@ class TestLockstepRollouts:
     def test_non_finite_initial_state_rejected(self, oscillator):
         with pytest.raises(DataError):
             verify_sim.rollouts(oscillator, None, [[np.nan, 0.0]], 5)
+        loop = stochastic.StochasticClosedLoop(
+            mean=lambda X: X,
+            mean_jac=lambda X: np.broadcast_to(np.eye(2), (len(X), 2, 2)),
+            noise_std=lambda x: np.zeros(2),
+            noise_jac=lambda x: np.zeros((2, 2)), metric=np.eye(2))
+        with pytest.raises(DataError):
+            verify_sim.rollout_stochastic(loop, [np.inf, 0.0], 5, seed=0)
 
 
 class TestStochasticRollout:
     def _loop(self, slope=0.5, noise=0.1):
         return stochastic.StochasticClosedLoop(
-            mean=lambda x: slope * np.asarray(x, dtype=float).reshape(-1),
-            mean_jac=lambda x: np.array([[slope]]),
+            mean=lambda X: slope * X,
+            mean_jac=lambda X: np.full((len(X), 1, 1), slope),
             noise_std=lambda x: np.array([noise]),
             noise_jac=lambda x: np.array([[0.0]]),
             metric=np.array([[1.0]]))
