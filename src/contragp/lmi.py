@@ -54,7 +54,8 @@ class AffineBlock:
     """One affine symmetric constraint ``const + sum_k z_k coeffs[k] >= eps I``.
 
     ``var_indices`` maps ``coeffs`` onto decision entries; ``None`` means the
-    coefficients are aligned with the full decision vector.
+    coefficients are aligned with the full decision vector.  An entry listed
+    more than once multiplies the sum of its coefficients.
     """
 
     const: np.ndarray
@@ -158,15 +159,18 @@ def assemble_block(block: AffineBlock, z):
 
 
 def block_margins(problem: LmiProblem, z):
-    """Per-block smallest eigenvalues at z."""
+    """Per-block smallest eigenvalues at z: one stacked symmetric
+    eigensolve per block size."""
     z = np.asarray(z, dtype=float).reshape(-1)
     if z.shape[0] != problem.dim:
         raise DimensionError("z", problem.dim, z.shape[0])
-    out = []
-    for blk in problem.blocks:
-        M = assemble_block(blk, z)
-        out.append(float(np.linalg.eigvalsh(0.5 * (M + M.T))[0]))
-    return np.array(out)
+    sizes = np.array([blk.size for blk in problem.blocks])
+    out = np.empty(len(sizes))
+    for s in np.unique(sizes):
+        sel = np.flatnonzero(sizes == s)
+        M = np.stack([assemble_block(problem.blocks[j], z) for j in sel])
+        out[sel] = np.linalg.eigvalsh(0.5 * (M + M.mT))[:, 0]
+    return out
 
 
 def assemble_margin(problem: LmiProblem, z):
@@ -189,9 +193,10 @@ class _Workspace:
     """Precomputed arrays for fast barrier assembly.
 
     Blocks are grouped by (size, active-variable count) so every barrier
-    evaluation runs through stacked LAPACK calls: one batched Cholesky per
-    group plus batched solves for the gradient/Hessian contributions of the
-    coefficient matrices.  Each group carries an identity slot for t.
+    evaluation runs through stacked LAPACK calls: one batched Cholesky and
+    one batched inverse factor per group, and one scatter of the group's
+    Hessian contributions through precomputed flat indices of H.  Each
+    group carries an identity slot for t.
     """
 
     def __init__(self, problem: LmiProblem):
@@ -209,13 +214,16 @@ class _Workspace:
         for (s, _), items in grouped.items():
             n_items = len(items)
             eye_slot = np.broadcast_to(np.eye(s), (n_items, 1, s, s))
+            idx = np.concatenate([np.stack([it[2] for it in items]),
+                                  np.full((n_items, 1), m)], axis=1)
             self.groups.append({
                 "const": np.stack([0.5 * (it[0] + it[0].T) for it in items]),
                 "coeffs": np.concatenate(
                     [np.stack([it[1] for it in items]), eye_slot], axis=1),
-                "idx": np.concatenate(
-                    [np.stack([it[2] for it in items]),
-                     np.full((n_items, 1), m)], axis=1),
+                "idx": idx,
+                # entry (idx[j, k], idx[j, l]) of the flattened H; repeated
+                # indices accumulate under np.add.at
+                "flat": (idx[:, :, None] * (m + 1) + idx[:, None, :]).ravel(),
             })
             self.nu += s * n_items
         lo = (np.full(m, -np.inf) if problem.lower is None
@@ -293,18 +301,15 @@ def _barrier(ws: _Workspace, w, mu, derivs=True):
         phi -= 2.0 * float(np.sum(np.log(diag)))
         if not derivs:
             continue
-        A, idx = grp["coeffs"], grp["idx"]
+        A = grp["coeffs"]
         J, K, s, _ = A.shape
         # V_k = L^{-1} A_k L^{-T}; grad gets -tr(V_k), Hessian <V_k, V_l>_F
-        X = np.linalg.solve(L[:, None], A)
-        V = np.linalg.solve(L[:, None], X.transpose(0, 1, 3, 2))
-        traces = np.einsum("jkaa->jk", V)
-        np.add.at(g, idx, -traces)
+        Li = np.linalg.inv(L)[:, None]
+        V = Li @ A @ Li.mT
+        np.add.at(g, grp["idx"], -np.einsum("jkaa->jk", V))
         Vflat = V.reshape(J, K, s * s)
-        Hb = Vflat @ Vflat.transpose(0, 2, 1)
-        for jj in range(J):
-            ii = idx[jj]
-            H[np.ix_(ii, ii)] += Hb[jj]
+        np.add.at(H.reshape(-1), grp["flat"],
+                  (Vflat @ Vflat.mT).reshape(-1))
     val = phi + w[m] / mu
     if not derivs:
         return val
@@ -361,6 +366,7 @@ def _minimize_barrier(ws, w, mu, cfg, info, stop_t):
             if val is not None and val <= f - cfg.armijo * alpha * decrement:
                 break
             alpha *= 0.5
+            info["backtracks"] += 1
         else:
             trace.append(f"line search stalled (mu={mu:.2e}, it={it})")
             return w, False
@@ -381,14 +387,16 @@ def solve(problem: LmiProblem, config: SolverConfig | None = None) -> LmiSolutio
     margin reaches ``feas_tol``.  Either way the status is ``infeasible``
     when the margin at the returned z is below ``feas_tol``; ``info`` then
     carries that margin as ``best_margin`` and an upper bound on the
-    supremum as ``best_margin_upper``.  ``info["newton_steps"]`` counts the
-    Newton steps taken.  The reported margin is always recomputed from the
-    assembled blocks at the returned z.
+    supremum as ``best_margin_upper``.  ``info`` also records the path:
+    ``newton_steps``, ``barrier_stages`` (centerings, one per mu),
+    ``backtracks`` (line-search halvings) and ``final_mu``.  The reported
+    margin is always recomputed from the assembled blocks at the returned z.
     """
     cfg = config or SolverConfig()
     problem.validate()
     ws = _Workspace(problem)
-    info = {"newton_steps": 0, "trace": []}
+    info = {"newton_steps": 0, "barrier_stages": 0, "backtracks": 0,
+            "trace": []}
     z0 = (ws.clip_inside(np.asarray(problem.initial_z, dtype=float))
           if problem.initial_z is not None else ws.default_start())
     m0 = assemble_margin(problem, z0)
@@ -397,6 +405,8 @@ def solve(problem: LmiProblem, config: SolverConfig | None = None) -> LmiSolutio
     stop_t = -cfg.feas_tol if problem.objective == FEASIBILITY else -np.inf
     try:
         while True:
+            info["barrier_stages"] += 1
+            info["final_mu"] = mu
             w, converged = _minimize_barrier(ws, w, mu, cfg, info, stop_t)
             if (w[-1] <= stop_t or (converged and ws.nu * mu <= cfg.width)
                     or mu <= cfg.mu_floor * max(1.0, abs(w[-1]))):

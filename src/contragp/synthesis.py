@@ -451,6 +451,10 @@ def _gain_problem(model, P, kernel, X, L, mats, labels):
                           initial_z=np.zeros(N * n))
 
 
+# the deterministic path counters of lmi.solve that the report carries
+_SOLVER_RECORD = ("newton_steps", "barrier_stages", "backtracks", "final_mu")
+
+
 def _finish_gain(model, P, kernel, X, targets, sigma_p, mats, labels, sol,
                  mode, eps_p):
     """Fit the law to the raw targets, zero it at the model's equilibrium
@@ -481,7 +485,7 @@ def _finish_gain(model, P, kernel, X, targets, sigma_p, mats, labels, sol,
         controller=controller, solver_margin=float(sol.margin), points=X,
         point_margins=point_margins, vertex_margins=vertex_margins,
         status=sol.status,
-        diagnostics={"newton_steps": sol.info.get("newton_steps"),
+        diagnostics={**{k: sol.info[k] for k in _SOLVER_RECORD},
                      "sigma_p": sigma_p})
 
 

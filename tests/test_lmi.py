@@ -99,6 +99,16 @@ class TestAssembleMargin:
         assert lmi.assemble_margin(scalar_family_problem(),
                                    [10.0, -20.0]) == pytest.approx(10.0)
 
+    def test_block_margins_match_per_block_loop(self):
+        prob, z_star = mixed_problem()
+        for z in (z_star, z_star + np.array([2.0, -1.0, 0.5, 3.0])):
+            ref = []
+            for blk in prob.blocks:
+                M = lmi.assemble_block(blk, z)
+                ref.append(np.linalg.eigvalsh(0.5 * (M + M.T))[0])
+            np.testing.assert_array_equal(lmi.block_margins(prob, z),
+                                          np.array(ref))
+
     def test_against_characteristic_polynomial_oracle(self):
         rng = np.random.default_rng(31)
         for _ in range(25):
@@ -161,6 +171,93 @@ class TestSoundnessAndProperties:
         s2 = lmi.solve(prob2)
         np.testing.assert_array_equal(s1.z, s2.z)
         assert s1.margin == s2.margin
+        record = ("newton_steps", "barrier_stages", "backtracks", "final_mu")
+        assert ({k: s1.info[k] for k in record}
+                == {k: s2.info[k] for k in record})
+        assert s1.info["newton_steps"] > 0
+        assert s1.info["barrier_stages"] >= 1
+        assert s1.info["backtracks"] >= 0
+        assert 0.0 < s1.info["final_mu"] <= max(1.0, abs(s1.margin))
+
+    def test_repeated_var_indices_accumulate(self):
+        # a block listing decision entry 0 twice, with coefficient A1 each
+        # time, is the block with 2 A1 on entry 0; the Hessian must add both
+        # copies as the value and gradient do
+        A1 = np.array([[1.0, 0.5], [0.5, -1.0]])
+        A2 = np.array([[0.0, 1.0], [1.0, 0.0]])
+        C = np.array([[1.0, 0.2], [0.2, 2.0]])
+        box = dict(lower=np.array([-1.0, -2.0]), upper=np.array([1.0, 2.0]))
+        repeated = lmi.solve(lmi.LmiProblem(dim=2, blocks=[lmi.AffineBlock(
+            C, np.stack([A1, A2, A1]), var_indices=[0, 1, 0])], **box))
+        merged = lmi.solve(lmi.LmiProblem(dim=2, blocks=[lmi.AffineBlock(
+            C, np.stack([2.0 * A1, A2]), var_indices=[0, 1])], **box))
+        assert repeated.status == merged.status == "optimal"
+        assert (repeated.info["newton_steps"]
+                == merged.info["newton_steps"])
+        np.testing.assert_allclose(repeated.z, merged.z, rtol=0, atol=1e-9)
+        assert repeated.margin == pytest.approx(merged.margin, abs=1e-9)
+
+
+def mixed_problem():
+    """Four decision entries; a full-index 3x3 block, sparse 2x2 and 1x1
+    blocks (one with a repeated index), a lower bound only on entry 0 and
+    both bounds on entries 1 and 3.  Every block is positive definite at
+    z_star, which lies inside the box."""
+    rng = np.random.default_rng(7)
+    z_star = np.array([0.3, -0.2, 0.5, 0.1])
+
+    def block(s, idx):
+        k = 4 if idx is None else len(idx)
+        A = rng.normal(size=(k, s, s))
+        A = 0.5 * (A + A.transpose(0, 2, 1))
+        D = rng.normal(size=(s, s))
+        zk = z_star if idx is None else z_star[idx]
+        C = D @ D.T + 0.5 * np.eye(s) - np.tensordot(zk, A, axes=(0, 0))
+        return lmi.AffineBlock(C, A, var_indices=idx)
+
+    blocks = [block(3, None), block(2, [0, 2]), block(2, [1, 3]),
+              block(2, [3, 2]), block(1, [2]), block(1, [1, 0, 1])]
+    return lmi.LmiProblem(
+        dim=4, blocks=blocks,
+        lower=np.array([-1.0, -1.0, -np.inf, -2.0]),
+        upper=np.array([np.inf, 1.0, np.inf, 2.0])), z_star
+
+
+class TestBarrierDerivatives:
+    def test_gradient_and_hessian_match_central_differences(self):
+        prob, z_star = mixed_problem()
+        ws = lmi._Workspace(prob)
+        mu = 0.7
+        w0 = np.append(z_star, 0.05)
+        _, g, H = lmi._barrier(ws, w0, mu)
+
+        def f(w):
+            return lmi._barrier(ws, w, mu, derivs=False)
+
+        n = w0.shape[0]
+        eye = np.eye(n)
+        h1 = 1e-6
+        g_fd = np.array([(f(w0 + h1 * e) - f(w0 - h1 * e)) / (2 * h1)
+                         for e in eye])
+        np.testing.assert_allclose(g, g_fd, rtol=0,
+                                   atol=1e-6 * np.abs(g).max())
+        h2 = 1e-4
+        H_fd = np.array([[(f(w0 + h2 * (a + b)) - f(w0 + h2 * (a - b))
+                           - f(w0 - h2 * (a - b)) + f(w0 - h2 * (a + b)))
+                          / (4 * h2 * h2) for b in eye] for a in eye])
+        np.testing.assert_allclose(H, H.T, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(H, H_fd, rtol=0,
+                                   atol=1e-5 * np.abs(H).max())
+
+    def test_infeasible_point_returns_none(self):
+        prob, z_star = mixed_problem()
+        ws = lmi._Workspace(prob)
+        # t far below minus every margin makes a block indefinite
+        assert lmi._barrier(ws, np.append(z_star, -1e3), 1.0) is None
+        # entry 0 below its lower bound
+        w = np.append(z_star, 0.05)
+        w[0] = -1.5
+        assert lmi._barrier(ws, w, 1.0, derivs=False) is None
 
 
 class TestValidationAndDump:

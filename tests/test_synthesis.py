@@ -129,6 +129,15 @@ def _learned_oscillator():
     return model.as_system_model(b=[0.0, 0.01])
 
 
+def assert_solver_record(report):
+    """The report's JSON diagnostics carry the gain solve's path record."""
+    diag = report.to_dict()["diagnostics"]
+    assert diag["newton_steps"] > 0
+    assert diag["barrier_stages"] >= 1
+    assert diag["backtracks"] >= 0
+    assert diag["final_mu"] > 0.0
+
+
 class TestMetricStep:
     def test_contracting_linear_model_feasible(self):
         # A = 0.5 I: hand check with P = I gives annihilated decrease 0.75
@@ -197,6 +206,7 @@ class TestGainStep:
         assert osc_two_step.eps > 0.0
         assert osc_two_step.eps_p > 0.0
         assert osc_two_step.mode == "two-step"
+        assert_solver_record(osc_two_step)
 
     def test_gain_with_noise_regularization(self, oscillator, control_points,
                                             osc_two_step):
@@ -302,6 +312,7 @@ class TestJointRoute:
     def test_oscillator_joint_feasible(self, osc_joint):
         assert osc_joint.eps > 0.0
         assert osc_joint.mode == "joint"
+        assert_solver_record(osc_joint)
 
 
 class TestHulls:
@@ -413,6 +424,7 @@ class TestPolytopicTwoD:
         assert rep.eps > 0.0
         assert all(min(vm) > 0.0 for vm in rep.vertex_margins)
         assert rep.diagnostics["max_neighbor_target_gap"] > 0.0
+        assert_solver_record(rep)
 
     def test_metric_ignores_inflation_of_structural_rows(self, oscillator):
         # the annihilator projects onto the structural first row, which is
