@@ -24,9 +24,10 @@ targets = system.drift(pts)
 targets += 0.005 * rng.standard_normal(targets.shape)
 model = drift_gp.fit_drift(
     drift_gp.DriftDataset(pts, targets, sigma_y=0.005), Kernel(dim=1))
-mid = np.array([1.5])
-print("posterior std at x=1.5:", model.value_std(mid)[0])
-print("jacobian-row std:", np.sqrt(model.jac_row_variance(0, mid)[0, 0]))
+mid = np.array([[1.5]])  # every posterior quantity takes a stack of states
+print("posterior std at x=1.5:", model.value_std(mid)[0, 0])
+print("jacobian-row std:",
+      np.sqrt(model.components[0].jac_variance(mid)[0, 0, 0]))
 
 # ---------------------------------------------------------------------------
 # 2. Probability-inflated hulls: vertex certificates with a confidence tag.

@@ -51,7 +51,7 @@ def default_oscillator_config():
         "stochastic": {"moment_check": False, "chebyshev_c": 40.0},
         "sim": {"horizon": 10000, "initial_states": "boundary-16",
                 "baseline": True, "baseline_gain": [-49.8, 40.6]},
-        "seeds": {"data": 7, "sim": 2024},
+        "seeds": {"data": 7},
         "emit_svg": False,
     }
 
@@ -76,7 +76,7 @@ def default_sine1d_config():
         "stochastic": {"moment_check": False, "chebyshev_c": 40.0},
         "sim": {"horizon": 200, "initial_states": [[3.0], [2.0], [0.5]],
                 "baseline": False},
-        "seeds": {"data": 7, "sim": 2024},
+        "seeds": {"data": 7},
         "emit_svg": False,
     }
 

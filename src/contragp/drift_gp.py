@@ -4,8 +4,8 @@ Each drift component is learned from noisy one-step data; posterior means,
 their exact gradients, and the posterior covariances of both (values and
 Jacobian rows) are available in closed form.  Components whose structure is
 known exactly (for instance integrator rows of a discretization) can be
-declared fixed and skip regression entirely.  Means and gradients are
-evaluated on stacks of states, (B, n); the posterior covariances per state.
+declared fixed and skip regression entirely.  Every posterior quantity is
+evaluated on a stack of states, shape (B, n).
 """
 
 from __future__ import annotations
@@ -76,12 +76,14 @@ class FixedAffineComponent:
         """Gradient rows at a stack of states, shape (B, n)."""
         return np.broadcast_to(self.linear, X.shape)
 
-    def value_variance(self, x):
-        return 0.0
+    def value_variance(self, X):
+        return np.zeros(X.shape[0])
 
-    def jac_variance(self, x):
-        n = self.linear.shape[0]
-        return np.zeros((n, n))
+    def jac_variance(self, X):
+        return np.zeros(X.shape + X.shape[1:])
+
+    def variance_total_gradient(self, X):
+        return np.zeros(X.shape)
 
     def to_dict(self):
         return {"type": "fixed-affine", "const": self.const,
@@ -106,7 +108,7 @@ class GPComponent:
         self.y = np.asarray(y, dtype=float).reshape(-1)
         self.sigma_y = float(sigma_y)
         N = self.points.shape[0]
-        K = kernel.value_outer(self.points, self.points) if N else np.zeros((0, 0))
+        K = kernel.value_outer(self.points, self.points)
         if gram_extra is not None:
             K = K + gram_extra
         A = K + self.sigma_y ** 2 * np.eye(N)
@@ -118,24 +120,10 @@ class GPComponent:
                 "observation noise") from exc
         self._chol = L
         self.jitter_used = used
-        self.weights = cho_solve((L, True), self.y) if N else np.zeros(0)
-
-    def _kvec(self, x):
-        """Column of prior covariances k(x^{(j)}, x)."""
-        if self.points.shape[0] == 0:
-            return np.zeros(0)
-        return self.kernel.value_outer(self.points, np.atleast_2d(x))[:, 0]
-
-    def _kvec_grad(self, x):
-        """(N, n) rows d k(x^{(j)}, x) / dx."""
-        if self.points.shape[0] == 0:
-            return np.zeros((0, self.kernel.dim))
-        return self.kernel.grad_x2_outer(self.points, np.atleast_2d(x))[:, 0, :]
+        self.weights = cho_solve((L, True), self.y)
 
     def mean(self, X):
         """Posterior means at a stack of states, shape (B,)."""
-        if self.points.shape[0] == 0:
-            return np.zeros(X.shape[0])
         return blockwise(
             lambda Y: self.kernel.value_outer(Y, self.points) @ self.weights,
             X)
@@ -143,8 +131,6 @@ class GPComponent:
     def grad(self, X):
         """Gradient rows of the posterior mean at a stack of states, shape
         (B, n)."""
-        if self.points.shape[0] == 0:
-            return np.zeros(X.shape)
         # each state's (n, N) slice is the transpose of a C-ordered (N, n)
         # block, as a single-state evaluation lays it out, so every row
         # keeps the bits of its one-row call
@@ -153,32 +139,32 @@ class GPComponent:
                 self.points, Y).transpose(1, 0, 2)).transpose(0, 2, 1)
             @ self.weights, X)
 
-    def _solve(self, B):
-        if self.points.shape[0] == 0:
-            return np.zeros_like(B)
-        return cho_solve((self._chol, True), B)
+    def value_variance(self, X):
+        """Posterior variances of the value at a stack of states, shape
+        (B,)."""
+        K = self.kernel.value_outer(self.points, X)  # (N, B)
+        alpha = cho_solve((self._chol, True), K)
+        v = self.kernel.diag_value(X) - np.sum(K * alpha, axis=0)
+        return np.maximum(v, 0.0)
 
-    def value_variance(self, x):
-        kv = self._kvec(x)
-        v = self.kernel.value(x, x) - float(kv @ self._solve(kv))
-        return max(v, 0.0)
-
-    def jac_variance(self, x):
-        """Posterior covariance of the gradient row at x, symmetrized."""
-        x = np.asarray(x, dtype=float).reshape(-1)
-        # columns of cross covariances d k(x, x^{(j)}) / dx, shape (n, N)
-        Gx = np.stack([self.kernel.grad_x1(x, xj) for xj in self.points], axis=1) \
-            if self.points.shape[0] else np.zeros((self.kernel.dim, 0))
-        prior = self.kernel.hess_cross(x, x)
-        V = prior - Gx @ self._solve(Gx.T)
+    def jac_variance(self, X):
+        """Posterior covariances of the gradient row at a stack of states,
+        symmetrized, shape (B, n, n)."""
+        # G[j, b] = d k(x_b, x^{(j)}) / dx_b
+        G = self.kernel.grad_x2_outer(self.points, X)
+        Z = cho_solve((self._chol, True),
+                      G.reshape(G.shape[0], -1)).reshape(G.shape)
+        V = self.kernel.diag_hess_cross(X) - np.einsum("jbk,jbl->bkl", G, Z)
         return symmetrize(V)
 
-    def variance_total_gradient(self, x):
-        """d/dx of the posterior value variance v(x, x)."""
-        kv = self._kvec(x)
-        alpha = self._solve(kv)
-        dkv = self._kvec_grad(x)  # (N, n)
-        return self.kernel.diag_value_gradient(x) - 2.0 * (alpha @ dkv)
+    def variance_total_gradient(self, X):
+        """d/dx of the posterior value variance v(x, x) at a stack of states,
+        shape (B, n)."""
+        alpha = cho_solve((self._chol, True),
+                          self.kernel.value_outer(self.points, X))
+        G = self.kernel.grad_x2_outer(self.points, X)
+        return (self.kernel.diag_value_gradient(X)
+                - 2.0 * np.einsum("jb,jbk->bk", alpha, G))
 
     def to_dict(self):
         return {"type": "gp", "kernel": self.kernel.to_dict(),
@@ -206,11 +192,12 @@ class DriftModel:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         return np.stack([c.grad(X) for c in self.components], axis=1)
 
-    def value_std(self, x):
-        return np.array([np.sqrt(c.value_variance(x)) for c in self.components])
-
-    def jac_row_variance(self, i, x):
-        return self.components[i].jac_variance(x)
+    def value_std(self, X):
+        """Posterior std of every component at a stack of states, shape
+        (B, n)."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        return np.sqrt(np.column_stack([c.value_variance(X)
+                                        for c in self.components]))
 
     def as_system_model(self, b=None, b_fun=None, b_jac=None, equilibrium=None):
         """Wrap the posterior mean field as a SystemModel for synthesis."""

@@ -92,66 +92,95 @@ class Kernel:
         return X
 
     def _whiten_diffs(self, X, Y, weighted=True):
-        """Return (D, W, q) for all pairs: D = x_i - y_j, W = Sigma^{-1} D
-        (None unless ``weighted``), q = D^T Sigma^{-1} D."""
-        D = X[:, None, :] - Y[None, :, :]
+        """Return (D, W, q) for all pairs: D = x_i - y_j (D = 0 for the
+        diagonal pairs (x_i, x_i) when Y is None), W = Sigma^{-1} D (None
+        unless ``weighted``), q = D^T Sigma^{-1} D."""
+        D = np.zeros_like(X) if Y is None else X[:, None, :] - Y[None, :, :]
         half = D @ self._chol_inv.T
         W = D @ self._sigma_inv if weighted else None
         return D, W, np.sum(half * half, axis=-1)
+
+    def _pairs(self, X, Y=None, weighted=True):
+        """Pair terms of the closed forms.  Every row of X meets every row of
+        Y (leading axes (N, M)), or with Y None every row of X meets itself
+        (leading axis (B,)).  Squared exponential: (W, q) as in
+        :meth:`_whiten_diffs`.  Dot-product families: (SX, SY, q) with
+        SX = Sigma^{-1} x, SY = Sigma^{-1} y and q = x^T Sigma^{-1} y."""
+        X = self._check_stack(X, "x")
+        if Y is not None:
+            Y = self._check_stack(Y, "x_prime")
+        if self.family == "squared-exponential":
+            return self._whiten_diffs(X, Y, weighted)[1:]
+        SX = X @ self._sigma_inv
+        if Y is None:
+            return SX, SX, np.sum(SX * X, axis=-1)
+        return SX[:, None, :], (Y @ self._sigma_inv)[None, :, :], SX @ Y.T
+
+    def _value(self, pairs):
+        q = pairs[-1]
+        if self.family == "squared-exponential":
+            return self.beta * np.exp(-0.5 * q)
+        if self.family == "linear":
+            return self.beta * q
+        return self.beta * (q + 1.0) ** self.degree
+
+    def _grad_x2(self, pairs):
+        if self.family == "squared-exponential":
+            W, q = pairs
+            return (self.beta * np.exp(-0.5 * q))[..., None] * W
+        SX, _, q = pairs
+        if self.family == "linear":
+            return np.broadcast_to(self.beta * SX, q.shape + (self.dim,)).copy()
+        fac = self.beta * self.degree * (q + 1.0) ** (self.degree - 1)
+        return fac[..., None] * SX
+
+    def _hess_cross(self, pairs):
+        S = self._sigma_inv
+        if self.family == "squared-exponential":
+            W, q = pairs
+            k = self.beta * np.exp(-0.5 * q)
+            outer = W[..., :, None] * W[..., None, :]
+            return k[..., None, None] * (S - outer)
+        SX, SY, q = pairs
+        if self.family == "linear":
+            return np.broadcast_to(self.beta * S,
+                                   q.shape + (self.dim, self.dim)).copy()
+        d = self.degree
+        cross = (self.beta * d * (d - 1) * (q + 1.0) ** (d - 2))[..., None, None] \
+            * SY[..., :, None] * SX[..., None, :] if d >= 2 else 0.0
+        iso = self.beta * d * ((q + 1.0) ** (d - 1))[..., None, None] * S
+        return cross + iso
 
     # ------------------------------------------------------------------
     # batched evaluations; element [i, j] pairs X[i] with Y[j]
 
     def value_outer(self, X, Y):
         """Kernel matrix, shape (N, M)."""
-        X = self._check_stack(X, "x")
-        Y = self._check_stack(Y, "x_prime")
-        if self.family == "squared-exponential":
-            _, _, q = self._whiten_diffs(X, Y, weighted=False)
-            return self.beta * np.exp(-0.5 * q)
-        q = X @ self._sigma_inv @ Y.T
-        if self.family == "linear":
-            return self.beta * q
-        return self.beta * (q + 1.0) ** self.degree
+        return self._value(self._pairs(X, Y, weighted=False))
 
     def grad_x2_outer(self, X, Y):
         """Rows dk(x_i, y_j)/dy_j, shape (N, M, n)."""
-        X = self._check_stack(X, "x")
-        Y = self._check_stack(Y, "x_prime")
-        if self.family == "squared-exponential":
-            _, W, q = self._whiten_diffs(X, Y)
-            k = self.beta * np.exp(-0.5 * q)
-            return k[:, :, None] * W
-        SX = X @ self._sigma_inv
-        if self.family == "linear":
-            return np.broadcast_to(self.beta * SX[:, None, :],
-                                   (X.shape[0], Y.shape[0], self.dim)).copy()
-        q = X @ self._sigma_inv @ Y.T
-        fac = self.beta * self.degree * (q + 1.0) ** (self.degree - 1)
-        return fac[:, :, None] * SX[:, None, :]
+        return self._grad_x2(self._pairs(X, Y))
 
     def hess_cross_outer(self, X, Y):
         """Cross Hessians d^2 k(x_i, y_j)/dx dy, shape (N, M, n, n)."""
-        X = self._check_stack(X, "x")
-        Y = self._check_stack(Y, "x_prime")
-        S = self._sigma_inv
-        if self.family == "squared-exponential":
-            _, W, q = self._whiten_diffs(X, Y)
-            k = self.beta * np.exp(-0.5 * q)
-            outer = W[:, :, :, None] * W[:, :, None, :]
-            return k[:, :, None, None] * (S[None, None] - outer)
-        if self.family == "linear":
-            return np.broadcast_to(self.beta * S[None, None],
-                                   (X.shape[0], Y.shape[0], self.dim, self.dim)).copy()
-        q = X @ S @ Y.T
-        SX = X @ S
-        SY = Y @ S
-        d = self.degree
-        lead = self.beta * d * (d - 1) * (q + 1.0) ** (d - 2) if d >= 2 else 0.0
-        cross = (np.asarray(lead)[:, :, None, None]
-                 * SY[None, :, :, None] * SX[:, None, None, :]) if d >= 2 else 0.0
-        iso = self.beta * d * ((q + 1.0) ** (d - 1))[:, :, None, None] * S[None, None]
-        return cross + iso
+        return self._hess_cross(self._pairs(X, Y))
+
+    # ------------------------------------------------------------------
+    # prior terms at coincident pairs (x, x) for a stack of states
+
+    def diag_value(self, X):
+        """k(x, x), shape (B,)."""
+        return self._value(self._pairs(X, weighted=False))
+
+    def diag_hess_cross(self, X):
+        """d^2 k(x, x')/dx dx' at x' = x, shape (B, n, n)."""
+        return self._hess_cross(self._pairs(X))
+
+    def diag_value_gradient(self, X):
+        """d/dx of k(x, x), shape (B, n): twice dk(x, x')/dx' at x' = x,
+        since k is symmetric; zero for stationary families."""
+        return 2.0 * self._grad_x2(self._pairs(X))
 
     # ------------------------------------------------------------------
     # single-pair evaluations
@@ -168,27 +197,11 @@ class Kernel:
         y = self._check_point(x_prime, "x_prime")
         return self.grad_x2_outer(x[None, :], y[None, :])[0, 0]
 
-    def grad_x1(self, x, x_prime):
-        """Row vector dk(x, x')/dx; equals grad_x2 with swapped arguments
-        because k is symmetric."""
-        return self.grad_x2(x_prime, x)
-
     def hess_cross(self, x, x_prime):
         """Matrix d^2 k(x, x')/dx dx'."""
         x = self._check_point(x, "x")
         y = self._check_point(x_prime, "x_prime")
         return self.hess_cross_outer(x[None, :], y[None, :])[0, 0]
-
-    def diag_value_gradient(self, x):
-        """d/dx of k(x, x); zero for stationary families."""
-        x = self._check_point(x, "x")
-        if self.family == "squared-exponential":
-            return np.zeros(self.dim)
-        Sx = self._sigma_inv @ x
-        if self.family == "linear":
-            return 2.0 * self.beta * Sx
-        q = float(x @ Sx)
-        return 2.0 * self.beta * self.degree * (q + 1.0) ** (self.degree - 1) * Sx
 
     # ------------------------------------------------------------------
     # serialization

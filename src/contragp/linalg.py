@@ -9,7 +9,8 @@ from .errors import FactorizationError
 
 
 def symmetrize(A):
-    return 0.5 * (A + A.T)
+    """Symmetric part of a matrix or of each matrix in a stack."""
+    return 0.5 * (A + np.swapaxes(A, -1, -2))
 
 
 def eig_min_sym(A):

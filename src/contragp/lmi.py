@@ -42,7 +42,6 @@ __all__ = [
     "solve",
     "assemble_block",
     "assemble_margin",
-    "dump_problem",
 ]
 
 MAXIMIZE_MARGIN = "maximize-margin"
@@ -92,28 +91,43 @@ class LmiProblem:
             raise DataError("problem needs at least one block")
         if self.objective not in (MAXIMIZE_MARGIN, FEASIBILITY):
             raise DataError(f"unknown objective '{self.objective}'")
+        # blocks of one shape are checked together; the error names the
+        # first offending block and its first failing check
+        fails = {}
+        groups = {}
         for j, blk in enumerate(self.blocks):
             s = blk.const.shape
             if len(s) != 2 or s[0] != s[1]:
-                raise DimensionError(f"blocks[{j}].const", "square", s)
-            if not (np.all(np.isfinite(blk.const))
-                    and np.all(np.isfinite(blk.coeffs))):
-                raise DataError(f"blocks[{j}] contains non-finite entries")
-            if not np.allclose(blk.const, blk.const.T, atol=1e-10 * (1 + np.abs(blk.const).max())):
-                raise DataError(f"blocks[{j}].const is not symmetric")
-            k = blk.coeffs.shape[0]
-            if blk.coeffs.shape[1:] != s:
-                raise DimensionError(f"blocks[{j}].coeffs", f"(*, {s[0]}, {s[0]})",
-                                     blk.coeffs.shape)
-            if blk.var_indices is None:
-                if k != self.dim:
-                    raise DimensionError(f"blocks[{j}].coeffs", f"{self.dim} matrices", k)
+                fails[j] = DimensionError(f"blocks[{j}].const", "square", s)
+                continue
+            vi = None if blk.var_indices is None else blk.var_indices.shape
+            groups.setdefault((s, blk.coeffs.shape, vi), []).append(j)
+        for (s, cs, vi), js in groups.items():
+            C = np.stack([self.blocks[j].const for j in js])
+            A = np.stack([self.blocks[j].coeffs for j in js])
+            CT = np.swapaxes(C, 1, 2)
+            with np.errstate(invalid="ignore"):
+                finite = (np.isfinite(C).all(axis=(1, 2))
+                          & np.isfinite(A).reshape(len(js), -1).all(axis=1))
+                # np.allclose(C, C.T, atol=...) block by block
+                atol = 1e-10 * (1 + np.abs(C).max(axis=(1, 2)))
+                sym = np.all(np.abs(C - CT)
+                             <= atol[:, None, None] + 1e-5 * np.abs(CT),
+                             axis=(1, 2))
+            if vi is None:
+                count_ok = cs[0] == self.dim
+                in_range = np.ones(len(js), dtype=bool)
             else:
-                if blk.var_indices.shape[0] != k:
-                    raise DimensionError(f"blocks[{j}].var_indices", k,
-                                         blk.var_indices.shape[0])
-                if k and (blk.var_indices.min() < 0 or blk.var_indices.max() >= self.dim):
-                    raise DataError(f"blocks[{j}].var_indices out of range")
+                V = np.stack([self.blocks[j].var_indices for j in js])
+                count_ok = vi[0] == cs[0]
+                in_range = ~np.any((V < 0) | (V >= self.dim), axis=1)
+            bad = np.column_stack(np.broadcast_arrays(
+                ~finite, ~sym, cs[1:] != s, not count_ok, ~in_range))
+            for row in np.flatnonzero(bad.any(axis=1)):
+                fails[js[row]] = self._block_error(js[row],
+                                                   int(np.argmax(bad[row])))
+        if fails:
+            raise fails[min(fails)]
         for name, arr in (("lower", self.lower), ("upper", self.upper)):
             if arr is not None and np.asarray(arr).shape[0] != self.dim:
                 raise DimensionError(name, self.dim, np.asarray(arr).shape[0])
@@ -124,6 +138,21 @@ class LmiProblem:
             if np.any(lo[both] >= hi[both]):
                 raise DataError("lower bounds must be strictly below upper bounds")
 
+    def _block_error(self, j, check):
+        """The error of check ``check`` (in the order of :meth:`validate`)
+        on ``blocks[j]``."""
+        blk = self.blocks[j]
+        s, k = blk.const.shape, blk.coeffs.shape[0]
+        return [
+            DataError(f"blocks[{j}] contains non-finite entries"),
+            DataError(f"blocks[{j}].const is not symmetric"),
+            DimensionError(f"blocks[{j}].coeffs", f"(*, {s[0]}, {s[0]})",
+                           blk.coeffs.shape),
+            DimensionError(f"blocks[{j}].coeffs", f"{self.dim} matrices", k)
+            if blk.var_indices is None else
+            DimensionError(f"blocks[{j}].var_indices", k,
+                           blk.var_indices.shape[0]),
+            DataError(f"blocks[{j}].var_indices out of range")][check]
 
 @dataclass
 class LmiSolution:
@@ -401,7 +430,10 @@ def solve(problem: LmiProblem, config: SolverConfig | None = None) -> LmiSolutio
           if problem.initial_z is not None else ws.default_start())
     m0 = assemble_margin(problem, z0)
     w = np.append(z0, -m0 + 0.05 * abs(m0) + 1e-8)
-    mu = max(1.0, abs(m0))
+    # a centered iterate lies within nu * mu of the optimal level: start
+    # where that gap is the scale of the starting margin, so the first
+    # stage does not push t far from it
+    mu = max(1.0, abs(m0)) / ws.nu
     stop_t = -cfg.feas_tol if problem.objective == FEASIBILITY else -np.inf
     try:
         while True:
@@ -427,27 +459,3 @@ def solve(problem: LmiProblem, config: SolverConfig | None = None) -> LmiSolutio
         info["best_margin_upper"] = margin + ws.nu * mu
     return LmiSolution(z=z, margin=margin, status=status, info=info)
 
-
-def dump_problem(problem: LmiProblem, path):
-    """Write a problem to JSON for external cross-checking."""
-    import json
-
-    data = {
-        "dim": problem.dim,
-        "objective": problem.objective,
-        "lower": None if problem.lower is None else list(map(float, problem.lower)),
-        "upper": None if problem.upper is None else list(map(float, problem.upper)),
-        "blocks": [
-            {
-                "label": blk.label,
-                "const": blk.const.tolist(),
-                "coeffs": blk.coeffs.tolist(),
-                "var_indices": (None if blk.var_indices is None
-                                else blk.var_indices.tolist()),
-            }
-            for blk in problem.blocks
-        ],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .linalg import eig_min_sym
+from .linalg import eig_min_sym, symmetrize
 from .synthesis import closed_loop_jacobians
 
 __all__ = ["StochasticClosedLoop", "sigma_jacobian", "moment_ies_check",
@@ -33,31 +33,32 @@ def quadratic_margin(A, P):
     return eig_min_sym(P - A.T @ P @ A)
 
 
-def sigma_jacobian(model, x):
-    """Rows d sigma_i / dx of the posterior std field, with flags.
+def sigma_jacobian(model, X):
+    """Rows d sigma_i / dx of the posterior std field at a stack of states,
+    shape (B, n, n), with flags (B, n).
 
     The analytic path differentiates the posterior variance; where sigma_i
     falls below the floor the row comes from one-sided finite differences of
     sigma_i itself and is flagged (the analytic quotient degenerates there).
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    n = len(model.components)
-    rows = np.zeros((n, x.shape[0]))
-    flags = np.zeros(n, dtype=bool)
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    B, n = X.shape
+    rows = np.zeros((B, len(model.components), n))
+    flags = np.zeros((B, len(model.components)), dtype=bool)
+    h = 1e-6
     for i, comp in enumerate(model.components):
-        if getattr(comp, "fixed", False):
+        if comp.fixed:
             continue
-        sd = float(np.sqrt(max(comp.value_variance(x), 0.0)))
-        if sd >= SIGMA_FLOOR:
-            rows[i] = comp.variance_total_gradient(x) / (2.0 * sd)
-        else:
-            flags[i] = True
-            h = 1e-6
-            for j in range(x.shape[0]):
-                e = np.zeros_like(x)
-                e[j] = h
-                sd_j = float(np.sqrt(max(comp.value_variance(x + e), 0.0)))
-                rows[i, j] = (sd_j - sd) / h
+        sd = np.sqrt(comp.value_variance(X))
+        low = sd < SIGMA_FLOOR
+        flags[:, i] = low
+        rows[~low, i] = (comp.variance_total_gradient(X[~low])
+                         / (2.0 * sd[~low, None]))
+        if np.any(low):
+            # row j of each floored state's (n, n) stack steps coordinate j
+            shifted = X[low][:, None, :] + h * np.eye(n)
+            sd_h = np.sqrt(comp.value_variance(shifted.reshape(-1, n)))
+            rows[low, i] = (sd_h.reshape(-1, n) - sd[low, None]) / h
     return rows, flags
 
 
@@ -66,8 +67,10 @@ class StochasticClosedLoop:
 
     Built either from raw callables or from a learned drift model plus a
     feedback law; ``metric`` is the weight of the moment margin check.
-    ``mean`` and ``mean_jac`` map a stack of states, shape (B, n), to
-    (B, n) and (B, n, n); ``noise_std`` and ``noise_jac`` take one state.
+    Every callable maps a stack of states, shape (B, n): ``mean`` to (B, n),
+    ``mean_jac`` to (B, n, n), ``noise_std`` to (B, n), ``noise_jac`` to the
+    rows and flags of :func:`sigma_jacobian`, (B, n, n) and (B, n), and
+    ``control`` to (B,) (zero input when omitted).
     """
 
     def __init__(self, mean, mean_jac, noise_std, noise_jac, metric,
@@ -77,10 +80,7 @@ class StochasticClosedLoop:
         self.noise_std = noise_std
         self.noise_jac = noise_jac
         self.metric = np.asarray(metric, dtype=float)
-        self._control = control
-
-    def control_value(self, x):
-        return 0.0 if self._control is None else float(self._control(x))
+        self.control = control or (lambda X: np.zeros(len(X)))
 
     @classmethod
     def from_drift_model(cls, model, controller, b, metric):
@@ -95,14 +95,11 @@ class StochasticClosedLoop:
         def mean_jac(X):
             return closed_loop_jacobians(system, controller, X)
 
-        def noise_std(x):
-            return model.value_std(x)
+        def noise_jac(X):
+            return sigma_jacobian(model, X)
 
-        def noise_jac(x):
-            return sigma_jacobian(model, x)
-
-        return cls(mean, mean_jac, noise_std, noise_jac, metric,
-                   control=controller.control)
+        return cls(mean, mean_jac, model.value_std, noise_jac, metric,
+                   control=controller.control_batch)
 
 
 @dataclass
@@ -135,25 +132,20 @@ def moment_ies_check(loop: StochasticClosedLoop, grid):
     margin."""
     Pbar = loop.metric
     pts = np.atleast_2d(np.asarray(grid, dtype=float))
-    margins = np.empty(len(pts))
-    noise_terms = np.empty(len(pts))
-    flagged = np.zeros(len(pts), dtype=bool)
-    for idx, (x, J) in enumerate(zip(pts, loop.mean_jac(pts))):
-        rows = loop.noise_jac(x)
-        if isinstance(rows, tuple):
-            rows, flags = rows
-            flagged[idx] = bool(np.any(flags))
-        rows = np.atleast_2d(np.asarray(rows, dtype=float))
-        noise = np.zeros_like(Pbar)
-        for i in range(rows.shape[0]):
-            noise += Pbar[i, i] * np.outer(rows[i], rows[i])
-        M = Pbar - J.T @ Pbar @ J - noise
-        margins[idx] = eig_min_sym(M)
-        noise_terms[idx] = float(np.linalg.eigvalsh(0.5 * (noise + noise.T))[-1])
+    J = loop.mean_jac(pts)
+    rows, flags = loop.noise_jac(pts)
+    noise = np.zeros((len(pts),) + Pbar.shape)
+    for i in range(rows.shape[1]):
+        noise += Pbar[i, i] * (rows[:, i, :, None] * rows[:, i, None, :])
+    M = Pbar - np.swapaxes(J, -1, -2) @ Pbar @ J - noise
+    # one stacked eigensolve: the margins, then the noise terms
+    eig = np.linalg.eigvalsh(symmetrize(np.concatenate([M, noise])))
+    margins = eig[:len(pts), 0]
+    noise_terms = eig[len(pts):, -1]
     eps_bar = float(margins.min())
-    return MomentReport(points=pts, margins=margins, flagged=flagged,
-                        eps_bar=eps_bar, passed=bool(eps_bar > 0.0),
-                        noise_terms=noise_terms)
+    return MomentReport(points=pts, margins=margins,
+                        flagged=np.any(flags, axis=1), eps_bar=eps_bar,
+                        passed=bool(eps_bar > 0.0), noise_terms=noise_terms)
 
 
 def chebyshev_hulls(model, hulls, c):
@@ -172,17 +164,14 @@ def chebyshev_hulls(model, hulls, c):
     lo = hulls.lo.copy()
     hi = hulls.hi.copy()
     pinned = hulls.pinned.copy()
-    for idx in range(hulls.n_cells):
-        x = hulls.centers[idx]
-        for i in range(n):
-            comp = model.components[i]
-            if getattr(comp, "fixed", False):
-                continue
-            V = model.jac_row_variance(i, x)
-            hw = np.sqrt(np.clip(c * np.diag(V), 0.0, None))
-            lo[idx, i, :] -= hw
-            hi[idx, i, :] += hw
-            pinned[idx, i, :] &= hw <= 0.0
+    for i, comp in enumerate(model.components[:n]):
+        if comp.fixed:
+            continue
+        V = comp.jac_variance(hulls.centers)
+        hw = np.sqrt(np.clip(c * np.diagonal(V, axis1=1, axis2=2), 0.0, None))
+        lo[:, i, :] -= hw
+        hi[:, i, :] += hw
+        pinned[:, i, :] &= hw <= 0.0
     out = type(hulls)(cells=list(hulls.cells), centers=hulls.centers.copy(),
                       lo=lo, hi=hi, pinned=pinned,
                       vertex_cap=hulls.vertex_cap,

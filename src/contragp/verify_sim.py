@@ -31,7 +31,6 @@ __all__ = [
     "rollouts",
     "rollout_stochastic",
     "contraction_rate",
-    "weighted_norm",
     "weighted_norms",
 ]
 
@@ -41,11 +40,6 @@ def weighted_norms(X, W):
     X = np.atleast_2d(np.asarray(X, dtype=float))
     q = np.sum((X @ np.asarray(W, dtype=float)) * X, axis=1)
     return np.sqrt(np.maximum(q, 0.0))
-
-
-def weighted_norm(x, W):
-    """sqrt(x^T W x)."""
-    return float(weighted_norms(np.reshape(x, (1, -1)), W)[0])
 
 
 @dataclass
@@ -168,7 +162,7 @@ def rollout(model, controller, x0, horizon):
 def rollout_stochastic(loop, x0, horizon, seed):
     """Trajectory of the learned stochastic closed loop x+ = mu_c(x) +
     sigma(x) w with standard normal i.i.d. w; bitwise reproducible for a
-    fixed seed."""
+    fixed seed.  Each step passes the loop's callables a one-row stack."""
     if horizon < 1:
         raise DataError("horizon must be at least 1")
     x = np.asarray(x0, dtype=float).reshape(-1)
@@ -179,10 +173,11 @@ def rollout_stochastic(loop, x0, horizon, seed):
     states = [x.copy()]
     inputs = []
     for _ in range(horizon):
-        u = loop.control_value(x)
+        X = x[None]
+        u = float(loop.control(X)[0])
         w = rng.standard_normal(n)
-        x = (np.asarray(loop.mean(x[None]), dtype=float)[0]
-             + np.asarray(loop.noise_std(x)) * w)
+        x = (np.asarray(loop.mean(X), dtype=float)[0]
+             + np.asarray(loop.noise_std(X), dtype=float)[0] * w)
         inputs.append(u)
         states.append(x.copy())
         if _diverged(x):

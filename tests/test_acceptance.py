@@ -203,8 +203,9 @@ def test_criterion_10_moment_arithmetic():
         return stochastic.StochasticClosedLoop(
             mean=lambda X: 0.5 * X,
             mean_jac=lambda X: np.full((len(X), 1, 1), 0.5),
-            noise_std=lambda x: np.array([0.1]),
-            noise_jac=lambda x: np.array([[noise_grad]]),
+            noise_std=lambda X: np.full((len(X), 1), 0.1),
+            noise_jac=lambda X: (np.full((len(X), 1, 1), noise_grad),
+                                 np.zeros((len(X), 1), dtype=bool)),
             metric=np.array([[1.0]]))
 
     grid = np.array([[0.0]])
@@ -218,8 +219,10 @@ def test_criterion_10_moment_arithmetic():
     det_loop = stochastic.StochasticClosedLoop(
         mean=lambda X: X @ J.T,
         mean_jac=lambda X: np.broadcast_to(J, (len(X), 2, 2)),
-        noise_std=lambda x: np.zeros(2),
-        noise_jac=lambda x: np.zeros((2, 2)), metric=Pbar)
+        noise_std=lambda X: np.zeros((len(X), 2)),
+        noise_jac=lambda X: (np.zeros((len(X), 2, 2)),
+                             np.zeros((len(X), 2), dtype=bool)),
+        metric=Pbar)
     margins = stochastic.moment_ies_check(det_loop,
                                           rng.normal(size=(5, 2))).margins
     reduction = np.abs(margins - stochastic.quadratic_margin(J, Pbar)).max()

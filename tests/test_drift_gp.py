@@ -3,6 +3,7 @@ posterior variances, variance monotonicity, and the input-augmented variant."""
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve
 
 from contragp import drift_gp, systems
 from contragp.errors import DataError
@@ -96,18 +97,18 @@ class TestVariances:
     def test_zero_at_noiseless_training_point(self):
         ds = drift_gp.DriftDataset([[0.5]], [[1.0]], sigma_y=0.0)
         m = drift_gp.fit_drift(ds, Kernel(dim=1))
-        assert m.components[0].value_variance([0.5]) == pytest.approx(0.0, abs=1e-10)
+        assert m.components[0].value_variance([[0.5]])[0] == pytest.approx(0.0, abs=1e-10)
 
     def test_prior_variance_without_data(self):
         comp = drift_gp.GPComponent(Kernel(beta=1.7, sigma=[[1.0]]),
                                     np.zeros((0, 1)), [], 0.0)
-        assert comp.value_variance([0.3]) == pytest.approx(1.7)
+        assert comp.value_variance([[0.3]])[0] == pytest.approx(1.7)
 
     def test_closed_form_single_point_posterior(self):
         # N=1 at the origin, noiseless: v(x,x) = 1 - exp(-x^2)
         ds = drift_gp.DriftDataset([[0.0]], [[3.0]], sigma_y=0.0)
         m = drift_gp.fit_drift(ds, Kernel(dim=1))
-        assert m.components[0].value_variance([1.0]) == pytest.approx(
+        assert m.components[0].value_variance([[1.0]])[0] == pytest.approx(
             1.0 - np.exp(-1.0), rel=1e-10)
 
     def test_adding_data_never_increases_variance(self):
@@ -124,8 +125,9 @@ class TestVariances:
                                       np.vstack([Y, rng.normal(size=(1, 1))]),
                                       0.1), k)
             for x in rng.normal(size=(5, 2)):
-                assert (bigger.components[0].value_variance(x)
-                        <= base.components[0].value_variance(x) + 1e-9)
+                assert (bigger.components[0].value_variance(x[None])[0]
+                        <= base.components[0].value_variance(x[None])[0]
+                        + 1e-9)
 
     def test_jacobian_row_covariance_psd(self):
         rng = np.random.default_rng(5)
@@ -133,16 +135,120 @@ class TestVariances:
         Y = rng.normal(size=(6, 1))
         m = drift_gp.fit_drift(drift_gp.DriftDataset(X, Y, 0.05), Kernel(dim=2))
         for x in rng.normal(size=(15, 2)):
-            V = m.jac_row_variance(0, x)
+            V = m.components[0].jac_variance(x[None])[0]
             np.testing.assert_allclose(V, V.T, atol=1e-12)
             assert np.linalg.eigvalsh(V).min() > -1e-10
 
     def test_variances_interface(self):
         ds = drift_gp.DriftDataset([[0.0]], [[3.0]], sigma_y=0.0)
         m = drift_gp.fit_drift(ds, Kernel(dim=1))
-        sd = m.value_std([1.0])
-        assert sd.shape == (1,)
-        assert sd[0] == pytest.approx(np.sqrt(1.0 - np.exp(-1.0)), rel=1e-8)
+        sd = m.value_std([[1.0]])
+        assert sd.shape == (1, 1)
+        assert sd[0, 0] == pytest.approx(np.sqrt(1.0 - np.exp(-1.0)), rel=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# the per-state posterior formulas the stacked methods replaced, kept as the
+# reference of the stacked contract
+
+
+def ref_value_variance(comp, x):
+    if comp.fixed:
+        return 0.0
+    kv = comp.kernel.value_outer(comp.points, x[None])[:, 0]
+    v = comp.kernel.value(x, x) - float(kv @ cho_solve((comp._chol, True), kv))
+    return max(v, 0.0)
+
+
+def ref_jac_variance(comp, x):
+    if comp.fixed:
+        return np.zeros((x.shape[0], x.shape[0]))
+    Gx = np.stack([comp.kernel.grad_x2(xj, x) for xj in comp.points], axis=1)
+    V = comp.kernel.hess_cross(x, x) - Gx @ cho_solve((comp._chol, True), Gx.T)
+    return 0.5 * (V + V.T)
+
+
+def ref_diag_value_gradient(kernel, x):
+    if kernel.family == "squared-exponential":
+        return np.zeros(kernel.dim)
+    Sx = kernel._sigma_inv @ x
+    if kernel.family == "linear":
+        return 2.0 * kernel.beta * Sx
+    q = float(x @ Sx)
+    return 2.0 * kernel.beta * kernel.degree * (q + 1.0) ** (kernel.degree - 1) * Sx
+
+
+def ref_variance_total_gradient(comp, x):
+    if comp.fixed:
+        return np.zeros(x.shape[0])
+    kv = comp.kernel.value_outer(comp.points, x[None])[:, 0]
+    alpha = cho_solve((comp._chol, True), kv)
+    dkv = comp.kernel.grad_x2_outer(comp.points, x[None])[:, 0, :]
+    return ref_diag_value_gradient(comp.kernel, x) - 2.0 * (alpha @ dkv)
+
+
+def prior_scale(model, X):
+    """Largest prior value or cross-Hessian entry at the states."""
+    return max(max(c.kernel.value(x, x),
+                   float(np.abs(c.kernel.hess_cross(x, x)).max()))
+               for c in model.components if not c.fixed for x in X)
+
+
+def contract_models():
+    """Fitted models of every kind the stacked contract covers, with a
+    stack of states away from the training points."""
+    rng = np.random.default_rng(31)
+    P = rng.uniform(-1.5, 1.5, size=(12, 2))
+    Y = rng.normal(size=(12, 2))
+    X = rng.uniform(-2.0, 2.0, size=(9, 2))
+    se = Kernel(sigma=[[0.8, 0.1], [0.1, 0.5]])
+    return X, {
+        "se": drift_gp.fit_drift(drift_gp.DriftDataset(P, Y, [0.05, 0.01]),
+                                 se),
+        "polynomial": drift_gp.fit_drift(
+            drift_gp.DriftDataset(P, Y, [0.1, 0.02]),
+            Kernel(family="polynomial", degree=4, beta=0.5, dim=2)),
+        "input-product": drift_gp.fit_drift_with_input(
+            drift_gp.DriftDataset(P, Y, [0.05, 0.01],
+                                  inputs=rng.normal(size=12)), se)[0],
+        "fixed-row": drift_gp.fit_drift(
+            drift_gp.DriftDataset(P, Y, [0.0, 0.05]), se,
+            fixed={0: drift_gp.FixedAffineComponent([1.0, 0.01])}),
+    }
+
+
+class TestStackedPosterior:
+    @pytest.mark.parametrize("name", ["se", "polynomial", "input-product",
+                                      "fixed-row"])
+    def test_rows_match_per_state_formulas(self, name):
+        X, models = contract_models()
+        model = models[name]
+        tol = 1e-11 * prior_scale(model, X)
+        for comp in model.components:
+            vv = comp.value_variance(X)
+            jv = comp.jac_variance(X)
+            vg = comp.variance_total_gradient(X)
+            assert vv.shape == (9,) and jv.shape == (9, 2, 2)
+            assert vg.shape == (9, 2)
+            for b, x in enumerate(X):
+                assert abs(vv[b] - ref_value_variance(comp, x)) <= tol
+                assert np.abs(jv[b] - ref_jac_variance(comp, x)).max() <= tol
+                assert (np.abs(vg[b] - ref_variance_total_gradient(comp, x))
+                        .max() <= tol)
+        sd = model.value_std(X)
+        assert sd.shape == (9, 2)
+        ref_sd = np.array([[np.sqrt(ref_value_variance(c, x))
+                            for c in model.components] for x in X])
+        assert np.abs(sd - ref_sd).max() <= tol
+
+    def test_fixed_row_has_no_posterior_spread(self):
+        X, models = contract_models()
+        fixed = models["fixed-row"].components[0]
+        np.testing.assert_array_equal(fixed.value_variance(X), np.zeros(9))
+        np.testing.assert_array_equal(fixed.jac_variance(X),
+                                      np.zeros((9, 2, 2)))
+        np.testing.assert_array_equal(fixed.variance_total_gradient(X),
+                                      np.zeros((9, 2)))
 
 
 class TestInputAugmented:
@@ -203,7 +309,7 @@ class TestFixedRowsAndSerialization:
         assert m.mean(x[None])[0, 0] == pytest.approx(0.7 + 0.01 * 2.0,
                                                       rel=1e-14)
         np.testing.assert_array_equal(m.jacobian(x[None])[0, 0], [1.0, 0.01])
-        assert m.components[0].value_variance(x) == 0.0
+        assert m.components[0].value_variance(x[None])[0] == 0.0
 
     def test_round_trip_through_dict(self):
         rng = np.random.default_rng(8)
@@ -219,8 +325,8 @@ class TestFixedRowsAndSerialization:
         X = rng.normal(size=(1, 2))
         np.testing.assert_array_equal(m.mean(X), m2.mean(X))
         np.testing.assert_array_equal(m.jacobian(X), m2.jacobian(X))
-        assert m2.components[1].value_variance(X[0]) == pytest.approx(
-            m.components[1].value_variance(X[0]), rel=1e-12)
+        assert m2.components[1].value_variance(X)[0] == pytest.approx(
+            m.components[1].value_variance(X)[0], rel=1e-12)
 
     def test_as_system_model(self):
         rng = np.random.default_rng(9)

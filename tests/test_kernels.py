@@ -107,17 +107,30 @@ class TestDerivativeOracles:
             scale = max(1.0, np.abs(fd).max())
             assert np.abs(k.hess_cross(x, y) - fd).max() < 1e-5 * scale
 
-    def test_grad_x1_is_swapped_grad_x2(self):
+    @pytest.mark.parametrize("family", ["squared-exponential", "linear",
+                                        "polynomial"])
+    def test_diagonal_terms_match_pair_evaluations(self, family):
+        # k(x, x) and d^2k/dx dx' at (x, x) equal the single-pair values;
+        # d/dx k(x, x) matches central differences along the diagonal
         rng = np.random.default_rng(13)
-        for family in ("squared-exponential", "linear", "polynomial"):
-            k = random_kernel(family, 2, rng)
-            x, y = rng.normal(size=2), rng.normal(size=2)
+        for dim in (1, 2, 3):
+            k = random_kernel(family, dim, rng)
+            X = rng.normal(size=(5, dim))
+            value = k.diag_value(X)
+            hess = k.diag_hess_cross(X)
+            grad = k.diag_value_gradient(X)
+            assert value.shape == (5,) and hess.shape == (5, dim, dim)
+            assert grad.shape == (5, dim)
             h = 1e-6
-            fd = np.array([
-                (k.value(x + h * np.eye(2)[i], y)
-                 - k.value(x - h * np.eye(2)[i], y)) / (2 * h)
-                for i in range(2)])
-            np.testing.assert_allclose(k.grad_x1(x, y), fd, atol=1e-6)
+            for b, x in enumerate(X):
+                assert value[b] == pytest.approx(k.value(x, x), rel=1e-14)
+                np.testing.assert_allclose(hess[b], k.hess_cross(x, x),
+                                           rtol=1e-14, atol=0.0)
+                fd = np.array([(k.value(x + h * e, x + h * e)
+                                - k.value(x - h * e, x - h * e)) / (2 * h)
+                               for e in np.eye(dim)])
+                scale = max(1.0, np.abs(fd).max())
+                assert np.abs(grad[b] - fd).max() < 1e-6 * scale
 
 
 class TestProperties:

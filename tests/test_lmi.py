@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from contragp import lmi
-from contragp.errors import DataError, UnboundedMarginError
+from contragp.errors import DataError, DimensionError, UnboundedMarginError
 
 
 def scalar_family_problem():
@@ -276,13 +276,53 @@ class TestValidationAndDump:
         with pytest.raises(DataError, match="symmetric"):
             lmi.LmiProblem(dim=1, blocks=[blk]).validate()
 
-    def test_dump_round_trips_through_json(self, tmp_path):
-        import json
+    @staticmethod
+    def _problem_with(bad, at=2, dim=2):
+        """Four good 2x2 blocks over a decision vector of length ``dim``,
+        with ``bad`` in place of block ``at``."""
+        good = [lmi.AffineBlock(np.eye(2), np.stack([np.eye(2)] * dim))
+                for _ in range(4)]
+        good[1] = lmi.AffineBlock(np.eye(2), np.eye(2)[None], var_indices=[1])
+        good[at] = bad
+        return lmi.LmiProblem(dim=dim, blocks=good)
 
-        prob = scalar_family_problem()
-        path = tmp_path / "problem.json"
-        lmi.dump_problem(prob, path)
-        data = json.loads(path.read_text())
-        assert data["dim"] == 2
-        np.testing.assert_allclose(np.asarray(data["blocks"][0]["coeffs"]),
-                                   prob.blocks[0].coeffs)
+    @pytest.mark.parametrize("bad, error, message", [
+        (lmi.AffineBlock(np.ones((2, 3)), np.zeros((2, 2, 3))),
+         DimensionError, r"blocks\[2\]\.const"),
+        (lmi.AffineBlock(np.eye(2), np.zeros((2, 3, 3))),
+         DimensionError, r"blocks\[2\]\.coeffs"),
+        (lmi.AffineBlock(np.eye(2), np.zeros((3, 2, 2))),
+         DimensionError, r"blocks\[2\]\.coeffs.*2 matrices"),
+        (lmi.AffineBlock(np.eye(2), np.zeros((2, 2, 2)), var_indices=[0]),
+         DimensionError, r"blocks\[2\]\.var_indices"),
+        (lmi.AffineBlock(np.eye(2), np.zeros((2, 2, 2)), var_indices=[0, 2]),
+         DataError, r"blocks\[2\]\.var_indices out of range"),
+        (lmi.AffineBlock(np.eye(2), np.zeros((1, 2, 2)), var_indices=[-1]),
+         DataError, r"blocks\[2\]\.var_indices out of range"),
+        (lmi.AffineBlock(np.array([[1.0, np.inf], [np.inf, 1.0]]),
+                         np.zeros((2, 2, 2))),
+         DataError, r"blocks\[2\] contains non-finite"),
+        (lmi.AffineBlock(np.eye(2), np.full((2, 2, 2), np.nan)),
+         DataError, r"blocks\[2\] contains non-finite"),
+        (lmi.AffineBlock(np.array([[1.0, 1e-3], [0.0, 1.0]]),
+                         np.zeros((2, 2, 2))),
+         DataError, r"blocks\[2\]\.const is not symmetric"),
+    ])
+    def test_error_names_offending_block(self, bad, error, message):
+        with pytest.raises(error, match=message):
+            self._problem_with(bad).validate()
+
+    def test_first_offending_block_is_named(self):
+        # block 3 fails an earlier check than block 1 does; the error still
+        # names block 1
+        prob = self._problem_with(
+            lmi.AffineBlock(np.eye(2), np.eye(2)[None], var_indices=[5]), at=1)
+        prob.blocks[3] = lmi.AffineBlock(np.array([[1.0, 1.0], [0.0, 1.0]]),
+                                         np.zeros((2, 2, 2)))
+        with pytest.raises(DataError, match=r"blocks\[1\]\.var_indices"):
+            prob.validate()
+
+    def test_tolerated_asymmetry_passes(self):
+        # within np.allclose's tolerances of the transpose
+        C = np.array([[1.0, 0.5], [0.5 + 1e-7, 1.0]])
+        self._problem_with(lmi.AffineBlock(C, np.zeros((2, 2, 2)))).validate()

@@ -10,14 +10,17 @@ import pytest
 from contragp import drift_gp, stochastic, synthesis, systems
 from contragp.errors import DataError
 from contragp.kernels import Kernel
+from test_drift_gp import (contract_models, prior_scale, ref_value_variance,
+                           ref_variance_total_gradient)
 
 
 def scalar_loop(slope, noise_grad, metric=1.0, noise_level=0.1):
     return stochastic.StochasticClosedLoop(
         mean=lambda X: slope * X,
         mean_jac=lambda X: np.full((len(X), 1, 1), slope),
-        noise_std=lambda x: np.array([noise_level]),
-        noise_jac=lambda x: np.array([[noise_grad]]),
+        noise_std=lambda X: np.full((len(X), 1), noise_level),
+        noise_jac=lambda X: (np.full((len(X), 1, 1), noise_grad),
+                             np.zeros((len(X), 1), dtype=bool)),
         metric=np.array([[float(metric)]]))
 
 
@@ -25,18 +28,18 @@ class TestSigmaJacobian:
     def test_prior_is_flat(self):
         comp = drift_gp.GPComponent(Kernel(dim=1), np.zeros((0, 1)), [], 0.0)
         model = drift_gp.DriftModel(np.zeros((0, 1)), [comp])
-        rows, flags = stochastic.sigma_jacobian(model, [0.7])
-        np.testing.assert_allclose(rows, [[0.0]], atol=1e-12)
-        assert not flags[0]
+        rows, flags = stochastic.sigma_jacobian(model, [[0.7]])
+        np.testing.assert_allclose(rows[0], [[0.0]], atol=1e-12)
+        assert not flags[0, 0]
 
     def test_closed_form_single_point(self):
         # v(x,x) = 1 - exp(-x^2), so d sigma/dx at 1 is e^{-1}/sqrt(1-e^{-1})
         ds = drift_gp.DriftDataset([[0.0]], [[3.0]], sigma_y=0.0)
         model = drift_gp.fit_drift(ds, Kernel(dim=1))
-        rows, flags = stochastic.sigma_jacobian(model, [1.0])
+        rows, flags = stochastic.sigma_jacobian(model, [[1.0]])
         expected = math.exp(-1.0) / math.sqrt(1.0 - math.exp(-1.0))
-        assert rows[0, 0] == pytest.approx(expected, rel=1e-10)
-        assert not flags[0]
+        assert rows[0, 0, 0] == pytest.approx(expected, rel=1e-10)
+        assert not flags[0, 0]
 
     def test_matches_finite_differences_away_from_data(self):
         rng = np.random.default_rng(13)
@@ -51,15 +54,17 @@ class TestSigmaJacobian:
             if np.min(np.linalg.norm(X - x, axis=1)) < 0.5:
                 continue
             checked += 1
-            rows, flags = stochastic.sigma_jacobian(model, x)
+            rows, flags = stochastic.sigma_jacobian(model, x[None])
+            rows = rows[0]
             assert not flags.any()
             for i in range(2):
                 fd = np.zeros(2)
                 for j in range(2):
                     e = np.zeros(2)
                     e[j] = h
-                    sp = np.sqrt(model.components[i].value_variance(x + e))
-                    sm = np.sqrt(model.components[i].value_variance(x - e))
+                    var = model.components[i].value_variance
+                    sp = np.sqrt(var((x + e)[None])[0])
+                    sm = np.sqrt(var((x - e)[None])[0])
                     fd[j] = (sp - sm) / (2 * h)
                 scale = max(1.0, np.abs(fd).max())
                 assert np.abs(rows[i] - fd).max() < 1e-4 * scale
@@ -67,9 +72,93 @@ class TestSigmaJacobian:
     def test_floored_rows_are_flagged(self):
         ds = drift_gp.DriftDataset([[0.5]], [[1.0]], sigma_y=0.0)
         model = drift_gp.fit_drift(ds, Kernel(dim=1))
-        rows, flags = stochastic.sigma_jacobian(model, [0.5])
-        assert flags[0]
+        rows, flags = stochastic.sigma_jacobian(model, [[0.5]])
+        assert flags[0, 0]
         assert np.all(np.isfinite(rows))
+
+
+def ref_sigma_jacobian(model, x):
+    """The per-state rows and flags that the stacked sigma_jacobian
+    replaced."""
+    n = len(model.components)
+    rows = np.zeros((n, x.shape[0]))
+    flags = np.zeros(n, dtype=bool)
+    for i, comp in enumerate(model.components):
+        if comp.fixed:
+            continue
+        sd = np.sqrt(ref_value_variance(comp, x))
+        if sd >= stochastic.SIGMA_FLOOR:
+            rows[i] = ref_variance_total_gradient(comp, x) / (2.0 * sd)
+        else:
+            flags[i] = True
+            h = 1e-6
+            for j in range(x.shape[0]):
+                e = np.zeros_like(x)
+                e[j] = h
+                rows[i, j] = (np.sqrt(ref_value_variance(comp, x + e)) - sd) / h
+    return rows, flags
+
+
+def mixed_model():
+    """A fixed row and a linear-kernel row whose posterior std vanishes
+    exactly at the origin (floored and flagged) and is well above the floor
+    off the line through the data point."""
+    ds = drift_gp.DriftDataset([[1.0, 0.3]], [[0.0, 0.3]], sigma_y=0.1)
+    return drift_gp.fit_drift(
+        ds, Kernel(family="linear", dim=2),
+        fixed={0: drift_gp.FixedAffineComponent([1.0, 0.01])})
+
+
+def stacked_cases():
+    X, models = contract_models()
+    mixed = np.vstack([np.zeros((1, 2)), X[:4], np.zeros((1, 2)), X[4:]])
+    return [(models[name], X) for name in models] + [(mixed_model(), mixed)]
+
+
+class TestStackedSigmaJacobian:
+    @pytest.mark.parametrize("case", range(5))
+    def test_rows_and_flags_match_per_state_formula(self, case):
+        model, X = stacked_cases()[case]
+        rows, flags = stochastic.sigma_jacobian(model, X)
+        assert rows.shape == (len(X), 2, 2) and flags.shape == (len(X), 2)
+        refs = [ref_sigma_jacobian(model, x) for x in X]
+        ref_rows = np.array([r for r, _ in refs])
+        ref_flags = np.array([f for _, f in refs])
+        np.testing.assert_array_equal(flags, ref_flags)
+        tol = 1e-11 * max(prior_scale(model, X), np.abs(ref_rows).max())
+        assert np.abs(rows - ref_rows).max() <= tol
+        if case == 4:
+            # the stack mixes floored and unfloored states
+            np.testing.assert_array_equal(
+                flags[:, 1], np.all(X == 0.0, axis=1))
+            assert not flags[:, 0].any()
+
+    @pytest.mark.parametrize("case", [0, 4])
+    def test_moment_check_matches_per_point_loop(self, case):
+        model, X = stacked_cases()[case]
+        rng = np.random.default_rng(41)
+        M = rng.normal(size=(2, 2))
+        Pbar = M @ M.T + 0.5 * np.eye(2)
+        loop = stochastic.StochasticClosedLoop(
+            model.mean, model.jacobian, model.value_std,
+            lambda Y: stochastic.sigma_jacobian(model, Y), Pbar)
+        rep = stochastic.moment_ies_check(loop, X)
+        margins, terms, flagged = [], [], []
+        for x in X:
+            J = model.jacobian(x[None])[0]
+            rows, flags = ref_sigma_jacobian(model, x)
+            noise = sum(Pbar[i, i] * np.outer(rows[i], rows[i])
+                        for i in range(2))
+            Mx = Pbar - J.T @ Pbar @ J - noise
+            margins.append(np.linalg.eigvalsh(0.5 * (Mx + Mx.T))[0])
+            terms.append(np.linalg.eigvalsh(0.5 * (noise + noise.T))[-1])
+            flagged.append(bool(flags.any()))
+        tol = 1e-11 * max(1.0, np.abs(terms).max())
+        assert np.abs(rep.margins - margins).max() <= tol
+        assert np.abs(rep.noise_terms - terms).max() <= tol
+        np.testing.assert_array_equal(rep.flagged, flagged)
+        assert rep.eps_bar == pytest.approx(min(margins), abs=tol)
+        assert rep.passed == (min(margins) > 0.0)
 
 
 class TestMomentCheck:
@@ -95,8 +184,9 @@ class TestMomentCheck:
         loop = stochastic.StochasticClosedLoop(
             mean=lambda X: X @ J.T,
             mean_jac=lambda X: np.broadcast_to(J, (len(X), 2, 2)),
-            noise_std=lambda x: np.zeros(2),
-            noise_jac=lambda x: np.zeros((2, 2)),
+            noise_std=lambda X: np.zeros((len(X), 2)),
+            noise_jac=lambda X: (np.zeros((len(X), 2, 2)),
+                                 np.zeros((len(X), 2), dtype=bool)),
             metric=Pbar)
         rep = stochastic.moment_ies_check(loop, rng.normal(size=(7, 2)))
         expected = stochastic.quadratic_margin(J, Pbar)
@@ -124,7 +214,7 @@ class TestMomentCheck:
         rep = stochastic.moment_ies_check(loop, np.array([[3.0, 3.0]]))
         J = model.jacobian([[3.0, 3.0]])[0] + np.outer(
             [0.0, 1.0], ctrl.control_grad([3.0, 3.0]))
-        rows, _ = stochastic.sigma_jacobian(model, [3.0, 3.0])
+        rows = stochastic.sigma_jacobian(model, [[3.0, 3.0]])[0][0]
         manual = np.linalg.eigvalsh(
             np.eye(2) - J.T @ J
             - sum(np.outer(rows[i], rows[i]) for i in range(2)))[0]
@@ -157,16 +247,19 @@ class TestMomentCheck:
 class _StubComponent:
     fixed = False
 
+    def __init__(self, var):
+        self._var = var
+
+    def jac_variance(self, X):
+        return np.broadcast_to(self._var, (len(X),) + self._var.shape)
+
 
 class _StubModel:
     """Duck-typed drift model with a prescribed Jacobian-row covariance."""
 
     def __init__(self, var_diag, n=2):
-        self.components = [_StubComponent() for _ in range(n)]
-        self._var = np.diag(var_diag)
-
-    def jac_row_variance(self, i, x):
-        return self._var
+        self.components = [_StubComponent(np.diag(var_diag))
+                           for _ in range(n)]
 
 
 def unit_hull():

@@ -6,7 +6,7 @@ pipeline certificates."""
 import numpy as np
 import pytest
 
-from contragp import deriv_gp, drift_gp, synthesis, systems
+from contragp import deriv_gp, drift_gp, lmi, synthesis, systems
 from contragp.errors import (DataError, FactorizationError, InfeasibleError,
                              VertexBudgetError)
 from contragp.kernels import Kernel
@@ -260,6 +260,86 @@ class TestGainStep:
                 synthesis.solve_joint(oscillator, Kernel(dim=2), pts)
         assert "better-separated design points" in str(err.value)
         assert "increase the jitter" not in str(err.value)
+
+
+def polynomial_chain(extra, dt=0.05):
+    """x_i+ = (1 - dt) x_i + dt x_{i+1} for i < n, x_n+ = x_n + dt x_1, plus
+    ``extra`` terms (row, exponents, coefficient) scaled by dt; b = dt e_n."""
+    n = len(extra[0][1])
+    rows = [[] for _ in range(n)]
+    for i in range(n):
+        e = [0] * n
+        e[i] = 1
+        rows[i].append({"exponents": e, "coef": 1.0 if i == n - 1 else 1 - dt})
+        e = [0] * n
+        e[(i + 1) % n] = 1
+        rows[i].append({"exponents": e, "coef": dt})
+    for i, expo, coef in extra:
+        rows[i].append({"exponents": list(expo), "coef": dt * coef})
+    return systems.polynomial_system(
+        {"n": n, "b": [0.0] * (n - 1) + [dt], "rows": rows})
+
+
+def per_point_optimum(P, J, b):
+    """max over g of lambda_min([[P, (A P)^T], [A P, P]]), A = J + b g^T, for
+    one point: the objective is concave in g, so Nelder-Mead with a restart
+    reaches its maximum."""
+    from scipy.optimize import minimize
+
+    n = len(b)
+    M = np.empty((2 * n, 2 * n))
+    M[:n, :n] = M[n:, n:] = P
+
+    def neg(g):
+        AP = (J + np.outer(b, g)) @ P
+        M[n:, :n] = AP
+        M[:n, n:] = AP.T
+        return -np.linalg.eigvalsh(M)[0]
+
+    g = np.zeros(n)
+    for _ in range(2):
+        simplex = g + 0.5 / np.linalg.norm(b) * np.vstack(
+            [np.zeros(n), np.eye(n)])
+        res = minimize(neg, g, method="Nelder-Mead", options={
+            "initial_simplex": simplex, "xatol": 1e-10, "fatol": 1e-13,
+            "maxiter": 20000})
+        g = res.x
+    return -res.fun
+
+
+class TestSeparableGainOracle:
+    """With a constant input vector the gain problem separates by design
+    point, so its optimum is the smallest of the points' own optima."""
+
+    @staticmethod
+    def _check(model, points, rho=10.0):
+        rep = synthesis.run_synthesis(model, Kernel(dim=model.n), points,
+                                      mode="two-step", rho=rho)
+        oracle = min(per_point_optimum(rep.P, J, model.b)
+                     for J in model.drift_jacobian(points))
+        assert abs(rep.eps - oracle) <= lmi.SolverConfig().width
+        return rep
+
+    def test_three_dimensional_chain_at_four_points_per_axis(self):
+        # feasible, with per-point optima 0.197 to 0.327; the path that
+        # started at mu = max(1, |m0|) stalled at margin -9.965 and reported
+        # the design infeasible
+        model = polynomial_chain([(0, (2, 0, 0), 0.2), (1, (1, 1, 0), -0.2),
+                                  (2, (0, 3, 0), 0.5), (2, (1, 0, 1), 0.3)])
+        points = systems.grid_points(systems.Box.make([-1.0] * 3, [1.0] * 3),
+                                     4)
+        rep = self._check(model, points)
+        assert rep.eps == pytest.approx(0.1970346, abs=1e-6)
+
+    def test_random_chains_match_oracle(self):
+        rng = np.random.default_rng(2024)
+        for trial in range(4):
+            n = 2 + trial % 2
+            extra = [(int(rng.integers(0, n)),
+                      tuple(rng.multinomial(2, np.ones(n) / n)),
+                      float(rng.uniform(-0.4, 0.4))) for _ in range(3)]
+            points = rng.uniform(-1.0, 1.0, size=(int(rng.integers(4, 9)), n))
+            self._check(polynomial_chain(extra), points)
 
 
 class TestClosedLoopJacobians:

@@ -172,8 +172,10 @@ class TestLockstepRollouts:
         loop = stochastic.StochasticClosedLoop(
             mean=lambda X: X,
             mean_jac=lambda X: np.broadcast_to(np.eye(2), (len(X), 2, 2)),
-            noise_std=lambda x: np.zeros(2),
-            noise_jac=lambda x: np.zeros((2, 2)), metric=np.eye(2))
+            noise_std=lambda X: np.zeros((len(X), 2)),
+            noise_jac=lambda X: (np.zeros((len(X), 2, 2)),
+                                 np.zeros((len(X), 2), dtype=bool)),
+            metric=np.eye(2))
         with pytest.raises(DataError):
             verify_sim.rollout_stochastic(loop, [np.inf, 0.0], 5, seed=0)
 
@@ -183,8 +185,9 @@ class TestStochasticRollout:
         return stochastic.StochasticClosedLoop(
             mean=lambda X: slope * X,
             mean_jac=lambda X: np.full((len(X), 1, 1), slope),
-            noise_std=lambda x: np.array([noise]),
-            noise_jac=lambda x: np.array([[0.0]]),
+            noise_std=lambda X: np.full((len(X), 1), noise),
+            noise_jac=lambda X: (np.zeros((len(X), 1, 1)),
+                                 np.zeros((len(X), 1), dtype=bool)),
             metric=np.array([[1.0]]))
 
     def test_zero_noise_matches_deterministic(self):
