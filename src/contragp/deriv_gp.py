@@ -126,11 +126,6 @@ class DerivativeController:
         X = self.kernel._check_stack(X, "x")
         return blockwise(self._raw_batch, X) - self.offset
 
-    def control(self, x):
-        """Scalar control value at a single state."""
-        x = self.kernel._check_point(x, "x")
-        return float(self.control_batch(x[None, :])[0])
-
     def control_grad_batch(self, X):
         """Control gradients (rows) at a stack of states, shape (B, n)."""
         return blockwise(self._grad_batch, self.kernel._check_stack(X, "x"))
@@ -145,11 +140,6 @@ class DerivativeController:
             grads = grads + np.einsum("mbj,m->bj", g1, self.value_weights)
         return grads
 
-    def control_grad(self, x):
-        """Gradient row of the control at a single state (offset-free)."""
-        x = self.kernel._check_point(x, "x")
-        return self.control_grad_batch(x[None, :])[0]
-
     # -- equilibrium handling -------------------------------------------
 
     def with_offset_at(self, x_star):
@@ -158,12 +148,13 @@ class DerivativeController:
         Shifting by a constant leaves the gradient (hence the certificate)
         untouched.
         """
-        x_star = self.kernel._check_point(x_star, "x_star")
-        raw = float(self._raw_batch(x_star[None, :])[0])
+        x_star = self.kernel._check_stack(np.reshape(x_star, (1, -1)),
+                                          "x_star")
+        raw = float(self._raw_batch(x_star)[0])
         return DerivativeController(
             self.kernel, self.points, self.weights,
             value_points=self.value_points, value_weights=self.value_weights,
-            offset=raw, offset_point=x_star, metric=self.metric,
+            offset=raw, offset_point=x_star[0], metric=self.metric,
             diagnostics=self.diagnostics)
 
     # -- serialization ---------------------------------------------------

@@ -44,6 +44,8 @@ class DriftDataset:
                                  f"{self.targets.shape[0]} rows")
         if not np.all(np.isfinite(self.targets)):
             raise DataError("targets contain NaN or infinite entries")
+        if not np.all(np.isfinite(self.points)):
+            raise DataError("points contain NaN or infinite entries")
         sy = np.asarray(self.sigma_y, dtype=float)
         self.sigma_y = np.broadcast_to(sy, (self.targets.shape[1],)).copy()
         if np.any(self.sigma_y < 0.0):
@@ -53,6 +55,8 @@ class DriftDataset:
             if self.inputs.shape[0] != self.points.shape[0]:
                 raise DimensionError("inputs", self.points.shape[0],
                                      self.inputs.shape[0])
+            if not np.all(np.isfinite(self.inputs)):
+                raise DataError("inputs contain NaN or infinite entries")
 
     @property
     def dim(self):

@@ -36,7 +36,7 @@ class InfeasibleError(ContragpError):
 
 
 class UnboundedMarginError(ContragpError):
-    """Margin maximization diverges; normalization bounds are required."""
+    """Margin maximization diverges; normalization blocks are required."""
 
 
 class NumericalFailureError(ContragpError):

@@ -79,12 +79,6 @@ class Kernel:
     # ------------------------------------------------------------------
     # helpers
 
-    def _check_point(self, x, name):
-        x = np.asarray(x, dtype=float).reshape(-1)
-        if x.shape[0] != self.dim:
-            raise DimensionError(name, f"length {self.dim}", f"length {x.shape[0]}")
-        return x
-
     def _check_stack(self, X, name):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if X.shape[1] != self.dim:
@@ -181,27 +175,6 @@ class Kernel:
         """d/dx of k(x, x), shape (B, n): twice dk(x, x')/dx' at x' = x,
         since k is symmetric; zero for stationary families."""
         return 2.0 * self._grad_x2(self._pairs(X))
-
-    # ------------------------------------------------------------------
-    # single-pair evaluations
-
-    def value(self, x, x_prime):
-        """k(x, x')."""
-        x = self._check_point(x, "x")
-        y = self._check_point(x_prime, "x_prime")
-        return float(self.value_outer(x[None, :], y[None, :])[0, 0])
-
-    def grad_x2(self, x, x_prime):
-        """Row vector dk(x, x')/dx'."""
-        x = self._check_point(x, "x")
-        y = self._check_point(x_prime, "x_prime")
-        return self.grad_x2_outer(x[None, :], y[None, :])[0, 0]
-
-    def hess_cross(self, x, x_prime):
-        """Matrix d^2 k(x, x')/dx dx'."""
-        x = self._check_point(x, "x")
-        y = self._check_point(x_prime, "x_prime")
-        return self.hess_cross_outer(x[None, :], y[None, :])[0, 0]
 
     # ------------------------------------------------------------------
     # serialization

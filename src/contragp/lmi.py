@@ -1,27 +1,24 @@
-"""Feasibility and margin maximization for finite families of affine
-symmetric-matrix constraints.
+"""Margin maximization for finite families of affine symmetric-matrix
+constraints.
 
-A problem asks for a decision vector z with
+A problem asks for the decision vector z that maximizes eps subject to
 
-    C_j + sum_k z_k A_{j,k}  >=  eps * I_{s_j}   for every block j,
-    l <= z <= u                                  (optional box bounds),
+    C_j + sum_k z_k A_{j,k}  >=  eps * I_{s_j}   for every block j.
 
-where eps is either required to clear a small tolerance (feasibility
-objective) or maximized (margin objective).  Maximizing the margin is the
-phase-I problem  min t  s.t.  C_j + sum_k z_k A_{j,k} + t I >= 0  (Boyd &
-Vandenberghe, Convex Optimization, sec. 11.4), so both objectives follow one
+This is the phase-I problem  min t  s.t.  C_j + sum_k z_k A_{j,k} + t I >= 0
+(Boyd & Vandenberghe, Convex Optimization, sec. 11.4), solved along one
 central path: Newton centering of  t/mu + Phi(z, t)  for a decreasing
 sequence of mu, where Phi is the log-det barrier over the block-diagonal
-PSD cone plus the box barriers.  A centered iterate is within nu * mu of
-the optimal t (nu is the barrier degree), which gives the stopping rule.
-Margins reported on solutions are always recomputed from eigenvalue
-decompositions of the assembled blocks, independent of the path.
+PSD cone.  A centered iterate is within nu * mu of the optimal t (nu is the
+barrier degree), which gives the stopping rule.  Margins reported on
+solutions are always recomputed from eigenvalue decompositions of the
+assembled blocks, independent of the path.
 
 Blocks may carry coefficient matrices for a subset of the decision entries
 (``var_indices``); this keeps large point families cheap when each
-constraint touches only a few variables.  Linear inequalities on the
-decision vector beyond the box (trace bounds and the like) are expressed as
-1 x 1 blocks.
+constraint touches only a few variables.  Every linear inequality on the
+decision vector (bounds on an entry, trace bounds and the like) is a 1 x 1
+block.
 """
 
 from __future__ import annotations
@@ -44,8 +41,13 @@ __all__ = [
     "assemble_margin",
 ]
 
-MAXIMIZE_MARGIN = "maximize-margin"
-FEASIBILITY = "feasibility"
+# path parameters
+MARGIN_CAP = 1e8      # a level t below -MARGIN_CAP raises UnboundedMarginError
+MAX_NEWTON = 80       # Newton steps per centering
+NEWTON_TOL = 1e-10    # a centering stops at Newton decrement <= 2 NEWTON_TOL
+MU_FACTOR = 0.15      # mu shrinks by this factor between centerings
+MU_FLOOR = 1e-12      # the path stops at mu <= MU_FLOOR * max(1, |t|)
+ARMIJO = 0.25         # sufficient-decrease fraction of the line search
 
 
 @dataclass
@@ -79,18 +81,13 @@ class AffineBlock:
 class LmiProblem:
     dim: int
     blocks: list
-    lower: np.ndarray | None = None
-    upper: np.ndarray | None = None
-    objective: str = MAXIMIZE_MARGIN
-    initial_z: np.ndarray | None = None
+    initial_z: np.ndarray | None = None  # path start; zeros when None
 
     def validate(self):
         if self.dim < 0:
             raise DataError("dim must be nonnegative")
         if len(self.blocks) == 0:
             raise DataError("problem needs at least one block")
-        if self.objective not in (MAXIMIZE_MARGIN, FEASIBILITY):
-            raise DataError(f"unknown objective '{self.objective}'")
         # blocks of one shape are checked together; the error names the
         # first offending block and its first failing check
         fails = {}
@@ -128,15 +125,6 @@ class LmiProblem:
                                                    int(np.argmax(bad[row])))
         if fails:
             raise fails[min(fails)]
-        for name, arr in (("lower", self.lower), ("upper", self.upper)):
-            if arr is not None and np.asarray(arr).shape[0] != self.dim:
-                raise DimensionError(name, self.dim, np.asarray(arr).shape[0])
-        if self.lower is not None and self.upper is not None:
-            lo = np.asarray(self.lower, dtype=float)
-            hi = np.asarray(self.upper, dtype=float)
-            both = np.isfinite(lo) & np.isfinite(hi)
-            if np.any(lo[both] >= hi[both]):
-                raise DataError("lower bounds must be strictly below upper bounds")
 
     def _block_error(self, j, check):
         """The error of check ``check`` (in the order of :meth:`validate`)
@@ -158,7 +146,7 @@ class LmiProblem:
 class LmiSolution:
     z: np.ndarray
     margin: float
-    status: str  # "optimal" | "feasible" | "infeasible" | "numerical-failure"
+    status: str  # "optimal" | "infeasible" | "numerical-failure"
     info: dict = field(default_factory=dict)
 
 
@@ -166,12 +154,6 @@ class LmiSolution:
 class SolverConfig:
     feas_tol: float = 1e-7        # margin at/above this counts as feasible
     width: float = 1e-5           # reported margin is this close to the supremum
-    margin_cap: float = 1e8       # a level t below -margin_cap raises UnboundedMarginError
-    max_newton: int = 80
-    newton_tol: float = 1e-10
-    mu_factor: float = 0.15
-    mu_floor: float = 1e-12
-    armijo: float = 0.25
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +220,7 @@ class _Workspace:
             key = (blk.size, idx.shape[0])
             grouped.setdefault(key, []).append((blk.const, blk.coeffs, idx))
         self.groups = []
-        # barrier degree: block sizes plus one per box side
+        # barrier degree: the sum of the block sizes
         self.nu = 0
         for (s, _), items in grouped.items():
             n_items = len(items)
@@ -255,33 +237,6 @@ class _Workspace:
                 "flat": (idx[:, :, None] * (m + 1) + idx[:, None, :]).ravel(),
             })
             self.nu += s * n_items
-        lo = (np.full(m, -np.inf) if problem.lower is None
-              else np.asarray(problem.lower, dtype=float).copy())
-        hi = (np.full(m, np.inf) if problem.upper is None
-              else np.asarray(problem.upper, dtype=float).copy())
-        self.lo, self.hi = lo, hi
-        self.has_lo = np.isfinite(lo)
-        self.has_hi = np.isfinite(hi)
-        self.nu += int(self.has_lo.sum() + self.has_hi.sum())
-
-    def default_start(self):
-        """Deterministic start: analytic center of the bound box (midpoints),
-        zero for unbounded entries, unit offset for one-sided bounds."""
-        z = np.zeros(self.m)
-        both = self.has_lo & self.has_hi
-        z[both] = 0.5 * (self.lo[both] + self.hi[both])
-        only_lo = self.has_lo & ~self.has_hi
-        z[only_lo] = self.lo[only_lo] + 1.0
-        only_hi = self.has_hi & ~self.has_lo
-        z[only_hi] = self.hi[only_hi] - 1.0
-        return z
-
-    def clip_inside(self, z):
-        """z moved strictly inside the box, 1e-3 of the width (or 1e-3 for
-        one-sided bounds) away from each bound."""
-        both = self.has_lo & self.has_hi
-        pad = np.where(both, 1e-3 * (self.hi - self.lo), 1e-3)
-        return np.clip(z, self.lo + pad, self.hi - pad)
 
     @staticmethod
     def assemble(group, w):
@@ -289,36 +244,17 @@ class _Workspace:
                                           group["coeffs"])
 
 
-def _box_barrier(ws, z, grad, hess_diag):
-    """Box-barrier value; accumulates its gradient and diagonal Hessian.
-    Returns None when z is not strictly inside the box."""
-    dlo = z - ws.lo
-    dhi = ws.hi - z
-    if np.any(dlo[ws.has_lo] <= 0.0) or np.any(dhi[ws.has_hi] <= 0.0):
-        return None
-    phi = -(float(np.sum(np.log(dlo[ws.has_lo])))
-            + float(np.sum(np.log(dhi[ws.has_hi]))))
-    grad[:ws.m][ws.has_lo] -= 1.0 / dlo[ws.has_lo]
-    grad[:ws.m][ws.has_hi] += 1.0 / dhi[ws.has_hi]
-    hess_diag[ws.has_lo] += 1.0 / dlo[ws.has_lo] ** 2
-    hess_diag[ws.has_hi] += 1.0 / dhi[ws.has_hi] ** 2
-    return phi
-
-
 def _barrier(ws: _Workspace, w, mu, derivs=True):
     """Value of  t/mu + Phi  at w = (z, t), with its gradient and Hessian
     when ``derivs``.
 
-    Phi is the log-det barrier of the blocks plus the box barriers.  Returns
-    None when w is not strictly feasible.
+    Phi is the log-det barrier of the blocks.  Returns None when w is not
+    strictly feasible.
     """
     m = ws.m
     g = np.zeros(m + 1)
     H = np.zeros((m + 1, m + 1))
-    hess_diag = np.zeros(m)
-    phi = _box_barrier(ws, w[:m], g, hess_diag)
-    if phi is None:
-        return None
+    phi = 0.0
     for grp in ws.groups:
         try:
             L = np.linalg.cholesky(ws.assemble(grp, w))
@@ -342,7 +278,6 @@ def _barrier(ws: _Workspace, w, mu, derivs=True):
     val = phi + w[m] / mu
     if not derivs:
         return val
-    H[np.arange(m), np.arange(m)] += hess_diag
     g[m] += 1.0 / mu
     return val, g, H
 
@@ -361,11 +296,10 @@ def _newton_solve(H, g):
     return np.linalg.lstsq(H + reg * eye, -g, rcond=None)[0]
 
 
-def _minimize_barrier(ws, w, mu, cfg, info, stop_t):
+def _minimize_barrier(ws, w, mu, info):
     """Newton descent of  t/mu + Phi  from w; returns (w, converged).
 
-    Returns early, as converged, once t <= ``stop_t``; raises
-    UnboundedMarginError once t falls below -``margin_cap``.
+    Raises UnboundedMarginError once t falls below -``MARGIN_CAP``.
     """
     trace = info["trace"]
     cur = _barrier(ws, w, mu)
@@ -374,25 +308,23 @@ def _minimize_barrier(ws, w, mu, cfg, info, stop_t):
                                     trace)
     f, g, H = cur
     alpha0 = 1.0  # adaptive start; boundary-hugging iterates reuse short steps
-    for it in range(cfg.max_newton):
-        if w[-1] <= stop_t:
-            return w, True
-        if w[-1] < -cfg.margin_cap:
+    for it in range(MAX_NEWTON):
+        if w[-1] < -MARGIN_CAP:
             raise UnboundedMarginError(
                 "margin maximization appears unbounded; add normalization "
-                "bounds on the decision vector")
+                "blocks that bound the decision vector")
         step = _newton_solve(H, g)
         decrement = float(-g @ step)
         if not np.isfinite(decrement):
             raise NumericalFailureError("non-finite Newton decrement", trace)
-        if decrement <= 2.0 * cfg.newton_tol:
+        if decrement <= 2.0 * NEWTON_TOL:
             return w, True
         info["newton_steps"] += 1
         alpha = alpha0
         for _ in range(60):
             w_try = w + alpha * step
             val = _barrier(ws, w_try, mu, derivs=False)
-            if val is not None and val <= f - cfg.armijo * alpha * decrement:
+            if val is not None and val <= f - ARMIJO * alpha * decrement:
                 break
             alpha *= 0.5
             info["backtracks"] += 1
@@ -407,16 +339,15 @@ def _minimize_barrier(ws, w, mu, cfg, info, stop_t):
 
 
 def solve(problem: LmiProblem, config: SolverConfig | None = None) -> LmiSolution:
-    """Solve an LMI family for the requested objective.
+    """Maximize the smallest block margin of an LMI family.
 
-    One central path of  min t  s.t.  blocks(z) + t I >= 0  within the box.
-    For ``maximize-margin`` the path runs until a centered iterate has
-    barrier gap nu * mu <= ``width``, so the returned margin is within
-    ``width`` of the supremum; for ``feasibility`` it stops as soon as the
-    margin reaches ``feas_tol``.  Either way the status is ``infeasible``
-    when the margin at the returned z is below ``feas_tol``; ``info`` then
-    carries that margin as ``best_margin`` and an upper bound on the
-    supremum as ``best_margin_upper``.  ``info`` also records the path:
+    One central path of  min t  s.t.  blocks(z) + t I >= 0, run until a
+    centered iterate has barrier gap nu * mu <= ``width``, so the returned
+    margin is within ``width`` of the supremum.  The status is ``optimal``
+    when the margin at the returned z is at least ``feas_tol`` and
+    ``infeasible`` otherwise; ``info`` then carries that margin as
+    ``best_margin`` and an upper bound on the supremum as
+    ``best_margin_upper``.  ``info`` also records the path:
     ``newton_steps``, ``barrier_stages`` (centerings, one per mu),
     ``backtracks`` (line-search halvings) and ``final_mu``.  The reported
     margin is always recomputed from the assembled blocks at the returned z.
@@ -426,24 +357,23 @@ def solve(problem: LmiProblem, config: SolverConfig | None = None) -> LmiSolutio
     ws = _Workspace(problem)
     info = {"newton_steps": 0, "barrier_stages": 0, "backtracks": 0,
             "trace": []}
-    z0 = (ws.clip_inside(np.asarray(problem.initial_z, dtype=float))
-          if problem.initial_z is not None else ws.default_start())
+    z0 = (np.zeros(problem.dim) if problem.initial_z is None
+          else np.array(problem.initial_z, dtype=float))
     m0 = assemble_margin(problem, z0)
     w = np.append(z0, -m0 + 0.05 * abs(m0) + 1e-8)
     # a centered iterate lies within nu * mu of the optimal level: start
     # where that gap is the scale of the starting margin, so the first
     # stage does not push t far from it
     mu = max(1.0, abs(m0)) / ws.nu
-    stop_t = -cfg.feas_tol if problem.objective == FEASIBILITY else -np.inf
     try:
         while True:
             info["barrier_stages"] += 1
             info["final_mu"] = mu
-            w, converged = _minimize_barrier(ws, w, mu, cfg, info, stop_t)
-            if (w[-1] <= stop_t or (converged and ws.nu * mu <= cfg.width)
-                    or mu <= cfg.mu_floor * max(1.0, abs(w[-1]))):
+            w, converged = _minimize_barrier(ws, w, mu, info)
+            if ((converged and ws.nu * mu <= cfg.width)
+                    or mu <= MU_FLOOR * max(1.0, abs(w[-1]))):
                 break
-            mu *= cfg.mu_factor
+            mu *= MU_FACTOR
     except NumericalFailureError as exc:
         info["message"] = str(exc)
         info["trace"] = exc.trace or info["trace"]
@@ -452,7 +382,7 @@ def solve(problem: LmiProblem, config: SolverConfig | None = None) -> LmiSolutio
     z = w[:-1]
     margin = assemble_margin(problem, z)
     if margin >= cfg.feas_tol:
-        status = "feasible" if problem.objective == FEASIBILITY else "optimal"
+        status = "optimal"
     else:
         status = "infeasible"
         info["best_margin"] = margin

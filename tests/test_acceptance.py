@@ -42,10 +42,12 @@ def test_criterion_01_kernel_calculus():
                    sigma=M @ M.T + n * np.eye(n))
         x, y = rng.normal(size=n), rng.normal(size=n)
         fg = fd_grad_x2(k, x, y)
-        worst_g = max(worst_g, np.abs(k.grad_x2(x, y) - fg).max()
+        worst_g = max(worst_g,
+                      np.abs(k.grad_x2_outer([x], [y])[0, 0] - fg).max()
                       / max(1.0, np.abs(fg).max()))
         fh = fd_hess_cross(k, x, y)
-        worst_h = max(worst_h, np.abs(k.hess_cross(x, y) - fh).max()
+        worst_h = max(worst_h,
+                      np.abs(k.hess_cross_outer([x], [y])[0, 0] - fh).max()
                       / max(1.0, np.abs(fh).max()))
     elapsed = time.time() - t0
     _report(1, worst_g < 1e-6 and worst_h < 1e-5 and elapsed < 1.0,
@@ -156,8 +158,8 @@ def test_criterion_07_joint_vs_two_step(oscillator, control_box, osc_two_step,
                                  mode="two-step")
     tj = synthesis.run_synthesis(toy, Kernel(dim=1), np.array([[0.0]]),
                                  mode="joint")
-    toy_delta = abs(t2.controller.control_grad([0.0])[0]
-                    - tj.controller.control_grad([0.0])[0])
+    toy_delta = abs(t2.controller.control_grad_batch([[0.0]])[0, 0]
+                    - tj.controller.control_grad_batch([[0.0]])[0, 0])
     lam2 = verify_sim.verify_grid(oscillator, osc_two_step.controller,
                                   osc_two_step.P, control_box, 41).lam
     lamj = verify_sim.verify_grid(oscillator, osc_joint.controller,

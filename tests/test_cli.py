@@ -115,6 +115,18 @@ class TestLearnAndSynth:
         assert cli.main(["learn", "--config", cfg, "--out", str(out),
                          "--quiet"]) == 3
 
+    def test_non_finite_training_point_exits_invalid(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, small_osc_config())
+        out = tmp_path / "out"
+        assert cli.main(["gen-data", "--config", cfg, "--out", str(out),
+                         "--quiet"]) == 0
+        lines = (out / "data.csv").read_text().splitlines()
+        lines[1] = "," + lines[1].split(",", 1)[1]  # blank x_1 of row 1
+        (out / "data.csv").write_text("\n".join(lines) + "\n")
+        assert cli.main(["learn", "--config", cfg, "--out", str(out),
+                         "--quiet"]) == 3
+        assert "points contain NaN" in capsys.readouterr().err
+
     def test_mode_override_joint(self, tmp_path):
         cfg_d = small_osc_config()
         cfg_d["synthesis"]["model_source"] = "analytic"
@@ -192,7 +204,7 @@ class TestLearnAndSynth:
         law = DerivativeController.from_dict(
             json.load(open(os.path.join(out, "controller.json"))))
         np.testing.assert_array_equal(law.offset_point, eq)
-        assert law.control(eq) == 0.0
+        assert law.control_batch([eq])[0] == 0.0
         _, table = read_csv(os.path.join(out, "trajectories/traj_00.csv"))
         np.testing.assert_allclose(table[:, 1:3], 0.0, atol=1e-12)
 

@@ -39,8 +39,10 @@ class TestFit:
         ds = deriv_gp.DerivativeDataset([[0.0]], [[-2.0]], 0.0)
         c = deriv_gp.fit(Kernel(dim=1), ds)
         np.testing.assert_allclose(c.weights, [-2.0], rtol=1e-12)
-        assert c.control([1.0]) == pytest.approx(-2 * np.exp(-0.5), rel=1e-12)
-        np.testing.assert_allclose(c.control_grad([0.0]), [-2.0], rtol=1e-12)
+        assert c.control_batch([[1.0]])[0] == pytest.approx(
+            -2 * np.exp(-0.5), rel=1e-12)
+        np.testing.assert_allclose(c.control_grad_batch([[0.0]])[0], [-2.0],
+                                   rtol=1e-12)
 
     def test_zero_targets_give_zero_law(self):
         rng = np.random.default_rng(4)
@@ -48,9 +50,9 @@ class TestFit:
         c = deriv_gp.fit(Kernel(dim=2),
                          deriv_gp.DerivativeDataset(X, np.zeros((4, 2)), 0.0))
         np.testing.assert_array_equal(c.weights, np.zeros(8))
-        assert c.control(rng.normal(size=2)) == 0.0
-        np.testing.assert_array_equal(c.control_grad(rng.normal(size=2)),
-                                      np.zeros(2))
+        assert c.control_batch([rng.normal(size=2)])[0] == 0.0
+        np.testing.assert_array_equal(
+            c.control_grad_batch([rng.normal(size=2)])[0], np.zeros(2))
 
     def test_noise_free_gradient_interpolation(self):
         rng = np.random.default_rng(5)
@@ -90,10 +92,11 @@ class TestFit:
         c2 = deriv_gp.fit(k, deriv_gp.DerivativeDataset(X, Y2, 0.1))
         c3 = deriv_gp.fit(k, deriv_gp.DerivativeDataset(X, a * Y1 + b * Y2, 0.1))
         for x in rng.normal(size=(10, 2)):
-            lin = a * c1.control(x) + b * c2.control(x)
-            assert abs(c3.control(x) - lin) < 1e-9
-            lin_g = a * c1.control_grad(x) + b * c2.control_grad(x)
-            assert np.abs(c3.control_grad(x) - lin_g).max() < 1e-9
+            lin = a * c1.control_batch([x])[0] + b * c2.control_batch([x])[0]
+            assert abs(c3.control_batch([x])[0] - lin) < 1e-9
+            lin_g = (a * c1.control_grad_batch([x])[0]
+                     + b * c2.control_grad_batch([x])[0])
+            assert np.abs(c3.control_grad_batch([x])[0] - lin_g).max() < 1e-9
 
     @pytest.mark.parametrize("sigma_p", [0.01, 0.1])
     def test_regularized_fit_stationarity(self, sigma_p):
@@ -117,17 +120,18 @@ class TestFit:
         h = 1e-5
         for x in rng.normal(size=(50, 2)):
             fd = np.array([
-                (c.control(x + h * np.eye(2)[i]) - c.control(x - h * np.eye(2)[i]))
+                (c.control_batch([x + h * np.eye(2)[i]])[0]
+                 - c.control_batch([x - h * np.eye(2)[i]])[0])
                 / (2 * h) for i in range(2)])
             scale = max(1.0, np.abs(fd).max())
-            assert np.abs(c.control_grad(x) - fd).max() < 1e-6 * scale
+            assert np.abs(c.control_grad_batch([x])[0] - fd).max() < 1e-6 * scale
 
 
 class TestValueConditioning:
     def test_value_only_interpolation(self):
         ds = deriv_gp.DerivativeDataset([[1e3]], [[0.0]], 0.0)  # far away
         c = deriv_gp.fit_with_values(Kernel(dim=1), ds, [([0.0], 5.0)], sigma=0.0)
-        assert c.control([0.0]) == pytest.approx(5.0, abs=1e-9)
+        assert c.control_batch([[0.0]])[0] == pytest.approx(5.0, abs=1e-9)
 
     def test_joint_value_and_gradient_hand_solve(self):
         # derivative -2 at 0 plus value anchor (0, 0): the 2x2 joint system
@@ -135,8 +139,9 @@ class TestValueConditioning:
         # anchored law keeps gradient -2 and value 0 at the origin
         ds = deriv_gp.DerivativeDataset([[0.0]], [[-2.0]], 0.0)
         c = deriv_gp.fit_with_values(Kernel(dim=1), ds, [([0.0], 0.0)], sigma=0.0)
-        assert c.control([0.0]) == pytest.approx(0.0, abs=1e-12)
-        np.testing.assert_allclose(c.control_grad([0.0]), [-2.0], rtol=1e-10)
+        assert c.control_batch([[0.0]])[0] == pytest.approx(0.0, abs=1e-12)
+        np.testing.assert_allclose(c.control_grad_batch([[0.0]])[0], [-2.0],
+                                   rtol=1e-10)
 
     def test_empty_value_list_reduces_to_fit(self):
         rng = np.random.default_rng(9)
@@ -158,9 +163,10 @@ class TestValueConditioning:
         h = 1e-5
         for x in rng.normal(size=(10, 2)):
             fd = np.array([
-                (c.control(x + h * np.eye(2)[i]) - c.control(x - h * np.eye(2)[i]))
+                (c.control_batch([x + h * np.eye(2)[i]])[0]
+                 - c.control_batch([x - h * np.eye(2)[i]])[0])
                 / (2 * h) for i in range(2)])
-            assert np.abs(c.control_grad(x) - fd).max() < 1e-5
+            assert np.abs(c.control_grad_batch([x])[0] - fd).max() < 1e-5
 
     def test_long_stack_matches_one_row_calls(self):
         # stacks longer than linalg.BLOCK are evaluated block by block
@@ -172,10 +178,11 @@ class TestValueConditioning:
         X = rng.normal(size=(600, 2))
         u, g = c.control_batch(X), c.control_grad_batch(X)
         assert u.shape == (600,) and g.shape == (600, 2)
-        np.testing.assert_allclose(u, [c.control(x) for x in X],
+        np.testing.assert_allclose(u, [c.control_batch([x])[0] for x in X],
                                    rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(g, [c.control_grad(x) for x in X],
-                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(
+            g, [c.control_grad_batch([x])[0] for x in X],
+            rtol=1e-12, atol=1e-12)
 
 
 class TestOffsetAndSerialization:
@@ -186,9 +193,9 @@ class TestOffsetAndSerialization:
         c = deriv_gp.fit(Kernel(dim=2), deriv_gp.DerivativeDataset(X, T, 0.0))
         x_star = np.array([0.3, -0.4])
         c2 = c.with_offset_at(x_star)
-        assert c2.control(x_star) == 0.0
-        np.testing.assert_array_equal(c2.control_grad(x_star),
-                                      c.control_grad(x_star))
+        assert c2.control_batch([x_star])[0] == 0.0
+        np.testing.assert_array_equal(c2.control_grad_batch([x_star])[0],
+                                      c.control_grad_batch([x_star])[0])
 
     def test_artifact_round_trip_bit_exact(self):
         rng = np.random.default_rng(12)
@@ -206,4 +213,4 @@ class TestOffsetAndSerialization:
         assert c.offset == c2.offset
         np.testing.assert_array_equal(c.metric, c2.metric)
         x = rng.normal(size=2)
-        assert c.control(x) == c2.control(x)
+        assert c.control_batch([x])[0] == c2.control_batch([x])[0]

@@ -156,15 +156,18 @@ def ref_value_variance(comp, x):
     if comp.fixed:
         return 0.0
     kv = comp.kernel.value_outer(comp.points, x[None])[:, 0]
-    v = comp.kernel.value(x, x) - float(kv @ cho_solve((comp._chol, True), kv))
+    v = (comp.kernel.value_outer([x], [x])[0, 0]
+         - float(kv @ cho_solve((comp._chol, True), kv)))
     return max(v, 0.0)
 
 
 def ref_jac_variance(comp, x):
     if comp.fixed:
         return np.zeros((x.shape[0], x.shape[0]))
-    Gx = np.stack([comp.kernel.grad_x2(xj, x) for xj in comp.points], axis=1)
-    V = comp.kernel.hess_cross(x, x) - Gx @ cho_solve((comp._chol, True), Gx.T)
+    Gx = np.stack([comp.kernel.grad_x2_outer([xj], [x])[0, 0]
+                   for xj in comp.points], axis=1)
+    V = (comp.kernel.hess_cross_outer([x], [x])[0, 0]
+         - Gx @ cho_solve((comp._chol, True), Gx.T))
     return 0.5 * (V + V.T)
 
 
@@ -189,8 +192,9 @@ def ref_variance_total_gradient(comp, x):
 
 def prior_scale(model, X):
     """Largest prior value or cross-Hessian entry at the states."""
-    return max(max(c.kernel.value(x, x),
-                   float(np.abs(c.kernel.hess_cross(x, x)).max()))
+    return max(max(c.kernel.value_outer([x], [x])[0, 0],
+                   float(np.abs(c.kernel.hess_cross_outer([x],
+                                                          [x])).max()))
                for c in model.components if not c.fixed for x in X)
 
 
@@ -297,6 +301,15 @@ class TestInputAugmented:
         ds = drift_gp.DriftDataset([[0.0]], [[1.0]], 0.0)
         with pytest.raises(DataError):
             drift_gp.fit_drift_with_input(ds, Kernel(dim=1))
+
+    @pytest.mark.parametrize("field", ["points", "inputs"])
+    def test_non_finite_points_or_inputs_rejected(self, field):
+        data = {"points": [[0.0], [1.0]], "targets": [[1.0], [2.0]],
+                "inputs": [0.5, -0.5]}
+        data[field] = np.array(data[field], dtype=float)
+        data[field][1] = np.nan
+        with pytest.raises(DataError, match=f"{field} contain NaN"):
+            drift_gp.DriftDataset(**data)
 
 
 class TestFixedRowsAndSerialization:

@@ -16,7 +16,8 @@ def fd_grad_x2(kernel, x, y, h=1e-5):
     for i in range(n):
         e = np.zeros(n)
         e[i] = h
-        out[i] = (kernel.value(x, y + e) - kernel.value(x, y - e)) / (2 * h)
+        out[i] = (kernel.value_outer([x], [y + e])[0, 0]
+                  - kernel.value_outer([x], [y - e])[0, 0]) / (2 * h)
     return out
 
 
@@ -27,7 +28,8 @@ def fd_hess_cross(kernel, x, y, h=1e-5):
     for i in range(n):
         e = np.zeros(n)
         e[i] = h
-        out[i] = (kernel.grad_x2(x + e, y) - kernel.grad_x2(x - e, y)) / (2 * h)
+        out[i] = (kernel.grad_x2_outer([x + e], [y])[0, 0]
+                  - kernel.grad_x2_outer([x - e], [y])[0, 0]) / (2 * h)
     return out
 
 
@@ -42,44 +44,49 @@ def random_kernel(family, dim, rng):
 class TestWorkedValues:
     def test_coincident_points(self):
         k = Kernel(dim=1)
-        assert k.value([0.0], [0.0]) == 1.0
+        assert k.value_outer([[0.0]], [[0.0]])[0, 0] == 1.0
 
     def test_unit_gaussian_at_distance_one(self):
         k = Kernel(dim=1)
-        assert k.value([1.0], [0.0]) == pytest.approx(np.exp(-0.5), rel=1e-12)
+        assert k.value_outer([[1.0]], [[0.0]])[0, 0] == pytest.approx(
+            np.exp(-0.5), rel=1e-12)
 
     def test_scaled_kernel(self):
         k = Kernel(beta=2.0, sigma=[[4.0]])
-        assert k.value([2.0], [0.0]) == pytest.approx(2 * np.exp(-0.5), rel=1e-12)
+        assert k.value_outer([[2.0]], [[0.0]])[0, 0] == pytest.approx(
+            2 * np.exp(-0.5), rel=1e-12)
 
     def test_grad_at_coincident_points_is_zero(self):
         k = Kernel(dim=1)
-        np.testing.assert_allclose(k.grad_x2([0.0], [0.0]), [0.0])
+        np.testing.assert_allclose(k.grad_x2_outer([[0.0]], [[0.0]])[0, 0],
+                                   [0.0])
 
     def test_grad_unit_distance(self):
         k = Kernel(dim=1)
-        np.testing.assert_allclose(k.grad_x2([1.0], [0.0]), [np.exp(-0.5)],
-                                   rtol=1e-12)
+        np.testing.assert_allclose(k.grad_x2_outer([[1.0]], [[0.0]])[0, 0],
+                                   [np.exp(-0.5)], rtol=1e-12)
 
     def test_grad_two_dims(self):
         k = Kernel(dim=2)
-        np.testing.assert_allclose(k.grad_x2([1.0, 0.0], [0.0, 0.0]),
-                                   [np.exp(-0.5), 0.0], rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(
+            k.grad_x2_outer([[1.0, 0.0]], [[0.0, 0.0]])[0, 0],
+            [np.exp(-0.5), 0.0], rtol=1e-12, atol=1e-15)
 
     def test_hess_at_coincident_points_is_inverse_lengthscale(self):
         k = Kernel(dim=3)
-        np.testing.assert_allclose(k.hess_cross([0.2] * 3, [0.2] * 3),
-                                   np.eye(3), atol=1e-12)
+        np.testing.assert_allclose(
+            k.hess_cross_outer([[0.2] * 3], [[0.2] * 3])[0, 0],
+            np.eye(3), atol=1e-12)
 
     def test_hess_vanishes_at_unit_distance_1d(self):
         k = Kernel(dim=1)
-        np.testing.assert_allclose(k.hess_cross([1.0], [0.0]), [[0.0]],
-                                   atol=1e-15)
+        np.testing.assert_allclose(k.hess_cross_outer([[1.0]], [[0.0]])[0, 0],
+                                   [[0.0]], atol=1e-15)
 
     def test_hess_coincident_scaled(self):
         k = Kernel(beta=3.0, sigma=[[0.25]])
-        np.testing.assert_allclose(k.hess_cross([0.7], [0.7]), [[12.0]],
-                                   rtol=1e-12)
+        np.testing.assert_allclose(k.hess_cross_outer([[0.7]], [[0.7]])[0, 0],
+                                   [[12.0]], rtol=1e-12)
 
 
 class TestDerivativeOracles:
@@ -93,7 +100,8 @@ class TestDerivativeOracles:
             x, y = rng.normal(size=dim), rng.normal(size=dim)
             fd = fd_grad_x2(k, x, y)
             scale = max(1.0, np.abs(fd).max())
-            assert np.abs(k.grad_x2(x, y) - fd).max() < 1e-6 * scale
+            got = k.grad_x2_outer([x], [y])[0, 0]
+            assert np.abs(got - fd).max() < 1e-6 * scale
 
     @pytest.mark.parametrize("family", ["squared-exponential", "linear",
                                         "polynomial"])
@@ -105,7 +113,8 @@ class TestDerivativeOracles:
             x, y = rng.normal(size=dim), rng.normal(size=dim)
             fd = fd_hess_cross(k, x, y)
             scale = max(1.0, np.abs(fd).max())
-            assert np.abs(k.hess_cross(x, y) - fd).max() < 1e-5 * scale
+            got = k.hess_cross_outer([x], [y])[0, 0]
+            assert np.abs(got - fd).max() < 1e-5 * scale
 
     @pytest.mark.parametrize("family", ["squared-exponential", "linear",
                                         "polynomial"])
@@ -123,11 +132,14 @@ class TestDerivativeOracles:
             assert grad.shape == (5, dim)
             h = 1e-6
             for b, x in enumerate(X):
-                assert value[b] == pytest.approx(k.value(x, x), rel=1e-14)
-                np.testing.assert_allclose(hess[b], k.hess_cross(x, x),
-                                           rtol=1e-14, atol=0.0)
-                fd = np.array([(k.value(x + h * e, x + h * e)
-                                - k.value(x - h * e, x - h * e)) / (2 * h)
+                assert value[b] == pytest.approx(
+                    k.value_outer([x], [x])[0, 0], rel=1e-14)
+                np.testing.assert_allclose(
+                    hess[b], k.hess_cross_outer([x], [x])[0, 0],
+                    rtol=1e-14, atol=0.0)
+                fd = np.array([(k.value_outer([x + h * e], [x + h * e])[0, 0]
+                                - k.value_outer([x - h * e],
+                                                [x - h * e])[0, 0]) / (2 * h)
                                for e in np.eye(dim)])
                 scale = max(1.0, np.abs(fd).max())
                 assert np.abs(grad[b] - fd).max() < 1e-6 * scale
@@ -140,15 +152,16 @@ class TestProperties:
             k = random_kernel(family, 3, rng)
             for _ in range(20):
                 x, y = rng.normal(size=3), rng.normal(size=3)
-                assert k.value(x, y) == pytest.approx(k.value(y, x), rel=1e-12)
+                assert k.value_outer([x], [y])[0, 0] == pytest.approx(
+                    k.value_outer([y], [x])[0, 0], rel=1e-12)
 
     def test_stationarity_of_se(self):
         rng = np.random.default_rng(22)
         k = random_kernel("squared-exponential", 2, rng)
         for _ in range(20):
             x, y, d = rng.normal(size=(3, 2))
-            assert k.value(x, y) == pytest.approx(k.value(x + d, y + d),
-                                                  rel=1e-12, abs=1e-15)
+            assert k.value_outer([x], [y])[0, 0] == pytest.approx(
+                k.value_outer([x + d], [y + d])[0, 0], rel=1e-12, abs=1e-15)
 
     @pytest.mark.parametrize("family", ["squared-exponential", "linear",
                                         "polynomial"])
@@ -166,7 +179,7 @@ class TestProperties:
         for _ in range(10):
             k = random_kernel("squared-exponential", 3, rng)
             x = rng.normal(size=3)
-            H = k.hess_cross(x, x)
+            H = k.hess_cross_outer([x], [x])[0, 0]
             assert np.linalg.eigvalsh(0.5 * (H + H.T)).min() > 0.0
 
 
@@ -195,9 +208,9 @@ class TestValidationAndSerialization:
     def test_dimension_mismatch_names_argument(self):
         k = Kernel(dim=2)
         with pytest.raises(DimensionError, match="x_prime"):
-            k.value([0.0, 0.0], [0.0])
+            k.value_outer([[0.0, 0.0]], [[0.0]])
         with pytest.raises(DimensionError, match="'x'"):
-            k.grad_x2([0.0], [0.0, 0.0])
+            k.grad_x2_outer([[0.0]], [[0.0, 0.0]])
 
     def test_bad_hyperparameters_rejected(self):
         with pytest.raises(DataError):

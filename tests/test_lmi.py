@@ -9,17 +9,30 @@ from contragp import lmi
 from contragp.errors import DataError, DimensionError, UnboundedMarginError
 
 
-def scalar_family_problem():
-    """Blocks [[P, 2P+q], [2P+q, P]] over z = (P, q), box 1 <= P <= 10.
+def bound_blocks(lower, upper):
+    """The box lower <= z <= upper as 1 x 1 blocks z_i - lower_i >= eps and
+    upper_i - z_i >= eps; an infinite bound gives no block."""
+    blocks = []
+    for sign, bound in ((1.0, lower), (-1.0, upper)):
+        for i, b in enumerate(np.asarray(bound, dtype=float)):
+            if np.isfinite(b):
+                blocks.append(lmi.AffineBlock(np.array([[-sign * b]]),
+                                              np.array([[[sign]]]),
+                                              var_indices=[i]))
+    return blocks
 
-    Hand analysis: q = -2P zeroes the off-diagonal, the block becomes P*I,
-    so the optimal margin is 10 at (P, q) = (10, -20).
+
+def scalar_family_problem():
+    """The block [[P, 2P+q], [2P+q, 20-P]] over z = (P, q).
+
+    Hand analysis: for fixed P the smallest eigenvalue is largest when
+    q = -2P zeroes the off-diagonal; the block becomes diag(P, 20-P), with
+    margin min(P, 20-P).  So the optimal margin is 10 at (P, q) = (10, -20).
     """
-    coeffs = np.array([[[1.0, 2.0], [2.0, 1.0]],
+    coeffs = np.array([[[1.0, 2.0], [2.0, -1.0]],
                        [[0.0, 1.0], [1.0, 0.0]]])
     return lmi.LmiProblem(
-        dim=2, blocks=[lmi.AffineBlock(np.zeros((2, 2)), coeffs)],
-        lower=np.array([1.0, -np.inf]), upper=np.array([10.0, np.inf]))
+        dim=2, blocks=[lmi.AffineBlock(np.diag([0.0, 20.0]), coeffs)])
 
 
 def char_poly_min_eig(M):
@@ -44,8 +57,8 @@ def random_feasible_problem(rng):
         D = rng.normal(size=(s, s))
         C = D @ D.T + 0.3 * np.eye(s) - np.tensordot(z_star, A, axes=(0, 0))
         blocks.append(lmi.AffineBlock(C, A))
-    return lmi.LmiProblem(dim=m, blocks=blocks, lower=z_star - 2.0,
-                          upper=z_star + 2.0), z_star
+    return lmi.LmiProblem(
+        dim=m, blocks=blocks + bound_blocks(z_star - 2.0, z_star + 2.0)), z_star
 
 
 class TestWorkedExamples:
@@ -65,13 +78,16 @@ class TestWorkedExamples:
         assert sol.z[1] == pytest.approx(-20.0, abs=2e-3)
 
     def test_bounded_infeasible_reports_best_margin(self):
+        # margin min(z - 1, z + 0.5, 0.5 - z): z - 1 and 0.5 - z meet at
+        # z = 0.75, where the best margin is -0.25
         p = lmi.LmiProblem(
             dim=1, blocks=[lmi.AffineBlock(np.array([[-1.0]]),
-                                           np.array([[[1.0]]]))],
-            lower=np.array([-0.5]), upper=np.array([0.5]))
+                                           np.array([[[1.0]]]))]
+            + bound_blocks([-0.5], [0.5]))
         sol = lmi.solve(p)
         assert sol.status == "infeasible"
-        assert sol.info["best_margin"] == pytest.approx(-0.5, abs=1e-3)
+        assert sol.info["best_margin"] == pytest.approx(-0.25, abs=1e-3)
+        assert sol.z[0] == pytest.approx(0.75, abs=1e-3)
 
     def test_unbounded_margin_raises(self):
         p = lmi.LmiProblem(dim=1,
@@ -79,13 +95,6 @@ class TestWorkedExamples:
                                                    np.array([[[1.0]]]))])
         with pytest.raises(UnboundedMarginError, match="normalization"):
             lmi.solve(p)
-
-    def test_feasibility_objective(self):
-        p = scalar_family_problem()
-        p.objective = lmi.FEASIBILITY
-        sol = lmi.solve(p)
-        assert sol.status == "feasible"
-        assert sol.margin >= 1e-7
 
 
 class TestAssembleMargin:
@@ -139,8 +148,7 @@ class TestSoundnessAndProperties:
             D = rng.normal(size=(s, s))
             C = D @ D.T + 0.1 * np.eye(s) - np.tensordot(z_star, A, axes=(0, 0))
             bigger = lmi.LmiProblem(dim=prob.dim,
-                                    blocks=prob.blocks + [lmi.AffineBlock(C, A)],
-                                    lower=prob.lower, upper=prob.upper)
+                                    blocks=prob.blocks + [lmi.AffineBlock(C, A)])
             assert lmi.solve(bigger).margin <= base + 1e-6
 
     def test_margin_scales_with_problem_data(self):
@@ -150,8 +158,8 @@ class TestSoundnessAndProperties:
         s = 3.7
         scaled = lmi.LmiProblem(
             dim=prob.dim,
-            blocks=[lmi.AffineBlock(s * b.const, s * b.coeffs) for b in prob.blocks],
-            lower=prob.lower, upper=prob.upper)
+            blocks=[lmi.AffineBlock(s * b.const, s * b.coeffs, b.var_indices)
+                    for b in prob.blocks])
         sol_s = lmi.solve(scaled)
         assert sol_s.margin == pytest.approx(s * sol.margin, rel=1e-3)
         np.testing.assert_allclose(sol_s.z, sol.z, atol=2e-3)
@@ -186,11 +194,11 @@ class TestSoundnessAndProperties:
         A1 = np.array([[1.0, 0.5], [0.5, -1.0]])
         A2 = np.array([[0.0, 1.0], [1.0, 0.0]])
         C = np.array([[1.0, 0.2], [0.2, 2.0]])
-        box = dict(lower=np.array([-1.0, -2.0]), upper=np.array([1.0, 2.0]))
+        box = bound_blocks([-1.0, -2.0], [1.0, 2.0])
         repeated = lmi.solve(lmi.LmiProblem(dim=2, blocks=[lmi.AffineBlock(
-            C, np.stack([A1, A2, A1]), var_indices=[0, 1, 0])], **box))
+            C, np.stack([A1, A2, A1]), var_indices=[0, 1, 0])] + box))
         merged = lmi.solve(lmi.LmiProblem(dim=2, blocks=[lmi.AffineBlock(
-            C, np.stack([2.0 * A1, A2]), var_indices=[0, 1])], **box))
+            C, np.stack([2.0 * A1, A2]), var_indices=[0, 1])] + box))
         assert repeated.status == merged.status == "optimal"
         assert (repeated.info["newton_steps"]
                 == merged.info["newton_steps"])
@@ -200,9 +208,9 @@ class TestSoundnessAndProperties:
 
 def mixed_problem():
     """Four decision entries; a full-index 3x3 block, sparse 2x2 and 1x1
-    blocks (one with a repeated index), a lower bound only on entry 0 and
-    both bounds on entries 1 and 3.  Every block is positive definite at
-    z_star, which lies inside the box."""
+    blocks (one with a repeated index), and bound blocks: a lower bound only
+    on entry 0 and both bounds on entries 1 and 3.  Every block is positive
+    definite at z_star, which lies inside the box."""
     rng = np.random.default_rng(7)
     z_star = np.array([0.3, -0.2, 0.5, 0.1])
 
@@ -217,10 +225,9 @@ def mixed_problem():
 
     blocks = [block(3, None), block(2, [0, 2]), block(2, [1, 3]),
               block(2, [3, 2]), block(1, [2]), block(1, [1, 0, 1])]
-    return lmi.LmiProblem(
-        dim=4, blocks=blocks,
-        lower=np.array([-1.0, -1.0, -np.inf, -2.0]),
-        upper=np.array([np.inf, 1.0, np.inf, 2.0])), z_star
+    blocks += bound_blocks([-1.0, -1.0, -np.inf, -2.0],
+                           [np.inf, 1.0, np.inf, 2.0])
+    return lmi.LmiProblem(dim=4, blocks=blocks), z_star
 
 
 class TestBarrierDerivatives:
@@ -254,7 +261,7 @@ class TestBarrierDerivatives:
         ws = lmi._Workspace(prob)
         # t far below minus every margin makes a block indefinite
         assert lmi._barrier(ws, np.append(z_star, -1e3), 1.0) is None
-        # entry 0 below its lower bound
+        # entry 0 below its lower bound block
         w = np.append(z_star, 0.05)
         w[0] = -1.5
         assert lmi._barrier(ws, w, 1.0, derivs=False) is None

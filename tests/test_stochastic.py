@@ -213,7 +213,7 @@ class TestMomentCheck:
             model, ctrl, np.array([0.0, 1.0]), np.eye(2))
         rep = stochastic.moment_ies_check(loop, np.array([[3.0, 3.0]]))
         J = model.jacobian([[3.0, 3.0]])[0] + np.outer(
-            [0.0, 1.0], ctrl.control_grad([3.0, 3.0]))
+            [0.0, 1.0], ctrl.control_grad_batch([[3.0, 3.0]])[0])
         rows = stochastic.sigma_jacobian(model, [[3.0, 3.0]])[0][0]
         manual = np.linalg.eigvalsh(
             np.eye(2) - J.T @ J

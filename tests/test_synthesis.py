@@ -183,8 +183,8 @@ class TestGainStep:
         rep = synthesis.solve_gain(toy_scalar, np.eye(1), Kernel(dim=1),
                                    np.array([[0.0]]))
         assert rep.eps == pytest.approx(1.0, abs=1e-4)
-        np.testing.assert_allclose(rep.controller.control_grad([0.0]), [-2.0],
-                                   atol=1e-6)
+        np.testing.assert_allclose(
+            rep.controller.control_grad_batch([[0.0]])[0], [-2.0], atol=1e-6)
 
     def test_zero_control_admissible_for_contracting_model(self):
         lin = systems.linear_system(0.5 * np.eye(2), [0.0, 1.0])
@@ -363,8 +363,9 @@ class TestClosedLoopJacobians:
         for a, x in zip(A, X):
             one = x[None]
             want = (model.drift_jacobian(one)[0]
-                    + np.outer(model.input(one)[0], law.control_grad(x))
-                    + law.control(x) * model.input_jac(one)[0])
+                    + np.outer(model.input(one)[0],
+                               law.control_grad_batch(one)[0])
+                    + law.control_batch(one)[0] * model.input_jac(one)[0])
             np.testing.assert_allclose(a, want, rtol=1e-12, atol=1e-12)
 
 
@@ -374,8 +375,8 @@ class TestJointRoute:
                                        np.array([[0.0]]), mode="two-step")
         repj = synthesis.run_synthesis(toy_scalar, Kernel(dim=1),
                                        np.array([[0.0]]), mode="joint")
-        d = abs(rep2.controller.control_grad([0.0])[0]
-                - repj.controller.control_grad([0.0])[0])
+        d = abs(rep2.controller.control_grad_batch([[0.0]])[0, 0]
+                - repj.controller.control_grad_batch([[0.0]])[0, 0])
         assert d < 1e-6
 
     def test_feasible_two_step_point_is_joint_feasible(self, osc_two_step,
@@ -386,7 +387,7 @@ class TestJointRoute:
         ctrl = osc_two_step.controller
         for x in osc_two_step.points:
             A = oscillator.drift_jacobian(x[None])[0] + np.outer(
-                oscillator.b, ctrl.control_grad(x))
+                oscillator.b, ctrl.control_grad_batch([x])[0])
             assert np.linalg.eigvalsh(synthesis.ies_block(P, A))[0] > 0.0
 
     def test_oscillator_joint_feasible(self, osc_joint):
@@ -530,8 +531,8 @@ class TestNonConstantInput:
                                    np.array([[0.0]]))
         assert rep.mode == "two-step-nonconstant-b"
         assert rep.eps == pytest.approx(1.0, abs=1e-4)
-        np.testing.assert_allclose(rep.controller.control_grad([0.0]), [-2.0],
-                                   atol=1e-5)
+        np.testing.assert_allclose(
+            rep.controller.control_grad_batch([[0.0]])[0], [-2.0], atol=1e-5)
 
     def test_brute_force_oracle_scalar(self):
         # f = 1.5x, b(x) = 1 + 0.1 x^2 on {-1, 0, 1}: grid-search candidate
@@ -579,7 +580,7 @@ class TestPolytopicConvexity:
                                       mode="polytopic", hulls=hulls, rho=10.0)
         b = sine.b
         for i, cell in enumerate(hulls.cells):
-            g = rep.controller.control_grad(hulls.centers[i])
+            g = rep.controller.control_grad_batch([hulls.centers[i]])[0]
             vmin = min(rep.vertex_margins[i])
             for x in systems.grid_points(cell, 7):
                 J = sine.drift_jacobian(x[None])[0]

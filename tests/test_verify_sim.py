@@ -219,7 +219,7 @@ class TestStochasticRollout:
         loop = stochastic.StochasticClosedLoop.from_drift_model(
             model, ctrl_rep.controller, np.array([1.0]), np.eye(1))
         traj = verify_sim.rollout_stochastic(loop, [0.5], 10, seed=3)
-        expected_u0 = ctrl_rep.controller.control([0.5])
+        expected_u0 = ctrl_rep.controller.control_batch([[0.5]])[0]
         assert traj.inputs[0] == pytest.approx(expected_u0, rel=1e-12)
 
     def test_second_moment_matches_linear_recursion(self):
