@@ -36,11 +36,11 @@ print("\nrollouts from the box boundary (the law is shifted so u(0) = 0)...")
 controller = report.controller.with_offset_at(np.zeros(2))
 W = np.linalg.inv(P)  # steps contract in this weighted norm
 for x0 in systems.boundary_states(box, 4):
-    traj = verify_sim.rollout(system, controller, x0, 8000)
+    traj = verify_sim.rollouts(system, controller, [x0], 8000)[0]
     print(f"  from {x0}: |x_K| = {np.linalg.norm(traj.states[-1]):.2e}")
 
-t1 = verify_sim.rollout(system, controller, [2.0, 2.0], 2000)
-t2 = verify_sim.rollout(system, controller, [-2.0, 1.0], 2000)
+t1 = verify_sim.rollouts(system, controller, [[2.0, 2.0]], 2000)[0]
+t2 = verify_sim.rollouts(system, controller, [[-2.0, 1.0]], 2000)[0]
 lam_hat, info = verify_sim.contraction_rate([(t1, t2)], W, region=box)
 print("\nempirical pairwise step ratio (P^-1-weighted):", round(lam_hat, 6),
       "over", info["used"], "steps")

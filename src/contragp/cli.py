@@ -20,7 +20,8 @@ import numpy as np
 
 from . import drift_gp, stochastic, synthesis, verify_sim, viz
 from .artifacts import read_csv, write_csv, write_json
-from .config import PipelineConfig, default_oscillator_config, load_config
+from .config import (MODES, PipelineConfig, default_oscillator_config,
+                     load_config)
 from .deriv_gp import DerivativeController
 from .errors import (ConfigError, ContragpError, FactorizationError,
                      InfeasibleError, NumericalFailureError)
@@ -57,15 +58,12 @@ def _load_json(path, what):
 # commands
 
 
-def cmd_gen_data(cfg: PipelineConfig, out, quiet=False, seed=None):
-    system = cfg.system()
-    box = cfg.domain("model")
-    pts = grid_points(box, int(cfg._req("grids", "model_points_per_axis")))
-    sigma_y = cfg.sigma_y()
-    rng = np.random.default_rng(cfg.seed("data") if seed is None else seed)
-    targets = np.asarray(system.drift(pts), dtype=float)
-    noise = rng.standard_normal(targets.shape) * sigma_y[None, :]
-    targets = targets + noise
+def cmd_gen_data(cfg: PipelineConfig, out, quiet=False):
+    box = cfg.model_box
+    pts = grid_points(box, cfg.model_points)
+    rng = np.random.default_rng(cfg.seed)
+    targets = np.asarray(cfg.system.drift(pts), dtype=float)
+    targets = targets + rng.standard_normal(targets.shape) * cfg.sigma_y
     n = box.dim
     header = [f"x_{i+1}" for i in range(n)] + [f"y_{i+1}" for i in range(n)]
     rows = np.hstack([pts, targets]).tolist()
@@ -93,19 +91,17 @@ def _load_training(cfg, out):
 
 def cmd_learn(cfg: PipelineConfig, out, quiet=False):
     pts, ys, inputs = _load_training(cfg, out)
-    kernel = cfg.kernel(dim=cfg.dim)
-    dataset = drift_gp.DriftDataset(pts, ys, sigma_y=cfg.sigma_y(),
+    dataset = drift_gp.DriftDataset(pts, ys, sigma_y=cfg.sigma_y,
                                     inputs=inputs)
-    fixed = cfg.fixed_rows()
     if inputs is not None:
-        model, gains = drift_gp.fit_drift_with_input(dataset, kernel,
-                                                     fixed=fixed)
+        model, gains = drift_gp.fit_drift_with_input(dataset, cfg.kernel,
+                                                     fixed=cfg.fixed_rows)
         extra = {"input_gains": [float(g) for g in gains]}
     else:
-        model = drift_gp.fit_drift(dataset, kernel, fixed=fixed)
+        model = drift_gp.fit_drift(dataset, cfg.kernel, fixed=cfg.fixed_rows)
         extra = {}
     artifact = {"drift_model": model.to_dict(),
-                "sigma_y": [float(v) for v in cfg.sigma_y()], **extra}
+                "sigma_y": [float(v) for v in cfg.sigma_y], **extra}
     write_json(_path(out, "drift_model.json"), artifact)
     _error_surfaces(cfg, out, model)
     _say(quiet, f"learned drift model from {pts.shape[0]} samples")
@@ -114,11 +110,7 @@ def cmd_learn(cfg: PipelineConfig, out, quiet=False):
 
 def _error_surfaces(cfg, out, model):
     """Learned vs analytic mean/gradient surfaces on the model domain."""
-    try:
-        system = cfg.system()
-    except ConfigError:
-        return
-    box = cfg.domain("model")
+    box = cfg.model_box
     pts = grid_points(box, 41 if box.dim == 2 else 201)
     n = box.dim
     header = [f"x_{i+1}" for i in range(n)]
@@ -130,8 +122,8 @@ def _error_surfaces(cfg, out, model):
                    + [f"dmu_{i+1}_d{j+1}" for j in range(n)]
                    + [f"df_{i+1}_d{j+1}" for j in range(n)])
         cols.append(i)
-    f = system.drift(pts)
-    J = system.drift_jacobian(pts)
+    f = cfg.system.drift(pts)
+    J = cfg.system.drift_jacobian(pts)
     table = [pts]
     for i in cols:
         comp = model.components[i]
@@ -144,43 +136,32 @@ def _design_model(cfg, out):
     """The model synthesis and verification run on, with the configured
     equilibrium (where synthesis zeroes the law); also the learned drift
     model, or None for the analytic source."""
-    system = cfg.system()
     if cfg.model_source == "analytic":
-        system.equilibrium = cfg.equilibrium()
-        return system, None
+        return cfg.system, None
     data = _load_json(_path(out, "drift_model.json"), "drift-model artifact")
     model = drift_gp.DriftModel.from_dict(data["drift_model"])
-    return model.as_system_model(b=system.b,
-                                 equilibrium=cfg.equilibrium()), model
+    return model.as_system_model(b=cfg.system.b,
+                                 equilibrium=cfg.equilibrium), model
 
 
-def cmd_synth(cfg: PipelineConfig, out, quiet=False, mode=None):
-    mode = mode or cfg.mode
+def cmd_synth(cfg: PipelineConfig, out, quiet=False):
+    mode = cfg.mode
     design, drift_model = _design_model(cfg, out)
-    kernel = cfg.kernel(dim=cfg.dim)
-    box = cfg.domain("control")
-    hulls = None
-    confidence = None
+    hulls = confidence = None
     if mode == "polytopic":
         hulls = synthesis.build_hulls(
-            design, box, cfg.subdivisions,
-            inflation=float(cfg._opt(0.1, "polytope", "inflation")),
-            samples_per_axis=int(cfg._opt(5, "polytope", "samples_per_axis")))
-        if cfg._opt(False, "stochastic", "chebyshev_inflate"):
-            if drift_model is None:
-                raise ConfigError("probabilistic hull inflation needs a "
-                                  "learned model source")
-            hulls = stochastic.chebyshev_hulls(
-                drift_model, hulls,
-                float(cfg._opt(40.0, "stochastic", "chebyshev_c")))
+            design, cfg.control_box, cfg.subdivisions,
+            inflation=cfg.inflation, samples_per_axis=cfg.samples_per_axis)
+        if cfg.chebyshev_inflate:
+            hulls = stochastic.chebyshev_hulls(drift_model, hulls,
+                                               cfg.chebyshev_c)
             confidence = hulls.confidence
         points = hulls.centers
     else:
-        points = grid_points(box, int(cfg._req("grids",
-                                               "control_points_per_axis")))
+        points = grid_points(cfg.control_box, cfg.control_points)
     report = synthesis.run_synthesis(
-        design, kernel, points, mode=mode, sigma_p=cfg.sigma_p,
-        rho=cfg.rho, hulls=hulls, config=cfg.solver_config())
+        design, cfg.kernel, points, mode=mode, sigma_p=cfg.sigma_p,
+        rho=cfg.rho, hulls=hulls)
     if confidence is not None:
         report.diagnostics["hull_confidence"] = confidence
     write_json(_path(out, "synthesis_report.json"), report.to_dict())
@@ -199,14 +180,13 @@ def cmd_synth(cfg: PipelineConfig, out, quiet=False, mode=None):
 
 
 def _controller_surface(cfg, out, controller):
-    box = cfg.domain("control")
-    res = int(cfg._req("grids", "verify_resolution"))
-    pts = grid_points(box, res)
+    box = cfg.control_box
+    pts = grid_points(box, cfg.verify_resolution)
     vals = controller.control_batch(pts)
     header = [f"x_{i+1}" for i in range(box.dim)] + ["u"]
     write_csv(_path(out, "controller_surface.csv"), header,
               np.column_stack([pts, vals]).tolist())
-    if cfg._opt(False, "emit_svg") and box.dim == 2:
+    if cfg.emit_svg and box.dim == 2:
         xs = np.unique(pts[:, 0])
         ys = np.unique(pts[:, 1])
         viz.heatmap_svg(_path(out, "controller_surface.svg"), xs, ys,
@@ -218,29 +198,25 @@ def _load_controller_and_P(out):
         _load_json(_path(out, "controller.json"), "controller artifact"))
     report = _load_json(_path(out, "synthesis_report.json"),
                         "synthesis report")
-    P = np.asarray(report["P"], dtype=float)
-    return controller, P, report
+    return controller, np.asarray(report["P"], dtype=float)
 
 
 def cmd_verify(cfg: PipelineConfig, out, quiet=False):
-    controller, P, _ = _load_controller_and_P(out)
+    controller, P = _load_controller_and_P(out)
     design, drift_model = _design_model(cfg, out)
-    box = cfg.domain("control")
-    res = int(cfg._req("grids", "verify_resolution"))
-    rep = verify_sim.verify_grid(design, controller, P, box, res)
+    box = cfg.control_box
+    rep = verify_sim.verify_grid(design, controller, P, box,
+                                 cfg.verify_resolution)
     header = [f"x_{i+1}" for i in range(box.dim)] + ["margin", "factor"]
     write_csv(_path(out, "verification.csv"), header,
               np.column_stack([rep.points, rep.margins, rep.factors]).tolist())
     write_json(_path(out, "verification.json"), rep.to_dict())
     outputs = {"min_margin": rep.min_margin, "lambda": rep.lam,
                "consistent": rep.consistent}
-    if cfg._opt(False, "stochastic", "moment_check"):
-        if drift_model is None:
-            raise ConfigError("moment check needs a learned model source")
+    if cfg.moment_check:
         loop = stochastic.StochasticClosedLoop.from_drift_model(
-            drift_model, controller, cfg.system().b, rep.weight)
-        grid = grid_points(box, int(cfg._req("grids",
-                                             "control_points_per_axis")))
+            drift_model, controller, cfg.system.b, rep.weight)
+        grid = grid_points(box, cfg.control_points)
         mrep = stochastic.moment_ies_check(loop, grid)
         write_json(_path(out, "moment_report.json"), mrep.to_dict())
         outputs["moment_eps_bar"] = mrep.eps_bar
@@ -281,47 +257,44 @@ def _final_ratio(traj):
 
 
 def cmd_simulate(cfg: PipelineConfig, out, quiet=False):
-    controller, P, _ = _load_controller_and_P(out)
-    system = cfg.system()
-    box = cfg.domain("control")
-    horizon = int(cfg._opt(1000, "sim", "horizon"))
-    inits = cfg.initial_states()
+    controller, P = _load_controller_and_P(out)
+    system, box = cfg.system, cfg.control_box
     W = np.linalg.inv(P)
-    trajs = _rollouts(system, controller, inits, horizon,
+    trajs = _rollouts(system, controller, cfg.initial_states, cfg.horizon,
                       _path(out, "trajectories"))
     stats = []
-    for x0, traj in zip(inits, trajs):
+    for x0, traj in zip(cfg.initial_states, trajs):
         viol, inside = _weighted_monotone_stats(traj, W, box)
         stats.append({"initial": [float(v) for v in x0],
                       "final_ratio": _final_ratio(traj),
                       "diverged": traj.diverged,
                       "monotone_violations": viol, "steps_inside": inside})
-    summary = {"horizon": horizon, "trajectories": stats,
+    summary = {"horizon": cfg.horizon, "trajectories": stats,
                "max_final_ratio": max(s["final_ratio"] for s in stats),
                "any_diverged": any(s["diverged"] for s in stats),
                "total_monotone_violations": sum(s["monotone_violations"]
                                                 for s in stats)}
-    if cfg._opt(False, "emit_svg") and system.n == 2:
+    if cfg.emit_svg and system.n == 2:
         viz.phase_portrait_svg(_path(out, "phase_portrait.svg"), trajs, box,
                                title="closed loop")
-    baseline = _baseline_runs(cfg, out, system, inits, horizon, quiet)
+    baseline = _baseline_runs(cfg, out, quiet)
     if baseline is not None:
         summary["baseline"] = baseline
     write_json(_path(out, "sim_summary.json"), summary)
-    _say(quiet, f"simulated {len(inits)} trajectories, max final ratio "
+    _say(quiet, f"simulated {len(trajs)} trajectories, max final ratio "
          f"{summary['max_final_ratio']:.4f}")
     return summary
 
 
-def _baseline_runs(cfg, out, system, inits, horizon, quiet):
+def _baseline_runs(cfg, out, quiet):
     """Cancel-then-linear-feedback baseline on the true system, recorded but
     never asserted: its behaviour depends on the learning-error realization."""
-    if not cfg._opt(False, "sim", "baseline"):
+    if not cfg.baseline:
         return None
     drift_path = _path(out, "drift_model.json")
     if not os.path.exists(drift_path):
         return None
-    gain = np.asarray(cfg._opt(None, "sim", "baseline_gain"), dtype=float)
+    gain, system = cfg.baseline_gain, cfg.system
     model = drift_gp.DriftModel.from_dict(
         _load_json(drift_path, "drift-model artifact")["drift_model"])
     comp = int(np.argmax(np.abs(system.b)))
@@ -330,15 +303,15 @@ def _baseline_runs(cfg, out, system, inits, horizon, quiet):
         def control_batch(self, X):
             return -model.components[comp].mean(X) + X @ gain
 
-    trajs = _rollouts(system, _BaselineLaw(), inits, horizon,
-                      _path(out, "baseline"))
+    trajs = _rollouts(system, _BaselineLaw(), cfg.initial_states,
+                      cfg.horizon, _path(out, "baseline"))
     stats = [{"final_ratio": _final_ratio(traj), "diverged": traj.diverged}
              for traj in trajs]
     nonconv = sum(1 for s in stats
                   if s["diverged"] or s["final_ratio"] > 0.1)
-    if cfg._opt(False, "emit_svg") and system.n == 2:
+    if cfg.emit_svg and system.n == 2:
         viz.phase_portrait_svg(_path(out, "baseline_portrait.svg"), trajs,
-                               cfg.domain("control"), title="baseline")
+                               cfg.control_box, title="baseline")
     _say(quiet, f"baseline: {nonconv}/{len(stats)} trajectories flagged "
          "non-converging (recorded, not asserted)")
     return {"gain": [float(g) for g in gain],
@@ -346,25 +319,22 @@ def _baseline_runs(cfg, out, system, inits, horizon, quiet):
 
 
 def cmd_reproduce(cfg: PipelineConfig, out, quiet=False):
-    results = {}
-    results["gen_data"] = cmd_gen_data(cfg, out, quiet)
-    results["learn"] = cmd_learn(cfg, out, quiet)
-    results["synth"] = cmd_synth(cfg, out, quiet)
-    results["verify"] = cmd_verify(cfg, out, quiet)
-    results["simulate"] = cmd_simulate(cfg, out, quiet)
+    cmd_gen_data(cfg, out, quiet)
+    cmd_learn(cfg, out, quiet)
+    synth = cmd_synth(cfg, out, quiet)
+    verify = cmd_verify(cfg, out, quiet)
+    sim = cmd_simulate(cfg, out, quiet)
     summary = {
-        "config": cfg.data,
+        "config": cfg.raw,
         "feasible": True,
-        "eps": results["synth"]["eps"],
-        "eps_p": results["synth"]["eps_p"],
-        "min_margin": results["verify"]["min_margin"],
-        "lambda": results["verify"]["lambda"],
-        "grid_certified": results["verify"]["min_margin"] > 0.0
-        and results["verify"]["lambda"] < 1.0,
-        "max_final_ratio": results["simulate"]["max_final_ratio"],
-        "monotone_violations": results["simulate"]["total_monotone_violations"],
-        "baseline_nonconverging": results["simulate"].get(
-            "baseline", {}).get("nonconverging"),
+        "eps": synth["eps"],
+        "eps_p": synth["eps_p"],
+        "min_margin": verify["min_margin"],
+        "lambda": verify["lambda"],
+        "grid_certified": verify["min_margin"] > 0.0 and verify["lambda"] < 1.0,
+        "max_final_ratio": sim["max_final_ratio"],
+        "monotone_violations": sim["total_monotone_violations"],
+        "baseline_nonconverging": sim.get("baseline", {}).get("nonconverging"),
     }
     write_json(_path(out, "summary.json"), summary)
     _say(quiet, "reproduction summary:", json.dumps(
@@ -376,58 +346,61 @@ def cmd_reproduce(cfg: PipelineConfig, out, quiet=False):
 # entry point
 
 
+# command -> (function name, help)
+COMMANDS = {
+    "gen-data": ("cmd_gen_data", "generate drift training data"),
+    "learn": ("cmd_learn", "fit the drift model from training data"),
+    "synth": ("cmd_synth", "synthesize metric and feedback law"),
+    "verify": ("cmd_verify", "grid-certify the synthesized closed loop"),
+    "simulate": ("cmd_simulate", "roll out the closed loop on the true system"),
+    "reproduce-oscillator": ("cmd_reproduce",
+                             "run the full oscillator benchmark chain"),
+}
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="contragp",
         description="Contraction-based controller synthesis pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "gen-data": "generate drift training data",
-        "learn": "fit the drift model from training data",
-        "synth": "synthesize metric and feedback law",
-        "verify": "grid-certify the synthesized closed loop",
-        "simulate": "roll out the closed loop on the true system",
-        "reproduce-oscillator": "run the full oscillator benchmark chain",
-    }
-    for name, help_ in specs.items():
+    for name, (_, help_) in COMMANDS.items():
         p = sub.add_parser(name, help=help_)
         p.add_argument("--config", help="path to a pipeline config JSON"
                        + ("" if name == "reproduce-oscillator"
                           else " (required)"))
         p.add_argument("--out", required=True, help="artifact directory")
         p.add_argument("--seed", type=int, help="override the data seed")
-        p.add_argument("--mode", choices=["two-step", "joint", "polytopic"],
+        p.add_argument("--mode", choices=MODES,
                        help="override the synthesis mode")
         p.add_argument("--quiet", action="store_true")
     return parser
 
 
+def _config(args):
+    """The command's config, with ``--seed`` and ``--mode`` written into
+    its dict and parsed with the rest of it."""
+    if args.config:
+        cfg = load_config(args.config)
+    elif args.command == "reproduce-oscillator":
+        cfg = PipelineConfig(default_oscillator_config())
+    else:
+        raise ConfigError("--config is required for this command")
+    if args.seed is None and args.mode is None:
+        return cfg
+    if args.seed is not None:
+        cfg.raw.setdefault("seeds", {})["data"] = args.seed
+    if args.mode is not None:
+        cfg.raw["mode"] = args.mode
+    return PipelineConfig(cfg.raw)
+
+
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        if args.config:
-            cfg = load_config(args.config)
-        elif args.command == "reproduce-oscillator":
-            cfg = PipelineConfig(default_oscillator_config())
-        else:
-            raise ConfigError("--config is required for this command")
-        if args.seed is not None:
-            cfg.data.setdefault("seeds", {})["data"] = int(args.seed)
-        if args.mode is not None:
-            cfg.data["mode"] = args.mode
+        cfg = _config(args)
         os.makedirs(args.out, exist_ok=True)
-        if args.command == "gen-data":
-            cmd_gen_data(cfg, args.out, args.quiet)
-        elif args.command == "learn":
-            cmd_learn(cfg, args.out, args.quiet)
-        elif args.command == "synth":
-            cmd_synth(cfg, args.out, args.quiet, mode=args.mode)
-        elif args.command == "verify":
-            cmd_verify(cfg, args.out, args.quiet)
-        elif args.command == "simulate":
-            cmd_simulate(cfg, args.out, args.quiet)
-        elif args.command == "reproduce-oscillator":
-            cmd_reproduce(cfg, args.out, args.quiet)
+        # looked up by name at call time, so a rebound command is the one run
+        globals()[COMMANDS[args.command][0]](cfg, args.out, args.quiet)
         return EXIT_OK
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)

@@ -1,9 +1,12 @@
-"""Pipeline configuration: a versioned JSON schema validated up front.
+"""Pipeline configuration: a versioned JSON schema parsed once, up front.
 
-Commands never start computing against a half-checked config; every field
-is validated on load and builtin-system knowledge (exact rows, default
-domains, seeds) is materialized into the config dict so artifacts fully
-describe their provenance.
+``PipelineConfig`` is the only reader of a config dict.  Its constructor
+reads every key the package uses through one helper that applies the key's
+default, converts the value and checks its range and its relation to other
+keys; the commands read the resulting attributes.  A malformed value, a
+missing required key and any key the constructor did not read raise a
+``ConfigError`` that names the key, so no command starts computing against
+a half-checked config.
 """
 
 from __future__ import annotations
@@ -11,12 +14,14 @@ from __future__ import annotations
 import json
 import math
 import os
+from functools import partial
 
 import numpy as np
 
-from .errors import ConfigError
+from .drift_gp import FixedAffineComponent
+from .errors import ConfigError, ContragpError
 from .kernels import Kernel
-from .systems import Box, builtin_system, polynomial_system
+from .systems import Box, boundary_states, builtin_system, polynomial_system
 
 __all__ = ["PipelineConfig", "load_config", "default_oscillator_config",
            "default_sine1d_config"]
@@ -44,7 +49,7 @@ def default_oscillator_config():
                   "verify_resolution": 41},
         "kernel": {"family": "squared-exponential", "beta": 1.0},
         "noise": {"sigma_y": [0.0, 0.01], "sigma_p": 0.0},
-        "solver": {"rho": 10.0, "feas_tol": 1e-7, "width_scale": 1e-6},
+        "solver": {"rho": 10.0},
         "mode": "two-step",
         "synthesis": {"model_source": "learned"},
         "learn": {"fixed_rows": {"0": {"linear": [1.0, 0.01], "const": 0.0}}},
@@ -67,7 +72,7 @@ def default_sine1d_config():
                   "verify_resolution": 101},
         "kernel": {"family": "squared-exponential", "beta": 1.0},
         "noise": {"sigma_y": [0.01], "sigma_p": 0.0},
-        "solver": {"rho": 10.0, "feas_tol": 1e-7, "width_scale": 1e-6},
+        "solver": {"rho": 10.0},
         "mode": "polytopic",
         "polytope": {"subdivisions": 4, "inflation": 0.1,
                      "samples_per_axis": 5},
@@ -81,167 +86,206 @@ def default_sine1d_config():
     }
 
 
+# -- value specs: (conversion, check, what a good value is) ----------------
+# A conversion raises TypeError, ValueError or LookupError on a bad value.
+
+REQUIRED = object()
+_floats = partial(np.asarray, dtype=float)
+
+
+def _integer(value):
+    """An integral number (or numeral) as an int; bools are refused."""
+    if isinstance(value, bool) or float(value) != int(value):
+        raise ValueError(value)
+    return int(value)
+
+
+def _box(value):
+    spans = _floats(value)
+    if spans.ndim != 2 or spans.shape[1] != 2:
+        raise ValueError(value)
+    return Box.make(spans[:, 0], spans[:, 1])
+
+
+RAW = (None, None, "")
+FLAG = (None, lambda v: isinstance(v, bool), "true or false")
+COUNT = (_integer, lambda v: v >= 1, "a positive integer")
+NONNEGATIVE = (float, lambda v: v >= 0.0, "a nonnegative number")
+
+
+def _vector(n):
+    return (_floats, lambda v: v.shape == (n,) and np.isfinite(v).all(),
+            f"a list of {n} finite numbers")
+
+
+def _fixed_rows(n):
+    """Row index -> exactly known affine component."""
+    def parse(value):
+        rows = {}
+        for key, spec in dict(value).items():
+            row, linear = _integer(key), _floats(spec["linear"])
+            if (not 0 <= row < n or linear.shape != (n,)
+                    or not set(spec) <= {"linear", "const"}):
+                raise ValueError(value)
+            rows[row] = FixedAffineComponent(linear,
+                                             float(spec.get("const", 0.0)))
+        return rows
+    return (parse, None, f"an object mapping row indices below {n} to "
+            "{'linear': [...], 'const': ...}")
+
+
+def _initial_states(box, n):
+    """``"boundary-<count>"`` on a 2-D box, or a list of n-vectors."""
+    def parse(value):
+        if isinstance(value, str):
+            kind, _, count = value.partition("-")
+            if kind != "boundary" or box.dim != 2 or _integer(count) < 1:
+                raise ValueError(value)
+            return boundary_states(box, _integer(count))
+        X = np.atleast_2d(_floats(value))
+        if X.ndim != 2 or X.shape[1] != n or not np.isfinite(X).all():
+            raise ValueError(value)
+        return X
+    return (parse, None,
+            f"'boundary-<count>' (2-D domains only) or a list of {n}-vectors")
+
+
 class PipelineConfig:
-    """Validated view over a config dict."""
+    """A config dict, parsed.
+
+    Each key the package uses is read once here; ``raw`` keeps the dict as
+    given (for echoing into artifacts) and the commands read the other
+    attributes.  ``system`` carries the configured equilibrium, where
+    synthesis zeroes the law.
+    """
 
     def __init__(self, data):
         if not isinstance(data, dict):
             raise ConfigError("config must be a JSON object")
-        if data.get("version") != SCHEMA_VERSION:
-            raise ConfigError(
-                f"unsupported config version {data.get('version')!r}; "
-                f"expected {SCHEMA_VERSION}")
-        self.data = data
-        self._validate()
+        self.raw = data
+        self._keys = set()      # dotted paths of the keys read
+        self._sections = set()  # dotted paths of the objects holding them
+        self._get("version", (None, lambda v: v == SCHEMA_VERSION,
+                              str(SCHEMA_VERSION)))
 
-    # -- access helpers -------------------------------------------------
+        builtin = self._get("system.builtin", RAW, None)
+        if builtin is None:
+            system = self._get("system.polynomial", (
+                polynomial_system, None, "a polynomial system description"))
+        else:
+            dt = self._get("system.dt", (float, lambda v: v > 0.0,
+                                         "a positive number"), None)
+            kwargs = {} if dt is None else {"dt": dt}
+            system = self._check("system.builtin", builtin, (
+                lambda name: builtin_system(name, **kwargs), None,
+                "a builtin system name"))
+        n = self.dim = system.n
+        self.equilibrium = self._get("system.equilibrium", _vector(n), None)
+        system.equilibrium = self.equilibrium
+        self.system = system
 
-    def _req(self, *keys):
-        node = self.data
-        for k in keys:
-            if not isinstance(node, dict) or k not in node:
-                raise ConfigError(f"config is missing '{'.'.join(keys)}'")
-            node = node[k]
-        return node
+        box = (_box, lambda b: b.dim == n,
+               f"{n} [lo, hi] pairs, one per dimension of the system")
+        self.model_box = self._get("domain.model", box)
+        self.control_box = self._get("domain.control", box)
+        self.model_points = self._get("grids.model_points_per_axis", COUNT)
+        self.control_points = self._get("grids.control_points_per_axis",
+                                        COUNT)
+        self.verify_resolution = self._get("grids.verify_resolution", COUNT)
 
-    def _opt(self, default, *keys):
-        node = self.data
-        for k in keys:
-            if not isinstance(node, dict) or k not in node:
-                return default
-            node = node[k]
-        return node
+        kernel = {key: self._get(f"kernel.{key}", RAW, default)
+                  for key, default in (("family", "squared-exponential"),
+                                       ("beta", 1.0), ("sigma", None),
+                                       ("degree", None))}
+        self.kernel = self._check("kernel", kernel, (
+            lambda spec: Kernel(dim=n, **spec), lambda k: k.dim == n,
+            f"a kernel spec on {n} states"))
 
-    # -- validation ------------------------------------------------------
+        self.sigma_y = self._get("noise.sigma_y", (
+            lambda v: np.broadcast_to(_floats(v), (n,)).copy(),
+            lambda v: (v >= 0.0).all(),
+            f"a nonnegative number or {n} of them"))
+        self.sigma_p = self._get("noise.sigma_p", NONNEGATIVE, 0.0)
+        self.rho = self._get("solver.rho", (float, lambda v: v > 1.0,
+                                            "a number above 1"))
+        self.mode = self._get("mode", (None, lambda v: v in MODES,
+                                       f"one of {MODES}"), "two-step")
+        self.subdivisions = self._get("polytope.subdivisions", COUNT, 4)
+        self.inflation = self._get("polytope.inflation", NONNEGATIVE, 0.1)
+        self.samples_per_axis = self._get("polytope.samples_per_axis", COUNT,
+                                          5)
+        self.model_source = self._get("synthesis.model_source", (
+            None, lambda v: v in ("analytic", "learned"),
+            "'analytic' or 'learned'"), "analytic")
+        self.fixed_rows = self._get("learn.fixed_rows", _fixed_rows(n), {})
 
-    def _validate(self):
-        sys_spec = self._req("system")
-        if "builtin" not in sys_spec and "polynomial" not in sys_spec:
-            raise ConfigError("system must name a builtin or give a "
-                              "polynomial description")
-        system = self.system()  # constructs and therefore validates
-        for key in ("model", "control"):
-            if self.domain(key).dim != system.n:
-                raise ConfigError(f"domain.{key} has dimension "
-                                  f"{self.domain(key).dim} but the system "
-                                  f"has {system.n} states")
-        for key, val in self._req("grids").items():
-            if int(val) < 1:
-                raise ConfigError(f"grids.{key} must be positive")
-        if self.mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}")
-        if self.mode == "polytopic" and self.subdivisions < 1:
-            raise ConfigError("polytope.subdivisions must be positive")
-        sy = np.asarray(self._req("noise", "sigma_y"), dtype=float)
-        if np.any(sy < 0.0):
-            raise ConfigError("noise.sigma_y must be nonnegative")
-        if float(self._opt(0.0, "noise", "sigma_p")) < 0.0:
-            raise ConfigError("noise.sigma_p must be nonnegative")
-        if float(self._req("solver", "rho")) <= 1.0:
-            raise ConfigError("solver.rho must exceed 1")
-        src = self._opt("analytic", "synthesis", "model_source")
-        if src not in ("analytic", "learned"):
-            raise ConfigError("synthesis.model_source must be 'analytic' "
-                              "or 'learned'")
-        self.kernel(dim=self.dim)
-        horizon = int(self._opt(1000, "sim", "horizon"))
-        if horizon < 1:
-            raise ConfigError("sim.horizon must be positive")
+        self.moment_check = self._get("stochastic.moment_check", FLAG, False)
+        self.chebyshev_inflate = self._get("stochastic.chebyshev_inflate",
+                                           FLAG, False)
+        self.chebyshev_c = self._get("stochastic.chebyshev_c", (
+            float, lambda v: v > n, f"a number above {n}"), 40.0)
+        for key in ("moment_check", "chebyshev_inflate"):
+            if getattr(self, key) and self.model_source != "learned":
+                raise ConfigError(f"stochastic.{key} needs the learned model "
+                                  "source (synthesis.model_source)")
 
-    # -- materialized objects ---------------------------------------------
+        self.horizon = self._get("sim.horizon", COUNT, 1000)
+        self.initial_states = self._get(
+            "sim.initial_states", _initial_states(self.control_box, n),
+            "boundary-16")
+        self.baseline = self._get("sim.baseline", FLAG, False)
+        self.baseline_gain = self._get("sim.baseline_gain", _vector(n), None)
+        if self.baseline and self.baseline_gain is None:
+            raise ConfigError(f"sim.baseline needs sim.baseline_gain, "
+                              f"{_vector(n)[2]}")
+        self.seed = self._get("seeds.data", (_integer, lambda v: v >= 0,
+                                             "a nonnegative integer"))
+        self.emit_svg = self._get("emit_svg", FLAG, False)
+        self._reject_unknown(self.raw, "")
 
-    def system(self):
-        spec = self._req("system")
-        if "builtin" in spec:
-            kwargs = {}
-            if "dt" in spec:
-                kwargs["dt"] = float(spec["dt"])
-            return builtin_system(spec["builtin"], **kwargs)
-        return polynomial_system(spec["polynomial"])
+    def _get(self, path, spec, default=REQUIRED):
+        """The value of the dotted key ``path`` checked against ``spec`` by
+        :meth:`_check`, or ``default`` when the key is absent.  Records the
+        key as read."""
+        self._keys.add(path)
+        *sections, leaf = path.split(".")
+        node = self.raw
+        for depth in range(len(sections)):
+            section = ".".join(sections[:depth + 1])
+            self._sections.add(section)
+            node = node.get(sections[depth], {})
+            if not isinstance(node, dict):
+                raise ConfigError(f"{section} must be an object")
+        if leaf not in node:
+            if default is REQUIRED:
+                raise ConfigError(f"config is missing '{path}'")
+            return default
+        return self._check(path, node[leaf], spec)
 
-    @property
-    def dim(self):
-        return len(self._req("domain", "model"))
-
-    def domain(self, which):
-        spans = self._req("domain", which)
+    @staticmethod
+    def _check(path, value, spec):
+        """``convert(value)`` for ``spec = (convert, check, need)``, if
+        ``check`` accepts it (a None ``convert`` or ``check`` is skipped);
+        any failure raises a ConfigError naming ``path``."""
+        convert, check, need = spec
         try:
-            lo = [float(s[0]) for s in spans]
-            hi = [float(s[1]) for s in spans]
-        except (TypeError, IndexError) as exc:
-            raise ConfigError(f"domain.{which} must be a list of "
-                              "[lo, hi] pairs") from exc
-        return Box.make(lo, hi)
-
-    def kernel(self, dim=None):
-        spec = dict(self._opt({}, "kernel"))
-        family = spec.get("family", "squared-exponential")
-        beta = float(spec.get("beta", 1.0))
-        sigma = spec.get("sigma")
-        degree = spec.get("degree")
-        try:
-            return Kernel(family=family, beta=beta,
-                          sigma=None if sigma is None else np.asarray(sigma),
-                          dim=dim if sigma is None else None, degree=degree)
-        except Exception as exc:
-            raise ConfigError(f"bad kernel spec: {exc}") from exc
-
-    @property
-    def mode(self):
-        return self._opt("two-step", "mode")
-
-    @property
-    def subdivisions(self):
-        """Cells per axis of the polytopic route."""
-        return int(self._opt(4, "polytope", "subdivisions"))
-
-    @property
-    def model_source(self):
-        return self._opt("analytic", "synthesis", "model_source")
-
-    def sigma_y(self):
-        return np.broadcast_to(
-            np.asarray(self._req("noise", "sigma_y"), dtype=float),
-            (self.dim,)).copy()
-
-    @property
-    def sigma_p(self):
-        return float(self._opt(0.0, "noise", "sigma_p"))
-
-    @property
-    def rho(self):
-        return float(self._req("solver", "rho"))
-
-    def solver_config(self):
-        from .lmi import SolverConfig
-        return SolverConfig(
-            feas_tol=float(self._opt(1e-7, "solver", "feas_tol")),
-            width=float(self._opt(1e-6, "solver", "width_scale")) * self.rho)
-
-    def fixed_rows(self):
-        from .drift_gp import FixedAffineComponent
-        out = {}
-        for key, spec in self._opt({}, "learn", "fixed_rows").items():
-            out[int(key)] = FixedAffineComponent(spec["linear"],
-                                                 spec.get("const", 0.0))
+            out = value if convert is None else convert(value)
+            good = check is None or bool(check(out))
+        except (TypeError, ValueError, LookupError, OverflowError):
+            good = False
+        except ContragpError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
+        if not good:
+            raise ConfigError(f"{path} must be {need}, got {value!r}")
         return out
 
-    def equilibrium(self):
-        eq = self._opt(None, "system", "equilibrium")
-        return None if eq is None else np.asarray(eq, dtype=float)
-
-    def initial_states(self):
-        from .systems import boundary_states
-        spec = self._opt("boundary-16", "sim", "initial_states")
-        if isinstance(spec, str):
-            if not spec.startswith("boundary-"):
-                raise ConfigError(f"unknown initial-state spec '{spec}'")
-            count = int(spec.split("-", 1)[1])
-            return boundary_states(self.domain("control"), count)
-        return np.atleast_2d(np.asarray(spec, dtype=float))
-
-    def seed(self, which):
-        return int(self._req("seeds", which))
+    def _reject_unknown(self, node, prefix):
+        for key, value in node.items():
+            path = prefix + key
+            if path in self._sections:
+                self._reject_unknown(value, path + ".")
+            elif path not in self._keys:
+                raise ConfigError(f"unknown config key '{path}'")
 
 
 def load_config(path):

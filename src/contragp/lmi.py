@@ -35,7 +35,6 @@ __all__ = [
     "AffineBlock",
     "LmiProblem",
     "LmiSolution",
-    "SolverConfig",
     "solve",
     "assemble_block",
     "assemble_margin",
@@ -48,6 +47,7 @@ NEWTON_TOL = 1e-10    # a centering stops at Newton decrement <= 2 NEWTON_TOL
 MU_FACTOR = 0.15      # mu shrinks by this factor between centerings
 MU_FLOOR = 1e-12      # the path stops at mu <= MU_FLOOR * max(1, |t|)
 ARMIJO = 0.25         # sufficient-decrease fraction of the line search
+FEAS_TOL = 1e-7       # a margin at or above this counts as feasible
 
 
 @dataclass
@@ -148,12 +148,6 @@ class LmiSolution:
     margin: float
     status: str  # "optimal" | "infeasible" | "numerical-failure"
     info: dict = field(default_factory=dict)
-
-
-@dataclass
-class SolverConfig:
-    feas_tol: float = 1e-7        # margin at/above this counts as feasible
-    width: float = 1e-5           # reported margin is this close to the supremum
 
 
 # ---------------------------------------------------------------------------
@@ -338,13 +332,13 @@ def _minimize_barrier(ws, w, mu, info):
     return w, False
 
 
-def solve(problem: LmiProblem, config: SolverConfig | None = None) -> LmiSolution:
+def solve(problem: LmiProblem, width=1e-5) -> LmiSolution:
     """Maximize the smallest block margin of an LMI family.
 
     One central path of  min t  s.t.  blocks(z) + t I >= 0, run until a
     centered iterate has barrier gap nu * mu <= ``width``, so the returned
     margin is within ``width`` of the supremum.  The status is ``optimal``
-    when the margin at the returned z is at least ``feas_tol`` and
+    when the margin at the returned z is at least ``FEAS_TOL`` and
     ``infeasible`` otherwise; ``info`` then carries that margin as
     ``best_margin`` and an upper bound on the supremum as
     ``best_margin_upper``.  ``info`` also records the path:
@@ -352,7 +346,6 @@ def solve(problem: LmiProblem, config: SolverConfig | None = None) -> LmiSolutio
     ``backtracks`` (line-search halvings) and ``final_mu``.  The reported
     margin is always recomputed from the assembled blocks at the returned z.
     """
-    cfg = config or SolverConfig()
     problem.validate()
     ws = _Workspace(problem)
     info = {"newton_steps": 0, "barrier_stages": 0, "backtracks": 0,
@@ -370,7 +363,7 @@ def solve(problem: LmiProblem, config: SolverConfig | None = None) -> LmiSolutio
             info["barrier_stages"] += 1
             info["final_mu"] = mu
             w, converged = _minimize_barrier(ws, w, mu, info)
-            if ((converged and ws.nu * mu <= cfg.width)
+            if ((converged and ws.nu * mu <= width)
                     or mu <= MU_FLOOR * max(1.0, abs(w[-1]))):
                 break
             mu *= MU_FACTOR
@@ -381,7 +374,7 @@ def solve(problem: LmiProblem, config: SolverConfig | None = None) -> LmiSolutio
                            info=info)
     z = w[:-1]
     margin = assemble_margin(problem, z)
-    if margin >= cfg.feas_tol:
+    if margin >= FEAS_TOL:
         status = "optimal"
     else:
         status = "infeasible"

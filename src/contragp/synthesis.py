@@ -346,14 +346,14 @@ def _metric_bounds(n, rho):
                             label=_P_BOUNDS[1])]
 
 
-def _solve(problem, config, rho, what):
-    """Solve at the default width 1e-6 rho unless ``config`` is given.
+def _solve(problem, rho, what):
+    """Solve to within 1e-6 rho of the best margin.
 
     Raises NumericalFailureError on a numerical failure, and InfeasibleError
     naming the worst constraint of the family (never a metric bound) when
     the solver finds the family infeasible.
     """
-    sol = lmi.solve(problem, config or lmi.SolverConfig(width=1e-6 * rho))
+    sol = lmi.solve(problem, width=1e-6 * rho)
     if sol.status == "numerical-failure":
         raise NumericalFailureError(f"{what} solve failed",
                                     sol.info.get("trace"))
@@ -369,7 +369,7 @@ def _solve(problem, config, rho, what):
     return sol
 
 
-def solve_metric(model, points, hulls=None, rho=DEFAULT_RHO, config=None):
+def solve_metric(model, points, hulls=None, rho=DEFAULT_RHO):
     """Select a constant metric P with I <= P <= rho I maximizing the
     annihilated one-step decrease margin over the constraint family.
 
@@ -396,7 +396,7 @@ def solve_metric(model, points, hulls=None, rho=DEFAULT_RHO, config=None):
     problem = lmi.LmiProblem(dim=len(basis),
                              blocks=blocks + _metric_bounds(n, rho),
                              initial_z=vech(0.5 * (1.0 + rho) * np.eye(n)))
-    sol = _solve(problem, config, rho, "metric")
+    sol = _solve(problem, rho, "metric")
     eps_p = float(lmi.block_margins(problem, sol.z)[:len(labels)].min())
     return unvech(sol.z, n), eps_p
 
@@ -490,7 +490,7 @@ def _finish_gain(model, P, kernel, X, targets, sigma_p, mats, labels, sol,
 
 
 def solve_gain(model, P, kernel, points, sigma_p=0.0, hulls=None,
-               eps_p=None, config=None, rho=DEFAULT_RHO):
+               eps_p=None, rho=DEFAULT_RHO):
     """Choose the law's gradients g at the design points so every
     closed-loop block is PSD with maximal margin, then fit the law to them.
 
@@ -509,7 +509,7 @@ def solve_gain(model, P, kernel, points, sigma_p=0.0, hulls=None,
     mats, labels = _metric_constraint_mats(model, X, hulls)
     L = _gram_factor(kernel, X)
     sol = _solve(_gain_problem(model, P, kernel, X, L, mats, labels),
-                 config, rho, "gain")
+                 rho, "gain")
     g = sol.z
     targets = (g + sigma_p ** 2 * cho_solve((L, True), g)).reshape(X.shape)
     if hulls is not None:
@@ -533,7 +533,7 @@ def solve_gain(model, P, kernel, points, sigma_p=0.0, hulls=None,
 # joint route
 
 
-def solve_joint(model, kernel, points, rho=DEFAULT_RHO, config=None):
+def solve_joint(model, kernel, points, rho=DEFAULT_RHO):
     """Single family over (P, scaled targets); the noise-free route.
 
     The scaled targets multiply the input vector directly, so no coupling
@@ -564,7 +564,7 @@ def solve_joint(model, kernel, points, rho=DEFAULT_RHO, config=None):
     problem = lmi.LmiProblem(dim=mP + N * n,
                              blocks=blocks + _metric_bounds(n, rho),
                              initial_z=init)
-    sol = _solve(problem, config, rho, "joint")
+    sol = _solve(problem, rho, "joint")
     P = unvech(sol.z[:mP], n)
     targets = sol.z[mP:].reshape(N, n) @ np.linalg.inv(P)
     return _finish_gain(model, P, kernel, X, targets, 0.0, mats, labels, sol,
@@ -576,14 +576,14 @@ def solve_joint(model, kernel, points, rho=DEFAULT_RHO, config=None):
 
 
 def run_synthesis(model, kernel, points, mode="two-step", sigma_p=0.0,
-                  rho=DEFAULT_RHO, hulls=None, config=None):
+                  rho=DEFAULT_RHO, hulls=None):
     """End-to-end synthesis in the requested mode; returns a report."""
     if mode == "joint":
-        return solve_joint(model, kernel, points, rho=rho, config=config)
+        return solve_joint(model, kernel, points, rho=rho)
     if mode == "polytopic" and hulls is None:
         raise DataError("polytopic mode requires hulls")
     if mode not in ("two-step", "polytopic"):
         raise DataError(f"unknown synthesis mode '{mode}'")
-    P, eps_p = solve_metric(model, points, hulls=hulls, rho=rho, config=config)
+    P, eps_p = solve_metric(model, points, hulls=hulls, rho=rho)
     return solve_gain(model, P, kernel, points, sigma_p=sigma_p, hulls=hulls,
-                      eps_p=eps_p, config=config, rho=rho)
+                      eps_p=eps_p, rho=rho)

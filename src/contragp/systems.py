@@ -42,9 +42,6 @@ class Box:
     def hi_arr(self):
         return np.asarray(self.hi)
 
-    def contains(self, x, tol=0.0):
-        return bool(self.contains_rows(np.reshape(x, (1, -1)), tol)[0])
-
     def contains_rows(self, X, tol=0.0):
         """Mask of the rows of X that lie in the box, shape (B,)."""
         X = np.atleast_2d(np.asarray(X))

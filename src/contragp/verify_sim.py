@@ -27,7 +27,6 @@ __all__ = [
     "VerificationReport",
     "Trajectory",
     "verify_grid",
-    "rollout",
     "rollouts",
     "rollout_stochastic",
     "contraction_rate",
@@ -150,13 +149,6 @@ def rollouts(model, law, X0, horizon):
                 break
     return [Trajectory(states[i, :ends[i] + 1], inputs[i, :ends[i]],
                        diverged=bool(diverged[i])) for i in range(count)]
-
-
-def rollout(model, controller, x0, horizon):
-    """Deterministic closed-loop trajectory from one initial state; see
-    :func:`rollouts`."""
-    x0 = np.asarray(x0, dtype=float).reshape(1, -1)
-    return rollouts(model, controller, x0, horizon)[0]
 
 
 def rollout_stochastic(loop, x0, horizon, seed):

@@ -30,6 +30,51 @@ def write_cfg(tmp_path, cfg, name="config.json"):
     return str(path)
 
 
+def set_key(path, value):
+    """A config edit that sets the dotted key ``path`` to ``value``."""
+    def edit(cfg):
+        *sections, leaf = path.split(".")
+        node = cfg
+        for key in sections:
+            node = node.setdefault(key, {})
+        node[leaf] = value
+    return edit
+
+
+def analytic_with(path):
+    """A config edit that switches ``path`` on with the analytic source."""
+    def edit(cfg):
+        set_key(path, True)(cfg)
+        cfg["synthesis"]["model_source"] = "analytic"
+    return edit
+
+
+# (key path the error must name, edit of small_osc_config)
+MALFORMED = {
+    "horizon": ("sim.horizon", set_key("sim.horizon", "abc")),
+    "rho": ("solver.rho", set_key("solver.rho", "ten")),
+    "fixed-row-key": ("learn.fixed_rows", set_key(
+        "learn.fixed_rows", {"abc": {"linear": [1.0, 0.01]}})),
+    "initial-states": ("sim.initial_states",
+                       set_key("sim.initial_states", "boundary-x")),
+    "baseline-without-gain": ("sim.baseline_gain",
+                              lambda cfg: cfg["sim"].pop("baseline_gain")),
+    "verify-resolution": ("grids.verify_resolution",
+                          set_key("grids.verify_resolution", "x")),
+    "sigma-p": ("noise.sigma_p", set_key("noise.sigma_p", "a")),
+    "misspelled-solver-key": ("solver.width_scal",
+                              set_key("solver.width_scal", 1e-6)),
+    "removed-solver-key": ("solver.width_scale",
+                           set_key("solver.width_scale", 1e-6)),
+    "misspelled-top-level-key": ("emit_sgv", set_key("emit_sgv", True)),
+    "moment-check-analytic": ("stochastic.moment_check",
+                              analytic_with("stochastic.moment_check")),
+    "chebyshev-inflate-analytic": (
+        "stochastic.chebyshev_inflate",
+        analytic_with("stochastic.chebyshev_inflate")),
+}
+
+
 class TestGenData:
     def test_reproducible_bytes_for_fixed_seed(self, tmp_path):
         cfg = write_cfg(tmp_path, small_osc_config())
@@ -200,7 +245,7 @@ class TestLearnAndSynth:
         for command in ("gen-data", "learn", "synth", "simulate"):
             assert cli.main([command, "--config", cfg, "--out", out,
                              "--quiet"]) == 0
-        eq = PipelineConfig(cfg_d).equilibrium()
+        eq = PipelineConfig(cfg_d).equilibrium
         law = DerivativeController.from_dict(
             json.load(open(os.path.join(out, "controller.json"))))
         np.testing.assert_array_equal(law.offset_point, eq)
@@ -260,6 +305,28 @@ class TestConfigValidation:
         cfg["domain"]["model"] = [[-3.0, 3.0]]
         with pytest.raises(ConfigError, match="dimension"):
             PipelineConfig(cfg)
+
+    @pytest.mark.parametrize("case", list(MALFORMED))
+    def test_malformed_config_exits_invalid_before_any_artifact(
+            self, tmp_path, capsys, case):
+        key, edit = MALFORMED[case]
+        cfg = small_osc_config()
+        edit(cfg)
+        out = tmp_path / "out"
+        rc = cli.main(["reproduce-oscillator", "--config",
+                       write_cfg(tmp_path, cfg), "--out", str(out),
+                       "--quiet"])
+        assert rc == 3
+        assert key in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_seed_flag_is_validated_like_the_file(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli.main(["gen-data", "--config",
+                         write_cfg(tmp_path, small_osc_config()), "--out",
+                         str(out), "--seed", "-1", "--quiet"]) == 3
+        assert "seeds.data" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSinePolytopic:
@@ -351,7 +418,7 @@ class TestSimulationStats:
         def reference(traj, W, box, floor=1e-10):
             viol = inside = 0
             for k in range(traj.horizon):
-                if not box.contains(traj.states[k]):
+                if not box.contains_rows(traj.states[k:k + 1])[0]:
                     continue
                 x0, x1 = traj.states[k], traj.states[k + 1]
                 d0 = np.sqrt(max(x0 @ W @ x0, 0.0))

@@ -204,15 +204,15 @@ class TestGeometry:
         for p in pts:
             on_edge = (abs(abs(p[0]) - 2.0) < 1e-12
                        or abs(abs(p[1]) - 2.0) < 1e-12)
-            assert on_edge and box.contains(p)
+            assert on_edge and box.contains_rows(p[None])[0]
         # all distinct
         assert len({tuple(np.round(p, 9)) for p in pts}) == 16
 
     def test_box_contains_with_tolerance(self):
         box = systems.Box.make([0.0], [1.0])
-        assert box.contains([1.0])
-        assert not box.contains([1.0 + 1e-9])
-        assert box.contains([1.0 + 1e-9], tol=1e-8)
+        assert box.contains_rows([[1.0]])[0]
+        assert not box.contains_rows([[1.0 + 1e-9]])[0]
+        assert box.contains_rows([[1.0 + 1e-9]], tol=1e-8)[0]
 
     def test_degenerate_box_rejected(self):
         with pytest.raises(DataError):

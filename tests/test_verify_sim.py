@@ -74,8 +74,8 @@ class TestVerifyGrid:
 
 class TestRollout:
     def test_equilibrium_start_stays_constant(self, oscillator, osc_two_step):
-        traj = verify_sim.rollout(oscillator, osc_two_step.controller,
-                                  np.zeros(2), 50)
+        traj = verify_sim.rollouts(oscillator, osc_two_step.controller,
+                                   [np.zeros(2)], 50)[0]
         np.testing.assert_allclose(traj.states, np.zeros((51, 2)), atol=1e-12)
 
     def test_toy_reaches_origin_in_one_step(self):
@@ -89,17 +89,17 @@ class TestRollout:
             def control_batch(self, X):
                 return -2.0 * np.atleast_2d(X)[:, 0]
 
-        traj = verify_sim.rollout(toy, ExactLaw(), [1.0], 3)
+        traj = verify_sim.rollouts(toy, ExactLaw(), [[1.0]], 3)[0]
         np.testing.assert_allclose(traj.states.reshape(-1), [1.0, 0.0, 0.0, 0.0],
                                    atol=1e-12)
         # the fitted law is exactly linear near 0 only to first order; the
         # state still collapses by orders of magnitude in a few steps
-        traj2 = verify_sim.rollout(toy, rep.controller, [0.01], 3)
+        traj2 = verify_sim.rollouts(toy, rep.controller, [[0.01]], 3)[0]
         assert abs(traj2.states[-1, 0]) < 1e-6
 
     def test_states_satisfy_the_step_map(self, oscillator, osc_two_step):
-        traj = verify_sim.rollout(oscillator, osc_two_step.controller,
-                                  [1.0, -1.0], 20)
+        traj = verify_sim.rollouts(oscillator, osc_two_step.controller,
+                                   [[1.0, -1.0]], 20)[0]
         for k in range(traj.horizon):
             expected = oscillator.step(traj.states[k:k + 1],
                                        traj.inputs[k:k + 1])[0]
@@ -108,13 +108,13 @@ class TestRollout:
 
     def test_divergence_flagged_and_truncated(self):
         model = systems.linear_system(np.diag([3.0, 3.0]), [0.0, 1.0])
-        traj = verify_sim.rollout(model, None, [1.0, 1.0], 100)
+        traj = verify_sim.rollouts(model, None, [[1.0, 1.0]], 100)[0]
         assert traj.diverged
         assert traj.horizon < 100
 
     def test_bad_horizon_rejected(self, oscillator):
         with pytest.raises(DataError):
-            verify_sim.rollout(oscillator, None, [0.0, 0.0], 0)
+            verify_sim.rollouts(oscillator, None, [[0.0, 0.0]], 0)
 
 
 class TestLockstepRollouts:
@@ -125,7 +125,7 @@ class TestLockstepRollouts:
         batch = verify_sim.rollouts(oscillator, law, inits, 300)
         assert len(batch) == 16
         for x0, traj in zip(inits, batch):
-            single = verify_sim.rollout(oscillator, law, x0, 300)
+            single = verify_sim.rollouts(oscillator, law, [x0], 300)[0]
             assert traj.states.shape == (301, 2) and not traj.diverged
             np.testing.assert_allclose(traj.states, single.states, rtol=0.0,
                                        atol=1e-12)
@@ -236,8 +236,8 @@ class TestStochasticRollout:
 class TestContractionRate:
     def test_identical_trajectories_all_skipped(self, oscillator,
                                                 osc_two_step):
-        traj = verify_sim.rollout(oscillator, osc_two_step.controller,
-                                  [1.0, 1.0], 10)
+        traj = verify_sim.rollouts(oscillator, osc_two_step.controller,
+                                   [[1.0, 1.0]], 10)[0]
         lam, info = verify_sim.contraction_rate([(traj, traj)], np.eye(2))
         assert lam == 0.0
         assert info["all_skipped"]
@@ -246,7 +246,7 @@ class TestContractionRate:
         rng = np.random.default_rng(52)
         P, A = random_contracting_pair(rng)
         model = systems.linear_system(A, [0.0, 1.0])
-        trajs = [verify_sim.rollout(model, None, x0, 30)
+        trajs = [verify_sim.rollouts(model, None, [x0], 30)[0]
                  for x0 in rng.normal(size=(4, 2))]
         pairs = [(trajs[0], trajs[1]), (trajs[2], trajs[3])]
         lam, info = verify_sim.contraction_rate(pairs, P)
@@ -258,18 +258,18 @@ class TestContractionRate:
 
     def test_region_filter_reports_exclusions(self):
         model = systems.linear_system(0.5 * np.eye(2), [0.0, 1.0])
-        t1 = verify_sim.rollout(model, None, [4.0, 0.0], 10)
-        t2 = verify_sim.rollout(model, None, [0.0, 4.0], 10)
+        t1 = verify_sim.rollouts(model, None, [[4.0, 0.0]], 10)[0]
+        t2 = verify_sim.rollouts(model, None, [[0.0, 4.0]], 10)[0]
         box = systems.Box.make([-1, -1], [1, 1])
         lam, info = verify_sim.contraction_rate([(t1, t2)], np.eye(2),
                                                 region=box)
         assert info["excluded"] > 0
 
     def test_mismatched_lengths_rejected(self, oscillator, osc_two_step):
-        t1 = verify_sim.rollout(oscillator, osc_two_step.controller,
-                                [1.0, 1.0], 10)
-        t2 = verify_sim.rollout(oscillator, osc_two_step.controller,
-                                [1.0, 1.0], 11)
+        t1 = verify_sim.rollouts(oscillator, osc_two_step.controller,
+                                 [[1.0, 1.0]], 10)[0]
+        t2 = verify_sim.rollouts(oscillator, osc_two_step.controller,
+                                 [[1.0, 1.0]], 11)[0]
         with pytest.raises(DimensionError):
             verify_sim.contraction_rate([(t1, t2)], np.eye(2))
 
@@ -283,10 +283,10 @@ class TestContractionRate:
         rng = np.random.default_rng(60)
         worst = 0.0
         for _ in range(5):
-            t1 = verify_sim.rollout(oscillator, osc_two_step.controller,
-                                    rng.uniform(-2, 2, 2), 500)
-            t2 = verify_sim.rollout(oscillator, osc_two_step.controller,
-                                    rng.uniform(-2, 2, 2), 500)
+            t1 = verify_sim.rollouts(oscillator, osc_two_step.controller,
+                                     [rng.uniform(-2, 2, 2)], 500)[0]
+            t2 = verify_sim.rollouts(oscillator, osc_two_step.controller,
+                                     [rng.uniform(-2, 2, 2)], 500)[0]
             lam, _ = verify_sim.contraction_rate([(t1, t2)], W,
                                                  region=control_box)
             worst = max(worst, lam)
@@ -296,8 +296,8 @@ class TestContractionRate:
         rng = np.random.default_rng(53)
         W = np.linalg.inv(osc_two_step.P)
         box = systems.Box.make([-2, -2], [2, 2])
-        trajs = [verify_sim.rollout(oscillator, osc_two_step.controller,
-                                    rng.uniform(-2, 2, size=2), 300)
+        trajs = [verify_sim.rollouts(oscillator, osc_two_step.controller,
+                                     [rng.uniform(-2, 2, size=2)], 300)[0]
                  for _ in range(6)]
         pairs = [(trajs[0], trajs[1]), (trajs[2], trajs[3]),
                  (trajs[4], trajs[5])]
@@ -311,7 +311,8 @@ class TestContractionRate:
             for ta, tb in pairs:
                 A, B = ta.states, tb.states
                 for k in range(A.shape[0] - 1):
-                    if not (region.contains(A[k]) and region.contains(B[k])):
+                    if not (region.contains_rows(A[k:k + 1])[0]
+                            and region.contains_rows(B[k:k + 1])[0]):
                         excluded += 1
                         continue
                     d = A[k] - B[k]
