@@ -21,7 +21,7 @@ import numpy as np
 from . import drift_gp, stochastic, synthesis, verify_sim, viz
 from .artifacts import read_csv, write_csv, write_json
 from .config import (MODES, PipelineConfig, default_oscillator_config,
-                     load_config)
+                     load_config, read_config)
 from .deriv_gp import DerivativeController
 from .errors import (ConfigError, ContragpError, FactorizationError,
                      InfeasibleError, NumericalFailureError)
@@ -59,12 +59,11 @@ def _load_json(path, what):
 
 
 def cmd_gen_data(cfg: PipelineConfig, out, quiet=False):
-    box = cfg.model_box
-    pts = grid_points(box, cfg.model_points)
+    pts = grid_points(cfg.model_box, cfg.model_points)
     rng = np.random.default_rng(cfg.seed)
     targets = np.asarray(cfg.system.drift(pts), dtype=float)
     targets = targets + rng.standard_normal(targets.shape) * cfg.sigma_y
-    n = box.dim
+    n = cfg.dim
     header = [f"x_{i+1}" for i in range(n)] + [f"y_{i+1}" for i in range(n)]
     rows = np.hstack([pts, targets]).tolist()
     write_csv(_path(out, "data.csv"), header, rows)
@@ -145,10 +144,9 @@ def _design_model(cfg, out):
 
 
 def cmd_synth(cfg: PipelineConfig, out, quiet=False):
-    mode = cfg.mode
     design, drift_model = _design_model(cfg, out)
     hulls = confidence = None
-    if mode == "polytopic":
+    if cfg.mode == "polytopic":
         hulls = synthesis.build_hulls(
             design, cfg.control_box, cfg.subdivisions,
             inflation=cfg.inflation, samples_per_axis=cfg.samples_per_axis)
@@ -160,7 +158,7 @@ def cmd_synth(cfg: PipelineConfig, out, quiet=False):
     else:
         points = grid_points(cfg.control_box, cfg.control_points)
     report = synthesis.run_synthesis(
-        design, cfg.kernel, points, mode=mode, sigma_p=cfg.sigma_p,
+        design, cfg.kernel, points, mode=cfg.mode, sigma_p=cfg.sigma_p,
         rho=cfg.rho, hulls=hulls)
     if confidence is not None:
         report.diagnostics["hull_confidence"] = confidence
@@ -174,9 +172,9 @@ def cmd_synth(cfg: PipelineConfig, out, quiet=False):
               ["constraint"] + [f"x_{i+1}" for i in range(cfg.dim)] + ["margin"],
               rows)
     _controller_surface(cfg, out, report.controller)
-    _say(quiet, f"synthesis ({mode}): eps={report.eps:.6f}"
+    _say(quiet, f"synthesis ({cfg.mode}): eps={report.eps:.6f}"
          + (f", eps_p={report.eps_p:.6f}" if report.eps_p is not None else ""))
-    return {"eps": report.eps, "eps_p": report.eps_p, "mode": mode}
+    return {"eps": report.eps, "eps_p": report.eps_p, "mode": cfg.mode}
 
 
 def _controller_surface(cfg, out, controller):
@@ -346,24 +344,20 @@ def cmd_reproduce(cfg: PipelineConfig, out, quiet=False):
 # entry point
 
 
-# command -> (function name, help)
-COMMANDS = {
-    "gen-data": ("cmd_gen_data", "generate drift training data"),
-    "learn": ("cmd_learn", "fit the drift model from training data"),
-    "synth": ("cmd_synth", "synthesize metric and feedback law"),
-    "verify": ("cmd_verify", "grid-certify the synthesized closed loop"),
-    "simulate": ("cmd_simulate", "roll out the closed loop on the true system"),
-    "reproduce-oscillator": ("cmd_reproduce",
-                             "run the full oscillator benchmark chain"),
-}
-
-
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="contragp",
         description="Contraction-based controller synthesis pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_) in COMMANDS.items():
+    specs = {
+        "gen-data": "generate drift training data",
+        "learn": "fit the drift model from training data",
+        "synth": "synthesize metric and feedback law",
+        "verify": "grid-certify the synthesized closed loop",
+        "simulate": "roll out the closed loop on the true system",
+        "reproduce-oscillator": "run the full oscillator benchmark chain",
+    }
+    for name, help_ in specs.items():
         p = sub.add_parser(name, help=help_)
         p.add_argument("--config", help="path to a pipeline config JSON"
                        + ("" if name == "reproduce-oscillator"
@@ -377,21 +371,21 @@ def _build_parser():
 
 
 def _config(args):
-    """The command's config, with ``--seed`` and ``--mode`` written into
-    its dict and parsed with the rest of it."""
-    if args.config:
-        cfg = load_config(args.config)
-    elif args.command == "reproduce-oscillator":
-        cfg = PipelineConfig(default_oscillator_config())
-    else:
+    """The config file (oscillator defaults for reproduce-oscillator) with
+    ``--seed`` and ``--mode`` written into its dict before the one parse."""
+    if not args.config and args.command != "reproduce-oscillator":
         raise ConfigError("--config is required for this command")
     if args.seed is None and args.mode is None:
-        return cfg
-    if args.seed is not None:
-        cfg.raw.setdefault("seeds", {})["data"] = args.seed
-    if args.mode is not None:
-        cfg.raw["mode"] = args.mode
-    return PipelineConfig(cfg.raw)
+        return (load_config(args.config) if args.config
+                else PipelineConfig(default_oscillator_config()))
+    data = (read_config(args.config) if args.config
+            else default_oscillator_config())
+    seeds = data.get("seeds", {}) if isinstance(data, dict) else None
+    if isinstance(seeds, dict) and args.seed is not None:
+        data["seeds"] = {**seeds, "data": args.seed}
+    if isinstance(data, dict) and args.mode is not None:
+        data["mode"] = args.mode
+    return PipelineConfig(data)
 
 
 def main(argv=None):
@@ -399,8 +393,18 @@ def main(argv=None):
     try:
         cfg = _config(args)
         os.makedirs(args.out, exist_ok=True)
-        # looked up by name at call time, so a rebound command is the one run
-        globals()[COMMANDS[args.command][0]](cfg, args.out, args.quiet)
+        if args.command == "gen-data":
+            cmd_gen_data(cfg, args.out, args.quiet)
+        elif args.command == "learn":
+            cmd_learn(cfg, args.out, args.quiet)
+        elif args.command == "synth":
+            cmd_synth(cfg, args.out, args.quiet)
+        elif args.command == "verify":
+            cmd_verify(cfg, args.out, args.quiet)
+        elif args.command == "simulate":
+            cmd_simulate(cfg, args.out, args.quiet)
+        elif args.command == "reproduce-oscillator":
+            cmd_reproduce(cfg, args.out, args.quiet)
         return EXIT_OK
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)

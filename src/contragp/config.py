@@ -23,8 +23,8 @@ from .errors import ConfigError, ContragpError
 from .kernels import Kernel
 from .systems import Box, boundary_states, builtin_system, polynomial_system
 
-__all__ = ["PipelineConfig", "load_config", "default_oscillator_config",
-           "default_sine1d_config"]
+__all__ = ["PipelineConfig", "load_config", "read_config",
+           "default_oscillator_config", "default_sine1d_config"]
 
 SCHEMA_VERSION = 1
 MODES = ("two-step", "joint", "polytopic")
@@ -127,8 +127,7 @@ def _fixed_rows(n):
             if (not 0 <= row < n or linear.shape != (n,)
                     or not set(spec) <= {"linear", "const"}):
                 raise ValueError(value)
-            rows[row] = FixedAffineComponent(linear,
-                                             float(spec.get("const", 0.0)))
+            rows[row] = FixedAffineComponent(linear, spec.get("const", 0.0))
         return rows
     return (parse, None, f"an object mapping row indices below {n} to "
             "{'linear': [...], 'const': ...}")
@@ -151,13 +150,9 @@ def _initial_states(box, n):
 
 
 class PipelineConfig:
-    """A config dict, parsed.
-
-    Each key the package uses is read once here; ``raw`` keeps the dict as
-    given (for echoing into artifacts) and the commands read the other
-    attributes.  ``system`` carries the configured equilibrium, where
-    synthesis zeroes the law.
-    """
+    """A config dict, parsed.  ``raw`` keeps the dict as given, for echoing
+    into artifacts; ``system`` carries the configured equilibrium, where
+    synthesis zeroes the law."""
 
     def __init__(self, data):
         if not isinstance(data, dict):
@@ -189,8 +184,7 @@ class PipelineConfig:
         self.model_box = self._get("domain.model", box)
         self.control_box = self._get("domain.control", box)
         self.model_points = self._get("grids.model_points_per_axis", COUNT)
-        self.control_points = self._get("grids.control_points_per_axis",
-                                        COUNT)
+        self.control_points = self._get("grids.control_points_per_axis", COUNT)
         self.verify_resolution = self._get("grids.verify_resolution", COUNT)
 
         kernel = {key: self._get(f"kernel.{key}", RAW, default)
@@ -198,8 +192,7 @@ class PipelineConfig:
                                        ("beta", 1.0), ("sigma", None),
                                        ("degree", None))}
         self.kernel = self._check("kernel", kernel, (
-            lambda spec: Kernel(dim=n, **spec), lambda k: k.dim == n,
-            f"a kernel spec on {n} states"))
+            lambda spec: Kernel(dim=n, **spec), None, "a kernel spec"))
 
         self.sigma_y = self._get("noise.sigma_y", (
             lambda v: np.broadcast_to(_floats(v), (n,)).copy(),
@@ -212,8 +205,7 @@ class PipelineConfig:
                                        f"one of {MODES}"), "two-step")
         self.subdivisions = self._get("polytope.subdivisions", COUNT, 4)
         self.inflation = self._get("polytope.inflation", NONNEGATIVE, 0.1)
-        self.samples_per_axis = self._get("polytope.samples_per_axis", COUNT,
-                                          5)
+        self.samples_per_axis = self._get("polytope.samples_per_axis", COUNT, 5)
         self.model_source = self._get("synthesis.model_source", (
             None, lambda v: v in ("analytic", "learned"),
             "'analytic' or 'learned'"), "analytic")
@@ -232,7 +224,7 @@ class PipelineConfig:
         self.horizon = self._get("sim.horizon", COUNT, 1000)
         self.initial_states = self._get(
             "sim.initial_states", _initial_states(self.control_box, n),
-            "boundary-16")
+            "boundary-16" if n == 2 else REQUIRED)
         self.baseline = self._get("sim.baseline", FLAG, False)
         self.baseline_gain = self._get("sim.baseline_gain", _vector(n), None)
         if self.baseline and self.baseline_gain is None:
@@ -244,9 +236,9 @@ class PipelineConfig:
         self._reject_unknown(self.raw, "")
 
     def _get(self, path, spec, default=REQUIRED):
-        """The value of the dotted key ``path`` checked against ``spec`` by
-        :meth:`_check`, or ``default`` when the key is absent.  Records the
-        key as read."""
+        """The value of the dotted key ``path``, or ``default`` when the key
+        is absent, converted and checked against ``spec`` by :meth:`_check`
+        (a None default stays None).  Records the key as read."""
         self._keys.add(path)
         *sections, leaf = path.split(".")
         node = self.raw
@@ -256,11 +248,11 @@ class PipelineConfig:
             node = node.get(sections[depth], {})
             if not isinstance(node, dict):
                 raise ConfigError(f"{section} must be an object")
-        if leaf not in node:
-            if default is REQUIRED:
-                raise ConfigError(f"config is missing '{path}'")
-            return default
-        return self._check(path, node[leaf], spec)
+        if leaf in node:
+            return self._check(path, node[leaf], spec)
+        if default is REQUIRED:
+            raise ConfigError(f"config is missing '{path}'")
+        return None if default is None else self._check(path, default, spec)
 
     @staticmethod
     def _check(path, value, spec):
@@ -288,12 +280,16 @@ class PipelineConfig:
                 raise ConfigError(f"unknown config key '{path}'")
 
 
-def load_config(path):
+def read_config(path):
+    """The JSON value in the config file ``path``, not yet parsed."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    return PipelineConfig(data)
+
+
+def load_config(path):
+    return PipelineConfig(read_config(path))

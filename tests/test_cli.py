@@ -328,6 +328,53 @@ class TestConfigValidation:
         assert "seeds.data" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_flags_are_written_before_the_parse(self, tmp_path):
+        """--seed fills a missing seeds section and --mode replaces a bad
+        mode, so the file is only checked with the flags applied."""
+        cfg = small_osc_config()
+        cfg.pop("seeds")
+        cfg["mode"] = "imaginary"
+        path = write_cfg(tmp_path, cfg)
+        out, ref = tmp_path / "out", tmp_path / "ref"
+        assert cli.main(["gen-data", "--config", path, "--out", str(out),
+                         "--seed", "3", "--mode", "joint", "--quiet"]) == 0
+        cfg.update(seeds={"data": 3}, mode="joint")
+        assert cli.main(["gen-data", "--config", write_cfg(tmp_path, cfg,
+                                                           "ref.json"),
+                         "--out", str(ref), "--quiet"]) == 0
+        assert (out / "data.csv").read_bytes() == (ref / "data.csv").read_bytes()
+
+    def test_seed_flag_on_a_malformed_seeds_section(self, tmp_path, capsys):
+        cfg = small_osc_config()
+        cfg["seeds"] = [7]
+        out = tmp_path / "out"
+        assert cli.main(["gen-data", "--config", write_cfg(tmp_path, cfg),
+                         "--out", str(out), "--seed", "3", "--quiet"]) == 3
+        assert "seeds" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_initial_states_default_to_16_boundary_states(
+            self, tmp_path):
+        cfg = small_osc_config()
+        cfg["sim"].pop("initial_states")
+        out = tmp_path / "out"
+        assert cli.main(["reproduce-oscillator", "--config",
+                         write_cfg(tmp_path, cfg), "--out", str(out),
+                         "--quiet"]) == 0
+        sim = json.load(open(out / "sim_summary.json"))
+        assert len(sim["trajectories"]) == 16
+        assert len(os.listdir(out / "trajectories")) == 16
+
+    def test_missing_initial_states_required_off_two_dimensions(
+            self, tmp_path, capsys):
+        cfg = default_sine1d_config()
+        cfg["sim"].pop("initial_states")
+        out = tmp_path / "out"
+        assert cli.main(["synth", "--config", write_cfg(tmp_path, cfg),
+                         "--out", str(out), "--quiet"]) == 3
+        assert "sim.initial_states" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSinePolytopic:
     def test_sine_polytopic_chain(self, tmp_path):
