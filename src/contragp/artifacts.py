@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from itertools import zip_longest
 
 import numpy as np
 
@@ -66,16 +67,22 @@ def _fmt(value):
     return str(value)
 
 
-# Python floats and ints (rows built with ``ndarray.tolist()``) skip the
-# type tests of ``_fmt``; the text is the same either way.
-_FORMATS = {float: repr, int: str}
+def _column_text(column):
+    """Cell texts of one column: ``repr`` of every float (shortest
+    round-trip form), ``str`` of anything else, the empty string for None.
+    A numeric ndarray is formatted with one ``map`` over its ``tolist()``."""
+    if isinstance(column, np.ndarray) and column.dtype.kind in "fiub":
+        return map(repr if column.dtype.kind == "f" else str,
+                   column.tolist())
+    return map(_fmt, column)
 
 
-def write_csv(path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join([_FORMATS.get(type(v), _fmt)(v) for v in row]))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+def write_csv(path, header, columns):
+    """Write a CSV table given column by column, one sequence per header
+    name; a column shorter than the longest ends in empty cells."""
+    rows = zip_longest(*map(_column_text, columns), fillvalue="")
+    atomic_write_text(path, "\n".join([",".join(header),
+                                       *map(",".join, rows)]) + "\n")
 
 
 def read_csv(path):

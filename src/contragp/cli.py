@@ -65,10 +65,9 @@ def cmd_gen_data(cfg: PipelineConfig, out, quiet=False):
     targets = targets + rng.standard_normal(targets.shape) * cfg.sigma_y
     n = cfg.dim
     header = [f"x_{i+1}" for i in range(n)] + [f"y_{i+1}" for i in range(n)]
-    rows = np.hstack([pts, targets]).tolist()
-    write_csv(_path(out, "data.csv"), header, rows)
-    _say(quiet, f"wrote {len(rows)} training rows to {_path(out, 'data.csv')}")
-    return {"rows": len(rows)}
+    write_csv(_path(out, "data.csv"), header, [*pts.T, *targets.T])
+    _say(quiet, f"wrote {len(pts)} training rows to {_path(out, 'data.csv')}")
+    return {"rows": len(pts)}
 
 
 def _load_training(cfg, out):
@@ -128,7 +127,7 @@ def _error_surfaces(cfg, out, model):
         comp = model.components[i]
         table += [comp.mean(pts), f[:, i], comp.grad(pts), J[:, i]]
     write_csv(_path(out, "learn_errors.csv"), header,
-              np.column_stack(table).tolist())
+              np.column_stack(table).T)
 
 
 def _design_model(cfg, out):
@@ -165,12 +164,9 @@ def cmd_synth(cfg: PipelineConfig, out, quiet=False):
     write_json(_path(out, "synthesis_report.json"), report.to_dict())
     write_json(_path(out, "controller.json"), report.controller.to_dict())
     labels = [f"point_{i}" for i in range(len(report.point_margins))]
-    rows = [[lbl] + list(map(float, report.points[i]))
-            + [float(report.point_margins[i])]
-            for i, lbl in enumerate(labels)]
     write_csv(_path(out, "margins.csv"),
               ["constraint"] + [f"x_{i+1}" for i in range(cfg.dim)] + ["margin"],
-              rows)
+              [labels, *report.points.T, report.point_margins])
     _controller_surface(cfg, out, report.controller)
     _say(quiet, f"synthesis ({cfg.mode}): eps={report.eps:.6f}"
          + (f", eps_p={report.eps_p:.6f}" if report.eps_p is not None else ""))
@@ -182,8 +178,7 @@ def _controller_surface(cfg, out, controller):
     pts = grid_points(box, cfg.verify_resolution)
     vals = controller.control_batch(pts)
     header = [f"x_{i+1}" for i in range(box.dim)] + ["u"]
-    write_csv(_path(out, "controller_surface.csv"), header,
-              np.column_stack([pts, vals]).tolist())
+    write_csv(_path(out, "controller_surface.csv"), header, [*pts.T, vals])
     if cfg.emit_svg and box.dim == 2:
         xs = np.unique(pts[:, 0])
         ys = np.unique(pts[:, 1])
@@ -207,7 +202,7 @@ def cmd_verify(cfg: PipelineConfig, out, quiet=False):
                                  cfg.verify_resolution)
     header = [f"x_{i+1}" for i in range(box.dim)] + ["margin", "factor"]
     write_csv(_path(out, "verification.csv"), header,
-              np.column_stack([rep.points, rep.margins, rep.factors]).tolist())
+              [*rep.points.T, rep.margins, rep.factors])
     write_json(_path(out, "verification.json"), rep.to_dict())
     outputs = {"min_margin": rep.min_margin, "lambda": rep.lam,
                "consistent": rep.consistent}
@@ -241,11 +236,9 @@ def _rollouts(system, law, inits, horizon, directory):
     header = ["k"] + [f"x_{i+1}" for i in range(system.n)] + ["u"]
     trajs = verify_sim.rollouts(system, law, inits, horizon)
     for idx, traj in enumerate(trajs):
-        rows = ([k, *x, u] for k, x, u in zip(
-            range(traj.horizon + 1), traj.states.tolist(),
-            traj.inputs.tolist() + [None]))
+        # one input fewer than states: the last row's u cell stays empty
         write_csv(os.path.join(directory, f"traj_{idx:02d}.csv"), header,
-                  rows)
+                  [np.arange(traj.horizon + 1), *traj.states.T, traj.inputs])
     return trajs
 
 

@@ -109,13 +109,12 @@ class DerivativeController:
                              else np.asarray(offset_point, dtype=float).reshape(-1))
         self.metric = None if metric is None else np.asarray(metric, dtype=float)
         self.diagnostics = dict(diagnostics or {})
+        self._terms = kernel.contraction_terms(self.points, self.weights)
 
     # -- evaluation ----------------------------------------------------
 
     def _raw_batch(self, X):
-        X = self.kernel._check_stack(X, "x")
-        rows = self.kernel.grad_x2_outer(X, self.points)  # (B, N, n)
-        vals = rows.reshape(X.shape[0], -1) @ self.weights
+        vals = self.kernel.grad_x2_contract(X, self._terms)
         if self.value_points is not None:
             kv = self.kernel.value_outer(X, self.value_points)
             vals = vals + kv @ self.value_weights

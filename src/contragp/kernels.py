@@ -118,6 +118,12 @@ class Kernel:
             return self.beta * q
         return self.beta * (q + 1.0) ** self.degree
 
+    def _slope(self, q):
+        """d/dq of the dot-product profile beta * q or beta * (q + 1)^d."""
+        if self.family == "linear":
+            return self.beta
+        return self.beta * self.degree * (q + 1.0) ** (self.degree - 1)
+
     def _grad_x2(self, pairs):
         if self.family == "squared-exponential":
             W, q = pairs
@@ -125,8 +131,7 @@ class Kernel:
         SX, _, q = pairs
         if self.family == "linear":
             return np.broadcast_to(self.beta * SX, q.shape + (self.dim,)).copy()
-        fac = self.beta * self.degree * (q + 1.0) ** (self.degree - 1)
-        return fac[..., None] * SX
+        return self._slope(q)[..., None] * SX
 
     def _hess_cross(self, pairs):
         S = self._sigma_inv
@@ -159,6 +164,38 @@ class Kernel:
     def hess_cross_outer(self, X, Y):
         """Cross Hessians d^2 k(x_i, y_j)/dx dy, shape (N, M, n, n)."""
         return self._hess_cross(self._pairs(X, Y))
+
+    # ------------------------------------------------------------------
+    # contraction of the gradient rows with one weight row per point
+
+    def contraction_terms(self, Y, W):
+        """Terms (Y, A, c) of :meth:`grad_x2_contract` for the points Y,
+        shape (M, n), and their weight rows W, shape (M, n) or (M * n,):
+        a_j = Sigma^{-1} w_j and c_j = y_j . a_j."""
+        Y = self._check_stack(Y, "x_prime")
+        A = np.reshape(W, Y.shape) @ self._sigma_inv
+        return Y, A, np.sum(Y * A, axis=1)
+
+    def grad_x2_contract(self, X, terms):
+        """sum_j dk(x_i, y_j)/dy_j . w_j for every row of X, shape (N,),
+        from the :meth:`contraction_terms` of (Y, W), without forming the
+        (N, M, n) rows of :meth:`grad_x2_outer`.
+
+        Squared exponential: k(x, y_j) (x . a_j - c_j), with q taken from
+        the differences x - y_j (expanding it would cancel near y_j).
+        Dot-product families: k'(q_ij) (x . a_j) with q_ij = x^T Sigma^{-1} y_j.
+        """
+        Y, A, c = terms
+        X = self._check_stack(X, "x")
+        XA = X @ A.T
+        if self.family != "squared-exponential":
+            return (self._slope(X @ self._sigma_inv @ Y.T) * XA).sum(axis=1)
+        # the differences laid out (n, N * M): each operation runs along
+        # the pairs, not along the n coordinates of one pair
+        D = (X.T[:, :, None] - Y.T[:, None, :]).reshape(self.dim, -1)
+        half = self._chol_inv @ D
+        q = np.einsum("ij,ij->j", half, half).reshape(XA.shape)
+        return (self._value((q,)) * (XA - c)).sum(axis=1)
 
     # ------------------------------------------------------------------
     # prior terms at coincident pairs (x, x) for a stack of states

@@ -141,12 +141,12 @@ class SystemModel:
         return np.asarray(self.b_jac(X), dtype=float)
 
     def step(self, X, U):
-        """Next states f(x) + b(x) u at a stack of states and inputs,
-        shape (B, n)."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        U = np.asarray(U, dtype=float).reshape(-1)
-        return (np.asarray(self.drift(X), dtype=float)
-                + self.input(X) * U[:, None])
+        """Next states f(x) + b(x) u at a stack of states (B, n) and inputs
+        (B,), shape (B, n)."""
+        X = np.asarray(X, dtype=float)
+        U = np.asarray(U, dtype=float)
+        b = self.b if self.constant_input else self.input(X)
+        return self.drift(X) + b * U[:, None]
 
     def _probe_states(self):
         # the origin, then e_i and -e_i / 2 for each axis, then 3 random
@@ -255,29 +255,46 @@ def linear_system(A, b, name=None):
     return SystemModel(A.shape[0], drift, jac, b=b, name=name or "linear")
 
 
+def _check_keys(node, prefix, required, optional=frozenset()):
+    """Raise a ConfigError naming ``prefix + key`` for a required key
+    missing from the object ``node`` or a key it should not have."""
+    if not isinstance(node, dict):
+        raise ConfigError(f"{prefix[:-1] or 'polynomial system spec'} must "
+                          "be an object")
+    for kind, keys in (("missing", required - set(node)),
+                       ("unknown", set(node) - required - optional)):
+        if keys:
+            raise ConfigError(f"{kind} key '{prefix}{min(keys)}'")
+
+
 def polynomial_system(spec):
     """Build a system from a polynomial coefficient description.
 
     ``spec`` maps ``n`` to the dimension, ``b`` to the input vector and
     ``rows`` to a list (one per component) of term lists; each term is
     ``{"exponents": [e1, ..., en], "coef": c}`` contributing
-    ``c * prod_i x_i^{e_i}`` to that component of f.
+    ``c * prod_i x_i^{e_i}`` to that component of f; ``equilibrium`` is
+    optional.  A missing or unknown key raises a ConfigError naming its
+    path in the spec, e.g. ``rows[0][1].coeff``.
     """
+    _check_keys(spec, "", {"n", "b", "rows"}, {"equilibrium"})
     try:
         n = int(spec["n"])
         rows = spec["rows"]
         b = np.asarray(spec["b"], dtype=float).reshape(-1)
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"polynomial system spec is missing fields: {exc}") from exc
+    except TypeError as exc:
+        raise ConfigError(f"polynomial system spec is malformed: {exc}") from exc
     if len(rows) != n or b.shape[0] != n:
         raise ConfigError("polynomial system spec has inconsistent dimensions")
     terms = []
-    for row in rows:
+    for i, row in enumerate(rows):
         parsed = []
-        for term in row:
+        for j, term in enumerate(row):
+            _check_keys(term, f"rows[{i}][{j}].", {"exponents", "coef"})
             expo = np.asarray(term["exponents"], dtype=int)
-            if expo.shape[0] != n or np.any(expo < 0):
-                raise ConfigError(f"bad exponents {term['exponents']}")
+            if expo.shape != (n,) or np.any(expo < 0):
+                raise ConfigError(f"bad exponents {term['exponents']} at "
+                                  f"rows[{i}][{j}]")
             parsed.append((expo, float(term["coef"])))
         terms.append(parsed)
 

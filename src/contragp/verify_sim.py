@@ -108,8 +108,9 @@ DIVERGENCE_LIMIT = 1e6
 
 
 def _diverged(X):
-    """Rows of X that left the finite range or passed DIVERGENCE_LIMIT."""
-    return np.any(~np.isfinite(X) | (np.abs(X) > DIVERGENCE_LIMIT), axis=-1)
+    """Rows of X that left the finite range or passed DIVERGENCE_LIMIT
+    (NaN fails the comparison, so it counts as diverged)."""
+    return ~(np.abs(X) <= DIVERGENCE_LIMIT).all(axis=-1)
 
 
 def rollouts(model, law, X0, horizon):
@@ -141,7 +142,7 @@ def rollouts(model, law, X0, horizon):
         X = model.step(X, U)
         states[active, k + 1] = X
         bad = _diverged(X)
-        if np.any(bad):
+        if bad.any():
             ends[active[bad]] = k + 1
             diverged[active[bad]] = True
             active, X = active[~bad], X[~bad]

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from contragp.artifacts import write_csv
+from contragp.artifacts import _fmt, write_csv
 
 
 def test_csv_text_of_each_value_type(tmp_path):
@@ -11,10 +11,45 @@ def test_csv_text_of_each_value_type(tmp_path):
             [np.int64(2), 1e-300, np.float64(-0.0), 1e16],
             [np.float32(0.1), True, "label", np.array([0.25, 2.0])[1]],
             np.array([[1.5, -2.5e-7, 3.0, 1e22]]).tolist()[0]]
-    write_csv(path, ["a", "b", "c", "d"], rows)
+    write_csv(path, ["a", "b", "c", "d"], [list(col) for col in zip(*rows)])
     assert path.read_bytes() == (
         b"a,b,c,d\n"
         b"0,0.1,0.3333333333333333,\n"
         b"2,1e-300,-0.0,1e+16\n"
         b"0.10000000149011612,True,label,2.0\n"
         b"1.5,-2.5e-07,3.0,1e+22\n")
+
+
+def _row_wise_text(header, rows):
+    """The text of the row-wise writer: one ``_fmt`` call per cell."""
+    lines = [",".join(header)]
+    lines += [",".join(_fmt(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def test_trajectory_columns_match_row_wise_text(tmp_path):
+    """A trajectory table: integer steps, float states with values of every
+    magnitude and sign, and one input fewer than states, so the last
+    input cell is empty."""
+    rng = np.random.default_rng(5)
+    K = 40
+    states = rng.normal(size=(K + 1, 2)) * 10.0 ** rng.integers(-20, 20,
+                                                                 (K + 1, 2))
+    states[3] = [-0.0, 1e16]
+    states[4] = [np.inf, np.nan]
+    inputs = rng.normal(size=K) * 1e-7
+    header = ["k", "x_1", "x_2", "u"]
+    rows = [[k, *x, u] for k, x, u in zip(range(K + 1), states.tolist(),
+                                          inputs.tolist() + [None])]
+    path = tmp_path / "traj.csv"
+    write_csv(path, header, [np.arange(K + 1), *states.T, inputs])
+    text = path.read_bytes()
+    assert text == _row_wise_text(header, rows).encode()
+    assert text.splitlines()[-1] == b"40,%r,%r," % (float(states[K, 0]),
+                                                  float(states[K, 1]))
+
+
+def test_empty_table_is_the_header_line(tmp_path):
+    path = tmp_path / "empty.csv"
+    write_csv(path, ["a", "b"], [np.zeros(0), []])
+    assert path.read_bytes() == b"a,b\n"

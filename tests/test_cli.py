@@ -49,6 +49,19 @@ def analytic_with(path):
     return edit
 
 
+def polynomial_with(edit):
+    """A config edit that swaps in a 2-D polynomial system, then applies
+    ``edit`` to its spec."""
+    def apply(cfg):
+        spec = {"n": 2, "b": [0.0, 1.0],
+                "rows": [[{"exponents": [1, 0], "coef": 0.5}],
+                         [{"exponents": [0, 1], "coef": 0.5}]]}
+        edit(spec)
+        cfg["system"] = {"polynomial": spec, "equilibrium": [0.0, 0.0]}
+        cfg["synthesis"]["model_source"] = "analytic"
+    return apply
+
+
 # (key path the error must name, edit of small_osc_config)
 MALFORMED = {
     "horizon": ("sim.horizon", set_key("sim.horizon", "abc")),
@@ -72,6 +85,18 @@ MALFORMED = {
     "chebyshev-inflate-analytic": (
         "stochastic.chebyshev_inflate",
         analytic_with("stochastic.chebyshev_inflate")),
+    "misspelled-polynomial-key": (
+        "system.polynomial: unknown key 'equilibrum'",
+        polynomial_with(lambda spec: spec.update(equilibrum=[1.0, 1.0]))),
+    "misspelled-polynomial-term-key": (
+        "system.polynomial: unknown key 'rows[1][0].coeff'",
+        polynomial_with(lambda spec: spec["rows"][1][0].update(coeff=3.0))),
+    "polynomial-term-without-coef": (
+        "system.polynomial: missing key 'rows[0][0].coef'",
+        polynomial_with(lambda spec: spec["rows"][0][0].pop("coef"))),
+    "polynomial-term-without-exponents": (
+        "system.polynomial: missing key 'rows[1][0].exponents'",
+        polynomial_with(lambda spec: spec["rows"][1][0].pop("exponents"))),
 }
 
 

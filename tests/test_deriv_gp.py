@@ -185,6 +185,42 @@ class TestValueConditioning:
             rtol=1e-12, atol=1e-12)
 
 
+class TestContractionForm:
+    """The law's values, sum_j dk(x, y_j)/dy_j . w_j, against the
+    contraction of the full (B, N, n) gradient rows."""
+
+    KERNELS = {
+        "squared-exponential": dict(beta=1.3,
+                                    sigma=[[0.8, 0.2], [0.2, 0.5]]),
+        "linear": dict(family="linear", beta=0.7,
+                       sigma=[[1.5, -0.3], [-0.3, 0.9]]),
+        "polynomial": dict(family="polynomial", degree=3, beta=0.4,
+                           sigma=[[2.0, 0.4], [0.4, 1.2]]),
+    }
+
+    @pytest.mark.parametrize("with_values", [False, True])
+    @pytest.mark.parametrize("family", sorted(KERNELS))
+    def test_matches_gradient_rows(self, family, with_values):
+        rng = np.random.default_rng(17)
+        kernel = Kernel(**self.KERNELS[family])
+        Y = rng.uniform(-2.0, 2.0, size=(9, 2))
+        w = rng.normal(size=18) * 10.0 ** rng.integers(-2, 5, 18)
+        values = ({"value_points": rng.normal(size=(3, 2)),
+                   "value_weights": rng.normal(size=3)} if with_values else {})
+        law = deriv_gp.DerivativeController(kernel, Y, w, **values)
+        # random states, the design points and states 1e-9 from them
+        X = np.vstack([rng.uniform(-3.0, 3.0, size=(40, 2)), Y, Y + 1e-9])
+        terms = kernel.grad_x2_outer(X, Y).reshape(len(X), -1) * w
+        ref, scale = terms.sum(axis=1), np.abs(terms).sum(axis=1)
+        if with_values:
+            kv = (kernel.value_outer(X, values["value_points"])
+                  * values["value_weights"])
+            ref, scale = ref + kv.sum(axis=1), scale + np.abs(kv).sum(axis=1)
+        assert np.all(np.abs(law.control_batch(X) - ref) <= 1e-9 * scale)
+        x_star = np.array([0.3, -0.7])
+        assert law.with_offset_at(x_star).control_batch([x_star])[0] == 0.0
+
+
 class TestOffsetAndSerialization:
     def test_offset_mode_zeroes_control_at_anchor(self):
         rng = np.random.default_rng(11)

@@ -180,6 +180,21 @@ class TestLockstepRollouts:
             verify_sim.rollout_stochastic(loop, [np.inf, 0.0], 5, seed=0)
 
 
+class TestDivergence:
+    def test_rows_classified_as_by_the_two_pass_test(self):
+        big = 1e6 * (1.0 + 1e-15)
+        assert big > verify_sim.DIVERGENCE_LIMIT
+        X = np.array([[np.nan, 0.0], [0.0, np.inf], [-np.inf, 1.0],
+                      [1e6, -1e6], [0.5, big], [-big, 0.0], [0.0, 0.0]])
+        want = [True, True, True, False, True, True, False]
+        two_pass = np.any(~np.isfinite(X)
+                          | (np.abs(X) > verify_sim.DIVERGENCE_LIMIT), axis=-1)
+        np.testing.assert_array_equal(two_pass, want)
+        np.testing.assert_array_equal(verify_sim._diverged(X), want)
+        # one state at a time, as the stochastic rollout asks
+        assert [bool(verify_sim._diverged(x)) for x in X] == want
+
+
 class TestStochasticRollout:
     def _loop(self, slope=0.5, noise=0.1):
         return stochastic.StochasticClosedLoop(
