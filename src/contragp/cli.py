@@ -15,6 +15,8 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse
 import json
 import sys
+import time
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -52,6 +54,20 @@ def _need(path, what):
 def _load_json(path, what):
     with open(_need(path, what), "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+class StageTimes(dict):
+    """Wall and CPU seconds of each stage run, ``{stage: {"wall_s",
+    "cpu_s"}}``, for ``--timings``."""
+
+    @contextmanager
+    def stage(self, name):
+        wall, cpu = time.perf_counter(), time.process_time()
+        try:
+            yield
+        finally:
+            self[name] = {"wall_s": time.perf_counter() - wall,
+                          "cpu_s": time.process_time() - cpu}
 
 
 # ---------------------------------------------------------------------------
@@ -309,12 +325,18 @@ def _baseline_runs(cfg, out, quiet):
             "nonconverging": nonconv, "trajectories": stats}
 
 
-def cmd_reproduce(cfg: PipelineConfig, out, quiet=False):
-    cmd_gen_data(cfg, out, quiet)
-    cmd_learn(cfg, out, quiet)
-    synth = cmd_synth(cfg, out, quiet)
-    verify = cmd_verify(cfg, out, quiet)
-    sim = cmd_simulate(cfg, out, quiet)
+def cmd_reproduce(cfg: PipelineConfig, out, quiet=False, times=None):
+    times = StageTimes() if times is None else times
+    with times.stage("gen_data"):
+        cmd_gen_data(cfg, out, quiet)
+    with times.stage("learn"):
+        cmd_learn(cfg, out, quiet)
+    with times.stage("synth"):
+        synth = cmd_synth(cfg, out, quiet)
+    with times.stage("verify"):
+        verify = cmd_verify(cfg, out, quiet)
+    with times.stage("simulate"):
+        sim = cmd_simulate(cfg, out, quiet)
     summary = {
         "config": cfg.raw,
         "feasible": True,
@@ -360,6 +382,9 @@ def _build_parser():
         p.add_argument("--mode", choices=MODES,
                        help="override the synthesis mode")
         p.add_argument("--quiet", action="store_true")
+        p.add_argument("--timings", metavar="PATH",
+                       help="write each stage's wall and CPU seconds as "
+                       "JSON to PATH, which must lie outside --out")
     return parser
 
 
@@ -381,23 +406,33 @@ def _config(args):
     return PipelineConfig(data)
 
 
+def _check_timings_path(args):
+    """Timings vary from run to run, so they stay out of the artifact tree,
+    whose bytes are deterministic."""
+    if args.timings is None:
+        return
+    out, path = (os.path.realpath(p) for p in (args.out, args.timings))
+    if os.path.commonpath([out, path]) == out:
+        raise ConfigError(f"--timings {args.timings} lies inside --out "
+                          f"{args.out}; give a path outside it")
+
+
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
+        _check_timings_path(args)
         cfg = _config(args)
         os.makedirs(args.out, exist_ok=True)
-        if args.command == "gen-data":
-            cmd_gen_data(cfg, args.out, args.quiet)
-        elif args.command == "learn":
-            cmd_learn(cfg, args.out, args.quiet)
-        elif args.command == "synth":
-            cmd_synth(cfg, args.out, args.quiet)
-        elif args.command == "verify":
-            cmd_verify(cfg, args.out, args.quiet)
-        elif args.command == "simulate":
-            cmd_simulate(cfg, args.out, args.quiet)
-        elif args.command == "reproduce-oscillator":
-            cmd_reproduce(cfg, args.out, args.quiet)
+        times = StageTimes()
+        if args.command == "reproduce-oscillator":
+            cmd_reproduce(cfg, args.out, args.quiet, times)
+        else:
+            stage = args.command.replace("-", "_")
+            with times.stage(stage):
+                # looked up per call, so a wrapped cmd_<stage> is the one run
+                globals()[f"cmd_{stage}"](cfg, args.out, args.quiet)
+        if args.timings is not None:
+            write_json(args.timings, times)
         return EXIT_OK
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)

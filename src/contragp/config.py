@@ -151,8 +151,9 @@ def _initial_states(box, n):
 
 class PipelineConfig:
     """A config dict, parsed.  ``raw`` keeps the dict as given, for echoing
-    into artifacts; ``system`` carries the configured equilibrium, where
-    synthesis zeroes the law."""
+    into artifacts; ``system`` carries the equilibrium where synthesis
+    zeroes the law: ``system.equilibrium`` when configured, else the
+    model's own."""
 
     def __init__(self, data):
         if not isinstance(data, dict):
@@ -175,8 +176,13 @@ class PipelineConfig:
                 lambda name: builtin_system(name, **kwargs), None,
                 "a builtin system name"))
         n = self.dim = system.n
-        self.equilibrium = self._get("system.equilibrium", _vector(n), None)
-        system.equilibrium = self.equilibrium
+        # a configured equilibrium replaces the model's own, if f(x*) = x*
+        equilibrium = self._get("system.equilibrium", _vector(n), None)
+        if equilibrium is not None:
+            system.equilibrium = self._check("system.equilibrium", equilibrium,
+                                             (system.check_equilibrium, None,
+                                              "a fixed point of the drift"))
+        self.equilibrium = system.equilibrium
         self.system = system
 
         box = (_box, lambda b: b.dim == n,

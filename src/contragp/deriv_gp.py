@@ -17,7 +17,7 @@ from scipy.linalg import cho_solve
 
 from .errors import DataError, DimensionError, FactorizationError
 from .kernels import Kernel
-from .linalg import blockwise, chol_with_jitter
+from .linalg import BLOCK, blockwise, chol_with_jitter
 
 __all__ = [
     "DerivativeDataset",
@@ -114,7 +114,8 @@ class DerivativeController:
     # -- evaluation ----------------------------------------------------
 
     def _raw_batch(self, X):
-        vals = self.kernel.grad_x2_contract(X, self._terms)
+        """Law values before the offset at a checked stack X."""
+        vals = self.kernel._contract(X, self._terms)
         if self.value_points is not None:
             kv = self.kernel.value_outer(X, self.value_points)
             vals = vals + kv @ self.value_weights
@@ -123,6 +124,8 @@ class DerivativeController:
     def control_batch(self, X):
         """Control values at a stack of states, shape (B,)."""
         X = self.kernel._check_stack(X, "x")
+        if X.shape[0] <= BLOCK:
+            return self._raw_batch(X) - self.offset
         return blockwise(self._raw_batch, X) - self.offset
 
     def control_grad_batch(self, X):

@@ -169,12 +169,12 @@ class Kernel:
     # contraction of the gradient rows with one weight row per point
 
     def contraction_terms(self, Y, W):
-        """Terms (Y, A, c) of :meth:`grad_x2_contract` for the points Y,
-        shape (M, n), and their weight rows W, shape (M, n) or (M * n,):
-        a_j = Sigma^{-1} w_j and c_j = y_j . a_j."""
+        """Terms (Y, YT, A, c) of :meth:`grad_x2_contract` for the points
+        Y, shape (M, n), and their weight rows W, shape (M, n) or (M * n,):
+        YT is Y^T laid out (n, M), a_j = Sigma^{-1} w_j and c_j = y_j . a_j."""
         Y = self._check_stack(Y, "x_prime")
         A = np.reshape(W, Y.shape) @ self._sigma_inv
-        return Y, A, np.sum(Y * A, axis=1)
+        return Y, np.ascontiguousarray(Y.T), A, np.sum(Y * A, axis=1)
 
     def grad_x2_contract(self, X, terms):
         """sum_j dk(x_i, y_j)/dy_j . w_j for every row of X, shape (N,),
@@ -185,14 +185,18 @@ class Kernel:
         the differences x - y_j (expanding it would cancel near y_j).
         Dot-product families: k'(q_ij) (x . a_j) with q_ij = x^T Sigma^{-1} y_j.
         """
-        Y, A, c = terms
-        X = self._check_stack(X, "x")
+        return self._contract(self._check_stack(X, "x"), terms)
+
+    def _contract(self, X, terms):
+        """:meth:`grad_x2_contract` on a stack X already checked by
+        :meth:`_check_stack`."""
+        Y, YT, A, c = terms
         XA = X @ A.T
         if self.family != "squared-exponential":
             return (self._slope(X @ self._sigma_inv @ Y.T) * XA).sum(axis=1)
         # the differences laid out (n, N * M): each operation runs along
         # the pairs, not along the n coordinates of one pair
-        D = (X.T[:, :, None] - Y.T[:, None, :]).reshape(self.dim, -1)
+        D = (X.T[:, :, None] - YT[:, None, :]).reshape(self.dim, -1)
         half = self._chol_inv @ D
         q = np.einsum("ij,ij->j", half, half).reshape(XA.shape)
         return (self._value((q,)) * (XA - c)).sum(axis=1)

@@ -181,11 +181,17 @@ class SystemModel:
                     f"{name} disagrees with finite differences at {X[i]} "
                     f"(max deviation {dev[i]:.3e})")
         if self.equilibrium is not None:
-            x = self.equilibrium
-            resid = np.linalg.norm(np.asarray(self.drift(x[None]))[0] - x)
-            if resid > 1e-8:
-                raise DataError(
-                    f"declared equilibrium is not a fixed point (|f(x*)-x*| = {resid:.3e})")
+            self.check_equilibrium(self.equilibrium)
+
+    def check_equilibrium(self, x):
+        """``x`` as a float vector, once it is checked to be a fixed point
+        of the drift, |f(x) - x| <= 1e-8; a DataError otherwise."""
+        x = np.asarray(x, dtype=float).reshape(-1)
+        resid = np.linalg.norm(np.asarray(self.drift(x[None]))[0] - x)
+        if not resid <= 1e-8:
+            raise DataError(
+                f"declared equilibrium is not a fixed point (|f(x*)-x*| = {resid:.3e})")
+        return x
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +214,13 @@ def oscillator(dt=0.01):
     """
 
     def drift(X):
-        return np.column_stack([X[:, 0] + X[:, 1] * dt, oscillator_f2(X, dt)])
+        # the expressions of oscillator_f2, in its order: data.csv and the
+        # rollouts depend on these bits
+        x1, x2 = X[:, 0], X[:, 1]
+        out = np.empty((X.shape[0], 2))
+        out[:, 0] = x1 + x2 * dt
+        out[:, 1] = x2 + dt * (-x1 + _osc_h(x1) * x2)
+        return out
 
     def jac(X):
         x1, x2 = X[:, 0], X[:, 1]

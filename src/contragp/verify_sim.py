@@ -121,7 +121,8 @@ def rollouts(model, law, X0, horizon):
     states (zero input when ``law`` is None) and one ``model.step``.
     A trajectory whose state turns non-finite or passes 1e6 in any
     coordinate is truncated at that step, flagged as diverged, and leaves
-    the active set.
+    the active set.  Until one does, every trajectory is active: the
+    active set is a slice and the divergence test one reduction.
     """
     if horizon < 1:
         raise DataError("horizon must be at least 1")
@@ -135,19 +136,22 @@ def rollouts(model, law, X0, horizon):
     states[:, 0] = X
     ends = np.full(count, horizon)
     diverged = np.zeros(count, dtype=bool)
-    active = np.arange(count)
+    active = slice(None)  # the rows of the active trajectories
     for k in range(horizon):
-        U = np.zeros(active.size) if law is None else law.control_batch(X)
+        U = np.zeros(len(X)) if law is None else law.control_batch(X)
         inputs[active, k] = U
         X = model.step(X, U)
         states[active, k + 1] = X
+        # NaN fails the comparison too; an empty stack passes
+        if np.abs(X).max(initial=0.0) <= DIVERGENCE_LIMIT:
+            continue
         bad = _diverged(X)
-        if bad.any():
-            ends[active[bad]] = k + 1
-            diverged[active[bad]] = True
-            active, X = active[~bad], X[~bad]
-            if active.size == 0:
-                break
+        rows = np.arange(count)[active]
+        ends[rows[bad]] = k + 1
+        diverged[rows[bad]] = True
+        active, X = rows[~bad], X[~bad]
+        if active.size == 0:
+            break
     return [Trajectory(states[i, :ends[i] + 1], inputs[i, :ends[i]],
                        diverged=bool(diverged[i])) for i in range(count)]
 

@@ -97,6 +97,14 @@ MALFORMED = {
     "polynomial-term-without-exponents": (
         "system.polynomial: missing key 'rows[1][0].exponents'",
         polynomial_with(lambda spec: spec["rows"][1][0].pop("exponents"))),
+    # f(x*) = x* to 1e-8, as a model's own equilibrium is checked
+    "equilibrium-not-a-fixed-point": (
+        "system.equilibrium: declared equilibrium is not a fixed point",
+        set_key("system.equilibrium", [1.0, 1.0])),
+    "polynomial-equilibrium-not-a-fixed-point": (
+        "system.equilibrium: declared equilibrium is not a fixed point",
+        lambda cfg: (polynomial_with(lambda spec: None)(cfg),
+                     set_key("system.equilibrium", [1.0, 0.0])(cfg))),
 }
 
 
@@ -331,6 +339,27 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="dimension"):
             PipelineConfig(cfg)
 
+    @pytest.mark.parametrize("system", ["builtin", "polynomial"])
+    def test_model_equilibrium_kept_without_the_key(self, tmp_path, system):
+        # the oscillator's own zeros, or the polynomial spec's equilibrium
+        cfg = small_osc_config()
+        cfg["synthesis"]["model_source"] = "analytic"
+        if system == "polynomial":
+            polynomial_with(lambda spec: spec.update(equilibrium=[0.0, 0.0])
+                            )(cfg)
+        cfg["system"].pop("equilibrium")
+        parsed = PipelineConfig(cfg)
+        np.testing.assert_array_equal(parsed.system.equilibrium, [0.0, 0.0])
+        np.testing.assert_array_equal(parsed.equilibrium, [0.0, 0.0])
+        # so synthesis still zeroes the law there
+        out = str(tmp_path / "out")
+        assert cli.main(["synth", "--config", write_cfg(tmp_path, cfg),
+                         "--out", out, "--quiet"]) == 0
+        law = DerivativeController.from_dict(
+            json.load(open(os.path.join(out, "controller.json"))))
+        np.testing.assert_array_equal(law.offset_point, [0.0, 0.0])
+        assert law.control_batch([[0.0, 0.0]])[0] == 0.0
+
     @pytest.mark.parametrize("case", list(MALFORMED))
     def test_malformed_config_exits_invalid_before_any_artifact(
             self, tmp_path, capsys, case):
@@ -398,6 +427,47 @@ class TestConfigValidation:
         assert cli.main(["synth", "--config", write_cfg(tmp_path, cfg),
                          "--out", str(out), "--quiet"]) == 3
         assert "sim.initial_states" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestTimings:
+    def test_stage_times_written_outside_the_artifacts(self, tmp_path):
+        cfg = write_cfg(tmp_path, small_osc_config())
+        out, plain = tmp_path / "out", tmp_path / "plain"
+        times = tmp_path / "times" / "reproduce.json"
+        assert cli.main(["reproduce-oscillator", "--config", cfg, "--out",
+                         str(out), "--timings", str(times), "--quiet"]) == 0
+        data = json.load(open(times))
+        assert sorted(data) == ["gen_data", "learn", "simulate", "synth",
+                                "verify"]
+        for entry in data.values():
+            assert sorted(entry) == ["cpu_s", "wall_s"]
+            assert entry["wall_s"] >= 0.0 and entry["cpu_s"] >= 0.0
+        # the flag leaves the artifact tree as it is without it
+        assert cli.main(["reproduce-oscillator", "--config", cfg, "--out",
+                         str(plain), "--quiet"]) == 0
+
+        def tree(root):
+            return {p.relative_to(root): p.read_bytes()
+                    for p in root.rglob("*") if p.is_file()}
+        assert tree(out) == tree(plain)
+
+    def test_one_command_times_its_stage(self, tmp_path):
+        times = tmp_path / "times.json"
+        assert cli.main(["gen-data", "--config",
+                         write_cfg(tmp_path, small_osc_config()), "--out",
+                         str(tmp_path / "out"), "--timings", str(times),
+                         "--quiet"]) == 0
+        assert list(json.load(open(times))) == ["gen_data"]
+
+    @pytest.mark.parametrize("inside", ["times.json", "sub/times.json", "."])
+    def test_path_inside_out_exits_invalid(self, tmp_path, capsys, inside):
+        out = tmp_path / "out"
+        rc = cli.main(["gen-data", "--config",
+                       write_cfg(tmp_path, small_osc_config()), "--out",
+                       str(out), "--timings", str(out / inside), "--quiet"])
+        assert rc == 3
+        assert "--timings" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from contragp import deriv_gp
-from contragp.errors import DataError, FactorizationError
+from contragp.errors import DataError, DimensionError, FactorizationError
 from contragp.kernels import Kernel
+from contragp.linalg import BLOCK
 
 
 def fit_objective_gradient(K0, sigma_p, y, h):
@@ -219,6 +220,19 @@ class TestContractionForm:
         assert np.all(np.abs(law.control_batch(X) - ref) <= 1e-9 * scale)
         x_star = np.array([0.3, -0.7])
         assert law.with_offset_at(x_star).control_batch([x_star])[0] == 0.0
+
+    @pytest.mark.parametrize("rows", [1, BLOCK + 1])
+    def test_wrong_width_rejected(self, rows):
+        # the law checks its stack once, below and above one block
+        kernel = Kernel(dim=2)
+        points = [[0.0, 0.0], [1.0, 0.5]]
+        law = deriv_gp.DerivativeController(kernel, points, np.ones(4))
+        X = np.zeros((rows, 3))
+        with pytest.raises(DimensionError, match="'x'"):
+            law.control_batch(X)
+        with pytest.raises(DimensionError, match="'x'"):
+            kernel.grad_x2_contract(
+                X, kernel.contraction_terms(points, np.ones(4)))
 
 
 class TestOffsetAndSerialization:

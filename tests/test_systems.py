@@ -176,6 +176,13 @@ class TestBuiltins:
         for x, v in zip(X, f2):
             assert v == pytest.approx(osc.drift(x[None])[0, 1], rel=1e-12)
 
+    def test_drift_keeps_the_bits_of_its_column_form(self):
+        # data.csv and the rollouts depend on these bits
+        X = np.random.default_rng(1).uniform(-3, 3, size=(50, 2))
+        want = np.column_stack([X[:, 0] + X[:, 1] * 0.01,
+                                systems.oscillator_f2(X)])
+        assert np.array_equal(systems.oscillator().drift(X), want)
+
     def test_sine1d(self):
         sine = systems.sine1d(dt=0.1)
         assert sine.drift(np.array([[np.pi]]))[0, 0] == pytest.approx(np.pi)

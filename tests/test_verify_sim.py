@@ -2,10 +2,13 @@
 rollout contracts, seeded stochastic reproducibility, and empirical rate
 bounds."""
 
+import json
+
 import numpy as np
 import pytest
 
-from contragp import stochastic, synthesis, systems, verify_sim
+from contragp import cli, stochastic, synthesis, systems, verify_sim
+from contragp.config import PipelineConfig, default_oscillator_config
 from contragp.deriv_gp import DerivativeController
 from contragp.errors import DataError, DimensionError
 from contragp.kernels import Kernel
@@ -166,6 +169,9 @@ class TestLockstepRollouts:
         assert np.isnan(traj.states[3, 0])
         assert not calm.diverged and calm.horizon == 10
 
+    def test_empty_stack_gives_no_trajectories(self, oscillator):
+        assert verify_sim.rollouts(oscillator, None, np.zeros((0, 2)), 5) == []
+
     def test_non_finite_initial_state_rejected(self, oscillator):
         with pytest.raises(DataError):
             verify_sim.rollouts(oscillator, None, [[np.nan, 0.0]], 5)
@@ -178,6 +184,98 @@ class TestLockstepRollouts:
             metric=np.eye(2))
         with pytest.raises(DataError):
             verify_sim.rollout_stochastic(loop, [np.inf, 0.0], 5, seed=0)
+
+
+def stepwise_rollouts(model, law, X0, horizon):
+    """The per-step lockstep loop that ``rollouts`` replaced: an index
+    array as the active set and the row-wise divergence test at every
+    step.  Returns (states, inputs, ends, diverged)."""
+    X = np.atleast_2d(np.asarray(X0, dtype=float))
+    count, n = X.shape
+    states = np.empty((count, horizon + 1, n))
+    inputs = np.zeros((count, horizon))
+    states[:, 0] = X
+    ends = np.full(count, horizon)
+    diverged = np.zeros(count, dtype=bool)
+    active = np.arange(count)
+    for k in range(horizon):
+        U = np.zeros(active.size) if law is None else law.control_batch(X)
+        inputs[active, k] = U
+        X = model.step(X, U)
+        states[active, k + 1] = X
+        bad = ~(np.abs(X) <= verify_sim.DIVERGENCE_LIMIT).all(axis=-1)
+        if bad.any():
+            ends[active[bad]] = k + 1
+            diverged[active[bad]] = True
+            active, X = active[~bad], X[~bad]
+            if active.size == 0:
+                break
+    return states, inputs, ends, diverged
+
+
+@pytest.fixture(scope="module")
+def reproduction_law(tmp_path_factory):
+    """The feedback law of the shipped reproduction config."""
+    out = tmp_path_factory.mktemp("reproduction_law")
+    path = out / "config.json"
+    path.write_text(json.dumps(default_oscillator_config()))
+    for command in ("gen-data", "learn", "synth"):
+        assert cli.main([command, "--config", str(path), "--out", str(out),
+                         "--quiet"]) == 0
+    return DerivativeController.from_dict(
+        json.load(open(out / "controller.json")))
+
+
+class TestRolloutsBitForBit:
+    """``rollouts`` gives the bits of the per-step loop, on the all-active
+    path and across the switch to the index path."""
+
+    @staticmethod
+    def assert_same(model, law, X0, horizon):
+        trajs = verify_sim.rollouts(model, law, X0, horizon)
+        states, inputs, ends, diverged = stepwise_rollouts(model, law, X0,
+                                                           horizon)
+        assert [t.horizon for t in trajs] == ends.tolist()
+        assert [t.diverged for t in trajs] == diverged.tolist()
+        for i, traj in enumerate(trajs):
+            assert np.array_equal(traj.states, states[i, :ends[i] + 1],
+                                  equal_nan=True)
+            assert np.array_equal(traj.inputs, inputs[i, :ends[i]])
+        return trajs
+
+    def test_shipped_initial_states_under_the_reproduction_law(
+            self, reproduction_law):
+        cfg = PipelineConfig(default_oscillator_config())
+        trajs = self.assert_same(cfg.system, reproduction_law,
+                                 cfg.initial_states, 300)
+        assert len(trajs) == 16 and not any(t.diverged for t in trajs)
+
+    @pytest.mark.parametrize("with_law", [False, True])
+    def test_mixed_stack_switches_to_the_index_path(self, with_law):
+        # x1 triples and x2 doubles until |x2| reaches 3, then turns NaN
+        def drift(X):
+            return np.column_stack(
+                [3.0 * X[:, 0],
+                 np.where(np.abs(X[:, 1]) < 3.0, 2.0 * X[:, 1], np.nan)])
+
+        toy = systems.SystemModel(
+            2, drift, lambda X: np.broadcast_to(np.diag([3.0, 2.0]),
+                                                (len(X), 2, 2)),
+            b=[0.0, 1.0], validate=False)
+
+        class Law:
+            def control_batch(self, X):
+                return -0.5 * X[:, 1]
+
+        # 3^13 > 1e6: the first row diverges at step 13, the second row
+        # turns NaN at step 3 (at step 4 under the law), the third
+        # diverges at step 14 and the last stays put
+        X0 = [[1.0, 0.0], [0.0, 1.0], [0.5, 0.0], [0.0, 0.0]]
+        trajs = self.assert_same(toy, Law() if with_law else None, X0, 40)
+        assert [t.diverged for t in trajs] == [True, True, True, False]
+        assert [t.horizon for t in trajs] == [13, 4 if with_law else 3, 14,
+                                              40]
+        assert np.isnan(trajs[1].states[-1, 1])
 
 
 class TestDivergence:
