@@ -15,6 +15,8 @@ from itertools import zip_longest
 
 import numpy as np
 
+from .errors import ConfigError
+
 __all__ = ["canonical_json", "write_json", "write_csv", "read_csv",
            "atomic_write_text"]
 
@@ -87,11 +89,19 @@ def write_csv(path, header, columns):
 
 def read_csv(path):
     """Read a CSV written by :func:`write_csv`; returns (header, rows of
-    floats with empty cells as NaN)."""
+    floats with empty cells as NaN).  An empty file, a non-numeric cell or
+    a row of another width raises ConfigError naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    if not lines:
+        raise ConfigError(f"malformed CSV {path}: the file is empty")
     header = lines[0].split(",")
-    rows = []
-    for ln in lines[1:]:
-        rows.append([float(tok) if tok else np.nan for tok in ln.split(",")])
-    return header, np.asarray(rows)
+    try:  # a non-numeric cell, or rows of two widths
+        rows = np.asarray([[float(tok) if tok else np.nan
+                            for tok in ln.split(",")] for ln in lines[1:]])
+    except ValueError as exc:
+        raise ConfigError(f"malformed CSV {path}: {exc}") from exc
+    if rows.size and rows.shape[1] != len(header):
+        raise ConfigError(f"malformed CSV {path}: {rows.shape[1]} cells per "
+                          f"row, {len(header)} in the header")
+    return header, rows

@@ -51,9 +51,18 @@ def _need(path, what):
     return path
 
 
-def _load_json(path, what):
+def _load_json(path, what, parse):
+    """``parse`` of the JSON artifact at ``path``; ConfigError naming the
+    file when it is not JSON or lacks what ``parse`` reads."""
     with open(_need(path, what), "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return parse(json.load(fh))
+        except (ValueError, KeyError, TypeError, IndexError) as exc:
+            raise ConfigError(f"malformed {what} {path}: {exc!r}") from exc
+
+
+def _drift_model(data):
+    return drift_gp.DriftModel.from_dict(data["drift_model"])
 
 
 class StageTimes(dict):
@@ -125,8 +134,9 @@ def cmd_learn(cfg: PipelineConfig, out, quiet=False):
 def _error_surfaces(cfg, out, model):
     """Learned vs analytic mean/gradient surfaces on the model domain."""
     box = cfg.model_box
-    pts = grid_points(box, 41 if box.dim == 2 else 201)
     n = box.dim
+    # 201 points on a line, 41 per axis on a plane, about 41^2 in all beyond
+    pts = grid_points(box, 201 if n == 1 else round(41 ** (2 / n)))
     header = [f"x_{i+1}" for i in range(n)]
     cols = []
     for i, comp in enumerate(model.components):
@@ -152,8 +162,8 @@ def _design_model(cfg, out):
     model, or None for the analytic source."""
     if cfg.model_source == "analytic":
         return cfg.system, None
-    data = _load_json(_path(out, "drift_model.json"), "drift-model artifact")
-    model = drift_gp.DriftModel.from_dict(data["drift_model"])
+    model = _load_json(_path(out, "drift_model.json"), "drift-model artifact",
+                       _drift_model)
     return model.as_system_model(b=cfg.system.b,
                                  equilibrium=cfg.equilibrium), model
 
@@ -172,9 +182,8 @@ def cmd_synth(cfg: PipelineConfig, out, quiet=False):
         points = hulls.centers
     else:
         points = grid_points(cfg.control_box, cfg.control_points)
-    report = synthesis.run_synthesis(
-        design, cfg.kernel, points, mode=cfg.mode, sigma_p=cfg.sigma_p,
-        rho=cfg.rho, hulls=hulls)
+    report = synthesis.run_synthesis(design, cfg.kernel, points, mode=cfg.mode,
+                                     rho=cfg.rho, hulls=hulls)
     if confidence is not None:
         report.diagnostics["hull_confidence"] = confidence
     write_json(_path(out, "synthesis_report.json"), report.to_dict())
@@ -203,11 +212,12 @@ def _controller_surface(cfg, out, controller):
 
 
 def _load_controller_and_P(out):
-    controller = DerivativeController.from_dict(
-        _load_json(_path(out, "controller.json"), "controller artifact"))
-    report = _load_json(_path(out, "synthesis_report.json"),
-                        "synthesis report")
-    return controller, np.asarray(report["P"], dtype=float)
+    controller = _load_json(_path(out, "controller.json"),
+                            "controller artifact",
+                            DerivativeController.from_dict)
+    P = _load_json(_path(out, "synthesis_report.json"), "synthesis report",
+                   lambda report: np.asarray(report["P"], dtype=float))
+    return controller, P
 
 
 def cmd_verify(cfg: PipelineConfig, out, quiet=False):
@@ -302,8 +312,7 @@ def _baseline_runs(cfg, out, quiet):
     if not os.path.exists(drift_path):
         return None
     gain, system = cfg.baseline_gain, cfg.system
-    model = drift_gp.DriftModel.from_dict(
-        _load_json(drift_path, "drift-model artifact")["drift_model"])
+    model = _load_json(drift_path, "drift-model artifact", _drift_model)
     comp = int(np.argmax(np.abs(system.b)))
 
     class _BaselineLaw:

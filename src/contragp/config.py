@@ -204,7 +204,8 @@ class PipelineConfig:
             lambda v: np.broadcast_to(_floats(v), (n,)).copy(),
             lambda v: (v >= 0.0).all(),
             f"a nonnegative number or {n} of them"))
-        self.sigma_p = self._get("noise.sigma_p", NONNEGATIVE, 0.0)
+        # checked but inert: the law's weights are K0^{-1} g for any noise
+        self._get("noise.sigma_p", NONNEGATIVE, 0.0)
         self.rho = self._get("solver.rho", (float, lambda v: v > 1.0,
                                             "a number above 1"))
         self.mode = self._get("mode", (None, lambda v: v in MODES,

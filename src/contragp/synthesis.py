@@ -13,10 +13,10 @@ so every route's condition is the affine family [[P, (A_i P)^T], [A_i P,
 P]] >= 0 with A_i = J_i + b g_i^T.  All routes assemble
 :class:`~contragp.lmi.LmiProblem` instances over the design Jacobians (or
 hull vertices) of :func:`_metric_constraint_mats`, solve them through one
-helper that raises on failure, and finish in :func:`_finish_gain`: fit the
-law to the optimal gradients, zero it at the model's equilibrium, and
-recompute every certificate from the fitted law through
-:func:`closed_loop_jacobians`.
+helper that raises on failure, and finish in :func:`_finish_gain`: the law's
+weights are K0^{-1} g from the route's one factor of K0, zeroed at the
+model's equilibrium, and every certificate is recomputed from one stack of
+:func:`ies_block` blocks of :func:`closed_loop_jacobians`.
 """
 
 from __future__ import annotations
@@ -28,10 +28,9 @@ import numpy as np
 from scipy.linalg import cho_solve, cholesky, qr
 
 from . import lmi
-from .deriv_gp import DerivativeController, DerivativeDataset, build_gram_K0, fit
+from .deriv_gp import DerivativeController, build_gram_K0
 from .errors import (DataError, FactorizationError, InfeasibleError,
                      NumericalFailureError, VertexBudgetError)
-from .linalg import eig_min_sym
 from .systems import Box, grid_points
 
 __all__ = [
@@ -103,14 +102,15 @@ def vech(P):
 
 
 def ies_block(P, A):
-    """The 2n x 2n closed-loop certificate block [[P, (AP)^T], [AP, P]]."""
+    """The 2n x 2n closed-loop certificate block [[P, (AP)^T], [AP, P]] of
+    A, or the (B, 2n, 2n) stack of blocks of a (B, n, n) stack A."""
     n = P.shape[0]
-    M = np.zeros((2 * n, 2 * n))
     AP = A @ P
-    M[:n, :n] = P
-    M[:n, n:] = AP.T
-    M[n:, :n] = AP
-    M[n:, n:] = P
+    M = np.zeros(AP.shape[:-2] + (2 * n, 2 * n))
+    M[..., :n, :n] = P
+    M[..., :n, n:] = np.swapaxes(AP, -1, -2)
+    M[..., n:, :n] = AP
+    M[..., n:, n:] = P
     return M
 
 
@@ -123,16 +123,13 @@ def _offdiag(G):
     return M
 
 
-def closed_loop_jacobians(model, controller, X):
+def closed_loop_jacobians(model, controller, X, jacs=None):
     """Closed-loop Jacobians J(x) + b(x) grad u(x)^T at the rows of X, plus
-    u(x) db(x) when the input vector varies with the state; (B, n, n)."""
+    u(x) db(x) when the input vector varies with the state; (B, n, n).
+    ``jacs``, one per row, replaces J(x): a hull vertex at its cell center."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    return _close_loop(model, controller, X, model.drift_jacobian(X))
-
-
-def _close_loop(model, controller, X, jacs):
-    """Add the feedback terms at the rows of X to the drift Jacobians (or
-    hull vertices) ``jacs``, one per row."""
+    if jacs is None:
+        jacs = model.drift_jacobian(X)
     grads = controller.control_grad_batch(X)
     A = (np.asarray(jacs, dtype=float)
          + model.input(X)[:, :, None] * grads[:, None, :])
@@ -171,26 +168,6 @@ class VertexHull:
     @property
     def dim(self):
         return self.centers.shape[1]
-
-    def adjacent_pairs(self):
-        """Index pairs of cells sharing a facet (even partitions only)."""
-        if self.subdivisions is None:
-            return []
-        r = self.subdivisions
-        n = self.dim
-        pairs = []
-        for i in range(self.n_cells):
-            combo = []
-            rest = i
-            for _ in range(n):
-                combo.append(rest % r)
-                rest //= r
-            combo = combo[::-1]  # C-order over itertools.product
-            for axis in range(n):
-                if combo[axis] + 1 < r:
-                    j = i + r ** (n - 1 - axis)
-                    pairs.append((i, j))
-        return pairs
 
     def vertex_count(self, i):
         return 2 ** int(np.sum(~self.pinned[i]))
@@ -406,11 +383,12 @@ def solve_metric(model, points, hulls=None, rho=DEFAULT_RHO):
 
 
 def _gram_factor(kernel, X):
-    """Lower Cholesky factor of the gradient Gram matrix K0 of the design
-    points, with no jitter: the gain variables are the law's gradients g
-    there, and its weights are K0^{-1} g."""
+    """The gradient Gram matrix K0 of the design points and its lower
+    Cholesky factor, with no jitter: the gain variables are the law's
+    gradients g there, and its weights are K0^{-1} g."""
+    K0 = build_gram_K0(kernel, X)
     try:
-        return cholesky(build_gram_K0(kernel, X), lower=True)
+        return K0, cholesky(K0, lower=True)
     except np.linalg.LinAlgError as exc:
         raise FactorizationError(
             "the gradient Gram matrix K0 of the design points must factor "
@@ -455,48 +433,49 @@ def _gain_problem(model, P, kernel, X, L, mats, labels):
 _SOLVER_RECORD = ("newton_steps", "barrier_stages", "backtracks", "final_mu")
 
 
-def _finish_gain(model, P, kernel, X, targets, sigma_p, mats, labels, sol,
-                 mode, eps_p):
-    """Fit the law to the raw targets, zero it at the model's equilibrium
-    and recompute every certificate from the fitted law.
-
-    Each constraint of the family, a design point's Jacobian or a hull
-    vertex, closes the loop with the law's gradient at its own point (the
-    cell center for a vertex).
-    """
-    controller = fit(kernel, DerivativeDataset(X, targets, sigma_p))
+def _finish_gain(model, P, kernel, X, gram, g, mats, labels, sol, mode,
+                 eps_p):
+    """Build the law from its stacked gradients g at the design points:
+    weights w = K0^{-1} g from ``gram`` = (K0, L), one residual guard
+    ||K0 w - g|| <= 1e-6 (1 + ||g||), zero at the model's equilibrium.
+    Then close the loop at each constraint's own point (a vertex's cell
+    center) and recompute every certificate."""
+    K0, L = gram
+    w = cho_solve((L, True), g)
+    resid = float(np.linalg.norm(K0 @ w - g))
+    bound = 1e-6 * (1.0 + float(np.linalg.norm(g)))
+    if not resid <= bound:
+        raise FactorizationError(
+            f"weight solve residual {resid:.3e} exceeds {bound:.3e}: the "
+            "gradient Gram matrix K0 of the design points is too badly "
+            "conditioned; use fewer or better-separated design points")
+    controller = DerivativeController(kernel, X, w)
     if model.equilibrium is not None:
         controller = controller.with_offset_at(model.equilibrium)
     controller.metric = P
-    owners = [label[1] for label in labels]
-    margins = np.array([eig_min_sym(ies_block(P, A)) for A in
-                        _close_loop(model, controller, X[owners], mats)])
-    if labels[0][0] == "point":
-        point_margins, vertex_margins = margins, None
-    else:
-        point_margins = np.array([
-            eig_min_sym(ies_block(P, A))
-            for A in closed_loop_jacobians(model, controller, X)])
-        vertex_margins = [[] for _ in X]
-        for m, i in zip(margins, owners):
-            vertex_margins[i].append(m)
+    owners = np.array([label[1] for label in labels])
+    hull = labels[0][0] != "point"
+    A = closed_loop_jacobians(model, controller, X[owners], mats)
+    if hull:
+        A = np.concatenate([A, closed_loop_jacobians(model, controller, X)])
+    margins = np.linalg.eigvalsh(ies_block(P, A))[:, 0]
+    family = margins[:len(labels)]
+    vertex_margins = ([list(family[owners == i]) for i in range(len(X))]
+                      if hull else None)
     return SynthesisReport(
-        mode=mode, P=P, eps_p=eps_p, eps=float(margins.min()),
+        mode=mode, P=P, eps_p=eps_p, eps=float(family.min()),
         controller=controller, solver_margin=float(sol.margin), points=X,
-        point_margins=point_margins, vertex_margins=vertex_margins,
+        # the design points' blocks end the stack on either route
+        point_margins=margins[-len(X):], vertex_margins=vertex_margins,
         status=sol.status,
-        diagnostics={**{k: sol.info[k] for k in _SOLVER_RECORD},
-                     "sigma_p": sigma_p})
+        diagnostics={k: sol.info[k] for k in _SOLVER_RECORD})
 
 
-def solve_gain(model, P, kernel, points, sigma_p=0.0, hulls=None,
-               eps_p=None, rho=DEFAULT_RHO):
+def solve_gain(model, P, kernel, points, hulls=None, eps_p=None,
+               rho=DEFAULT_RHO):
     """Choose the law's gradients g at the design points so every
-    closed-loop block is PSD with maximal margin, then fit the law to them.
-
-    The problem does not depend on ``sigma_p``: the law fitted to targets
-    y = g + sigma_p^2 K0^{-1} g with gradient noise sigma_p has gradients g
-    at the design points and weights K0^{-1} g.
+    closed-loop block is PSD with maximal margin; the law's weights are
+    then K0^{-1} g.
 
     With a state-dependent input vector the law's value multiplies the
     input Jacobian and its gradient the input vector, both linearly in g.
@@ -507,25 +486,26 @@ def solve_gain(model, P, kernel, points, sigma_p=0.0, hulls=None,
     X = np.atleast_2d(np.asarray(points, dtype=float))
     P = np.asarray(P, dtype=float)
     mats, labels = _metric_constraint_mats(model, X, hulls)
-    L = _gram_factor(kernel, X)
-    sol = _solve(_gain_problem(model, P, kernel, X, L, mats, labels),
+    gram = _gram_factor(kernel, X)
+    sol = _solve(_gain_problem(model, P, kernel, X, gram[1], mats, labels),
                  rho, "gain")
-    g = sol.z
-    targets = (g + sigma_p ** 2 * cho_solve((L, True), g)).reshape(X.shape)
     if hulls is not None:
         mode = "polytopic"
     elif model.constant_input:
         mode = "two-step"
     else:
         mode = "two-step-nonconstant-b"
-    report = _finish_gain(model, P, kernel, X, targets, sigma_p, mats, labels,
-                          sol, mode, eps_p)
-    pairs = [] if hulls is None else hulls.adjacent_pairs()
-    if pairs:
-        # reported (not enforced): how much targets jump between adjacent
-        # cells, the smoothness proxy of the refinement argument
+    report = _finish_gain(model, P, kernel, X, gram, sol.z, mats, labels, sol,
+                          mode, eps_p)
+    r = None if hulls is None else hulls.subdivisions
+    if r is not None and r > 1:
+        # reported (not enforced): the largest jump of g = sol.z between
+        # cells sharing a face, the smoothness proxy of refinement
+        n = X.shape[1]
+        cells = sol.z.reshape((r,) * n + (n,))
         report.diagnostics["max_neighbor_target_gap"] = float(max(
-            np.linalg.norm(targets[i] - targets[j]) for i, j in pairs))
+            np.linalg.norm(np.diff(cells, axis=a), axis=-1).max()
+            for a in range(n)))
     return report
 
 
@@ -534,22 +514,22 @@ def solve_gain(model, P, kernel, points, sigma_p=0.0, hulls=None,
 
 
 def solve_joint(model, kernel, points, rho=DEFAULT_RHO):
-    """Single family over (P, scaled targets); the noise-free route.
+    """Single family over (P, scaled gradients).
 
-    The scaled targets multiply the input vector directly, so no coupling
-    with P appears; afterwards the raw targets are recovered by unscaling
-    with P^{-1} and the controller is fitted exactly as in the two-step
+    The scaled gradients P g_i multiply the input vector directly, so no
+    coupling with P appears; afterwards the gradients are recovered by
+    unscaling with P^{-1} and the law is built exactly as in the two-step
     route.
     """
     X = np.atleast_2d(np.asarray(points, dtype=float))
     N, n = X.shape
     if not model.constant_input:
         raise DataError("the joint route needs a constant input vector")
-    _gram_factor(kernel, X)  # raises before the solve if K0 is singular
+    gram = _gram_factor(kernel, X)  # raises before the solve if K0 is singular
 
     basis = sym_basis(n)
     mP = len(basis)
-    # P's entry E enters block i as ies_block(E, J_i), scaled target
+    # P's entry E enters block i as ies_block(E, J_i), scaled gradient
     # entry a as the off-diagonal pair of b e_a^T
     eye = np.eye(n)
     gain = [_offdiag(np.outer(model.b, eye[a])) for a in range(n)]
@@ -566,8 +546,8 @@ def solve_joint(model, kernel, points, rho=DEFAULT_RHO):
                              initial_z=init)
     sol = _solve(problem, rho, "joint")
     P = unvech(sol.z[:mP], n)
-    targets = sol.z[mP:].reshape(N, n) @ np.linalg.inv(P)
-    return _finish_gain(model, P, kernel, X, targets, 0.0, mats, labels, sol,
+    g = (sol.z[mP:].reshape(N, n) @ np.linalg.inv(P)).reshape(-1)
+    return _finish_gain(model, P, kernel, X, gram, g, mats, labels, sol,
                         "joint", None)
 
 
@@ -575,8 +555,8 @@ def solve_joint(model, kernel, points, rho=DEFAULT_RHO):
 # orchestration
 
 
-def run_synthesis(model, kernel, points, mode="two-step", sigma_p=0.0,
-                  rho=DEFAULT_RHO, hulls=None):
+def run_synthesis(model, kernel, points, mode="two-step", rho=DEFAULT_RHO,
+                  hulls=None):
     """End-to-end synthesis in the requested mode; returns a report."""
     if mode == "joint":
         return solve_joint(model, kernel, points, rho=rho)
@@ -585,5 +565,5 @@ def run_synthesis(model, kernel, points, mode="two-step", sigma_p=0.0,
     if mode not in ("two-step", "polytopic"):
         raise DataError(f"unknown synthesis mode '{mode}'")
     P, eps_p = solve_metric(model, points, hulls=hulls, rho=rho)
-    return solve_gain(model, P, kernel, points, sigma_p=sigma_p, hulls=hulls,
-                      eps_p=eps_p, rho=rho)
+    return solve_gain(model, P, kernel, points, hulls=hulls, eps_p=eps_p,
+                      rho=rho)

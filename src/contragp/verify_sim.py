@@ -77,8 +77,7 @@ def verify_grid(model, controller, P, domain: Box, resolution):
         closed = np.asarray(model.drift_jacobian(pts), dtype=float)
     else:
         closed = closed_loop_jacobians(model, controller, pts)
-    margins = np.array([np.linalg.eigvalsh(ies_block(P, A))[0]
-                        for A in closed])
+    margins = np.linalg.eigvalsh(ies_block(P, closed))[:, 0]
     factors = np.array([np.linalg.svd(solve_triangular(L, A @ L, lower=True),
                                       compute_uv=False)[0] for A in closed])
     lam = float(factors.max())

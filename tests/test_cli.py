@@ -3,6 +3,7 @@ data command, and the polynomial-system config path."""
 
 import json
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from contragp.artifacts import read_csv
 from contragp.deriv_gp import DerivativeController
 from contragp.config import (PipelineConfig, default_oscillator_config,
                              default_sine1d_config)
+from contragp.systems import Box
 
 
 def small_osc_config():
@@ -251,6 +253,41 @@ class TestLearnAndSynth:
                          str(tmp_path / "out"), "--quiet"]) == 4
         assert "must factor without jitter" in capsys.readouterr().err
 
+    def test_error_surfaces_stay_near_41_squared_rows(self, monkeypatch):
+        # 201 points per axis on a line, 41 on a plane; a 3-D box asks for
+        # about 41^2 rows in all, not 201^3
+        class Requested(Exception):
+            pass
+
+        def grid_points(box, per_axis):
+            raise Requested(per_axis)
+
+        monkeypatch.setattr(cli, "grid_points", grid_points)
+        counts = {}
+        for n in (1, 2, 3):
+            cfg = SimpleNamespace(model_box=Box.make([-1.0] * n, [1.0] * n))
+            with pytest.raises(Requested) as req:
+                cli._error_surfaces(cfg, None, None)
+            counts[n] = req.value.args[0]
+        assert counts[1] == 201 and counts[2] == 41
+        assert 41 ** 2 / 2 <= counts[3] ** 3 <= 2 * 41 ** 2
+
+    def test_gradient_noise_key_is_inert(self, tmp_path):
+        # the law's weights are K0^{-1} g for any noise.sigma_p, and the
+        # report no longer records it
+        written = {}
+        for sigma_p in (0.0, 0.1):
+            cfg_d = small_osc_config()
+            cfg_d["synthesis"]["model_source"] = "analytic"
+            cfg_d["noise"]["sigma_p"] = sigma_p
+            cfg = write_cfg(tmp_path, cfg_d, f"config-{sigma_p}.json")
+            out = tmp_path / f"out-{sigma_p}"
+            assert cli.main(["synth", "--config", cfg, "--out", str(out),
+                             "--quiet"]) == 0
+            written[sigma_p] = [(out / name).read_bytes() for name in
+                                ("controller.json", "synthesis_report.json")]
+        assert written[0.0] == written[0.1]
+
     def test_simulate_from_equilibrium_is_constant(self, tmp_path):
         cfg_d = small_osc_config()
         cfg_d["synthesis"]["model_source"] = "analytic"
@@ -285,6 +322,68 @@ class TestLearnAndSynth:
         assert law.control_batch([eq])[0] == 0.0
         _, table = read_csv(os.path.join(out, "trajectories/traj_00.csv"))
         np.testing.assert_allclose(table[:, 1:3], 0.0, atol=1e-12)
+
+
+def _rewrite(name, edit):
+    """An artifact corruption: ``edit`` maps the text of ``name`` to the
+    text written back."""
+    def apply(out):
+        path = out / name
+        path.write_text(edit(path.read_text()))
+    return apply
+
+
+def _replace_cell(text):
+    lines = text.splitlines()
+    lines[3] = "abc," + lines[3].split(",", 1)[1]
+    return "\n".join(lines) + "\n"
+
+
+def _drop_cell(text):
+    lines = text.splitlines()
+    lines[3] = lines[3].rsplit(",", 1)[0]
+    return "\n".join(lines) + "\n"
+
+
+def _drop_weights(text):
+    data = json.loads(text)
+    del data["weights"]
+    return json.dumps(data)
+
+
+# (command run on the corrupted artifact, file it names, corruption)
+MALFORMED_ARTIFACTS = {
+    "empty-data": ("learn", "data.csv", _rewrite("data.csv", lambda t: "")),
+    "non-numeric-cell": ("learn", "data.csv",
+                         _rewrite("data.csv", _replace_cell)),
+    "ragged-row": ("learn", "data.csv", _rewrite("data.csv", _drop_cell)),
+    "truncated-controller": ("verify", "controller.json",
+                             _rewrite("controller.json",
+                                      lambda t: t[:len(t) // 2])),
+    "controller-without-weights": ("verify", "controller.json",
+                                   _rewrite("controller.json",
+                                            _drop_weights)),
+}
+
+
+class TestMalformedArtifacts:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_ARTIFACTS))
+    def test_malformed_artifact_exits_invalid(self, tmp_path, capsys, case):
+        command, name, corrupt = MALFORMED_ARTIFACTS[case]
+        cfg_d = small_osc_config()
+        cfg_d["synthesis"]["model_source"] = "analytic"
+        cfg = write_cfg(tmp_path, cfg_d)
+        out = tmp_path / "out"
+        producer = "gen-data" if command == "learn" else "synth"
+        assert cli.main([producer, "--config", cfg, "--out", str(out),
+                         "--quiet"]) == 0
+        corrupt(out)
+        capsys.readouterr()
+        assert cli.main([command, "--config", cfg, "--out", str(out),
+                         "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input: malformed")
+        assert name in err
 
 
 class TestConfigValidation:

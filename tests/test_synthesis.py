@@ -75,6 +75,16 @@ class TestSchurEquivalence:
                 agree += 1
         assert agree == total
 
+    def test_stacked_block_equals_per_matrix_block(self):
+        rng = np.random.default_rng(8)
+        M = rng.normal(size=(3, 3))
+        P = M @ M.T + np.eye(3)
+        A = rng.normal(size=(6, 3, 3))
+        stacked = synthesis.ies_block(P, A)
+        assert stacked.shape == (6, 6, 6)
+        assert np.array_equal(
+            stacked, np.stack([synthesis.ies_block(P, a) for a in A]))
+
 
 def _expansive_model(varying_input):
     """x1+ = 2 x1 whatever the input: no law and no metric contract it."""
@@ -208,54 +218,31 @@ class TestGainStep:
         assert osc_two_step.mode == "two-step"
         assert_solver_record(osc_two_step)
 
-    def test_gain_with_noise_regularization(self, oscillator, control_points,
-                                            osc_two_step):
-        P, eps_p = synthesis.solve_metric(oscillator, control_points, rho=10.0)
-        rep = synthesis.solve_gain(oscillator, P, Kernel(dim=2),
-                                   control_points, sigma_p=0.1, eps_p=eps_p,
-                                   rho=10.0)
-        assert rep.eps > 0.0
-        # the solver constrains the fitted gradients, which is exactly
-        # what the noisy fit realizes, so the certificate transfers too
-        assert rep.eps == pytest.approx(rep.solver_margin, abs=1e-6)
-        # the decision variables are the law's gradients at the design
-        # points, so sigma_p changes only the targets the law is fitted to:
-        # the same solve as without noise, and the same point margins
-        assert (rep.diagnostics["newton_steps"]
-                == osc_two_step.diagnostics["newton_steps"])
-        np.testing.assert_allclose(rep.point_margins,
-                                   osc_two_step.point_margins,
-                                   rtol=0.0, atol=1e-12)
-
-    def test_noise_regularized_gain_reaches_noise_free_optimum(
-            self, oscillator, control_box):
-        # the fit with sigma_p > 0 maps targets to gradients at the design
-        # points through the invertible K0 (K0 + sigma_p^2 I)^{-1}, so both
-        # problems share their optimum (the laws differ off the data
-        # points, their margins do not); the oscillator's metric admits
-        # the state-dependent input vector only near the origin
-        near = systems.Box.make([-0.5, -0.5], [0.5, 0.5])
-        for model, pts in ((oscillator, systems.grid_points(control_box, 6)),
-                           (_varying_input(oscillator),
-                            systems.grid_points(near, 4))):
-            P, eps_p = synthesis.solve_metric(oscillator, pts, rho=10.0)
-            noisy, exact = (synthesis.solve_gain(model, P, Kernel(dim=2),
-                                                 pts, sigma_p=s, eps_p=eps_p,
-                                                 rho=10.0)
-                            for s in (0.1, 0.0))
-            assert noisy.eps == pytest.approx(exact.eps, abs=1e-6 * 10.0)
+    def test_ill_conditioned_gram_fails_the_residual_guard(self,
+                                                           oscillator):
+        # K0 of 4x4 points 1/6 apart factors, and the LMI solves, but the
+        # weights K0^{-1} g do not reproduce g to 1e-6 (1 + |g|); the
+        # guard's advice is about the design points
+        near = systems.Box.make([-0.25, -0.25], [0.25, 0.25])
+        pts = systems.grid_points(near, 4)
+        P, eps_p = synthesis.solve_metric(oscillator, pts, rho=10.0)
+        with pytest.raises(FactorizationError,
+                           match="weight solve residual") as err:
+            synthesis.solve_gain(_varying_input(oscillator), P, Kernel(dim=2),
+                                 pts, eps_p=eps_p, rho=10.0)
+        assert "better-separated design points" in str(err.value)
+        assert "sigma_p" not in str(err.value)
 
     @pytest.mark.parametrize("route", ["gain", "joint"])
     def test_singular_gram_matrix_raises_without_jitter(self, oscillator,
                                                         route):
-        # two design points 1e-9 apart make K0 singular in floating point;
-        # sigma_p > 0 does not help, since the law's weights are K0^{-1} g
+        # two design points 1e-9 apart make K0 singular in floating point
         pts = np.array([[0.5, 0.5], [0.5 + 1e-9, 0.5]])
         with pytest.raises(FactorizationError,
                            match="must factor without jitter") as err:
             if route == "gain":
                 synthesis.solve_gain(oscillator, np.eye(2), Kernel(dim=2),
-                                     pts, sigma_p=0.1)
+                                     pts)
             else:
                 synthesis.solve_joint(oscillator, Kernel(dim=2), pts)
         assert "better-separated design points" in str(err.value)
@@ -506,6 +493,39 @@ class TestPolytopicTwoD:
         assert all(min(vm) > 0.0 for vm in rep.vertex_margins)
         assert rep.diagnostics["max_neighbor_target_gap"] > 0.0
         assert_solver_record(rep)
+
+    def test_neighbor_gap_matches_adjacent_cell_loop(self, oscillator,
+                                                     monkeypatch):
+        # the reported gap is the largest jump of the solved gradients g
+        # between cells sharing a face; g is the gain solve's optimum
+        solves = []
+        solve = synthesis.lmi.solve
+
+        def recording(*args, **kwargs):
+            solves.append(solve(*args, **kwargs))
+            return solves[-1]
+
+        monkeypatch.setattr(synthesis.lmi, "solve", recording)
+        box = systems.Box.make([-2, -2], [2, 2])
+        gaps = {}
+        for r in (1, 3):
+            hulls = synthesis.build_hulls(oscillator, box, r, inflation=0.0)
+            rep = synthesis.run_synthesis(oscillator, Kernel(dim=2),
+                                          hulls.centers, mode="polytopic",
+                                          rho=10.0, hulls=hulls)
+            gaps[r] = rep.diagnostics.get("max_neighbor_target_gap")
+        g = solves[-1].z.reshape(9, 2)
+        pairs = []
+        for i in range(9):
+            row, col = divmod(i, 3)  # cells in C order over (x1, x2)
+            if col + 1 < 3:
+                pairs.append((i, i + 1))
+            if row + 1 < 3:
+                pairs.append((i, i + 3))
+        assert len(pairs) == 12
+        assert gaps[3] == max(float(np.linalg.norm(g[i] - g[j]))
+                              for i, j in pairs)
+        assert gaps[1] is None
 
     def test_metric_ignores_inflation_of_structural_rows(self, oscillator):
         # the annihilator projects onto the structural first row, which is
