@@ -17,10 +17,9 @@ import numpy as np
 
 from .errors import DataError
 from .linalg import eig_min_sym, symmetrize
-from .synthesis import closed_loop_jacobians
 
-__all__ = ["StochasticClosedLoop", "sigma_jacobian", "moment_ies_check",
-           "MomentReport", "chebyshev_hulls", "quadratic_margin"]
+__all__ = ["sigma_jacobian", "moment_ies_check", "MomentReport",
+           "chebyshev_hulls", "quadratic_margin"]
 
 SIGMA_FLOOR = 1e-8
 
@@ -38,14 +37,15 @@ def sigma_jacobian(model, X):
     shape (B, n, n), with flags (B, n).
 
     The analytic path differentiates the posterior variance; where sigma_i
-    falls below the floor the row comes from one-sided finite differences of
-    sigma_i itself and is flagged (the analytic quotient degenerates there).
+    falls below the floor the analytic quotient degenerates, and the row is
+    flagged and taken in closed form: with vanishing variance, sigma_i
+    grows like |h| sqrt(C_jj) along coordinate j, C the component's
+    ``jac_variance``, so the row is sqrt(diag(C)).
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     B, n = X.shape
     rows = np.zeros((B, len(model.components), n))
     flags = np.zeros((B, len(model.components)), dtype=bool)
-    h = 1e-6
     for i, comp in enumerate(model.components):
         if comp.fixed:
             continue
@@ -55,51 +55,9 @@ def sigma_jacobian(model, X):
         rows[~low, i] = (comp.variance_total_gradient(X[~low])
                          / (2.0 * sd[~low, None]))
         if np.any(low):
-            # row j of each floored state's (n, n) stack steps coordinate j
-            shifted = X[low][:, None, :] + h * np.eye(n)
-            sd_h = np.sqrt(comp.value_variance(shifted.reshape(-1, n)))
-            rows[low, i] = (sd_h.reshape(-1, n) - sd[low, None]) / h
+            rows[low, i] = np.sqrt(np.clip(np.diagonal(
+                comp.jac_variance(X[low]), axis1=1, axis2=2), 0.0, None))
     return rows, flags
-
-
-class StochasticClosedLoop:
-    """x+ = mean(x) + diag(noise_std(x)) w, w ~ N(0, I) i.i.d.
-
-    Built either from raw callables or from a learned drift model plus a
-    feedback law; ``metric`` is the weight of the moment margin check.
-    Every callable maps a stack of states, shape (B, n): ``mean`` to (B, n),
-    ``mean_jac`` to (B, n, n), ``noise_std`` to (B, n), ``noise_jac`` to the
-    rows and flags of :func:`sigma_jacobian`, (B, n, n) and (B, n), and
-    ``control`` to (B,) (zero input when omitted).
-    """
-
-    def __init__(self, mean, mean_jac, noise_std, noise_jac, metric,
-                 control=None):
-        self.mean = mean
-        self.mean_jac = mean_jac
-        self.noise_std = noise_std
-        self.noise_jac = noise_jac
-        self.metric = np.asarray(metric, dtype=float)
-        self.control = control or (lambda X: np.zeros(len(X)))
-
-    @classmethod
-    def from_drift_model(cls, model, controller, b, metric):
-        """Closed loop of a learned mean field under a feedback law applied
-        through the constant input vector b."""
-        b = np.asarray(b, dtype=float).reshape(-1)
-        system = model.as_system_model(b=b)
-
-        def mean(X):
-            return model.mean(X) + b * controller.control_batch(X)[:, None]
-
-        def mean_jac(X):
-            return closed_loop_jacobians(system, controller, X)
-
-        def noise_jac(X):
-            return sigma_jacobian(model, X)
-
-        return cls(mean, mean_jac, model.value_std, noise_jac, metric,
-                   control=controller.control_batch)
 
 
 @dataclass
@@ -122,18 +80,19 @@ class MomentReport:
         }
 
 
-def moment_ies_check(loop: StochasticClosedLoop, grid):
-    """Second-moment contraction margins of the stochastic closed loop.
+def moment_ies_check(metric, points, J, rows, flags):
+    """Second-moment contraction margins of the learned stochastic loop
+    x+ = f(x) + b u(x) + diag(sigma(x)) w at a stack of states.
 
-    At each grid point the margin is the smallest eigenvalue of
-    ``Pbar - J^T Pbar J - sum_i Pbar_ii (dsigma_i)^T (dsigma_i)`` with J the
-    mean Jacobian; the check passes when the global minimum is positive.
-    With zero diffusion this reduces exactly to the deterministic quadratic
+    ``J`` (B, n, n) holds the closed-loop Jacobians at ``points``, and
+    ``rows`` (B, n, n) and ``flags`` (B, n) are :func:`sigma_jacobian`
+    there.  Each margin is the smallest eigenvalue of
+    ``Pbar - J^T Pbar J - sum_i Pbar_ii (dsigma_i)^T (dsigma_i)``, Pbar the
+    metric; the check passes when the global minimum is positive.  With
+    zero diffusion this reduces exactly to the deterministic quadratic
     margin."""
-    Pbar = loop.metric
-    pts = np.atleast_2d(np.asarray(grid, dtype=float))
-    J = loop.mean_jac(pts)
-    rows, flags = loop.noise_jac(pts)
+    Pbar = np.asarray(metric, dtype=float)
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
     noise = np.zeros((len(pts),) + Pbar.shape)
     for i in range(rows.shape[1]):
         noise += Pbar[i, i] * (rows[:, i, :, None] * rows[:, i, None, :])

@@ -28,7 +28,6 @@ __all__ = [
     "Trajectory",
     "verify_grid",
     "rollouts",
-    "rollout_stochastic",
     "contraction_rate",
     "weighted_norms",
 ]
@@ -112,12 +111,18 @@ def _diverged(X):
     return ~(np.abs(X) <= DIVERGENCE_LIMIT).all(axis=-1)
 
 
-def rollouts(model, law, X0, horizon):
-    """Deterministic closed-loop trajectories from every row of ``X0``,
-    simulated in lockstep.
+def rollouts(model, law, X0, horizon, noise_std=None, seed=None):
+    """Closed-loop trajectories from every row of ``X0``, simulated in
+    lockstep.
 
     Each step makes one ``law.control_batch`` call on the stack of active
     states (zero input when ``law`` is None) and one ``model.step``.
+    With ``noise_std`` the loop is the stochastic one x+ = f(x) + b u +
+    diag(sigma(x)) w: each step adds ``noise_std(X) * w``, sigma taken at
+    the pre-step states and w standard normal from
+    ``np.random.default_rng(seed)``.  The active rows share that one
+    stream, so a row's noise depends on which other rows are active; a
+    one-row stack is reproducible per seed on its own.
     A trajectory whose state turns non-finite or passes 1e6 in any
     coordinate is truncated at that step, flagged as diverged, and leaves
     the active set.  Until one does, every trajectory is active: the
@@ -136,10 +141,14 @@ def rollouts(model, law, X0, horizon):
     ends = np.full(count, horizon)
     diverged = np.zeros(count, dtype=bool)
     active = slice(None)  # the rows of the active trajectories
+    rng = None if noise_std is None else np.random.default_rng(seed)
     for k in range(horizon):
         U = np.zeros(len(X)) if law is None else law.control_batch(X)
         inputs[active, k] = U
-        X = model.step(X, U)
+        if rng is None:
+            X = model.step(X, U)
+        else:
+            X = model.step(X, U) + noise_std(X) * rng.standard_normal(X.shape)
         states[active, k + 1] = X
         # NaN fails the comparison too; an empty stack passes
         if np.abs(X).max(initial=0.0) <= DIVERGENCE_LIMIT:
@@ -152,34 +161,8 @@ def rollouts(model, law, X0, horizon):
         if active.size == 0:
             break
     return [Trajectory(states[i, :ends[i] + 1], inputs[i, :ends[i]],
-                       diverged=bool(diverged[i])) for i in range(count)]
-
-
-def rollout_stochastic(loop, x0, horizon, seed):
-    """Trajectory of the learned stochastic closed loop x+ = mu_c(x) +
-    sigma(x) w with standard normal i.i.d. w; bitwise reproducible for a
-    fixed seed.  Each step passes the loop's callables a one-row stack."""
-    if horizon < 1:
-        raise DataError("horizon must be at least 1")
-    x = np.asarray(x0, dtype=float).reshape(-1)
-    if not np.all(np.isfinite(x)):
-        raise DataError("initial state contains NaN or infinite entries")
-    rng = np.random.default_rng(seed)
-    n = x.shape[0]
-    states = [x.copy()]
-    inputs = []
-    for _ in range(horizon):
-        X = x[None]
-        u = float(loop.control(X)[0])
-        w = rng.standard_normal(n)
-        x = (np.asarray(loop.mean(X), dtype=float)[0]
-             + np.asarray(loop.noise_std(X), dtype=float)[0] * w)
-        inputs.append(u)
-        states.append(x.copy())
-        if _diverged(x):
-            return Trajectory(np.asarray(states), np.asarray(inputs),
-                              seed=seed, diverged=True)
-    return Trajectory(np.asarray(states), np.asarray(inputs), seed=seed)
+                       seed=seed, diverged=bool(diverged[i]))
+            for i in range(count)]
 
 
 def contraction_rate(pairs, P, region: Box | None = None, tiny=1e-12):

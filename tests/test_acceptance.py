@@ -201,32 +201,23 @@ def test_criterion_09_learned_pipeline(reproduced_dir):
 
 
 def test_criterion_10_moment_arithmetic():
-    def loop(noise_grad):
-        return stochastic.StochasticClosedLoop(
-            mean=lambda X: 0.5 * X,
-            mean_jac=lambda X: np.full((len(X), 1, 1), 0.5),
-            noise_std=lambda X: np.full((len(X), 1), 0.1),
-            noise_jac=lambda X: (np.full((len(X), 1, 1), noise_grad),
-                                 np.zeros((len(X), 1), dtype=bool)),
-            metric=np.array([[1.0]]))
+    def margin(noise_grad):
+        # x+ = 0.5 x + sigma(x) w at the origin, metric 1
+        return stochastic.moment_ies_check(
+            [[1.0]], [[0.0]], np.full((1, 1, 1), 0.5),
+            np.full((1, 1, 1), noise_grad),
+            np.zeros((1, 1), dtype=bool)).margins[0]
 
-    grid = np.array([[0.0]])
-    m1 = stochastic.moment_ies_check(loop(0.1), grid).margins[0]
-    m2 = stochastic.moment_ies_check(loop(0.9), grid).margins[0]
+    m1 = margin(0.1)
+    m2 = margin(0.9)
     exact = abs(m1 - 0.74) <= 1e-12 and abs(m2 - (-0.06)) <= 1e-12
     rng = np.random.default_rng(110)
     M = rng.normal(size=(2, 2))
     Pbar = M @ M.T + 0.5 * np.eye(2)
     J = 0.4 * rng.normal(size=(2, 2))
-    det_loop = stochastic.StochasticClosedLoop(
-        mean=lambda X: X @ J.T,
-        mean_jac=lambda X: np.broadcast_to(J, (len(X), 2, 2)),
-        noise_std=lambda X: np.zeros((len(X), 2)),
-        noise_jac=lambda X: (np.zeros((len(X), 2, 2)),
-                             np.zeros((len(X), 2), dtype=bool)),
-        metric=Pbar)
-    margins = stochastic.moment_ies_check(det_loop,
-                                          rng.normal(size=(5, 2))).margins
+    margins = stochastic.moment_ies_check(
+        Pbar, rng.normal(size=(5, 2)), np.broadcast_to(J, (5, 2, 2)),
+        np.zeros((5, 2, 2)), np.zeros((5, 2), dtype=bool)).margins
     reduction = np.abs(margins - stochastic.quadratic_margin(J, Pbar)).max()
     _report(10, exact and reduction < 1e-10,
             f"plug-ins {m1:.2f}/{m2:.2f} exact, deterministic reduction "

@@ -14,14 +14,12 @@ from test_drift_gp import (contract_models, prior_scale, ref_value_variance,
                            ref_variance_total_gradient)
 
 
-def scalar_loop(slope, noise_grad, metric=1.0, noise_level=0.1):
-    return stochastic.StochasticClosedLoop(
-        mean=lambda X: slope * X,
-        mean_jac=lambda X: np.full((len(X), 1, 1), slope),
-        noise_std=lambda X: np.full((len(X), 1), noise_level),
-        noise_jac=lambda X: (np.full((len(X), 1, 1), noise_grad),
-                             np.zeros((len(X), 1), dtype=bool)),
-        metric=np.array([[float(metric)]]))
+def scalar_check(slope, noise_grad):
+    """The moment check of x+ = slope x + sigma(x) w at the origin, in the
+    metric 1, with diffusion gradient ``noise_grad`` there."""
+    return stochastic.moment_ies_check(
+        [[1.0]], [[0.0]], np.full((1, 1, 1), slope),
+        np.full((1, 1, 1), noise_grad), np.zeros((1, 1), dtype=bool))
 
 
 class TestSigmaJacobian:
@@ -76,10 +74,21 @@ class TestSigmaJacobian:
         assert flags[0, 0]
         assert np.all(np.isfinite(rows))
 
+    def test_floored_row_at_noiseless_se_point_is_closed_form(self):
+        # at a noiseless SE data point x0, v(x0 + h) = 1 - exp(-h^2), so
+        # sigma grows like |h| times the gradient posterior std, which is 1
+        ds = drift_gp.DriftDataset([[0.5]], [[1.0]], sigma_y=0.0)
+        model = drift_gp.fit_drift(ds, Kernel(dim=1))
+        rows, flags = stochastic.sigma_jacobian(model, [[0.5]])
+        assert flags[0, 0]
+        assert rows[0, 0, 0] == 1.0
+
 
 def ref_sigma_jacobian(model, x):
     """The per-state rows and flags that the stacked sigma_jacobian
-    replaced."""
+    replaced.  Floored rows are one-sided differences of sigma, which
+    match the closed form where sigma is exactly linear in the step (the
+    linear-kernel case of ``mixed_model``)."""
     n = len(model.components)
     rows = np.zeros((n, x.shape[0]))
     flags = np.zeros(n, dtype=bool)
@@ -139,10 +148,8 @@ class TestStackedSigmaJacobian:
         rng = np.random.default_rng(41)
         M = rng.normal(size=(2, 2))
         Pbar = M @ M.T + 0.5 * np.eye(2)
-        loop = stochastic.StochasticClosedLoop(
-            model.mean, model.jacobian, model.value_std,
-            lambda Y: stochastic.sigma_jacobian(model, Y), Pbar)
-        rep = stochastic.moment_ies_check(loop, X)
+        rep = stochastic.moment_ies_check(
+            Pbar, X, model.jacobian(X), *stochastic.sigma_jacobian(model, X))
         margins, terms, flagged = [], [], []
         for x in X:
             J = model.jacobian(x[None])[0]
@@ -163,14 +170,12 @@ class TestStackedSigmaJacobian:
 
 class TestMomentCheck:
     def test_plugin_margin_passes(self):
-        rep = stochastic.moment_ies_check(scalar_loop(0.5, 0.1),
-                                          np.array([[0.0]]))
+        rep = scalar_check(0.5, 0.1)
         assert rep.margins[0] == pytest.approx(0.74, abs=1e-12)
         assert rep.passed
 
     def test_plugin_margin_fails(self):
-        rep = stochastic.moment_ies_check(scalar_loop(0.5, 0.9),
-                                          np.array([[0.0]]))
+        rep = scalar_check(0.5, 0.9)
         assert rep.margins[0] == pytest.approx(-0.06, abs=1e-12)
         assert not rep.passed
 
@@ -181,21 +186,15 @@ class TestMomentCheck:
         M = rng.normal(size=(2, 2))
         Pbar = M @ M.T + 0.5 * np.eye(2)
         J = 0.3 * rng.normal(size=(2, 2))
-        loop = stochastic.StochasticClosedLoop(
-            mean=lambda X: X @ J.T,
-            mean_jac=lambda X: np.broadcast_to(J, (len(X), 2, 2)),
-            noise_std=lambda X: np.zeros((len(X), 2)),
-            noise_jac=lambda X: (np.zeros((len(X), 2, 2)),
-                                 np.zeros((len(X), 2), dtype=bool)),
-            metric=Pbar)
-        rep = stochastic.moment_ies_check(loop, rng.normal(size=(7, 2)))
+        rep = stochastic.moment_ies_check(
+            Pbar, rng.normal(size=(7, 2)), np.broadcast_to(J, (7, 2, 2)),
+            np.zeros((7, 2, 2)), np.zeros((7, 2), dtype=bool))
         expected = stochastic.quadratic_margin(J, Pbar)
         np.testing.assert_allclose(rep.margins, expected, atol=1e-10)
 
     def test_noise_term_only_hurts(self):
-        grid = np.array([[0.0]])
-        clean = stochastic.moment_ies_check(scalar_loop(0.5, 0.0), grid)
-        noisy = stochastic.moment_ies_check(scalar_loop(0.5, 0.3), grid)
+        clean = scalar_check(0.5, 0.0)
+        noisy = scalar_check(0.5, 0.3)
         assert noisy.margins[0] <= clean.margins[0]
 
     def test_learned_loop_reduction_consistency(self):
@@ -209,9 +208,12 @@ class TestMomentCheck:
         ctrl = synthesis.run_synthesis(
             model.as_system_model(b=[0.0, 1.0]), Kernel(dim=2), ctrl_pts,
             mode="two-step", rho=10.0).controller
-        loop = stochastic.StochasticClosedLoop.from_drift_model(
-            model, ctrl, np.array([0.0, 1.0]), np.eye(2))
-        rep = stochastic.moment_ies_check(loop, np.array([[3.0, 3.0]]))
+        x = np.array([[3.0, 3.0]])
+        rep = stochastic.moment_ies_check(
+            np.eye(2), x,
+            synthesis.closed_loop_jacobians(
+                model.as_system_model(b=[0.0, 1.0]), ctrl, x),
+            *stochastic.sigma_jacobian(model, x))
         J = model.jacobian([[3.0, 3.0]])[0] + np.outer(
             [0.0, 1.0], ctrl.control_grad_batch([[3.0, 3.0]])[0])
         rows = stochastic.sigma_jacobian(model, [[3.0, 3.0]])[0][0]
@@ -220,28 +222,6 @@ class TestMomentCheck:
             - sum(np.outer(rows[i], rows[i]) for i in range(2)))[0]
         assert rep.margins[0] == pytest.approx(manual, abs=1e-10)
 
-
-    def test_batched_mean_jacobians_match_pointwise_default(self,
-                                                             osc_two_step):
-        rng = np.random.default_rng(12)
-        X = rng.uniform(-2.0, 2.0, size=(25, 2))
-        Y = np.column_stack([X[:, 0] + 0.01 * X[:, 1],
-                             systems.oscillator_f2(X)])
-        model = drift_gp.fit_drift(drift_gp.DriftDataset(X, Y, 0.01),
-                                   Kernel(dim=2))
-        box = systems.Box.make([-2.0, -2.0], [2.0, 2.0])
-        loop = stochastic.StochasticClosedLoop.from_drift_model(
-            model, osc_two_step.controller, np.array([0.0, 0.01]), np.eye(2))
-        # the same loop with its mean Jacobians taken one state at a time
-        pointwise = stochastic.StochasticClosedLoop(
-            loop.mean,
-            lambda X: np.concatenate([loop.mean_jac(x[None]) for x in X]),
-            loop.noise_std, loop.noise_jac, loop.metric)
-        grid = systems.grid_points(box, 6)
-        batched = stochastic.moment_ies_check(loop, grid)
-        stacked = stochastic.moment_ies_check(pointwise, grid)
-        np.testing.assert_allclose(batched.margins, stacked.margins,
-                                   rtol=0.0, atol=1e-12)
 
 
 class _StubComponent:

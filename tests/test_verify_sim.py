@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from contragp import cli, stochastic, synthesis, systems, verify_sim
+from contragp import cli, drift_gp, synthesis, systems, verify_sim
 from contragp.config import PipelineConfig, default_oscillator_config
 from contragp.deriv_gp import DerivativeController
 from contragp.errors import DataError, DimensionError
@@ -175,15 +175,9 @@ class TestLockstepRollouts:
     def test_non_finite_initial_state_rejected(self, oscillator):
         with pytest.raises(DataError):
             verify_sim.rollouts(oscillator, None, [[np.nan, 0.0]], 5)
-        loop = stochastic.StochasticClosedLoop(
-            mean=lambda X: X,
-            mean_jac=lambda X: np.broadcast_to(np.eye(2), (len(X), 2, 2)),
-            noise_std=lambda X: np.zeros((len(X), 2)),
-            noise_jac=lambda X: (np.zeros((len(X), 2, 2)),
-                                 np.zeros((len(X), 2), dtype=bool)),
-            metric=np.eye(2))
         with pytest.raises(DataError):
-            verify_sim.rollout_stochastic(loop, [np.inf, 0.0], 5, seed=0)
+            verify_sim.rollouts(oscillator, None, [[np.inf, 0.0]], 5,
+                                noise_std=np.zeros_like, seed=0)
 
 
 def stepwise_rollouts(model, law, X0, horizon):
@@ -289,59 +283,153 @@ class TestDivergence:
                           | (np.abs(X) > verify_sim.DIVERGENCE_LIMIT), axis=-1)
         np.testing.assert_array_equal(two_pass, want)
         np.testing.assert_array_equal(verify_sim._diverged(X), want)
-        # one state at a time, as the stochastic rollout asks
+        # a single state, a 1-D row, is classified the same way
         assert [bool(verify_sim._diverged(x)) for x in X] == want
 
 
+def stepwise_stochastic_rollout(mean, noise_std, control, x0, horizon,
+                                seed):
+    """The single-state loop of the stochastic rollout that ``rollouts``
+    replaced: the callables map a one-row stack to the closed-loop mean
+    (1, n), the posterior std (1, n) and the input (1,).  Returns
+    (states, inputs, diverged)."""
+    x = np.asarray(x0, dtype=float).reshape(-1)
+    rng = np.random.default_rng(seed)
+    n = x.shape[0]
+    states = [x.copy()]
+    inputs = []
+    for _ in range(horizon):
+        X = x[None]
+        u = float(control(X)[0])
+        w = rng.standard_normal(n)
+        x = (np.asarray(mean(X), dtype=float)[0]
+             + np.asarray(noise_std(X), dtype=float)[0] * w)
+        inputs.append(u)
+        states.append(x.copy())
+        if not (np.abs(x) <= verify_sim.DIVERGENCE_LIMIT).all():
+            return np.asarray(states), np.asarray(inputs), True
+    return np.asarray(states), np.asarray(inputs), False
+
+
+def scalar_model(slope):
+    """x+ = slope x + u."""
+    return systems.SystemModel(
+        1, lambda X: slope * X, lambda X: np.full((len(X), 1, 1), slope),
+        b=[1.0], validate=False)
+
+
+def learned_drift(system, box, per_axis, seed):
+    """A drift model learned from noisy samples of ``system``."""
+    rng = np.random.default_rng(seed)
+    pts = systems.grid_points(box, per_axis)
+    targets = system.drift(pts) + 0.005 * rng.standard_normal(pts.shape)
+    return drift_gp.fit_drift(
+        drift_gp.DriftDataset(pts, targets, sigma_y=0.005),
+        Kernel(dim=system.n))
+
+
+class TestStochasticRolloutsBitForBit:
+    """On a one-row stack, ``rollouts`` with a noise term gives the bits of
+    the single-state stochastic loop, seed by seed."""
+
+    @staticmethod
+    def assert_same(design, law, noise_std, x0, horizon, seed):
+        def control(X):
+            return np.zeros(1) if law is None else law.control_batch(X)
+
+        def closed_loop_mean(X):
+            # the learned loop's mean as the single-state loop built it
+            return design.drift(X) + design.b * control(X)[:, None]
+
+        states, inputs, diverged = stepwise_stochastic_rollout(
+            closed_loop_mean, noise_std, control, x0, horizon, seed)
+        traj, = verify_sim.rollouts(design, law, [x0], horizon,
+                                    noise_std=noise_std, seed=seed)
+        assert np.array_equal(traj.states, states)
+        assert np.array_equal(traj.inputs, inputs)
+        assert traj.diverged == diverged and traj.seed == seed
+        return traj
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_learned_sine1d(self, seed):
+        system = systems.sine1d()
+        box = systems.Box.make([0.0], [np.pi])
+        model = learned_drift(system, box, 15, 7)
+        design = model.as_system_model(b=system.b)
+        law = synthesis.run_synthesis(design, Kernel(dim=1),
+                                      systems.grid_points(box, 8),
+                                      mode="two-step", rho=10.0).controller
+        traj = self.assert_same(design, law, model.value_std, [3.0], 300,
+                                seed)
+        assert not traj.diverged and traj.horizon == 300
+
+    def test_learned_oscillator(self, oscillator, control_box, osc_two_step):
+        model = learned_drift(oscillator, control_box, 11, 3)
+        traj = self.assert_same(model.as_system_model(b=oscillator.b),
+                                osc_two_step.controller, model.value_std,
+                                [1.5, -1.0], 500, 11)
+        assert not traj.diverged and traj.horizon == 500
+
+    def test_diverging_stub(self):
+        # x+ = 3 x + 0.1 w passes the 1e6 limit within the horizon
+        traj = self.assert_same(scalar_model(3.0), None,
+                                lambda X: np.full(X.shape, 0.1), [1.0], 40, 5)
+        assert traj.diverged and traj.horizon < 40
+
+
 class TestStochasticRollout:
-    def _loop(self, slope=0.5, noise=0.1):
-        return stochastic.StochasticClosedLoop(
-            mean=lambda X: slope * X,
-            mean_jac=lambda X: np.full((len(X), 1, 1), slope),
-            noise_std=lambda X: np.full((len(X), 1), noise),
-            noise_jac=lambda X: (np.zeros((len(X), 1, 1)),
-                                 np.zeros((len(X), 1), dtype=bool)),
-            metric=np.array([[1.0]]))
+    @staticmethod
+    def noise(level):
+        return lambda X: np.full(X.shape, level)
 
     def test_zero_noise_matches_deterministic(self):
-        loop = self._loop(noise=0.0)
-        traj = verify_sim.rollout_stochastic(loop, [1.0], 10, seed=1)
+        traj, = verify_sim.rollouts(scalar_model(0.5), None, [[1.0]], 10,
+                                    noise_std=self.noise(0.0), seed=1)
         np.testing.assert_allclose(traj.states.reshape(-1),
                                    [0.5 ** k for k in range(11)], atol=1e-14)
 
     def test_same_seed_bitwise_identical(self):
-        loop = self._loop()
-        t1 = verify_sim.rollout_stochastic(loop, [1.0], 100, seed=42)
-        t2 = verify_sim.rollout_stochastic(loop, [1.0], 100, seed=42)
+        def run(seed):
+            return verify_sim.rollouts(scalar_model(0.5), None, [[1.0]], 100,
+                                       noise_std=self.noise(0.1),
+                                       seed=seed)[0]
+
+        t1, t2, t3 = run(42), run(42), run(43)
         np.testing.assert_array_equal(t1.states, t2.states)
-        t3 = verify_sim.rollout_stochastic(loop, [1.0], 100, seed=43)
         assert not np.array_equal(t1.states, t3.states)
+        assert (t1.seed, t3.seed) == (42, 43)
+
+    def test_rows_share_one_stream(self):
+        # the noise of a stack's first step is one draw of the stack's shape
+        X0 = np.array([[1.0], [-2.0], [0.5]])
+        trajs = verify_sim.rollouts(scalar_model(0.5), None, X0, 1,
+                                    noise_std=self.noise(0.1), seed=9)
+        w = np.random.default_rng(9).standard_normal(X0.shape)
+        np.testing.assert_array_equal([t.states[1] for t in trajs],
+                                      0.5 * X0 + 0.1 * w)
+        assert [t.seed for t in trajs] == [9, 9, 9]
 
     def test_learned_loop_records_inputs(self):
-        from contragp import drift_gp, stochastic
-        from contragp.kernels import Kernel
-
         rng = np.random.default_rng(8)
         X = rng.normal(size=(5, 1))
         Y = 0.5 * X
         model = drift_gp.fit_drift(drift_gp.DriftDataset(X, Y, 0.05),
                                    Kernel(dim=1))
-        ctrl_rep = synthesis.run_synthesis(model.as_system_model(b=[1.0]),
-                                           Kernel(dim=1), np.array([[0.0]]),
+        design = model.as_system_model(b=[1.0])
+        ctrl_rep = synthesis.run_synthesis(design, Kernel(dim=1),
+                                           np.array([[0.0]]),
                                            mode="two-step")
-        loop = stochastic.StochasticClosedLoop.from_drift_model(
-            model, ctrl_rep.controller, np.array([1.0]), np.eye(1))
-        traj = verify_sim.rollout_stochastic(loop, [0.5], 10, seed=3)
+        traj, = verify_sim.rollouts(design, ctrl_rep.controller, [[0.5]], 10,
+                                    noise_std=model.value_std, seed=3)
         expected_u0 = ctrl_rep.controller.control_batch([[0.5]])[0]
         assert traj.inputs[0] == pytest.approx(expected_u0, rel=1e-12)
 
     def test_second_moment_matches_linear_recursion(self):
         # x+ = 0.5 x + 0.1 w has stationary variance 0.01 / (1 - 0.25)
-        loop = self._loop()
-        finals = []
-        for seed in range(10_000):
-            traj = verify_sim.rollout_stochastic(loop, [0.0], 50, seed=seed)
-            finals.append(traj.states[-1, 0])
+        trajs = verify_sim.rollouts(scalar_model(0.5), None,
+                                    np.zeros((10_000, 1)), 50,
+                                    noise_std=self.noise(0.1), seed=0)
+        finals = [traj.states[-1, 0] for traj in trajs]
         second_moment = float(np.mean(np.square(finals)))
         assert second_moment == pytest.approx(0.01 / 0.75, rel=0.1)
 
