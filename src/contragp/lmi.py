@@ -10,7 +10,12 @@ This is the phase-I problem  min t  s.t.  C_j + sum_k z_k A_{j,k} + t I >= 0
 central path: Newton centering of  t/mu + Phi(z, t)  for a decreasing
 sequence of mu, where Phi is the log-det barrier over the block-diagonal
 PSD cone.  A centered iterate is within nu * mu of the optimal t (nu is the
-barrier degree), which gives the stopping rule.  Margins reported on
+barrier degree), which gives the stopping rule.  A centering ends at a
+negligible Newton decrement, or at the roundoff floor: the objective is
+self-concordant, so once the decrement is at most (1/2 - ARMIJO)**2 a full
+Newton step passes the Armijo test in exact arithmetic (sec. 9.6.4), and a
+full step that fails it means roundoff in the barrier value hides the
+decrease.  Margins reported on
 solutions are always recomputed from eigenvalue decompositions of the
 assembled blocks, independent of the path.
 
@@ -163,18 +168,37 @@ def assemble_block(block: AffineBlock, z):
     return block.const + np.tensordot(zk, block.coeffs, axes=(0, 0))
 
 
+def _block_groups(problem: LmiProblem):
+    """The blocks grouped by (size, active-variable count), in order of
+    first appearance: per group the block indices and the stacked
+    constants, coefficients and active indices (all ``dim`` entries for a
+    block without ``var_indices``)."""
+    grouped = {}
+    for j, blk in enumerate(problem.blocks):
+        grouped.setdefault((blk.size, blk.coeffs.shape[0]), []).append(j)
+    full = np.arange(problem.dim)
+    groups = []
+    for js in grouped.values():
+        blks = [problem.blocks[j] for j in js]
+        groups.append((np.array(js), np.stack([b.const for b in blks]),
+                       np.stack([b.coeffs for b in blks]),
+                       np.stack([full if b.var_indices is None
+                                 else b.var_indices for b in blks])))
+    return groups
+
+
 def block_margins(problem: LmiProblem, z):
-    """Per-block smallest eigenvalues at z: one stacked symmetric
-    eigensolve per block size."""
+    """Per-block smallest eigenvalues at z: one stacked assembly (a gather
+    of z and one batched matmul) and one stacked symmetric eigensolve per
+    block group."""
     z = np.asarray(z, dtype=float).reshape(-1)
     if z.shape[0] != problem.dim:
         raise DimensionError("z", problem.dim, z.shape[0])
-    sizes = np.array([blk.size for blk in problem.blocks])
-    out = np.empty(len(sizes))
-    for s in np.unique(sizes):
-        sel = np.flatnonzero(sizes == s)
-        M = np.stack([assemble_block(problem.blocks[j], z) for j in sel])
-        out[sel] = np.linalg.eigvalsh(0.5 * (M + M.mT))[:, 0]
+    out = np.empty(len(problem.blocks))
+    for js, C, A, idx in _block_groups(problem):
+        J, K, s, _ = A.shape
+        M = C + (z[idx][:, None, :] @ A.reshape(J, K, s * s)).reshape(J, s, s)
+        out[js] = np.linalg.eigvalsh(0.5 * (M + M.mT))[:, 0]
     return out
 
 
@@ -197,34 +221,26 @@ def assemble_margin(problem: LmiProblem, z):
 class _Workspace:
     """Precomputed arrays for fast barrier assembly.
 
-    Blocks are grouped by (size, active-variable count) so every barrier
-    evaluation runs through stacked LAPACK calls: one batched Cholesky and
-    one batched inverse factor per group, and one scatter of the group's
-    Hessian contributions through precomputed flat indices of H.  Each
-    group carries an identity slot for t.
+    Per block group of :func:`_block_groups` every barrier evaluation runs
+    through stacked LAPACK calls: one batched Cholesky and one batched
+    inverse factor per group, and one scatter of the group's Hessian
+    contributions through precomputed flat indices of H.  Each group
+    carries an identity slot for t.
     """
 
     def __init__(self, problem: LmiProblem):
         m = problem.dim
         self.m = m
-        grouped = {}
-        for blk in problem.blocks:
-            idx = (np.arange(m) if blk.var_indices is None
-                   else blk.var_indices.astype(int))
-            key = (blk.size, idx.shape[0])
-            grouped.setdefault(key, []).append((blk.const, blk.coeffs, idx))
         self.groups = []
         # barrier degree: the sum of the block sizes
         self.nu = 0
-        for (s, _), items in grouped.items():
-            n_items = len(items)
+        for _, C, A, idx in _block_groups(problem):
+            n_items, _, s, _ = A.shape
             eye_slot = np.broadcast_to(np.eye(s), (n_items, 1, s, s))
-            idx = np.concatenate([np.stack([it[2] for it in items]),
-                                  np.full((n_items, 1), m)], axis=1)
+            idx = np.concatenate([idx, np.full((n_items, 1), m)], axis=1)
             self.groups.append({
-                "const": np.stack([0.5 * (it[0] + it[0].T) for it in items]),
-                "coeffs": np.concatenate(
-                    [np.stack([it[1] for it in items]), eye_slot], axis=1),
+                "const": 0.5 * (C + C.mT),
+                "coeffs": np.concatenate([A, eye_slot], axis=1),
                 "idx": idx,
                 # entry (idx[j, k], idx[j, l]) of the flattened H; repeated
                 # indices accumulate under np.add.at
@@ -314,12 +330,22 @@ def _minimize_barrier(ws, w, mu, info):
         if decrement <= 2.0 * NEWTON_TOL:
             return w, True
         info["newton_steps"] += 1
-        alpha = alpha0
+        # t/mu + Phi is self-concordant, so at this decrement a full step
+        # passes the Armijo test in exact arithmetic (Boyd & Vandenberghe,
+        # sec. 9.6.4); if it fails, roundoff in f hides the decrease and
+        # the centering is as good as it gets
+        full = decrement <= (0.5 - ARMIJO) ** 2
+        alpha = 1.0 if full else alpha0
         for _ in range(60):
             w_try = w + alpha * step
             val = _barrier(ws, w_try, mu, derivs=False)
             if val is not None and val <= f - ARMIJO * alpha * decrement:
                 break
+            if full:
+                info["floor_stops"] += 1
+                trace.append(f"centering at roundoff floor (mu={mu:.2e}, "
+                             f"decrement={decrement:.2e})")
+                return w, True
             alpha *= 0.5
             info["backtracks"] += 1
         else:
@@ -343,13 +369,19 @@ def solve(problem: LmiProblem, width=1e-5) -> LmiSolution:
     ``best_margin`` and an upper bound on the supremum as
     ``best_margin_upper``.  ``info`` also records the path:
     ``newton_steps``, ``barrier_stages`` (centerings, one per mu),
-    ``backtracks`` (line-search halvings) and ``final_mu``.  The reported
+    ``backtracks`` (line-search halvings), ``floor_stops`` and
+    ``final_mu``.  A centering counts as converged at Newton decrement
+    ``<= 2 NEWTON_TOL``, or when the decrement is at most
+    ``(0.5 - ARMIJO)**2`` and the full Newton step, which passes the Armijo
+    test there in exact arithmetic, fails it: that centering is at the
+    roundoff floor of the barrier value, adds one to ``floor_stops`` and a
+    ``centering at roundoff floor`` line to ``trace``.  The reported
     margin is always recomputed from the assembled blocks at the returned z.
     """
     problem.validate()
     ws = _Workspace(problem)
     info = {"newton_steps": 0, "barrier_stages": 0, "backtracks": 0,
-            "trace": []}
+            "floor_stops": 0, "trace": []}
     z0 = (np.zeros(problem.dim) if problem.initial_z is None
           else np.array(problem.initial_z, dtype=float))
     m0 = assemble_margin(problem, z0)

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from contragp import cli
+from contragp import cli, lmi
 from contragp.artifacts import read_csv
 from contragp.deriv_gp import DerivativeController
 from contragp.config import (PipelineConfig, default_oscillator_config,
@@ -287,6 +287,29 @@ class TestLearnAndSynth:
             written[sigma_p] = [(out / name).read_bytes() for name in
                                 ("controller.json", "synthesis_report.json")]
         assert written[0.0] == written[0.1]
+
+    def test_reproduction_solves_make_no_floor_stop(self, tmp_path,
+                                                    monkeypatch):
+        # the shipped reproduction's metric and gain solves converge
+        # without the roundoff-floor exit, and the solver record in
+        # synthesis_report.json leaves the floor count out
+        solves = []
+        solve = lmi.solve
+
+        def recording(*args, **kwargs):
+            solves.append(solve(*args, **kwargs))
+            return solves[-1]
+
+        monkeypatch.setattr(lmi, "solve", recording)
+        cfg = write_cfg(tmp_path, default_oscillator_config())
+        out = str(tmp_path / "out")
+        for command in ("gen-data", "learn", "synth"):
+            assert cli.main([command, "--config", cfg, "--out", out,
+                             "--quiet"]) == 0
+        assert [sol.info["floor_stops"] for sol in solves] == [0, 0]
+        rep = json.load(open(os.path.join(out, "synthesis_report.json")))
+        assert "newton_steps" in rep["diagnostics"]
+        assert "floor_stops" not in rep["diagnostics"]
 
     def test_simulate_from_equilibrium_is_constant(self, tmp_path):
         cfg_d = small_osc_config()

@@ -109,8 +109,35 @@ class TestAssembleMargin:
                                    [10.0, -20.0]) == pytest.approx(10.0)
 
     def test_block_margins_match_per_block_loop(self):
+        # the stacked assembly gives the per-block loop's bits. Beyond
+        # mixed_problem's repeated index and 1x1 bounds: blocks with no
+        # coefficients, a 1x1 block on a repeated index, and indexed 3x3
+        # blocks (one repeating an entry) that share the full-index
+        # block's group
         prob, z_star = mixed_problem()
-        for z in (z_star, z_star + np.array([2.0, -1.0, 0.5, 3.0])):
+        rng = np.random.default_rng(12)
+
+        def sym(*shape):
+            A = rng.normal(size=shape)
+            return 0.5 * (A + np.swapaxes(A, -1, -2))
+
+        extra = {1: lmi.AffineBlock(sym(2, 2), np.zeros((0, 2, 2)),
+                                    var_indices=[]),
+                 3: lmi.AffineBlock(sym(3, 3), sym(4, 3, 3),
+                                    var_indices=[3, 1, 0, 2]),
+                 5: lmi.AffineBlock(sym(1, 1), np.zeros((0, 1, 1)),
+                                    var_indices=[]),
+                 7: lmi.AffineBlock(sym(3, 3), sym(4, 3, 3),
+                                    var_indices=[2, 2, 0, 2]),
+                 9: lmi.AffineBlock(sym(1, 1), sym(2, 1, 1),
+                                    var_indices=[3, 3])}
+        for at, blk in extra.items():
+            prob.blocks.insert(at, blk)
+        prob.validate()
+        shared = [js for js, *_ in lmi._block_groups(prob) if 0 in js]
+        assert set(shared[0]) == {0, 3, 7}
+        for z in (z_star, z_star + np.array([2.0, -1.0, 0.5, 3.0]),
+                  np.zeros(4)):
             ref = []
             for blk in prob.blocks:
                 M = lmi.assemble_block(blk, z)

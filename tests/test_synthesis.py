@@ -382,6 +382,14 @@ class TestJointRoute:
         assert osc_joint.mode == "joint"
         assert_solver_record(osc_joint)
 
+    def test_joint_centerings_end_at_roundoff_floor(self, osc_joint,
+                                                    osc_two_step):
+        # the joint path used to spend the 80-step budget on each late
+        # centering (722 Newton steps); the two-step P is feasible for the
+        # joint problem, so the joint eps is at least the two-step eps
+        assert osc_joint.diagnostics["newton_steps"] < 300
+        assert osc_joint.eps >= osc_two_step.eps - 1e-6 * 10.0
+
 
 class TestHulls:
     def test_linear_model_single_vertex(self):
@@ -539,6 +547,41 @@ class TestPolytopicTwoD:
         _, e1 = synthesis.solve_metric(oscillator, h1.centers, hulls=h1,
                                        rho=10.0)
         assert e0 == pytest.approx(e1, abs=1e-6)
+
+
+class TestPolytopicGainSolve:
+    def test_stalled_centering_ends_at_roundoff_floor(self, oscillator,
+                                                      monkeypatch):
+        # the benchmark's polytopic gain solve (8x8 cells, 128 variables):
+        # its centering at mu = 7.4e-8 used to spend the whole Newton
+        # budget on steps that roundoff in the barrier value hides (122
+        # steps, 201 backtracks in all)
+        solves = []
+        solve = synthesis.lmi.solve
+
+        def recording(*args, **kwargs):
+            solves.append(solve(*args, **kwargs))
+            return solves[-1]
+
+        monkeypatch.setattr(synthesis.lmi, "solve", recording)
+        box = systems.Box.make([-2, -2], [2, 2])
+        hulls = synthesis.build_hulls(oscillator, box, 8, inflation=0.0,
+                                      samples_per_axis=5)
+        rep = synthesis.run_synthesis(oscillator, Kernel(dim=2),
+                                      hulls.centers, mode="polytopic",
+                                      rho=10.0, hulls=hulls)
+        gain = solves[-1]
+        assert gain.z.shape == (128,)
+        assert gain.status == "optimal"
+        assert gain.info["newton_steps"] < 80
+        assert gain.info["backtracks"] < 60
+        assert gain.info["floor_stops"] >= 1
+        assert not any("newton budget exhausted" in line
+                       for line in gain.info["trace"])
+        assert sum("centering at roundoff floor" in line
+                   for line in gain.info["trace"]) == gain.info["floor_stops"]
+        assert rep.solver_margin == pytest.approx(0.03911430415037539,
+                                                  abs=1e-6 * 10.0)
 
 
 class TestNonConstantInput:
