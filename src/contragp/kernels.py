@@ -5,7 +5,9 @@ a kernel k(x, x'), the row vector dk/dx', and the cross Hessian d^2k/dx dx'.
 All three are implemented in closed form per kernel family; finite
 differences appear only in the test suite.  The length-scale matrix is kept
 as a Cholesky factor and its inverse, so whitening pair differences is one
-matrix product.
+matrix product.  Squared-exponential pair differences are laid out
+(n, N * M), pairs last, so each product and reduction runs along the pairs;
+the results are shaped back to C-ordered (N, M[, n[, n]]) arrays.
 """
 
 from __future__ import annotations
@@ -81,30 +83,37 @@ class Kernel:
 
     def _check_stack(self, X, name):
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        if X.shape[1] != self.dim:
+        if X.ndim != 2 or X.shape[1] != self.dim:
             raise DimensionError(name, f"(*, {self.dim})", X.shape)
         return X
 
-    def _whiten_diffs(self, X, Y, weighted=True):
-        """Return (D, W, q) for all pairs: D = x_i - y_j (D = 0 for the
-        diagonal pairs (x_i, x_i) when Y is None), W = Sigma^{-1} D (None
-        unless ``weighted``), q = D^T Sigma^{-1} D."""
-        D = np.zeros_like(X) if Y is None else X[:, None, :] - Y[None, :, :]
-        half = D @ self._chol_inv.T
-        W = D @ self._sigma_inv if weighted else None
-        return D, W, np.sum(half * half, axis=-1)
+    def _diffs(self, X, YT):
+        """Differences D = x_i - y_j of the rows of X and the columns of YT,
+        laid out (n, N * M) with the pairs last, and the whitened squared
+        distances q = D^T Sigma^{-1} D, shape (N * M,)."""
+        D = (X.T[:, :, None] - YT[:, None, :]).reshape(self.dim, -1)
+        half = self._chol_inv @ D
+        return D, np.einsum("ij,ij->j", half, half)
 
     def _pairs(self, X, Y=None, weighted=True):
         """Pair terms of the closed forms.  Every row of X meets every row of
         Y (leading axes (N, M)), or with Y None every row of X meets itself
-        (leading axis (B,)).  Squared exponential: (W, q) as in
-        :meth:`_whiten_diffs`.  Dot-product families: (SX, SY, q) with
-        SX = Sigma^{-1} x, SY = Sigma^{-1} y and q = x^T Sigma^{-1} y."""
+        (leading axis (B,)).  Squared exponential: (W, q) with W =
+        Sigma^{-1} D (None unless ``weighted``), a view of the pairs-last
+        layout, and q as in :meth:`_diffs`; D = 0 on coincident pairs.
+        Dot-product families: (SX, SY, q) with SX = Sigma^{-1} x,
+        SY = Sigma^{-1} y and q = x^T Sigma^{-1} y."""
         X = self._check_stack(X, "x")
         if Y is not None:
             Y = self._check_stack(Y, "x_prime")
         if self.family == "squared-exponential":
-            return self._whiten_diffs(X, Y, weighted)[1:]
+            if Y is None:
+                return np.zeros_like(X) if weighted else None, np.zeros(len(X))
+            D, q = self._diffs(X, Y.T)
+            shape = (X.shape[0], Y.shape[0])
+            W = ((self._sigma_inv.T @ D).T.reshape(shape + (self.dim,))
+                 if weighted else None)
+            return W, q.reshape(shape)
         SX = X @ self._sigma_inv
         if Y is None:
             return SX, SX, np.sum(SX * X, axis=-1)
@@ -126,8 +135,9 @@ class Kernel:
 
     def _grad_x2(self, pairs):
         if self.family == "squared-exponential":
-            W, q = pairs
-            return (self.beta * np.exp(-0.5 * q))[..., None] * W
+            W, q = pairs  # C order: callers' matmul and einsum bits hang on it
+            return np.multiply((self.beta * np.exp(-0.5 * q))[..., None], W,
+                               order="C")
         SX, _, q = pairs
         if self.family == "linear":
             return np.broadcast_to(self.beta * SX, q.shape + (self.dim,)).copy()
@@ -138,6 +148,7 @@ class Kernel:
         if self.family == "squared-exponential":
             W, q = pairs
             k = self.beta * np.exp(-0.5 * q)
+            W = np.ascontiguousarray(W)  # C-ordered (N, M, n, n) products
             outer = W[..., :, None] * W[..., None, :]
             return k[..., None, None] * (S - outer)
         SX, SY, q = pairs
@@ -194,11 +205,7 @@ class Kernel:
         XA = X @ A.T
         if self.family != "squared-exponential":
             return (self._slope(X @ self._sigma_inv @ Y.T) * XA).sum(axis=1)
-        # the differences laid out (n, N * M): each operation runs along
-        # the pairs, not along the n coordinates of one pair
-        D = (X.T[:, :, None] - YT[:, None, :]).reshape(self.dim, -1)
-        half = self._chol_inv @ D
-        q = np.einsum("ij,ij->j", half, half).reshape(XA.shape)
+        q = self._diffs(X, YT)[1].reshape(XA.shape)
         return (self._value((q,)) * (XA - c)).sum(axis=1)
 
     # ------------------------------------------------------------------

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular
+from scipy.linalg.lapack import dpotrf, dtrtrs
 
 from .errors import (DataError, DimensionError, NumericalFailureError,
                      UnboundedMarginError)
@@ -293,16 +293,19 @@ def _barrier(ws: _Workspace, w, mu, derivs=True):
 
 
 def _newton_solve(H, g):
+    # scipy's cholesky and solve_triangular minus their input checks: reg
+    # grows while a factor fails or H or y (so g) is not finite
     reg = 1e-13 * (1.0 + float(np.abs(np.diag(H)).max(initial=0.0)))
     eye = np.eye(H.shape[0])
+    finite = np.isfinite(H).all()
     for _ in range(6):
-        try:
-            L = cholesky(H + reg * eye, lower=True)
-            step = solve_triangular(
-                L.T, solve_triangular(L, -g, lower=True), lower=False)
-            return step
-        except Exception:
-            reg *= 100.0
+        if finite:
+            L, info = dpotrf(H + reg * eye, lower=1, clean=1)
+            if info == 0:
+                y, info = dtrtrs(L, -g, lower=1)
+                if info == 0 and np.isfinite(y).all():
+                    return dtrtrs(L, y, lower=1, trans=1)[0]
+        reg *= 100.0
     return np.linalg.lstsq(H + reg * eye, -g, rcond=None)[0]
 
 

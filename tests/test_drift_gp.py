@@ -66,6 +66,24 @@ class TestGradients:
             scale = max(1.0, np.abs(fd).max())
             assert np.abs(J - fd).max() < 1e-6 * scale
 
+    @pytest.mark.parametrize("family", ["linear", "polynomial"])
+    def test_dot_product_kernel_gradient_matches_finite_differences(
+            self, family):
+        # these kernels are not stationary: dk(x, p)/dx is not the negated
+        # dk(x, p)/dp, so the gradient must differentiate the first slot
+        rng = np.random.default_rng(4)
+        kw = {"degree": 3} if family == "polynomial" else {}
+        kernel = Kernel(family=family, beta=0.5,
+                        sigma=[[0.8, 0.1], [0.1, 0.5]], **kw)
+        comp = drift_gp.GPComponent(kernel, rng.normal(size=(10, 2)),
+                                    rng.normal(size=10), 0.1)
+        X = rng.normal(size=(20, 2))
+        h = 1e-6
+        fd = np.stack([(comp.mean(X + h * e) - comp.mean(X - h * e)) / (2 * h)
+                       for e in np.eye(2)], axis=1)
+        np.testing.assert_allclose(comp.grad(X), fd, rtol=1e-6,
+                                   atol=1e-6 * np.abs(fd).max())
+
     def test_long_stack_rows_keep_one_row_bits(self):
         # stacks longer than linalg.BLOCK are evaluated block by block; each
         # gradient row keeps the bits of its one-row call

@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
+from contragp.deriv_gp import DerivativeController
+from contragp.drift_gp import GPComponent
 from contragp.errors import DataError, DimensionError
 from contragp.kernels import Kernel
+from contragp.linalg import BLOCK, blockwise
 
 
 def fd_grad_x2(kernel, x, y, h=1e-5):
@@ -191,17 +194,78 @@ class TestWhitening:
         for dim in (1, 2, 3, 5):
             k = random_kernel("squared-exponential", dim, rng)
             X, Y = rng.normal(size=(6, dim)), rng.normal(size=(4, dim))
-            D, W, q = k._whiten_diffs(X, Y)
+            D, q_flat = k._diffs(X, Y.T)
+            W, q = k._pairs(X, Y)
             ref_D = X[:, None, :] - Y[None, :, :]
             half = solve_triangular(k._chol, ref_D.reshape(-1, dim).T,
                                     lower=True)
             ref_q = np.sum(half * half, axis=0).reshape(6, 4)
             ref_W = solve_triangular(k._chol.T, half).T.reshape(ref_D.shape)
-            np.testing.assert_array_equal(D, ref_D)
+            np.testing.assert_array_equal(D, ref_D.reshape(-1, dim).T)
+            np.testing.assert_array_equal(q, q_flat.reshape(6, 4))
             for got, want in ((W, ref_W), (q, ref_q)):
                 assert (np.abs(got - want).max()
                         <= 1e-12 * np.abs(want).max())
-            assert k._whiten_diffs(X, Y, weighted=False)[1] is None
+            assert k._pairs(X, Y, weighted=False)[0] is None
+
+
+def pairs_first(k, X, Y):
+    """k, dk/dy and d^2k/dx dy of the squared exponential laid out
+    (N, M, n), pair by pair: the formulas the pairs-last layout must
+    reproduce bit for bit."""
+    D = X[:, None, :] - Y[None, :, :]
+    half = D @ k._chol_inv.T
+    W = D @ k._sigma_inv
+    value = k.beta * np.exp(-0.5 * np.sum(half * half, axis=-1))
+    outer = W[..., :, None] * W[..., None, :]
+    return (value, value[..., None] * W,
+            value[..., None, None] * (k._sigma_inv - outer))
+
+
+class TestPairsLastLayout:
+    """Every squared-exponential evaluation keeps the bits of the (N, M, n)
+    formulas, on identity and full length scales and on stacks below and
+    above ``linalg.BLOCK``.  The 12 points keep M > 1: with one point the
+    (N, M, n) products were matrix-vector products, another BLAS kernel."""
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(27)
+        for dim in (2, 3):
+            M = rng.normal(size=(dim, dim))
+            for sigma in (np.eye(dim), M @ M.T + dim * np.eye(dim)):
+                k = Kernel(beta=1.3, sigma=sigma)
+                P = rng.uniform(-1.5, 1.5, size=(12, dim))
+                for B in (7, BLOCK + 44):
+                    yield k, P, rng.normal(size=(B, dim)), rng
+
+    def test_pair_outputs(self):
+        for k, P, X, _ in self.cases():
+            for A, B in ((X, P), (P, X)):
+                for got, want in zip((k.value_outer(A, B), k.grad_x2_outer(A, B),
+                                      k.hess_cross_outer(A, B)),
+                                     pairs_first(k, A, B)):
+                    np.testing.assert_array_equal(got, want)
+
+    def test_posterior_mean_and_gradient(self):
+        for k, P, X, rng in self.cases():
+            comp = GPComponent(k, P, rng.normal(size=len(P)), 0.1)
+            w = comp.weights
+            np.testing.assert_array_equal(comp.mean(X), blockwise(
+                lambda Y: pairs_first(k, Y, P)[0] @ w, X))
+            np.testing.assert_array_equal(comp.grad(X), blockwise(
+                lambda Y: np.ascontiguousarray(pairs_first(k, P, Y)[1]
+                                               .transpose(1, 0, 2))
+                .transpose(0, 2, 1) @ w, X))
+
+    def test_control_gradient(self):
+        for k, P, X, rng in self.cases():
+            w = rng.normal(size=P.size)
+            law = DerivativeController(k, P, w)
+            np.testing.assert_array_equal(
+                law.control_grad_batch(X), blockwise(lambda Y: np.einsum(
+                    "bNij,Nj->bi", pairs_first(k, Y, P)[2],
+                    w.reshape(P.shape)), X))
 
 
 class TestValidationAndSerialization:
@@ -211,6 +275,19 @@ class TestValidationAndSerialization:
             k.value_outer([[0.0, 0.0]], [[0.0]])
         with pytest.raises(DimensionError, match="'x'"):
             k.grad_x2_outer([[0.0]], [[0.0, 0.0]])
+
+    def test_stack_of_matrices_rejected(self):
+        # a (B, n, k) stack has n as its second axis but is not a stack of
+        # states; every entry point names it instead of failing inside numpy
+        k = Kernel(dim=2)
+        X = np.zeros((3, 2, 4))
+        terms = k.contraction_terms(np.zeros((5, 2)), np.ones(10))
+        for call in (lambda: k.value_outer(X, np.zeros((5, 2))),
+                     lambda: k.grad_x2_outer(np.zeros((5, 2)), X),
+                     lambda: k.diag_value(X),
+                     lambda: k.grad_x2_contract(X, terms)):
+            with pytest.raises(DimensionError):
+                call()
 
     def test_bad_hyperparameters_rejected(self):
         with pytest.raises(DataError):

@@ -4,6 +4,7 @@ the independent eigenvalue certification path."""
 
 import numpy as np
 import pytest
+from scipy.linalg import cholesky, solve_triangular
 
 from contragp import lmi
 from contragp.errors import DataError, DimensionError, UnboundedMarginError
@@ -292,6 +293,77 @@ class TestBarrierDerivatives:
         w = np.append(z_star, 0.05)
         w[0] = -1.5
         assert lmi._barrier(ws, w, 1.0, derivs=False) is None
+
+
+def scipy_newton_step(H, g):
+    """The Newton step through scipy's validated ``cholesky`` and
+    ``solve_triangular``, with the number of regularizer escalations; when
+    all six tries fail, the (matrix, rhs) handed to lstsq instead."""
+    reg = 1e-13 * (1.0 + float(np.abs(np.diag(H)).max(initial=0.0)))
+    eye = np.eye(H.shape[0])
+    for tries in range(6):
+        try:
+            L = cholesky(H + reg * eye, lower=True)
+            return solve_triangular(L.T, solve_triangular(L, -g, lower=True),
+                                    lower=False), tries
+        except Exception:
+            reg *= 100.0
+    return (H + reg * eye, -g), 6
+
+
+def spd_with_spectrum(rng, eigs):
+    Q = np.linalg.qr(rng.normal(size=(len(eigs), len(eigs))))[0]
+    return (Q * eigs) @ Q.T
+
+
+class TestNewtonStep:
+    def test_spd_steps_match_scipy_bit_for_bit(self):
+        rng = np.random.default_rng(41)
+        for n in (4, 73, 129):
+            A = rng.normal(size=(n, n))
+            H, g = A @ A.T + 1e-3 * np.eye(n), rng.normal(size=n)
+            step, tries = scipy_newton_step(H, g)
+            assert tries == 0
+            np.testing.assert_array_equal(lmi._newton_solve(H, g), step)
+
+    def test_indefinite_escalates_like_scipy(self, monkeypatch):
+        rng = np.random.default_rng(42)
+        factors = []
+        dpotrf = lmi.dpotrf
+        monkeypatch.setattr(lmi, "dpotrf", lambda *a, **kw: factors.append(
+            a[0].shape) or dpotrf(*a, **kw))
+        for n in (4, 73, 129):
+            # reg starts near 1e-13 and needs 1e-8: three escalations
+            H = spd_with_spectrum(rng, np.r_[-1e-8, np.linspace(1.0, 2.0,
+                                                                n - 1)])
+            g = rng.normal(size=n)
+            step, tries = scipy_newton_step(H, g)
+            assert tries == 3
+            factors.clear()
+            np.testing.assert_array_equal(lmi._newton_solve(H, g), step)
+            assert len(factors) == tries + 1
+
+    def test_failed_tries_and_non_finite_input_take_lstsq(self, monkeypatch):
+        rng = np.random.default_rng(43)
+        solved = []
+        monkeypatch.setattr(np.linalg, "lstsq", lambda A, b, rcond: solved
+                            .append((A, b)) or (np.zeros_like(b),))
+        n = 6
+        spd = spd_with_spectrum(rng, np.linspace(1.0, 2.0, n))
+        nan_upper = spd.copy()
+        nan_upper[0, -1] = np.nan  # outside the lower triangle the factor reads
+        g = rng.normal(size=n)
+        g_inf = g.copy()
+        g_inf[2] = np.inf
+        for H, rhs in ((spd_with_spectrum(rng, np.r_[-1.0, np.ones(n - 1)]), g),
+                       (nan_upper, g), (spd, g_inf)):
+            (A, b), tries = scipy_newton_step(H, rhs)
+            assert tries == 6
+            solved.clear()
+            lmi._newton_solve(H, rhs)
+            assert len(solved) == 1
+            np.testing.assert_array_equal(solved[0][0], A)
+            np.testing.assert_array_equal(solved[0][1], b)
 
 
 class TestValidationAndDump:
