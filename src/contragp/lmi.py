@@ -152,6 +152,7 @@ class LmiSolution:
     z: np.ndarray
     margin: float
     status: str  # "optimal" | "infeasible" | "numerical-failure"
+    margins: np.ndarray  # per-block smallest eigenvalues at z
     info: dict = field(default_factory=dict)
 
 
@@ -190,15 +191,20 @@ def _block_groups(problem: LmiProblem):
 def block_margins(problem: LmiProblem, z):
     """Per-block smallest eigenvalues at z: one stacked assembly (a gather
     of z and one batched matmul) and one stacked symmetric eigensolve per
-    block group."""
+    block group; a 1 x 1 block is its own eigenvalue."""
     z = np.asarray(z, dtype=float).reshape(-1)
     if z.shape[0] != problem.dim:
         raise DimensionError("z", problem.dim, z.shape[0])
-    out = np.empty(len(problem.blocks))
-    for js, C, A, idx in _block_groups(problem):
+    return _margins(_block_groups(problem), z, len(problem.blocks))
+
+
+def _margins(groups, z, count):
+    out = np.empty(count)
+    for js, C, A, idx in groups:
         J, K, s, _ = A.shape
         M = C + (z[idx][:, None, :] @ A.reshape(J, K, s * s)).reshape(J, s, s)
-        out[js] = np.linalg.eigvalsh(0.5 * (M + M.mT))[:, 0]
+        out[js] = (M[:, 0, 0] if s == 1
+                   else np.linalg.eigvalsh(0.5 * (M + M.mT))[:, 0])
     return out
 
 
@@ -222,19 +228,20 @@ class _Workspace:
     """Precomputed arrays for fast barrier assembly.
 
     Per block group of :func:`_block_groups` every barrier evaluation runs
-    through stacked LAPACK calls: one batched Cholesky and one batched
-    inverse factor per group, and one scatter of the group's Hessian
-    contributions through precomputed flat indices of H.  Each group
+    through stacked calls: one batched Cholesky and inverse factor per
+    group (a root and a reciprocal for 1 x 1 blocks), and one scatter of its
+    Hessian terms through precomputed flat indices of H.  Each group
     carries an identity slot for t.
     """
 
     def __init__(self, problem: LmiProblem):
         m = problem.dim
         self.m = m
+        self.block_groups = _block_groups(problem)
         self.groups = []
         # barrier degree: the sum of the block sizes
         self.nu = 0
-        for _, C, A, idx in _block_groups(problem):
+        for _, C, A, idx in self.block_groups:
             n_items, _, s, _ = A.shape
             eye_slot = np.broadcast_to(np.eye(s), (n_items, 1, s, s))
             idx = np.concatenate([idx, np.full((n_items, 1), m)], axis=1)
@@ -266,21 +273,25 @@ def _barrier(ws: _Workspace, w, mu, derivs=True):
     H = np.zeros((m + 1, m + 1))
     phi = 0.0
     for grp in ws.groups:
+        A = grp["coeffs"]
+        J, K, s, _ = A.shape
+        M = ws.assemble(grp, w)
         try:
-            L = np.linalg.cholesky(ws.assemble(grp, w))
+            # a 1 x 1 factor is a square root (0 for a non-positive block)
+            # and its inverse a reciprocal: LAPACK's bits, without its calls
+            L = (np.sqrt(np.maximum(M, 0.0)) if s == 1
+                 else np.linalg.cholesky(M))
         except np.linalg.LinAlgError:
             return None
         diag = np.diagonal(L, axis1=1, axis2=2)
-        if np.any(diag <= 0.0):
+        if not np.all(diag > 0.0):
             return None
         phi -= 2.0 * float(np.sum(np.log(diag)))
         if not derivs:
             continue
-        A = grp["coeffs"]
-        J, K, s, _ = A.shape
         # V_k = L^{-1} A_k L^{-T}; grad gets -tr(V_k), Hessian <V_k, V_l>_F
-        Li = np.linalg.inv(L)[:, None]
-        V = Li @ A @ Li.mT
+        Li = (1.0 / L if s == 1 else np.linalg.inv(L))[:, None]
+        V = Li * A * Li if s == 1 else Li @ A @ Li.mT
         np.add.at(g, grp["idx"], -np.einsum("jkaa->jk", V))
         Vflat = V.reshape(J, K, s * s)
         np.add.at(H.reshape(-1), grp["flat"],
@@ -378,16 +389,19 @@ def solve(problem: LmiProblem, width=1e-5) -> LmiSolution:
     ``(0.5 - ARMIJO)**2`` and the full Newton step, which passes the Armijo
     test there in exact arithmetic, fails it: that centering is at the
     roundoff floor of the barrier value, adds one to ``floor_stops`` and a
-    ``centering at roundoff floor`` line to ``trace``.  The reported
-    margin is always recomputed from the assembled blocks at the returned z.
+    ``centering at roundoff floor`` line to ``trace``.  The per-block
+    ``margins`` and their least, ``margin``, are eigensolves at the final z.
     """
     problem.validate()
     ws = _Workspace(problem)
     info = {"newton_steps": 0, "barrier_stages": 0, "backtracks": 0,
             "floor_stops": 0, "trace": []}
     z0 = (np.zeros(problem.dim) if problem.initial_z is None
-          else np.array(problem.initial_z, dtype=float))
-    m0 = assemble_margin(problem, z0)
+          else np.array(problem.initial_z, dtype=float).reshape(-1))
+    if z0.shape[0] != problem.dim:
+        raise DimensionError("initial_z", problem.dim, z0.shape[0])
+    margins = _margins(ws.block_groups, z0, len(problem.blocks))
+    m0 = float(margins.min())
     w = np.append(z0, -m0 + 0.05 * abs(m0) + 1e-8)
     # a centered iterate lies within nu * mu of the optimal level: start
     # where that gap is the scale of the starting margin, so the first
@@ -406,14 +420,16 @@ def solve(problem: LmiProblem, width=1e-5) -> LmiSolution:
         info["message"] = str(exc)
         info["trace"] = exc.trace or info["trace"]
         return LmiSolution(z=z0, margin=-np.inf, status="numerical-failure",
-                           info=info)
+                           margins=margins, info=info)
     z = w[:-1]
-    margin = assemble_margin(problem, z)
+    margins = _margins(ws.block_groups, z, len(problem.blocks))
+    margin = float(margins.min())
     if margin >= FEAS_TOL:
         status = "optimal"
     else:
         status = "infeasible"
         info["best_margin"] = margin
         info["best_margin_upper"] = margin + ws.nu * mu
-    return LmiSolution(z=z, margin=margin, status=status, info=info)
+    return LmiSolution(z=z, margin=margin, status=status, margins=margins,
+                       info=info)
 

@@ -40,7 +40,8 @@ def sigma_jacobian(model, X):
     falls below the floor the analytic quotient degenerates, and the row is
     flagged and taken in closed form: with vanishing variance, sigma_i
     grows like |h| sqrt(C_jj) along coordinate j, C the component's
-    ``jac_variance``, so the row is sqrt(diag(C)).
+    ``jac_variance``, so the row is sqrt(diag(C)).  The floor on the
+    variance is ``SIGMA_FLOOR**2`` plus its roundoff, 64 eps k(x, x).
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     B, n = X.shape
@@ -49,8 +50,10 @@ def sigma_jacobian(model, X):
     for i, comp in enumerate(model.components):
         if comp.fixed:
             continue
-        sd = np.sqrt(comp.value_variance(X))
-        low = sd < SIGMA_FLOOR
+        v = comp.value_variance(X)
+        sd = np.sqrt(v)
+        low = v <= (SIGMA_FLOOR ** 2
+                    + 64.0 * np.finfo(float).eps * comp.kernel.diag_value(X))
         flags[:, i] = low
         rows[~low, i] = (comp.variance_total_gradient(X[~low])
                          / (2.0 * sd[~low, None]))

@@ -21,8 +21,8 @@ model's equilibrium, and every certificate is recomputed from one stack of
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, qr
@@ -31,7 +31,7 @@ from . import lmi
 from .deriv_gp import DerivativeController, build_gram_K0
 from .errors import (DataError, FactorizationError, InfeasibleError,
                      NumericalFailureError, VertexBudgetError)
-from .systems import Box, grid_points
+from .systems import Box
 
 __all__ = [
     "left_annihilator",
@@ -76,35 +76,28 @@ def left_annihilator(b):
 
 def sym_basis(n):
     """Basis of symmetric n x n matrices matching the vech ordering
-    [(0,0), (1,0), (1,1), (2,0), ...]."""
-    basis = []
-    for i in range(n):
-        for j in range(i + 1):
-            E = np.zeros((n, n))
-            E[i, j] = E[j, i] = 1.0
-            basis.append(E)
+    [(0,0), (1,0), (1,1), (2,0), ...], stacked."""
+    rows, cols = np.tril_indices(n)
+    basis = np.zeros((len(rows), n, n))
+    k = np.arange(len(rows))
+    basis[k, rows, cols] = basis[k, cols, rows] = 1.0
     return basis
 
 
 def unvech(z, n):
     P = np.zeros((n, n))
-    k = 0
-    for i in range(n):
-        for j in range(i + 1):
-            P[i, j] = P[j, i] = z[k]
-            k += 1
+    P[np.tril_indices(n)] = P.T[np.tril_indices(n)] = z
     return P
 
 
 def vech(P):
-    n = P.shape[0]
-    return np.array([P[i, j] for i in range(n) for j in range(i + 1)])
+    return P[np.tril_indices(P.shape[0])]
 
 
 def ies_block(P, A):
     """The 2n x 2n closed-loop certificate block [[P, (AP)^T], [AP, P]] of
-    A, or the (B, 2n, 2n) stack of blocks of a (B, n, n) stack A."""
-    n = P.shape[0]
+    A, or the stack of blocks of stacks that broadcast, as (B, n, n) A."""
+    n = P.shape[-1]
     AP = A @ P
     M = np.zeros(AP.shape[:-2] + (2 * n, 2 * n))
     M[..., :n, :n] = P
@@ -115,26 +108,28 @@ def ies_block(P, A):
 
 
 def _offdiag(G):
-    """The symmetric block [[0, G^T], [G, 0]] of a square G."""
-    n = G.shape[0]
-    M = np.zeros((2 * n, 2 * n))
-    M[:n, n:] = G.T
-    M[n:, :n] = G
+    """The symmetric block [[0, G^T], [G, 0]] of each square G of a stack."""
+    n = G.shape[-1]
+    M = np.zeros(G.shape[:-2] + (2 * n, 2 * n))
+    M[..., :n, n:] = np.swapaxes(G, -1, -2)
+    M[..., n:, :n] = G
     return M
 
 
-def closed_loop_jacobians(model, controller, X, jacs=None):
-    """Closed-loop Jacobians J(x) + b(x) grad u(x)^T at the rows of X, plus
-    u(x) db(x) when the input vector varies with the state; (B, n, n).
-    ``jacs``, one per row, replaces J(x): a hull vertex at its cell center."""
+def closed_loop_jacobians(model, controller, X, jacs=None, rows=slice(None)):
+    """Closed-loop Jacobians J(x) + b(x) grad u(x)^T at the rows ``rows``
+    of X, plus u(x) db(x) when the input vector varies with the state;
+    (B, n, n).  ``jacs``, one per row taken, replaces J(x): a hull vertex
+    at its cell center.  The law is evaluated once per row of X."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if jacs is None:
         jacs = model.drift_jacobian(X)
-    grads = controller.control_grad_batch(X)
+    grads = controller.control_grad_batch(X)[rows]
     A = (np.asarray(jacs, dtype=float)
-         + model.input(X)[:, :, None] * grads[:, None, :])
+         + model.input(X)[rows][:, :, None] * grads[:, None, :])
     if not model.constant_input:
-        A = A + controller.control_batch(X)[:, None, None] * model.input_jac(X)
+        A = A + (controller.control_batch(X)[rows][:, None, None]
+                 * model.input_jac(X)[rows])
     return A
 
 
@@ -180,19 +175,30 @@ class VertexHull:
                     f"(cap {self.vertex_cap}); use a finer subdivision or "
                     "group entries more coarsely")
 
-    def vertices(self, i):
-        """All interval-endpoint matrices of cell i."""
-        free = np.argwhere(~self.pinned[i])
-        base = 0.5 * (self.lo[i] + self.hi[i])
-        base[~self.pinned[i]] = 0.0
-        out = []
-        for combo in itertools.product((0, 1), repeat=len(free)):
-            V = self.lo[i].copy()
-            V[self.pinned[i]] = base[self.pinned[i]]
-            for (r, c), pick in zip(free, combo):
-                V[r, c] = self.hi[i][r, c] if pick else self.lo[i][r, c]
-            out.append(V)
-        return out
+    def vertices(self):
+        """All interval-endpoint matrices, cell after cell; (V, n, n).  A
+        pinned entry sits at its midpoint; a cell's k-th free entry
+        (row-major) is digit k, the first the slowest, of the vertex's index
+        there, 0 for lo and 1 for hi: ``itertools.product`` order."""
+        counts = 2 ** np.sum(~self.pinned, axis=(1, 2))
+        owners = np.repeat(np.arange(self.n_cells), counts)
+        local = np.arange(len(owners)) - (np.cumsum(counts) - counts)[owners]
+        free = ~self.pinned[owners]
+        rank = np.cumsum(free.reshape(len(owners), -1), axis=1)
+        digit = free.sum(axis=(1, 2))[:, None] - rank
+        pick = free & ((local[:, None] >> digit) & 1 == 1).reshape(free.shape)
+        return np.where(free, np.where(pick, self.hi[owners], self.lo[owners]),
+                        (0.5 * (self.lo + self.hi))[owners])
+
+    @cached_property
+    def family(self):
+        """:meth:`vertices`, each one's cell and its label ("cell-vertex",
+        cell, index there): the polytopic route's constraint family,
+        enumerated once per hull for its metric and gain steps."""
+        counts = (2 ** np.sum(~self.pinned, axis=(1, 2))).tolist()
+        return (self.vertices(), np.repeat(np.arange(self.n_cells), counts),
+                [("cell-vertex", i, l)
+                 for i, c in enumerate(counts) for l in range(c)])
 
     def check_membership(self, jac_fn, per_axis=6, tol=1e-9):
         """Certify entrywise that Jacobians over a validation subgrid stay
@@ -208,10 +214,16 @@ class VertexHull:
 
 
 def _cell_jacobians(jac_fn, cells, per_axis):
-    """Jacobians at every cell's sampling subgrid from one call on all the
-    cells' samples; shape (cells, samples, n, n)."""
-    pts = np.concatenate([grid_points(cell, per_axis) for cell in cells])
-    J = np.asarray(jac_fn(pts), dtype=float)
+    """Jacobians at every cell's sampling subgrid, its
+    ``grid_points(cell, per_axis)``, from one call on all the cells'
+    samples; shape (cells, samples, n, n)."""
+    if per_axis < 1:
+        raise DataError("grid counts must be positive")
+    lo, hi = np.array([(c.lo, c.hi) for c in cells]).transpose(1, 0, 2)
+    n = lo.shape[1]
+    grid = np.indices((per_axis,) * n).reshape(n, -1).T
+    pts = np.linspace(lo, hi, per_axis, axis=-1)[:, np.arange(n), grid]
+    J = np.asarray(jac_fn(pts.reshape(-1, n)), dtype=float)
     return J.reshape((len(cells), -1) + J.shape[1:])
 
 
@@ -228,11 +240,11 @@ def build_hulls(model, domain: Box, r, inflation=0.1, samples_per_axis=5,
     if r < 1:
         raise DataError("r must be at least 1")
     n = domain.dim
-    edges = [np.linspace(domain.lo[i], domain.hi[i], r + 1) for i in range(n)]
-    cells = [Box.make([edges[i][c] for i, c in enumerate(combo)],
-                      [edges[i][c + 1] for i, c in enumerate(combo)])
-             for combo in itertools.product(range(r), repeat=n)]
-    centers = np.array([0.5 * (cell.lo_arr + cell.hi_arr) for cell in cells])
+    edges = np.linspace(domain.lo_arr, domain.hi_arr, r + 1, axis=1)
+    combos = np.indices((r,) * n).reshape(n, -1).T  # itertools.product order
+    lo, hi = edges[np.arange(n), combos], edges[np.arange(n), combos + 1]
+    cells = [Box.make(a, b) for a, b in zip(lo, hi)]
+    centers = 0.5 * (lo + hi)
     J = _cell_jacobians(model.drift_jacobian, cells, samples_per_axis)
     Jlo = J.min(axis=1)
     Jhi = J.max(axis=1)
@@ -293,20 +305,16 @@ class SynthesisReport:
 
 
 def _metric_constraint_mats(model, points, hulls):
-    """Jacobian matrices entering every family: one per point, or one per
-    (cell, vertex) when hulls are given; labels identify the source, and
-    their second entry is the index of the point."""
+    """Jacobian matrices entering every family, stacked: one per point, or
+    the hulls' :attr:`~VertexHull.family` when hulls are given; with the
+    index of each one's point and labels that identify the source."""
     if hulls is not None and not np.allclose(hulls.centers, points):
         raise DataError("points must be the hull cell centers")
-    if hulls is None:
-        mats = np.asarray(model.drift_jacobian(points), dtype=float)
-        return mats, [("point", i) for i in range(len(points))]
-    mats, labels = [], []
-    for i in range(hulls.n_cells):
-        for l, V in enumerate(hulls.vertices(i)):
-            mats.append(V)
-            labels.append(("cell-vertex", i, l))
-    return mats, labels
+    if hulls is not None:
+        return hulls.family
+    mats = np.asarray(model.drift_jacobian(points), dtype=float)
+    return (mats, np.arange(len(points)),
+            [("point", i) for i in range(len(points))])
 
 
 _P_BOUNDS = ("P-lower", "P-upper")
@@ -315,7 +323,7 @@ _P_BOUNDS = ("P-lower", "P-upper")
 def _metric_bounds(n, rho):
     """I <= P <= rho I over the vech entries of P, the leading decision
     entries."""
-    basis = np.stack(sym_basis(n))
+    basis = sym_basis(n)
     idx = np.arange(len(basis))
     return [lmi.AffineBlock(-np.eye(n), basis, var_indices=idx,
                             label=_P_BOUNDS[0]),
@@ -335,7 +343,7 @@ def _solve(problem, rho, what):
         raise NumericalFailureError(f"{what} solve failed",
                                     sol.info.get("trace"))
     if sol.status == "infeasible":
-        margins = lmi.block_margins(problem, sol.z)
+        margins = sol.margins
         family = [j for j, blk in enumerate(problem.blocks)
                   if blk.label not in _P_BOUNDS]
         worst = problem.blocks[family[int(np.argmin(margins[family]))]].label
@@ -365,16 +373,16 @@ def solve_metric(model, points, hulls=None, rho=DEFAULT_RHO):
         return np.eye(n), None
     basis = sym_basis(n)
     q = Bperp.shape[0]
-    mats, labels = _metric_constraint_mats(model, points, hulls)
-    blocks = [lmi.AffineBlock(
-        np.zeros((q, q)),
-        np.stack([Bperp @ (E - J @ E @ J.T) @ Bperp.T for E in basis]),
-        label=str(label)) for J, label in zip(mats, labels)]
+    mats, _, labels = _metric_constraint_mats(model, points, hulls)
+    J = mats[:, None]
+    coeffs = Bperp @ (basis - J @ basis @ J.mT) @ Bperp.T
+    blocks = [lmi.AffineBlock(np.zeros((q, q)), A, label=str(label))
+              for A, label in zip(coeffs, labels)]
     problem = lmi.LmiProblem(dim=len(basis),
                              blocks=blocks + _metric_bounds(n, rho),
                              initial_z=vech(0.5 * (1.0 + rho) * np.eye(n)))
     sol = _solve(problem, rho, "metric")
-    eps_p = float(lmi.block_margins(problem, sol.z)[:len(labels)].min())
+    eps_p = float(sol.margins[:len(labels)].min())
     return unvech(sol.z, n), eps_p
 
 
@@ -396,35 +404,32 @@ def _gram_factor(kernel, X):
             "points") from exc
 
 
-def _gain_problem(model, P, kernel, X, L, mats, labels):
+def _gain_problem(model, P, kernel, X, L, family):
     """Blocks [[P, (A P)^T], [A P, P]] with A = J + b g^T (+ u db for a
     state-dependent input vector) affine in the law's gradients g at the
-    design points, one per design Jacobian or hull vertex of ``mats``.
+    design points, one per design Jacobian or hull vertex of ``family``.
     Only a state-dependent input vector couples the points, through the
     law's values rows @ K0^{-1} g."""
     N, n = X.shape
-    nonconstant = not model.constant_input
-    eye = np.eye(N * n)
-    bs = model.input(X)
-    if nonconstant:
+    mats, owners, labels = family
+    if model.constant_input:
+        # every point's entry a enters as b e_a^T: one shared stack
+        G = model.b[:, None] * np.eye(n)[:, None, :]
+        coeffs = np.broadcast_to(_offdiag(G @ P), (N, n, 2 * n, 2 * n))
+        cols = np.arange(N * n).reshape(N, n)
+    else:
+        # b_i e_l^T on point i's own entries, plus its value times db_i
+        eye = np.eye(N * n)
         rows = kernel.grad_x2_outer(X, X).reshape(N, N * n)
         values = rows @ cho_solve((L, True), eye)
-        dbs = model.input_jac(X)
-    coeffs, cols = [], []
-    for i, b in enumerate(bs):
-        own = np.arange(i * n, (i + 1) * n)
-        idx = np.arange(N * n) if nonconstant else own
-        per_var = []
-        for l in idx:
-            G = np.outer(b, eye[own, l])  # response of point i to variable l
-            if nonconstant:
-                G = G + values[i, l] * dbs[i]
-            per_var.append(_offdiag(G @ P))
-        coeffs.append(np.stack(per_var))
-        cols.append(idx)
-    blocks = [lmi.AffineBlock(ies_block(P, J), coeffs[label[1]],
-                              var_indices=cols[label[1]], label=str(label))
-              for J, label in zip(mats, labels)]
+        own = eye.reshape(N, n, N * n).transpose(0, 2, 1)
+        G = (model.input(X)[:, None, :, None] * own[:, :, None, :]
+             + values[:, :, None, None] * model.input_jac(X)[:, None])
+        coeffs = _offdiag(G @ P)
+        cols = np.broadcast_to(np.arange(N * n), (N, N * n))
+    blocks = [lmi.AffineBlock(C, coeffs[i], var_indices=cols[i],
+                              label=str(label))
+              for C, i, label in zip(ies_block(P, mats), owners, labels)]
     return lmi.LmiProblem(dim=N * n, blocks=blocks,
                           initial_z=np.zeros(N * n))
 
@@ -433,8 +438,7 @@ def _gain_problem(model, P, kernel, X, L, mats, labels):
 _SOLVER_RECORD = ("newton_steps", "barrier_stages", "backtracks", "final_mu")
 
 
-def _finish_gain(model, P, kernel, X, gram, g, mats, labels, sol, mode,
-                 eps_p):
+def _finish_gain(model, P, kernel, X, gram, g, family, sol, mode, eps_p):
     """Build the law from its stacked gradients g at the design points:
     weights w = K0^{-1} g from ``gram`` = (K0, L), one residual guard
     ||K0 w - g|| <= 1e-6 (1 + ||g||), zero at the model's equilibrium.
@@ -453,11 +457,11 @@ def _finish_gain(model, P, kernel, X, gram, g, mats, labels, sol, mode,
     if model.equilibrium is not None:
         controller = controller.with_offset_at(model.equilibrium)
     controller.metric = P
-    owners = np.array([label[1] for label in labels])
+    mats, owners, labels = family
     hull = labels[0][0] != "point"
-    A = closed_loop_jacobians(model, controller, X[owners], mats)
-    if hull:
-        A = np.concatenate([A, closed_loop_jacobians(model, controller, X)])
+    jacs = np.concatenate([mats, model.drift_jacobian(X)]) if hull else mats
+    rows = np.r_[owners, np.arange(len(X))] if hull else owners
+    A = closed_loop_jacobians(model, controller, X, jacs, rows)
     margins = np.linalg.eigvalsh(ies_block(P, A))[:, 0]
     family = margins[:len(labels)]
     vertex_margins = ([list(family[owners == i]) for i in range(len(X))]
@@ -485,17 +489,17 @@ def solve_gain(model, P, kernel, points, hulls=None, eps_p=None,
     """
     X = np.atleast_2d(np.asarray(points, dtype=float))
     P = np.asarray(P, dtype=float)
-    mats, labels = _metric_constraint_mats(model, X, hulls)
+    family = _metric_constraint_mats(model, X, hulls)
     gram = _gram_factor(kernel, X)
-    sol = _solve(_gain_problem(model, P, kernel, X, gram[1], mats, labels),
-                 rho, "gain")
+    sol = _solve(_gain_problem(model, P, kernel, X, gram[1], family), rho,
+                 "gain")
     if hulls is not None:
         mode = "polytopic"
     elif model.constant_input:
         mode = "two-step"
     else:
         mode = "two-step-nonconstant-b"
-    report = _finish_gain(model, P, kernel, X, gram, sol.z, mats, labels, sol,
+    report = _finish_gain(model, P, kernel, X, gram, sol.z, family, sol,
                           mode, eps_p)
     r = None if hulls is None else hulls.subdivisions
     if r is not None and r > 1:
@@ -531,14 +535,16 @@ def solve_joint(model, kernel, points, rho=DEFAULT_RHO):
     mP = len(basis)
     # P's entry E enters block i as ies_block(E, J_i), scaled gradient
     # entry a as the off-diagonal pair of b e_a^T
-    eye = np.eye(n)
-    gain = [_offdiag(np.outer(model.b, eye[a])) for a in range(n)]
-    mats, labels = _metric_constraint_mats(model, X, None)
-    blocks = [lmi.AffineBlock(
-        np.zeros((2 * n, 2 * n)),
-        np.stack([ies_block(E, J) for E in basis] + gain),
-        var_indices=np.r_[np.arange(mP), mP + label[1] * n + np.arange(n)],
-        label=str(label)) for J, label in zip(mats, labels)]
+    family = _metric_constraint_mats(model, X, None)
+    mats, _, labels = family
+    gain = _offdiag(model.b[:, None] * np.eye(n)[:, None, :])
+    coeffs = np.concatenate([ies_block(basis, mats[:, None]),
+                             np.broadcast_to(gain, (N,) + gain.shape)], axis=1)
+    cols = np.concatenate([np.broadcast_to(np.arange(mP), (N, mP)),
+                           mP + np.arange(N * n).reshape(N, n)], axis=1)
+    blocks = [lmi.AffineBlock(np.zeros((2 * n, 2 * n)), A, var_indices=idx,
+                              label=str(label))
+              for A, idx, label in zip(coeffs, cols, labels)]
     init = np.zeros(mP + N * n)
     init[:mP] = vech(0.5 * (1.0 + rho) * np.eye(n))
     problem = lmi.LmiProblem(dim=mP + N * n,
@@ -547,8 +553,8 @@ def solve_joint(model, kernel, points, rho=DEFAULT_RHO):
     sol = _solve(problem, rho, "joint")
     P = unvech(sol.z[:mP], n)
     g = (sol.z[mP:].reshape(N, n) @ np.linalg.inv(P)).reshape(-1)
-    return _finish_gain(model, P, kernel, X, gram, g, mats, labels, sol,
-                        "joint", None)
+    return _finish_gain(model, P, kernel, X, gram, g, family, sol, "joint",
+                        None)
 
 
 # ---------------------------------------------------------------------------

@@ -311,6 +311,43 @@ class TestLearnAndSynth:
         assert "newton_steps" in rep["diagnostics"]
         assert "floor_stops" not in rep["diagnostics"]
 
+    @pytest.mark.parametrize("route, commands, path", [
+        pytest.param("two-step", ("gen-data", "learn", "synth"),
+                     [(49, 22), (42, 22)], id="two-step"),
+        pytest.param("dense", ("gen-data", "learn", "synth"),
+                     [(49, 21), (41, 21)], id="dense"),
+        pytest.param("polytopic", ("synth",), [(49, 25), (47, 25)],
+                     id="polytopic")])
+    def test_shipped_solves_keep_their_newton_paths(self, tmp_path,
+                                                    monkeypatch, route,
+                                                    commands, path):
+        # (Newton steps, backtracks) of the metric and the gain solve on
+        # the shipped reproduction, its sigma_p = 0.1 variant on 6x6 design
+        # points, and the analytic polytopic route on 8x8 cells
+        solves = []
+        solve = lmi.solve
+
+        def recording(*args, **kwargs):
+            solves.append(solve(*args, **kwargs))
+            return solves[-1]
+
+        monkeypatch.setattr(lmi, "solve", recording)
+        cfg = default_oscillator_config()
+        if route == "dense":
+            cfg["noise"]["sigma_p"] = 0.1
+            cfg["grids"]["control_points_per_axis"] = 6
+        elif route == "polytopic":
+            cfg["mode"] = "polytopic"
+            cfg["synthesis"]["model_source"] = "analytic"
+            cfg["polytope"] = {"subdivisions": 8, "inflation": 0.0,
+                               "samples_per_axis": 5}
+        cfg = write_cfg(tmp_path, cfg)
+        for command in commands:
+            assert cli.main([command, "--config", cfg, "--out",
+                             str(tmp_path / "out"), "--quiet"]) == 0
+        assert [(sol.info["newton_steps"], sol.info["backtracks"])
+                for sol in solves] == path
+
     def test_simulate_from_equilibrium_is_constant(self, tmp_path):
         cfg_d = small_osc_config()
         cfg_d["synthesis"]["model_source"] = "analytic"

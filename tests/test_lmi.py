@@ -295,6 +295,99 @@ class TestBarrierDerivatives:
         assert lmi._barrier(ws, w, 1.0, derivs=False) is None
 
 
+def generic_barrier(ws, w, mu, derivs=True):
+    """``lmi._barrier`` with every block group on the batched LAPACK path
+    (cholesky, inv and matmul), 1 x 1 groups included."""
+    m = ws.m
+    g = np.zeros(m + 1)
+    H = np.zeros((m + 1, m + 1))
+    phi = 0.0
+    for grp in ws.groups:
+        try:
+            L = np.linalg.cholesky(ws.assemble(grp, w))
+        except np.linalg.LinAlgError:
+            return None
+        diag = np.diagonal(L, axis1=1, axis2=2)
+        if np.any(diag <= 0.0):
+            return None
+        phi -= 2.0 * float(np.sum(np.log(diag)))
+        if not derivs:
+            continue
+        A = grp["coeffs"]
+        J, K, s, _ = A.shape
+        Li = np.linalg.inv(L)[:, None]
+        V = Li @ A @ Li.mT
+        np.add.at(g, grp["idx"], -np.einsum("jkaa->jk", V))
+        Vflat = V.reshape(J, K, s * s)
+        np.add.at(H.reshape(-1), grp["flat"],
+                  (Vflat @ Vflat.mT).reshape(-1))
+    val = phi + w[m] / mu
+    if not derivs:
+        return val
+    g[m] += 1.0 / mu
+    return val, g, H
+
+
+def scalar_blocks_problem(count=256, dim=5, seed=3):
+    """``count`` 1 x 1 blocks on three of ``dim`` entries each, strictly
+    feasible at z = 0, like the polytopic metric family."""
+    rng = np.random.default_rng(seed)
+    blocks = [lmi.AffineBlock([[rng.uniform(0.5, 2.0)]],
+                              rng.normal(size=(3, 1, 1)),
+                              var_indices=rng.choice(dim, 3, replace=False))
+              for _ in range(count)]
+    return lmi.LmiProblem(dim=dim, blocks=blocks)
+
+
+class TestScalarBlockGroups:
+    @pytest.mark.parametrize("case", ["mixed", "scalar-family"])
+    def test_barrier_matches_generic_path(self, case):
+        # a 1 x 1 group is factored by a square root and inverted by a
+        # reciprocal: the value, gradient and Hessian keep the bits of the
+        # batched cholesky, inv and matmul
+        if case == "mixed":
+            prob, z = mixed_problem()
+        else:
+            prob, z = scalar_blocks_problem(), np.zeros(5)
+        ws = lmi._Workspace(prob)
+        assert any(grp["coeffs"].shape[2] == 1 for grp in ws.groups)
+        rng = np.random.default_rng(8)
+        for t, mu in ((0.05, 0.7), (0.2, 1e-3), (-0.1, 3.0)):
+            w = np.append(z + 1e-3 * rng.normal(size=z.shape), t)
+            val, g, H = lmi._barrier(ws, w, mu)
+            ref_val, ref_g, ref_H = generic_barrier(ws, w, mu)
+            assert val == ref_val
+            np.testing.assert_array_equal(g, ref_g)
+            np.testing.assert_array_equal(H, ref_H)
+            assert (lmi._barrier(ws, w, mu, derivs=False)
+                    == generic_barrier(ws, w, mu, derivs=False) == val)
+
+    @pytest.mark.parametrize("value", [0.0, -1e-300, -1.0, np.nan])
+    def test_non_positive_or_nan_block_returns_none(self, value):
+        prob = scalar_blocks_problem()
+        prob.blocks[100].const = np.array([[value]])
+        ws = lmi._Workspace(prob)
+        w = np.zeros(prob.dim + 1)
+        for derivs in (True, False):
+            assert lmi._barrier(ws, w, 1.0, derivs) is None
+            ref = generic_barrier(ws, w, 1.0, derivs)
+            if np.isnan(value):
+                # a Cholesky factor may carry the NaN through instead of
+                # failing; the line search rejects that value like None
+                assert ref is None or np.isnan(ref[0] if derivs else ref)
+            else:
+                assert ref is None
+
+    def test_solution_margins_are_block_margins(self):
+        # the per-block margins that solve returns come from its workspace
+        # groups, with the bits of block_margins
+        for prob in (mixed_problem()[0], scalar_blocks_problem()):
+            sol = lmi.solve(prob)
+            np.testing.assert_array_equal(sol.margins,
+                                          lmi.block_margins(prob, sol.z))
+            assert sol.margin == sol.margins.min()
+
+
 def scipy_newton_step(H, g):
     """The Newton step through scipy's validated ``cholesky`` and
     ``solve_triangular``, with the number of regularizer escalations; when

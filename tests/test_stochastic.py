@@ -83,6 +83,23 @@ class TestSigmaJacobian:
         assert flags[0, 0]
         assert rows[0, 0, 0] == 1.0
 
+    @pytest.mark.parametrize("draw", range(4))
+    def test_every_noiseless_se_training_point_is_floored(self, draw):
+        # v = k(x, x) - k^T K^-1 k at a noiseless training point is zero up
+        # to roundoff of order eps k(x, x) = eps, on either side of
+        # SIGMA_FLOOR**2; the floor decision must flag all of them, in one
+        # stack and one row at a time alike
+        rng = np.random.default_rng(3)
+        for _ in range(draw + 1):
+            X = rng.uniform(-2.0, 2.0, size=(12, 2))
+            Y = rng.normal(size=(12, 2))
+        model = drift_gp.fit_drift(drift_gp.DriftDataset(X, Y, sigma_y=0.0),
+                                   Kernel(dim=2))
+        _, flags = stochastic.sigma_jacobian(model, X)
+        assert flags.all()
+        for x in X:
+            assert stochastic.sigma_jacobian(model, x[None])[1].all()
+
 
 def ref_sigma_jacobian(model, x):
     """The per-state rows and flags that the stacked sigma_jacobian

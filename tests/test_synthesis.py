@@ -3,10 +3,12 @@ metric and gain steps on hand-checkable systems, hull construction, the
 non-constant input route with its brute-force oracle, and the benchmark
 pipeline certificates."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from contragp import deriv_gp, drift_gp, synthesis, systems
+from contragp import deriv_gp, drift_gp, lmi, synthesis, systems
 from contragp.errors import (DataError, FactorizationError, InfeasibleError,
                              VertexBudgetError)
 from contragp.kernels import Kernel
@@ -355,6 +357,24 @@ class TestClosedLoopJacobians:
                     + law.control_batch(one)[0] * model.input_jac(one)[0])
             np.testing.assert_allclose(a, want, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("model", ["oscillator", "varying-input",
+                                       "learned"])
+    def test_once_per_point_matches_once_per_vertex(self, model, oscillator):
+        # hull vertices at their cell centers: the law evaluated once per
+        # point and gathered gives the bits of one evaluation per vertex
+        rng = np.random.default_rng(6)
+        law = self._law(rng)
+        model = {"oscillator": lambda: oscillator,
+                 "varying-input": lambda: _varying_input(oscillator),
+                 "learned": _learned_oscillator}[model]()
+        X = rng.uniform(-2.0, 2.0, size=(6, 2))
+        owners = np.repeat(np.arange(6), [4, 1, 2, 4, 4, 1])[
+            rng.permutation(16)]
+        jacs = rng.normal(size=(16, 2, 2))
+        np.testing.assert_array_equal(
+            synthesis.closed_loop_jacobians(model, law, X, jacs, owners),
+            synthesis.closed_loop_jacobians(model, law, X[owners], jacs))
+
 
 class TestJointRoute:
     def test_toy_matches_two_step(self, toy_scalar):
@@ -399,8 +419,9 @@ class TestHulls:
                                   inflation=0.1)
         assert bool(h.pinned.all())
         assert all(h.vertex_count(i) == 1 for i in range(h.n_cells))
-        np.testing.assert_allclose(h.vertices(0)[0],
-                                   np.array([[0.5, 0.1], [0.0, 0.7]]))
+        np.testing.assert_allclose(
+            h.vertices(),
+            np.broadcast_to([[0.5, 0.1], [0.0, 0.7]], (h.n_cells, 2, 2)))
 
     def test_oscillator_cell_has_four_vertices(self, oscillator):
         h = synthesis.build_hulls(
@@ -674,3 +695,204 @@ class TestPolytopicTrend:
             assert v.min_margin >= prev - 1e-9
             prev = v.min_margin
         assert prev > 0.0  # the finest subdivision certifies the whole box
+
+
+# ---------------------------------------------------------------------------
+# the per-block loops that built every constraint family, as bit-identity
+# oracles for the stacked constructions
+
+
+def ref_vertices(hull, i):
+    """Cell i's vertices as the per-cell enumeration loop built them."""
+    free = np.argwhere(~hull.pinned[i])
+    base = 0.5 * (hull.lo[i] + hull.hi[i])
+    base[~hull.pinned[i]] = 0.0
+    out = []
+    for combo in itertools.product((0, 1), repeat=len(free)):
+        V = hull.lo[i].copy()
+        V[hull.pinned[i]] = base[hull.pinned[i]]
+        for (r, c), pick in zip(free, combo):
+            V[r, c] = hull.hi[i][r, c] if pick else hull.lo[i][r, c]
+        out.append(V)
+    return out
+
+
+def ref_family(model, points, hulls):
+    mats, labels = [], []
+    if hulls is None:
+        mats = list(model.drift_jacobian(points))
+        return mats, [("point", i) for i in range(len(points))]
+    for i in range(hulls.n_cells):
+        for l, V in enumerate(ref_vertices(hulls, i)):
+            mats.append(V)
+            labels.append(("cell-vertex", i, l))
+    return mats, labels
+
+
+def ref_metric_blocks(model, mats, labels):
+    Bperp = synthesis.left_annihilator(model.b)
+    q = Bperp.shape[0]
+    basis = synthesis.sym_basis(model.n)
+    return [lmi.AffineBlock(
+        np.zeros((q, q)),
+        np.stack([Bperp @ (E - J @ E @ J.T) @ Bperp.T for E in basis]),
+        label=str(label)) for J, label in zip(mats, labels)]
+
+
+def ref_gain_blocks(model, P, kernel, X, mats, labels):
+    N, n = X.shape
+    L = synthesis._gram_factor(kernel, X)[1]
+    nonconstant = not model.constant_input
+    eye = np.eye(N * n)
+    bs = model.input(X)
+    if nonconstant:
+        rows = kernel.grad_x2_outer(X, X).reshape(N, N * n)
+        values = rows @ synthesis.cho_solve((L, True), eye)
+        dbs = model.input_jac(X)
+    coeffs, cols = [], []
+    for i, b in enumerate(bs):
+        own = np.arange(i * n, (i + 1) * n)
+        idx = np.arange(N * n) if nonconstant else own
+        per_var = []
+        for l in idx:
+            G = np.outer(b, eye[own, l])
+            if nonconstant:
+                G = G + values[i, l] * dbs[i]
+            per_var.append(synthesis._offdiag(G @ P))
+        coeffs.append(np.stack(per_var))
+        cols.append(idx)
+    return [lmi.AffineBlock(synthesis.ies_block(P, J), coeffs[label[1]],
+                            var_indices=cols[label[1]], label=str(label))
+            for J, label in zip(mats, labels)]
+
+
+def ref_joint_blocks(model, mats, labels):
+    n = model.n
+    basis = synthesis.sym_basis(n)
+    mP = len(basis)
+    eye = np.eye(n)
+    gain = [synthesis._offdiag(np.outer(model.b, eye[a])) for a in range(n)]
+    return [lmi.AffineBlock(
+        np.zeros((2 * n, 2 * n)),
+        np.stack([synthesis.ies_block(E, J) for E in basis] + gain),
+        var_indices=np.r_[np.arange(mP), mP + label[1] * n + np.arange(n)],
+        label=str(label)) for J, label in zip(mats, labels)]
+
+
+def assert_same_blocks(blocks, ref):
+    assert len(blocks) == len(ref)
+    for blk, want in zip(blocks, ref):
+        assert blk.label == want.label
+        np.testing.assert_array_equal(blk.const, want.const)
+        np.testing.assert_array_equal(blk.coeffs, want.coeffs)
+        if want.var_indices is None:
+            assert blk.var_indices is None
+        else:
+            np.testing.assert_array_equal(blk.var_indices, want.var_indices)
+
+
+class _Captured(Exception):
+    pass
+
+
+@pytest.fixture
+def captured(monkeypatch):
+    """The problems handed to lmi.solve, which then stops the route."""
+    problems = []
+
+    def capture(problem, *args, **kwargs):
+        problems.append(problem)
+        raise _Captured
+
+    monkeypatch.setattr(synthesis.lmi, "solve", capture)
+    return problems
+
+
+def _route(case, oscillator):
+    """(model, design points, hulls) of a family case."""
+    box = systems.Box.make([-2.0, -2.0], [2.0, 2.0])
+    model = {"oscillator": oscillator,
+             "varying-input": _varying_input(oscillator)}[case[0]]
+    if case[1] == "points":
+        return model, systems.grid_points(box, 3), None
+    hulls = synthesis.build_hulls(model, box, 3, inflation=0.1)
+    return model, hulls.centers, hulls
+
+
+class TestStackedFamilies:
+    @pytest.mark.parametrize("case", ["hull", "chain"])
+    def test_metric_family_matches_per_block_loop(self, case, oscillator,
+                                                  captured):
+        if case == "hull":
+            model, X, hulls = _route(("oscillator", "hull"), oscillator)
+        else:
+            # three states, one input: 2 x 2 annihilated blocks
+            model = polynomial_chain([(0, (1, 1, 0), 0.5),
+                                      (1, (0, 2, 0), -0.3)])
+            X = np.random.default_rng(2).uniform(-1.0, 1.0, size=(7, 3))
+            hulls = None
+        with pytest.raises(_Captured):
+            synthesis.solve_metric(model, X, hulls=hulls)
+        ref = ref_metric_blocks(model, *ref_family(model, X, hulls))
+        assert_same_blocks(captured[0].blocks[:len(ref)], ref)
+
+    @pytest.mark.parametrize("case", [("oscillator", "points"),
+                                      ("oscillator", "hull"),
+                                      ("varying-input", "points"),
+                                      ("varying-input", "hull")],
+                             ids="-".join)
+    def test_gain_family_matches_per_block_loop(self, case, oscillator,
+                                                captured):
+        model, X, hulls = _route(case, oscillator)
+        P = np.array([[2.0, -0.7], [-0.7, 1.5]])
+        with pytest.raises(_Captured):
+            synthesis.solve_gain(model, P, Kernel(dim=2), X, hulls=hulls)
+        assert_same_blocks(captured[0].blocks, ref_gain_blocks(
+            model, P, Kernel(dim=2), X, *ref_family(model, X, hulls)))
+
+    def test_joint_family_matches_per_block_loop(self, oscillator, captured):
+        model, X, _ = _route(("oscillator", "points"), oscillator)
+        with pytest.raises(_Captured):
+            synthesis.solve_joint(model, Kernel(dim=2), X)
+        ref = ref_joint_blocks(model, *ref_family(model, X, None))
+        assert_same_blocks(captured[0].blocks[:len(ref)], ref)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_vertices_in_per_cell_product_order(self, n):
+        # cells with different free-entry counts, all pinned included
+        rng = np.random.default_rng(n)
+        cells = 5
+        lo = rng.normal(size=(cells, n, n))
+        hi = lo + rng.uniform(0.1, 1.0, size=lo.shape)
+        pinned = rng.uniform(size=lo.shape) < 0.5
+        pinned[0] = True
+        pinned[1] = False
+        box = systems.Box.make([-1.0] * n, [1.0] * n)
+        hull = synthesis.VertexHull(cells=[box] * cells,
+                                    centers=np.zeros((cells, n)),
+                                    lo=lo, hi=hi, pinned=pinned)
+        ref = [ref_vertices(hull, i) for i in range(cells)]
+        np.testing.assert_array_equal(hull.vertices(),
+                                      np.concatenate(ref))
+        mats, owners, labels = hull.family
+        np.testing.assert_array_equal(mats, np.concatenate(ref))
+        assert labels == [("cell-vertex", i, l)
+                          for i in range(cells) for l in range(len(ref[i]))]
+        np.testing.assert_array_equal(owners, [lab[1] for lab in labels])
+
+    @pytest.mark.parametrize("n, r", [(1, 4), (2, 3), (3, 2)])
+    def test_cells_in_product_order(self, n, r):
+        lin = systems.linear_system(0.5 * np.eye(n), [0.0] * (n - 1) + [1.0])
+        domain = systems.Box.make(np.linspace(-1.0, -0.5, n),
+                                  np.linspace(0.7, 2.0, n))
+        hull = synthesis.build_hulls(lin, domain, r, inflation=0.1)
+        edges = [np.linspace(domain.lo[i], domain.hi[i], r + 1)
+                 for i in range(n)]
+        cells = [systems.Box.make([edges[i][c] for i, c in enumerate(combo)],
+                                  [edges[i][c + 1]
+                                   for i, c in enumerate(combo)])
+                 for combo in itertools.product(range(r), repeat=n)]
+        assert hull.cells == cells
+        np.testing.assert_array_equal(
+            hull.centers,
+            np.array([0.5 * (c.lo_arr + c.hi_arr) for c in cells]))
