@@ -15,9 +15,12 @@ negligible Newton decrement, or at the roundoff floor: the objective is
 self-concordant, so once the decrement is at most (1/2 - ARMIJO)**2 a full
 Newton step passes the Armijo test in exact arithmetic (sec. 9.6.4), and a
 full step that fails it means roundoff in the barrier value hides the
-decrease.  Margins reported on
-solutions are always recomputed from eigenvalue decompositions of the
-assembled blocks, independent of the path.
+decrease.  Each point of the path is factored once: an accepted
+line-search trial's Cholesky factors give the Newton derivatives there, and
+each centering starts from the previous one's final point, since mu enters
+only through t/mu.  Margins reported on solutions are always recomputed
+from eigenvalue decompositions of the assembled blocks, independent of the
+path.
 
 Blocks may carry coefficient matrices for a subset of the decision entries
 (``var_indices``); this keeps large point families cheap when each
@@ -41,8 +44,6 @@ __all__ = [
     "LmiProblem",
     "LmiSolution",
     "solve",
-    "assemble_block",
-    "assemble_margin",
 ]
 
 # path parameters
@@ -160,15 +161,6 @@ class LmiSolution:
 # assembly / certification
 
 
-def assemble_block(block: AffineBlock, z):
-    """C + sum_k z_k A_k for one block."""
-    z = np.asarray(z, dtype=float).reshape(-1)
-    zk = z if block.var_indices is None else z[block.var_indices]
-    if zk.shape[0] == 0:
-        return block.const.copy()
-    return block.const + np.tensordot(zk, block.coeffs, axes=(0, 0))
-
-
 def _block_groups(problem: LmiProblem):
     """The blocks grouped by (size, active-variable count), in order of
     first appearance: per group the block indices and the stacked
@@ -188,17 +180,11 @@ def _block_groups(problem: LmiProblem):
     return groups
 
 
-def block_margins(problem: LmiProblem, z):
-    """Per-block smallest eigenvalues at z: one stacked assembly (a gather
-    of z and one batched matmul) and one stacked symmetric eigensolve per
-    block group; a 1 x 1 block is its own eigenvalue."""
-    z = np.asarray(z, dtype=float).reshape(-1)
-    if z.shape[0] != problem.dim:
-        raise DimensionError("z", problem.dim, z.shape[0])
-    return _margins(_block_groups(problem), z, len(problem.blocks))
-
-
 def _margins(groups, z, count):
+    """Per-block smallest eigenvalues at z, the certificate of a solution:
+    one stacked assembly (a gather of z and one batched matmul) and one
+    stacked symmetric eigensolve per block group of :func:`_block_groups`;
+    a 1 x 1 block is its own eigenvalue.  Independent of the barrier."""
     out = np.empty(count)
     for js, C, A, idx in groups:
         J, K, s, _ = A.shape
@@ -206,15 +192,6 @@ def _margins(groups, z, count):
         out[js] = (M[:, 0, 0] if s == 1
                    else np.linalg.eigvalsh(0.5 * (M + M.mT))[:, 0])
     return out
-
-
-def assemble_margin(problem: LmiProblem, z):
-    """Smallest eigenvalue over all assembled blocks at z.
-
-    This is the a-posteriori certificate every caller relies on; it uses a
-    plain symmetric eigensolver and is independent of the solve internals.
-    """
-    return float(block_margins(problem, z).min())
 
 
 # ---------------------------------------------------------------------------
@@ -227,11 +204,13 @@ def assemble_margin(problem: LmiProblem, z):
 class _Workspace:
     """Precomputed arrays for fast barrier assembly.
 
-    Per block group of :func:`_block_groups` every barrier evaluation runs
-    through stacked calls: one batched Cholesky and inverse factor per
-    group (a root and a reciprocal for 1 x 1 blocks), and one scatter of its
-    Hessian terms through precomputed flat indices of H.  Each group
-    carries an identity slot for t.
+    Per block group of :func:`_block_groups` every barrier point runs
+    through stacked calls: one batched Cholesky factor per group (a root
+    for 1 x 1 blocks), and at accepted points one inverse factor (a
+    reciprocal).  Each group carries an identity slot for t.  The gradient
+    and Hessian terms of all groups accumulate through one ``np.bincount``
+    each, over the groups' active indices and flat indices of H
+    concatenated in group order.
     """
 
     def __init__(self, problem: LmiProblem):
@@ -244,16 +223,18 @@ class _Workspace:
         for _, C, A, idx in self.block_groups:
             n_items, _, s, _ = A.shape
             eye_slot = np.broadcast_to(np.eye(s), (n_items, 1, s, s))
-            idx = np.concatenate([idx, np.full((n_items, 1), m)], axis=1)
             self.groups.append({
                 "const": 0.5 * (C + C.mT),
                 "coeffs": np.concatenate([A, eye_slot], axis=1),
-                "idx": idx,
-                # entry (idx[j, k], idx[j, l]) of the flattened H; repeated
-                # indices accumulate under np.add.at
-                "flat": (idx[:, :, None] * (m + 1) + idx[:, None, :]).ravel(),
+                "idx": np.concatenate([idx, np.full((n_items, 1), m)], axis=1),
             })
             self.nu += s * n_items
+        # entry idx[j, k] of g and (idx[j, k], idx[j, l]) of the flattened
+        # H; repeated indices accumulate
+        self.idx = np.concatenate([grp["idx"].ravel() for grp in self.groups])
+        self.flat = np.concatenate([
+            (grp["idx"][:, :, None] * (m + 1) + grp["idx"][:, None, :]).ravel()
+            for grp in self.groups])
 
     @staticmethod
     def assemble(group, w):
@@ -261,25 +242,17 @@ class _Workspace:
                                           group["coeffs"])
 
 
-def _barrier(ws: _Workspace, w, mu, derivs=True):
-    """Value of  t/mu + Phi  at w = (z, t), with its gradient and Hessian
-    when ``derivs``.
-
-    Phi is the log-det barrier of the blocks.  Returns None when w is not
-    strictly feasible.
-    """
-    m = ws.m
-    g = np.zeros(m + 1)
-    H = np.zeros((m + 1, m + 1))
+def _factor(ws: _Workspace, w):
+    """The log-det barrier Phi of the blocks at w = (z, t), with each
+    group's Cholesky factors; None when w is not strictly feasible."""
     phi = 0.0
+    factors = []
     for grp in ws.groups:
-        A = grp["coeffs"]
-        J, K, s, _ = A.shape
         M = ws.assemble(grp, w)
         try:
-            # a 1 x 1 factor is a square root (0 for a non-positive block)
-            # and its inverse a reciprocal: LAPACK's bits, without its calls
-            L = (np.sqrt(np.maximum(M, 0.0)) if s == 1
+            # a 1 x 1 factor is a square root (0 for a non-positive block):
+            # LAPACK's bits, without its calls
+            L = (np.sqrt(np.maximum(M, 0.0)) if M.shape[1] == 1
                  else np.linalg.cholesky(M))
         except np.linalg.LinAlgError:
             return None
@@ -287,20 +260,27 @@ def _barrier(ws: _Workspace, w, mu, derivs=True):
         if not np.all(diag > 0.0):
             return None
         phi -= 2.0 * float(np.sum(np.log(diag)))
-        if not derivs:
-            continue
-        # V_k = L^{-1} A_k L^{-T}; grad gets -tr(V_k), Hessian <V_k, V_l>_F
+        factors.append(L)
+    return phi, factors
+
+
+def _derivs(ws: _Workspace, factors):
+    """Gradient and Hessian of Phi from the factors of :func:`_factor`."""
+    g_terms, h_terms = [], []
+    for grp, L in zip(ws.groups, factors):
+        A = grp["coeffs"]
+        J, K, s, _ = A.shape
+        # V_k = L^{-1} A_k L^{-T}; grad gets -tr(V_k), Hessian <V_k, V_l>_F;
+        # a 1 x 1 inverse factor is a reciprocal
         Li = (1.0 / L if s == 1 else np.linalg.inv(L))[:, None]
         V = Li * A * Li if s == 1 else Li @ A @ Li.mT
-        np.add.at(g, grp["idx"], -np.einsum("jkaa->jk", V))
+        g_terms.append(-np.einsum("jkaa->jk", V).ravel())
         Vflat = V.reshape(J, K, s * s)
-        np.add.at(H.reshape(-1), grp["flat"],
-                  (Vflat @ Vflat.mT).reshape(-1))
-    val = phi + w[m] / mu
-    if not derivs:
-        return val
-    g[m] += 1.0 / mu
-    return val, g, H
+        h_terms.append((Vflat @ Vflat.mT).ravel())
+    n = ws.m + 1
+    g = np.bincount(ws.idx, np.concatenate(g_terms), minlength=n)
+    H = np.bincount(ws.flat, np.concatenate(h_terms), minlength=n * n)
+    return g, H.reshape(n, n)
 
 
 def _newton_solve(H, g):
@@ -320,29 +300,29 @@ def _newton_solve(H, g):
     return np.linalg.lstsq(H + reg * eye, -g, rcond=None)[0]
 
 
-def _minimize_barrier(ws, w, mu, info):
-    """Newton descent of  t/mu + Phi  from w; returns (w, converged).
+def _minimize_barrier(ws, point, mu, info):
+    """Newton descent of  t/mu + Phi  from point = (w, Phi, grad Phi,
+    Hessian of Phi); returns (point, converged) with the final point.
 
     Raises UnboundedMarginError once t falls below -``MARGIN_CAP``.
     """
     trace = info["trace"]
-    cur = _barrier(ws, w, mu)
-    if cur is None:
-        raise NumericalFailureError("barrier start point not strictly feasible",
-                                    trace)
-    f, g, H = cur
     alpha0 = 1.0  # adaptive start; boundary-hugging iterates reuse short steps
     for it in range(MAX_NEWTON):
+        w, phi, dphi, H = point
         if w[-1] < -MARGIN_CAP:
             raise UnboundedMarginError(
                 "margin maximization appears unbounded; add normalization "
                 "blocks that bound the decision vector")
+        f = phi + w[-1] / mu
+        g = dphi.copy()
+        g[-1] += 1.0 / mu
         step = _newton_solve(H, g)
         decrement = float(-g @ step)
         if not np.isfinite(decrement):
             raise NumericalFailureError("non-finite Newton decrement", trace)
         if decrement <= 2.0 * NEWTON_TOL:
-            return w, True
+            return point, True
         info["newton_steps"] += 1
         # t/mu + Phi is self-concordant, so at this decrement a full step
         # passes the Armijo test in exact arithmetic (Boyd & Vandenberghe,
@@ -352,24 +332,24 @@ def _minimize_barrier(ws, w, mu, info):
         alpha = 1.0 if full else alpha0
         for _ in range(60):
             w_try = w + alpha * step
-            val = _barrier(ws, w_try, mu, derivs=False)
-            if val is not None and val <= f - ARMIJO * alpha * decrement:
+            trial = _factor(ws, w_try)
+            if (trial is not None and trial[0] + w_try[-1] / mu
+                    <= f - ARMIJO * alpha * decrement):
                 break
             if full:
                 info["floor_stops"] += 1
                 trace.append(f"centering at roundoff floor (mu={mu:.2e}, "
                              f"decrement={decrement:.2e})")
-                return w, True
+                return point, True
             alpha *= 0.5
             info["backtracks"] += 1
         else:
             trace.append(f"line search stalled (mu={mu:.2e}, it={it})")
-            return w, False
-        w = w_try
-        f, g, H = _barrier(ws, w, mu)
+            return point, False
+        point = (w_try, trial[0], *_derivs(ws, trial[1]))
         alpha0 = min(1.0, 4.0 * alpha)
     trace.append(f"newton budget exhausted (mu={mu:.2e})")
-    return w, False
+    return point, False
 
 
 def solve(problem: LmiProblem, width=1e-5) -> LmiSolution:
@@ -408,10 +388,18 @@ def solve(problem: LmiProblem, width=1e-5) -> LmiSolution:
     # stage does not push t far from it
     mu = max(1.0, abs(m0)) / ws.nu
     try:
+        start = _factor(ws, w)
+        if start is None:
+            raise NumericalFailureError(
+                "barrier start point not strictly feasible", info["trace"])
+        point = (w, start[0], *_derivs(ws, start[1]))
         while True:
             info["barrier_stages"] += 1
             info["final_mu"] = mu
-            w, converged = _minimize_barrier(ws, w, mu, info)
+            # each centering starts at the last one's point, where only
+            # t/mu changes
+            point, converged = _minimize_barrier(ws, point, mu, info)
+            w = point[0]
             if ((converged and ws.nu * mu <= width)
                     or mu <= MU_FLOOR * max(1.0, abs(w[-1]))):
                 break

@@ -348,6 +348,75 @@ class TestLearnAndSynth:
         assert [(sol.info["newton_steps"], sol.info["backtracks"])
                 for sol in solves] == path
 
+    @pytest.mark.parametrize("route, commands", [
+        pytest.param("two-step", ("gen-data", "learn", "synth"),
+                     id="two-step"),
+        pytest.param("polytopic", ("synth",), id="polytopic")])
+    def test_shipped_solves_factor_each_point_once(self, tmp_path,
+                                                   monkeypatch, route,
+                                                   commands):
+        # every barrier point is assembled and factored once: the start
+        # point, then each line-search trial (one per Newton step and one
+        # per backtrack; a floor stop is a step whose one trial fails). A
+        # feasible trial assembles every block group, an infeasible one
+        # stops at its first failing group. Derivatives come from an
+        # accepted trial's factors, once per accepted step and once at the
+        # start; a new centering starts at the last one's point and
+        # factors nothing
+        assembled, trials, derivs_calls, records = [], [], [0], []
+        assemble, factor, derivs, solve = (lmi._Workspace.assemble,
+                                           lmi._factor, lmi._derivs,
+                                           lmi.solve)
+
+        def counting_assemble(group, w):
+            assembled.append((id(group), w.tobytes()))
+            return assemble(group, w)
+
+        def counting_factor(ws, w):
+            before = len(assembled)
+            point = factor(ws, w)
+            trials.append((point is not None, len(assembled) - before))
+            return point
+
+        def counting_derivs(ws, factors):
+            derivs_calls[0] += 1
+            return derivs(ws, factors)
+
+        def recording(problem, *args, **kwargs):
+            del assembled[:], trials[:]
+            derivs_calls[0] = 0
+            sol = solve(problem, *args, **kwargs)
+            records.append((sol, len(lmi._block_groups(problem)),
+                            len(set(assembled)), list(trials),
+                            derivs_calls[0]))
+            return sol
+
+        monkeypatch.setattr(lmi._Workspace, "assemble",
+                            staticmethod(counting_assemble))
+        monkeypatch.setattr(lmi, "_factor", counting_factor)
+        monkeypatch.setattr(lmi, "_derivs", counting_derivs)
+        monkeypatch.setattr(lmi, "solve", recording)
+        cfg = default_oscillator_config()
+        if route == "polytopic":
+            cfg["mode"] = "polytopic"
+            cfg["synthesis"]["model_source"] = "analytic"
+            cfg["polytope"] = {"subdivisions": 8, "inflation": 0.0,
+                               "samples_per_axis": 5}
+        cfg = write_cfg(tmp_path, cfg)
+        for command in commands:
+            assert cli.main([command, "--config", cfg, "--out",
+                             str(tmp_path / "out"), "--quiet"]) == 0
+        assert len(records) == 2
+        for sol, groups, distinct, trials, derivs_made in records:
+            info = sol.info
+            assert info["barrier_stages"] > 1
+            assert len(trials) == 1 + info["newton_steps"] + info["backtracks"]
+            assert distinct == sum(made for _, made in trials)
+            assert all(made == groups if feasible else 1 <= made <= groups
+                       for feasible, made in trials)
+            assert derivs_made == (1 + info["newton_steps"]
+                                   - info["floor_stops"])
+
     def test_simulate_from_equilibrium_is_constant(self, tmp_path):
         cfg_d = small_osc_config()
         cfg_d["synthesis"]["model_source"] = "analytic"

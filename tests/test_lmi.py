@@ -46,6 +46,38 @@ def char_poly_min_eig(M):
     return float(np.real(roots).min())
 
 
+def assemble_block(block, z):
+    """C + sum_k z_k A_k for one block."""
+    z = np.asarray(z, dtype=float).reshape(-1)
+    zk = z if block.var_indices is None else z[block.var_indices]
+    if zk.shape[0] == 0:
+        return block.const.copy()
+    return block.const + np.tensordot(zk, block.coeffs, axes=(0, 0))
+
+
+def block_margins(problem, z):
+    """Per-block smallest eigenvalues at z, one block at a time: the oracle
+    of the stacked certificate ``lmi._margins``."""
+    margins = []
+    for blk in problem.blocks:
+        M = assemble_block(blk, z)
+        margins.append(np.linalg.eigvalsh(0.5 * (M + M.T))[0])
+    return np.array(margins)
+
+
+def assemble_margin(problem, z):
+    """Smallest eigenvalue over all assembled blocks at z, through a plain
+    symmetric eigensolver and independent of the solve internals."""
+    return float(block_margins(problem, z).min())
+
+
+def stacked_margins(problem, z):
+    """The program's certificate: ``lmi._margins`` over the problem's block
+    groups."""
+    return lmi._margins(lmi._block_groups(problem),
+                        np.asarray(z, dtype=float), len(problem.blocks))
+
+
 def random_feasible_problem(rng):
     m = int(rng.integers(1, 4))
     nb = int(rng.integers(1, 4))
@@ -103,11 +135,11 @@ class TestAssembleMargin:
         p = lmi.LmiProblem(dim=1,
                            blocks=[lmi.AffineBlock(np.zeros((2, 2)),
                                                    np.zeros((1, 2, 2)))])
-        assert lmi.assemble_margin(p, [0.0]) == 0.0
+        assert stacked_margins(p, [0.0]).min() == 0.0
 
     def test_scalar_family_at_hand_optimum(self):
-        assert lmi.assemble_margin(scalar_family_problem(),
-                                   [10.0, -20.0]) == pytest.approx(10.0)
+        assert stacked_margins(scalar_family_problem(),
+                               [10.0, -20.0]).min() == pytest.approx(10.0)
 
     def test_block_margins_match_per_block_loop(self):
         # the stacked assembly gives the per-block loop's bits. Beyond
@@ -141,9 +173,9 @@ class TestAssembleMargin:
                   np.zeros(4)):
             ref = []
             for blk in prob.blocks:
-                M = lmi.assemble_block(blk, z)
+                M = assemble_block(blk, z)
                 ref.append(np.linalg.eigvalsh(0.5 * (M + M.T))[0])
-            np.testing.assert_array_equal(lmi.block_margins(prob, z),
+            np.testing.assert_array_equal(stacked_margins(prob, z),
                                           np.array(ref))
 
     def test_against_characteristic_polynomial_oracle(self):
@@ -152,7 +184,7 @@ class TestAssembleMargin:
             M = rng.normal(size=(3, 3))
             C = 0.5 * (M + M.T)
             p = lmi.LmiProblem(dim=0, blocks=[lmi.AffineBlock(C, np.zeros((0, 3, 3)))])
-            assert lmi.assemble_margin(p, []) == pytest.approx(
+            assert stacked_margins(p, []).min() == pytest.approx(
                 char_poly_min_eig(C), abs=1e-8)
 
 
@@ -163,7 +195,7 @@ class TestSoundnessAndProperties:
             prob, _ = random_feasible_problem(rng)
             sol = lmi.solve(prob)
             assert sol.status != "infeasible"
-            assert lmi.assemble_margin(prob, sol.z) >= sol.margin - 1e-8
+            assert assemble_margin(prob, sol.z) >= sol.margin - 1e-8
 
     def test_adding_a_block_never_improves_margin(self):
         rng = np.random.default_rng(43)
@@ -198,7 +230,7 @@ class TestSoundnessAndProperties:
             prob, _ = random_feasible_problem(rng)
             sol = lmi.solve(prob)
             assert sol.margin == pytest.approx(
-                lmi.assemble_margin(prob, sol.z), abs=1e-8)
+                assemble_margin(prob, sol.z), abs=1e-8)
 
     def test_deterministic_given_identical_input(self):
         prob1, _ = random_feasible_problem(np.random.default_rng(46))
@@ -258,16 +290,31 @@ def mixed_problem():
     return lmi.LmiProblem(dim=4, blocks=blocks), z_star
 
 
+def barrier(ws, w, mu, derivs=True):
+    """The centering objective  t/mu + Phi  at w = (z, t), with its gradient
+    and Hessian when ``derivs``, as the path takes them from ``lmi._factor``
+    and ``lmi._derivs``; None when w is not strictly feasible."""
+    point = lmi._factor(ws, w)
+    if point is None:
+        return None
+    val = point[0] + w[-1] / mu
+    if not derivs:
+        return val
+    g, H = lmi._derivs(ws, point[1])
+    g[-1] += 1.0 / mu
+    return val, g, H
+
+
 class TestBarrierDerivatives:
     def test_gradient_and_hessian_match_central_differences(self):
         prob, z_star = mixed_problem()
         ws = lmi._Workspace(prob)
         mu = 0.7
         w0 = np.append(z_star, 0.05)
-        _, g, H = lmi._barrier(ws, w0, mu)
+        _, g, H = barrier(ws, w0, mu)
 
         def f(w):
-            return lmi._barrier(ws, w, mu, derivs=False)
+            return barrier(ws, w, mu, derivs=False)
 
         n = w0.shape[0]
         eye = np.eye(n)
@@ -288,16 +335,17 @@ class TestBarrierDerivatives:
         prob, z_star = mixed_problem()
         ws = lmi._Workspace(prob)
         # t far below minus every margin makes a block indefinite
-        assert lmi._barrier(ws, np.append(z_star, -1e3), 1.0) is None
+        assert lmi._factor(ws, np.append(z_star, -1e3)) is None
         # entry 0 below its lower bound block
         w = np.append(z_star, 0.05)
         w[0] = -1.5
-        assert lmi._barrier(ws, w, 1.0, derivs=False) is None
+        assert lmi._factor(ws, w) is None
 
 
 def generic_barrier(ws, w, mu, derivs=True):
-    """``lmi._barrier`` with every block group on the batched LAPACK path
-    (cholesky, inv and matmul), 1 x 1 groups included."""
+    """The barrier with every block group on the batched LAPACK path
+    (cholesky, inv and matmul), 1 x 1 groups included, and the gradient and
+    Hessian terms scattered group by group through ``np.add.at``."""
     m = ws.m
     g = np.zeros(m + 1)
     H = np.zeros((m + 1, m + 1))
@@ -319,7 +367,9 @@ def generic_barrier(ws, w, mu, derivs=True):
         V = Li @ A @ Li.mT
         np.add.at(g, grp["idx"], -np.einsum("jkaa->jk", V))
         Vflat = V.reshape(J, K, s * s)
-        np.add.at(H.reshape(-1), grp["flat"],
+        idx = grp["idx"]
+        np.add.at(H.reshape(-1),
+                  (idx[:, :, None] * (m + 1) + idx[:, None, :]).ravel(),
                   (Vflat @ Vflat.mT).reshape(-1))
     val = phi + w[m] / mu
     if not derivs:
@@ -354,12 +404,12 @@ class TestScalarBlockGroups:
         rng = np.random.default_rng(8)
         for t, mu in ((0.05, 0.7), (0.2, 1e-3), (-0.1, 3.0)):
             w = np.append(z + 1e-3 * rng.normal(size=z.shape), t)
-            val, g, H = lmi._barrier(ws, w, mu)
+            val, g, H = barrier(ws, w, mu)
             ref_val, ref_g, ref_H = generic_barrier(ws, w, mu)
             assert val == ref_val
             np.testing.assert_array_equal(g, ref_g)
             np.testing.assert_array_equal(H, ref_H)
-            assert (lmi._barrier(ws, w, mu, derivs=False)
+            assert (barrier(ws, w, mu, derivs=False)
                     == generic_barrier(ws, w, mu, derivs=False) == val)
 
     @pytest.mark.parametrize("value", [0.0, -1e-300, -1.0, np.nan])
@@ -368,8 +418,8 @@ class TestScalarBlockGroups:
         prob.blocks[100].const = np.array([[value]])
         ws = lmi._Workspace(prob)
         w = np.zeros(prob.dim + 1)
+        assert lmi._factor(ws, w) is None
         for derivs in (True, False):
-            assert lmi._barrier(ws, w, 1.0, derivs) is None
             ref = generic_barrier(ws, w, 1.0, derivs)
             if np.isnan(value):
                 # a Cholesky factor may carry the NaN through instead of
@@ -380,11 +430,13 @@ class TestScalarBlockGroups:
 
     def test_solution_margins_are_block_margins(self):
         # the per-block margins that solve returns come from its workspace
-        # groups, with the bits of block_margins
+        # groups, with the bits of the per-block loop
         for prob in (mixed_problem()[0], scalar_blocks_problem()):
             sol = lmi.solve(prob)
             np.testing.assert_array_equal(sol.margins,
-                                          lmi.block_margins(prob, sol.z))
+                                          stacked_margins(prob, sol.z))
+            np.testing.assert_array_equal(sol.margins,
+                                          block_margins(prob, sol.z))
             assert sol.margin == sol.margins.min()
 
 
