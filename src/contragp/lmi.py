@@ -10,17 +10,22 @@ This is the phase-I problem  min t  s.t.  C_j + sum_k z_k A_{j,k} + t I >= 0
 central path: Newton centering of  t/mu + Phi(z, t)  for a decreasing
 sequence of mu, where Phi is the log-det barrier over the block-diagonal
 PSD cone.  A centered iterate is within nu * mu of the optimal t (nu is the
-barrier degree), which gives the stopping rule.  A centering ends at a
-negligible Newton decrement, or at the roundoff floor: the objective is
-self-concordant, so once the decrement is at most (1/2 - ARMIJO)**2 a full
-Newton step passes the Armijo test in exact arithmetic (sec. 9.6.4), and a
-full step that fails it means roundoff in the barrier value hides the
-decrease.  Each point of the path is factored once: an accepted
-line-search trial's Cholesky factors give the Newton derivatives there, and
-each centering starts from the previous one's final point, since mu enters
-only through t/mu.  Margins reported on solutions are always recomputed
-from eigenvalue decompositions of the assembled blocks, independent of the
-path.
+barrier degree), which gives the stopping rule.  The path takes long steps:
+mu shrinks by a factor of 50 per centering (sec. 11.3.3 recommends 10 to
+100), so few centerings of a few more Newton steps each reach the width.
+Each Newton step factors the Jacobi-scaled Hessian D^-1/2 H D^-1/2 with
+D = |diag H|: near the boundary the curvature of the entries spans many
+orders of magnitude, and the scaled system keeps the regularizer from
+swamping the flat directions.  A centering ends at a negligible Newton
+decrement, or at the roundoff floor: the objective is self-concordant, so
+once the decrement is at most (1/2 - ARMIJO)**2 a full Newton step passes
+the Armijo test in exact arithmetic (sec. 9.6.4), and a full step that
+fails it means roundoff in the barrier value hides the decrease.  Each
+point of the path is factored once: an accepted line-search trial's
+Cholesky factors give the Newton derivatives there, and each centering
+starts from the previous one's final point, since mu enters only through
+t/mu.  Margins reported on solutions are always recomputed from eigenvalue
+decompositions of the assembled blocks, independent of the path.
 
 Blocks may carry coefficient matrices for a subset of the decision entries
 (``var_indices``); this keeps large point families cheap when each
@@ -50,7 +55,7 @@ __all__ = [
 MARGIN_CAP = 1e8      # a level t below -MARGIN_CAP raises UnboundedMarginError
 MAX_NEWTON = 80       # Newton steps per centering
 NEWTON_TOL = 1e-10    # a centering stops at Newton decrement <= 2 NEWTON_TOL
-MU_FACTOR = 0.15      # mu shrinks by this factor between centerings
+MU_FACTOR = 0.02      # mu shrinks by this factor between centerings
 MU_FLOOR = 1e-12      # the path stops at mu <= MU_FLOOR * max(1, |t|)
 ARMIJO = 0.25         # sufficient-decrease fraction of the line search
 FEAS_TOL = 1e-7       # a margin at or above this counts as feasible
@@ -206,11 +211,12 @@ class _Workspace:
 
     Per block group of :func:`_block_groups` every barrier point runs
     through stacked calls: one batched Cholesky factor per group (a root
-    for 1 x 1 blocks), and at accepted points one inverse factor (a
-    reciprocal).  Each group carries an identity slot for t.  The gradient
-    and Hessian terms of all groups accumulate through one ``np.bincount``
-    each, over the groups' active indices and flat indices of H
-    concatenated in group order.
+    for 1 x 1 blocks), and at accepted points one stacked triangular
+    inverse of the factors (a reciprocal) and one batched matmul per side
+    of the coefficients.  Each group carries an identity slot for t.  The
+    gradient and Hessian terms of all groups accumulate through one
+    ``np.bincount`` each, over the groups' active indices and the distinct
+    flat indices of H, concatenated in group order.
     """
 
     def __init__(self, problem: LmiProblem):
@@ -223,18 +229,23 @@ class _Workspace:
         for _, C, A, idx in self.block_groups:
             n_items, _, s, _ = A.shape
             eye_slot = np.broadcast_to(np.eye(s), (n_items, 1, s, s))
+            coeffs = np.concatenate([A, eye_slot], axis=1)
             self.groups.append({
                 "const": 0.5 * (C + C.mT),
-                "coeffs": np.concatenate([A, eye_slot], axis=1),
+                "coeffs": coeffs,
+                # [A_1 ... A_K] side by side: L^-1 A_k for all k in one matmul
+                "row": np.ascontiguousarray(coeffs.transpose(0, 2, 1, 3)
+                                            .reshape(n_items, s, -1)),
                 "idx": np.concatenate([idx, np.full((n_items, 1), m)], axis=1),
             })
             self.nu += s * n_items
         # entry idx[j, k] of g and (idx[j, k], idx[j, l]) of the flattened
-        # H; repeated indices accumulate
+        # H; repeated indices accumulate, into H's distinct entries only
         self.idx = np.concatenate([grp["idx"].ravel() for grp in self.groups])
-        self.flat = np.concatenate([
+        flat = np.concatenate([
             (grp["idx"][:, :, None] * (m + 1) + grp["idx"][:, None, :]).ravel()
             for grp in self.groups])
+        self.h_entries, self.h_bins = np.unique(flat, return_inverse=True)
 
     @staticmethod
     def assemble(group, w):
@@ -264,40 +275,83 @@ def _factor(ws: _Workspace, w):
     return phi, factors
 
 
+def _tril_inv(L):
+    """Inverses of a stack of lower-triangular matrices, by forward
+    substitution row by row: row i of L^-1 is
+    (e_i - sum_{k<i} L_ik row_k) / L_ii, each sum taken in order of k.
+    The stack runs along the last axis, so every operation is on
+    contiguous rows."""
+    s = L.shape[-1]
+    Lt = np.ascontiguousarray(L.transpose(1, 2, 0))
+    eye = np.eye(s)[:, :, None]
+    Li = np.empty_like(Lt)
+    for i in range(s):
+        r = eye[i]
+        for k in range(i):
+            r = r - Lt[i, k] * Li[k]
+        Li[i] = r / Lt[i, i]
+    return np.ascontiguousarray(Li.transpose(2, 0, 1))
+
+
 def _derivs(ws: _Workspace, factors):
     """Gradient and Hessian of Phi from the factors of :func:`_factor`."""
     g_terms, h_terms = [], []
     for grp, L in zip(ws.groups, factors):
         A = grp["coeffs"]
         J, K, s, _ = A.shape
-        # V_k = L^{-1} A_k L^{-T}; grad gets -tr(V_k), Hessian <V_k, V_l>_F;
-        # a 1 x 1 inverse factor is a reciprocal
-        Li = (1.0 / L if s == 1 else np.linalg.inv(L))[:, None]
-        V = Li * A * Li if s == 1 else Li @ A @ Li.mT
+        # V_k = L^-1 A_k L^-T; grad gets -tr(V_k), Hessian <V_k, V_l>_F
+        if s == 1:
+            # a 1 x 1 inverse factor is a reciprocal and <V_k, V_l> a product
+            Li = 1.0 / L[:, :, 0]
+            v = Li * A[:, :, 0, 0] * Li
+            g_terms.append(-v.ravel())
+            h_terms.append((v[:, :, None] * v[:, None, :]).ravel())
+            continue
+        Li = _tril_inv(L)
+        # L^-1 [A_1 ... A_K], then [L^-1 A_1; ...; L^-1 A_K] L^-T (a
+        # contiguous L^-T: BLAS without a transposed operand, same bits)
+        V = (Li @ grp["row"]).reshape(J, s, K, s).transpose(0, 2, 1, 3)
+        V = (V.reshape(J, K * s, s)
+             @ np.ascontiguousarray(Li.mT)).reshape(J, K, s, s)
         g_terms.append(-np.einsum("jkaa->jk", V).ravel())
         Vflat = V.reshape(J, K, s * s)
         h_terms.append((Vflat @ Vflat.mT).ravel())
     n = ws.m + 1
     g = np.bincount(ws.idx, np.concatenate(g_terms), minlength=n)
-    H = np.bincount(ws.flat, np.concatenate(h_terms), minlength=n * n)
+    H = np.zeros(n * n)
+    H[ws.h_entries] = np.bincount(ws.h_bins, np.concatenate(h_terms),
+                                  minlength=len(ws.h_entries))
     return g, H.reshape(n, n)
 
 
 def _newton_solve(H, g):
+    """The Newton step -H^-1 g, from the Jacobi-scaled system
+    S H S y = -S g with S = D^-1/2, D = |diag H| (1 where it is 0), and
+    step = S y.  The factor sees a unit diagonal, so the regularizer
+    1e-13 (1 + max |diag|) no longer swamps directions of low curvature
+    when other entries' curvature is many orders larger."""
+    d = np.abs(np.diag(H))
+    r = 1.0 / np.sqrt(np.where(d > 0.0, d, 1.0))
+    H = r[:, None] * H
+    H *= r
+    g = r * g
     # scipy's cholesky and solve_triangular minus their input checks: reg
     # grows while a factor fails or H or y (so g) is not finite
     reg = 1e-13 * (1.0 + float(np.abs(np.diag(H)).max(initial=0.0)))
-    eye = np.eye(H.shape[0])
+    diag = np.diag_indices(H.shape[0])
     finite = np.isfinite(H).all()
     for _ in range(6):
         if finite:
-            L, info = dpotrf(H + reg * eye, lower=1, clean=1)
+            Hr = H.copy(order="F")  # LAPACK's layout, factored in place
+            Hr[diag] += reg  # H + reg I
+            L, info = dpotrf(Hr, lower=1, clean=1, overwrite_a=1)
             if info == 0:
                 y, info = dtrtrs(L, -g, lower=1)
                 if info == 0 and np.isfinite(y).all():
-                    return dtrtrs(L, y, lower=1, trans=1)[0]
+                    return r * dtrtrs(L, y, lower=1, trans=1)[0]
         reg *= 100.0
-    return np.linalg.lstsq(H + reg * eye, -g, rcond=None)[0]
+    return r * np.linalg.lstsq(H + reg * np.eye(H.shape[0]), -g,
+                               rcond=None)[0]
 
 
 def _minimize_barrier(ws, point, mu, info):
@@ -363,14 +417,18 @@ def solve(problem: LmiProblem, width=1e-5) -> LmiSolution:
     ``best_margin`` and an upper bound on the supremum as
     ``best_margin_upper``.  ``info`` also records the path:
     ``newton_steps``, ``barrier_stages`` (centerings, one per mu),
-    ``backtracks`` (line-search halvings), ``floor_stops`` and
-    ``final_mu``.  A centering counts as converged at Newton decrement
-    ``<= 2 NEWTON_TOL``, or when the decrement is at most
-    ``(0.5 - ARMIJO)**2`` and the full Newton step, which passes the Armijo
-    test there in exact arithmetic, fails it: that centering is at the
-    roundoff floor of the barrier value, adds one to ``floor_stops`` and a
-    ``centering at roundoff floor`` line to ``trace``.  The per-block
-    ``margins`` and their least, ``margin``, are eigensolves at the final z.
+    ``backtracks`` (line-search halvings), ``floor_stops``, ``final_mu``
+    and ``final_gap`` = nu * ``final_mu``, the barrier gap of the last
+    centering.  mu starts at max(1, |margin at the start|) / nu and shrinks
+    by ``MU_FACTOR`` per centering; each Newton step solves the
+    Jacobi-scaled system and unscales the step.  A centering counts as
+    converged at Newton decrement ``<= 2 NEWTON_TOL``, or when the
+    decrement is at most ``(0.5 - ARMIJO)**2`` and the full Newton step,
+    which passes the Armijo test there in exact arithmetic, fails it: that
+    centering is at the roundoff floor of the barrier value, adds one to
+    ``floor_stops`` and a ``centering at roundoff floor`` line to
+    ``trace``.  The per-block ``margins`` and their least, ``margin``, are
+    eigensolves at the final z.
     """
     problem.validate()
     ws = _Workspace(problem)
@@ -396,6 +454,7 @@ def solve(problem: LmiProblem, width=1e-5) -> LmiSolution:
         while True:
             info["barrier_stages"] += 1
             info["final_mu"] = mu
+            info["final_gap"] = ws.nu * mu
             # each centering starts at the last one's point, where only
             # t/mu changes
             point, converged = _minimize_barrier(ws, point, mu, info)

@@ -331,6 +331,13 @@ def _metric_bounds(n, rho):
                             label=_P_BOUNDS[1])]
 
 
+# the deterministic path counters of lmi.solve that the report carries: all
+# of the gain (or joint) solve's, and the metric solve's step counts
+_SOLVER_RECORD = ("newton_steps", "barrier_stages", "backtracks", "final_mu",
+                  "final_gap")
+_METRIC_RECORD = ("newton_steps", "backtracks", "barrier_stages")
+
+
 def _solve(problem, rho, what):
     """Solve to within 1e-6 rho of the best margin.
 
@@ -354,12 +361,13 @@ def _solve(problem, rho, what):
     return sol
 
 
-def solve_metric(model, points, hulls=None, rho=DEFAULT_RHO):
+def solve_metric(model, points, hulls=None, rho=DEFAULT_RHO, record=None):
     """Select a constant metric P with I <= P <= rho I maximizing the
     annihilated one-step decrease margin over the constraint family.
 
     Returns ``(P, eps_p)``.  For scalar fully-actuated systems the family is
-    empty and P = 1 is returned with ``eps_p = None``.
+    empty and P = 1 is returned with ``eps_p = None``.  A dict ``record``
+    receives the solve's path counters as ``metric_<counter>``.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape[0] < 1:
@@ -382,6 +390,8 @@ def solve_metric(model, points, hulls=None, rho=DEFAULT_RHO):
                              blocks=blocks + _metric_bounds(n, rho),
                              initial_z=vech(0.5 * (1.0 + rho) * np.eye(n)))
     sol = _solve(problem, rho, "metric")
+    if record is not None:
+        record.update({f"metric_{k}": sol.info[k] for k in _METRIC_RECORD})
     eps_p = float(sol.margins[:len(labels)].min())
     return unvech(sol.z, n), eps_p
 
@@ -432,10 +442,6 @@ def _gain_problem(model, P, kernel, X, L, family):
               for C, i, label in zip(ies_block(P, mats), owners, labels)]
     return lmi.LmiProblem(dim=N * n, blocks=blocks,
                           initial_z=np.zeros(N * n))
-
-
-# the deterministic path counters of lmi.solve that the report carries
-_SOLVER_RECORD = ("newton_steps", "barrier_stages", "backtracks", "final_mu")
 
 
 def _finish_gain(model, P, kernel, X, gram, g, family, sol, mode, eps_p):
@@ -570,6 +576,10 @@ def run_synthesis(model, kernel, points, mode="two-step", rho=DEFAULT_RHO,
         raise DataError("polytopic mode requires hulls")
     if mode not in ("two-step", "polytopic"):
         raise DataError(f"unknown synthesis mode '{mode}'")
-    P, eps_p = solve_metric(model, points, hulls=hulls, rho=rho)
-    return solve_gain(model, P, kernel, points, hulls=hulls, eps_p=eps_p,
-                      rho=rho)
+    metric_record = {}
+    P, eps_p = solve_metric(model, points, hulls=hulls, rho=rho,
+                            record=metric_record)
+    report = solve_gain(model, P, kernel, points, hulls=hulls, eps_p=eps_p,
+                        rho=rho)
+    report.diagnostics.update(metric_record)
+    return report

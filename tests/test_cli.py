@@ -292,7 +292,9 @@ class TestLearnAndSynth:
                                                     monkeypatch):
         # the shipped reproduction's metric and gain solves converge
         # without the roundoff-floor exit, and the solver record in
-        # synthesis_report.json leaves the floor count out
+        # synthesis_report.json carries both solves' paths and the gain
+        # solve's final gap nu * mu, within the width, but not the floor
+        # count
         solves = []
         solve = lmi.solve
 
@@ -308,15 +310,55 @@ class TestLearnAndSynth:
                              "--quiet"]) == 0
         assert [sol.info["floor_stops"] for sol in solves] == [0, 0]
         rep = json.load(open(os.path.join(out, "synthesis_report.json")))
-        assert "newton_steps" in rep["diagnostics"]
-        assert "floor_stops" not in rep["diagnostics"]
+        diag = rep["diagnostics"]
+        metric, gain = solves
+        for key in ("newton_steps", "backtracks", "barrier_stages"):
+            assert diag[key] == gain.info[key]
+            assert diag[f"metric_{key}"] == metric.info[key]
+        assert diag["final_mu"] == gain.info["final_mu"]
+        assert diag["final_gap"] == gain.info["final_gap"]
+        rho = default_oscillator_config()["solver"]["rho"]
+        assert 0.0 < diag["final_gap"] <= 1e-6 * rho
+        assert "floor_stops" not in diag
+        assert not any(key.startswith("metric_final") for key in diag)
+
+    def test_joint_route_takes_fewer_than_100_newton_steps(self, tmp_path,
+                                                           monkeypatch):
+        # the learned 7x7 joint problem of reproduce-oscillator --mode
+        # joint: with the unscaled Newton step its path took 171 Newton
+        # steps; the two-step P is feasible for the joint problem, so the
+        # joint eps is at least the two-step eps, up to the width
+        solves = []
+        solve = lmi.solve
+
+        def recording(*args, **kwargs):
+            solves.append(solve(*args, **kwargs))
+            return solves[-1]
+
+        monkeypatch.setattr(lmi, "solve", recording)
+        cfg_d = default_oscillator_config()
+        cfg = write_cfg(tmp_path, cfg_d)
+        out = str(tmp_path / "out")
+        eps = {}
+        for commands, mode in ((("gen-data", "learn", "synth"), []),
+                               (("synth",), ["--mode", "joint"])):
+            for command in commands:
+                assert cli.main([command, "--config", cfg, "--out", out,
+                                 "--quiet"] + mode) == 0
+            rep = json.load(open(os.path.join(out, "synthesis_report.json")))
+            eps[rep["mode"]] = rep["eps"]
+        joint = solves[-1]
+        assert len(solves) == 3 and joint.z.shape == (3 + 49 * 2,)
+        assert joint.status == "optimal"
+        assert joint.info["newton_steps"] < 100
+        assert eps["joint"] >= eps["two-step"] - 1e-6 * cfg_d["solver"]["rho"]
 
     @pytest.mark.parametrize("route, commands, path", [
         pytest.param("two-step", ("gen-data", "learn", "synth"),
-                     [(49, 22), (42, 22)], id="two-step"),
+                     [(40, 19), (31, 21)], id="two-step"),
         pytest.param("dense", ("gen-data", "learn", "synth"),
-                     [(49, 21), (41, 21)], id="dense"),
-        pytest.param("polytopic", ("synth",), [(49, 25), (47, 25)],
+                     [(38, 18), (31, 20)], id="dense"),
+        pytest.param("polytopic", ("synth",), [(40, 22), (34, 27)],
                      id="polytopic")])
     def test_shipped_solves_keep_their_newton_paths(self, tmp_path,
                                                     monkeypatch, route,

@@ -342,10 +342,41 @@ class TestBarrierDerivatives:
         assert lmi._factor(ws, w) is None
 
 
+def forward_substitution_inverse(L):
+    """The inverse of one lower-triangular matrix, entry by entry:
+    (L^-1)_ij = ([i == j] - sum_{k<i} L_ik (L^-1)_kj) / L_ii."""
+    s = L.shape[0]
+    Li = np.zeros((s, s))
+    for i in range(s):
+        for j in range(s):
+            x = 1.0 if i == j else 0.0
+            for k in range(i):
+                x -= L[i, k] * Li[k, j]
+            Li[i, j] = x / L[i, i]
+    return Li
+
+
+class TestTriangularInverse:
+    @pytest.mark.parametrize("s", [1, 2, 3, 4, 5])
+    def test_stack_matches_per_block_forward_substitution(self, s):
+        rng = np.random.default_rng(50 + s)
+        M = rng.normal(size=(64, s, s))
+        L = np.linalg.cholesky(M @ M.mT + 1e-2 * np.eye(s))
+        Li = lmi._tril_inv(L)
+        np.testing.assert_array_equal(
+            Li, np.stack([forward_substitution_inverse(f) for f in L]))
+        assert np.all(np.triu(Li, 1) == 0.0)
+        resid = np.abs(Li @ L - np.eye(s)).max(axis=(1, 2))
+        cond = (np.abs(L).sum(axis=2).max(axis=1)
+                * np.abs(Li).sum(axis=2).max(axis=1))
+        assert np.all(resid <= 1e-13 * cond)
+
+
 def generic_barrier(ws, w, mu, derivs=True):
-    """The barrier with every block group on the batched LAPACK path
-    (cholesky, inv and matmul), 1 x 1 groups included, and the gradient and
-    Hessian terms scattered group by group through ``np.add.at``."""
+    """The barrier with every block group on the batched path (cholesky,
+    a per-block forward-substitution inverse and matmul per coefficient),
+    1 x 1 groups included, and the gradient and Hessian terms scattered
+    group by group through ``np.add.at``."""
     m = ws.m
     g = np.zeros(m + 1)
     H = np.zeros((m + 1, m + 1))
@@ -363,7 +394,7 @@ def generic_barrier(ws, w, mu, derivs=True):
             continue
         A = grp["coeffs"]
         J, K, s, _ = A.shape
-        Li = np.linalg.inv(L)[:, None]
+        Li = np.stack([forward_substitution_inverse(f) for f in L])[:, None]
         V = Li @ A @ Li.mT
         np.add.at(g, grp["idx"], -np.einsum("jkaa->jk", V))
         Vflat = V.reshape(J, K, s * s)
@@ -456,20 +487,31 @@ def scipy_newton_step(H, g):
     return (H + reg * eye, -g), 6
 
 
+def jacobi_scaled(H, g):
+    """The system the Newton step factors: S H S and S g with
+    S = |diag H|^-1/2 (1 where the diagonal is 0), and S's diagonal."""
+    d = np.abs(np.diag(H))
+    r = 1.0 / np.sqrt(np.where(d > 0.0, d, 1.0))
+    return r[:, None] * H * r, r * g, r
+
+
 def spd_with_spectrum(rng, eigs):
     Q = np.linalg.qr(rng.normal(size=(len(eigs), len(eigs))))[0]
     return (Q * eigs) @ Q.T
 
 
 class TestNewtonStep:
+    # the oracles apply to the Jacobi-scaled system that the factor sees;
+    # the step is its solution times S
     def test_spd_steps_match_scipy_bit_for_bit(self):
         rng = np.random.default_rng(41)
         for n in (4, 73, 129):
             A = rng.normal(size=(n, n))
             H, g = A @ A.T + 1e-3 * np.eye(n), rng.normal(size=n)
-            step, tries = scipy_newton_step(H, g)
+            Hs, gs, r = jacobi_scaled(H, g)
+            step, tries = scipy_newton_step(Hs, gs)
             assert tries == 0
-            np.testing.assert_array_equal(lmi._newton_solve(H, g), step)
+            np.testing.assert_array_equal(lmi._newton_solve(H, g), r * step)
 
     def test_indefinite_escalates_like_scipy(self, monkeypatch):
         rng = np.random.default_rng(42)
@@ -478,14 +520,15 @@ class TestNewtonStep:
         monkeypatch.setattr(lmi, "dpotrf", lambda *a, **kw: factors.append(
             a[0].shape) or dpotrf(*a, **kw))
         for n in (4, 73, 129):
-            # reg starts near 1e-13 and needs 1e-8: three escalations
+            # reg starts near 2e-13 and needs about 1e-8: three escalations
             H = spd_with_spectrum(rng, np.r_[-1e-8, np.linspace(1.0, 2.0,
                                                                 n - 1)])
             g = rng.normal(size=n)
-            step, tries = scipy_newton_step(H, g)
+            Hs, gs, r = jacobi_scaled(H, g)
+            step, tries = scipy_newton_step(Hs, gs)
             assert tries == 3
             factors.clear()
-            np.testing.assert_array_equal(lmi._newton_solve(H, g), step)
+            np.testing.assert_array_equal(lmi._newton_solve(H, g), r * step)
             assert len(factors) == tries + 1
 
     def test_failed_tries_and_non_finite_input_take_lstsq(self, monkeypatch):
@@ -502,13 +545,25 @@ class TestNewtonStep:
         g_inf[2] = np.inf
         for H, rhs in ((spd_with_spectrum(rng, np.r_[-1.0, np.ones(n - 1)]), g),
                        (nan_upper, g), (spd, g_inf)):
-            (A, b), tries = scipy_newton_step(H, rhs)
+            (A, b), tries = scipy_newton_step(*jacobi_scaled(H, rhs)[:2])
             assert tries == 6
             solved.clear()
             lmi._newton_solve(H, rhs)
             assert len(solved) == 1
             np.testing.assert_array_equal(solved[0][0], A)
             np.testing.assert_array_equal(solved[0][1], b)
+
+    def test_step_solves_the_unscaled_system(self):
+        # entries whose curvature differs by twelve orders, as the metric
+        # entries and the level t do near the boundary
+        rng = np.random.default_rng(44)
+        n = 12
+        Q = spd_with_spectrum(rng, np.linspace(1.0, 3.0, n))
+        scale = np.logspace(-6, 6, n)
+        H, g = scale[:, None] * Q * scale, rng.normal(size=n)
+        step = lmi._newton_solve(H, g)
+        ref = -np.linalg.solve(Q, g / scale) / scale
+        np.testing.assert_allclose(step, ref, rtol=1e-9)
 
 
 class TestValidationAndDump:

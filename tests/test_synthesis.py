@@ -575,16 +575,17 @@ class TestPolytopicTwoD:
 class TestPolytopicGainSolve:
     def test_stalled_centering_ends_at_roundoff_floor(self, oscillator,
                                                       monkeypatch):
-        # the benchmark's polytopic gain solve (8x8 cells, 128 variables):
-        # its centering at mu = 7.4e-8 used to spend the whole Newton
-        # budget on steps that roundoff in the barrier value hides (122
-        # steps, 201 backtracks in all)
+        # the benchmark's polytopic gain problem (8x8 cells, 128 variables),
+        # solved 100 times tighter than synthesis asks: its last centering
+        # reaches the roundoff floor of the barrier value, where it used to
+        # spend the whole Newton budget on steps that roundoff hides (122
+        # steps, 201 backtracks in all on the shipped width)
         solves = []
         solve = synthesis.lmi.solve
 
-        def recording(*args, **kwargs):
-            solves.append(solve(*args, **kwargs))
-            return solves[-1]
+        def recording(problem, *args, **kwargs):
+            solves.append((problem, solve(problem, *args, **kwargs)))
+            return solves[-1][1]
 
         monkeypatch.setattr(synthesis.lmi, "solve", recording)
         box = systems.Box.make([-2, -2], [2, 2])
@@ -593,8 +594,10 @@ class TestPolytopicGainSolve:
         rep = synthesis.run_synthesis(oscillator, Kernel(dim=2),
                                       hulls.centers, mode="polytopic",
                                       rho=10.0, hulls=hulls)
-        gain = solves[-1]
-        assert gain.z.shape == (128,)
+        problem, shipped = solves[-1]
+        assert shipped.z.shape == (128,)
+        assert shipped.info["floor_stops"] == 0
+        gain = solve(problem, width=1e-7)
         assert gain.status == "optimal"
         assert gain.info["newton_steps"] < 80
         assert gain.info["backtracks"] < 60
@@ -605,6 +608,7 @@ class TestPolytopicGainSolve:
                    for line in gain.info["trace"]) == gain.info["floor_stops"]
         assert rep.solver_margin == pytest.approx(0.03911430415037539,
                                                   abs=1e-6 * 10.0)
+        assert gain.margin == pytest.approx(shipped.margin, abs=1e-6 * 10.0)
 
 
 class TestNonConstantInput:
