@@ -10,7 +10,7 @@ integrability is automatic, since the law is an actual function.
 
 import numpy as np
 
-from contragp.deriv_gp import DerivativeDataset, fit, fit_with_values
+from contragp.deriv_gp import DerivativeDataset, fit
 from contragp.kernels import Kernel
 
 rng = np.random.default_rng(0)
@@ -49,8 +49,9 @@ print("\nlinearity check at a random state:",
           - 0.7 * cb.control_batch(X))[0])
 
 # ---------------------------------------------------------------------------
-# 4. Equilibrium preservation: either shift by the value at the anchor
-#    (gradient untouched), or condition jointly on a value observation.
+# 4. Equilibrium preservation: shift the law by its value at the anchor.
+#    The shift is a constant, so the gradient (and any certificate built
+#    on it) is untouched.
 
 origin = np.zeros((1, 2))
 anchored = c2.with_offset_at(origin[0])
@@ -58,8 +59,3 @@ print("\noffset mode: control at anchor:", anchored.control_batch(origin)[0])
 print("gradient unchanged:",
       np.allclose(anchored.control_grad_batch(origin),
                   c2.control_grad_batch(origin)))
-
-joint = fit_with_values(Kernel(dim=2),
-                        DerivativeDataset(points, targets, 0.0),
-                        [(origin[0], 0.0)], sigma=0.0)
-print("value conditioning: control at anchor:", joint.control_batch(origin)[0])

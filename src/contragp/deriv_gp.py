@@ -24,7 +24,6 @@ __all__ = [
     "DerivativeController",
     "build_gram_K0",
     "fit",
-    "fit_with_values",
 ]
 
 
@@ -83,13 +82,11 @@ class DerivativeController:
     """A fitted feedback law u(x) with closed-form gradient.
 
     The law is the GP posterior mean given gradient observations (weights
-    ``weights``) and optionally value observations (``value_points`` /
-    ``value_weights``), minus a stored offset so that the control vanishes
-    at a designated equilibrium.
+    ``weights``), minus a stored offset so that the control vanishes at a
+    designated equilibrium.
     """
 
-    def __init__(self, kernel, points, weights, value_points=None,
-                 value_weights=None, offset=0.0, offset_point=None,
+    def __init__(self, kernel, points, weights, offset=0.0, offset_point=None,
                  metric=None, diagnostics=None):
         self.kernel = kernel
         self.points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -98,12 +95,6 @@ class DerivativeController:
         if self.weights.shape[0] != self.points.shape[0] * n:
             raise DimensionError("weights", self.points.shape[0] * n,
                                  self.weights.shape[0])
-        if value_points is not None and len(value_points) > 0:
-            self.value_points = np.atleast_2d(np.asarray(value_points, dtype=float))
-            self.value_weights = np.asarray(value_weights, dtype=float).reshape(-1)
-        else:
-            self.value_points = None
-            self.value_weights = None
         self.offset = float(offset)
         self.offset_point = (None if offset_point is None
                              else np.asarray(offset_point, dtype=float).reshape(-1))
@@ -115,11 +106,7 @@ class DerivativeController:
 
     def _raw_batch(self, X):
         """Law values before the offset at a checked stack X."""
-        vals = self.kernel._contract(X, self._terms)
-        if self.value_points is not None:
-            kv = self.kernel.value_outer(X, self.value_points)
-            vals = vals + kv @ self.value_weights
-        return vals
+        return self.kernel._contract(X, self._terms)
 
     def control_batch(self, X):
         """Control values at a stack of states, shape (B,)."""
@@ -135,12 +122,7 @@ class DerivativeController:
     def _grad_batch(self, X):
         n = self.kernel.dim
         H = self.kernel.hess_cross_outer(X, self.points)  # (B, N, n, n)
-        grads = np.einsum("bNij,Nj->bi", H, self.weights.reshape(-1, n))
-        if self.value_points is not None:
-            # d/dx of sum_j w_j k(x, xv_j): first-argument kernel gradient
-            g1 = self.kernel.grad_x2_outer(self.value_points, X)  # (M, B, n)
-            grads = grads + np.einsum("mbj,m->bj", g1, self.value_weights)
-        return grads
+        return np.einsum("bNij,Nj->bi", H, self.weights.reshape(-1, n))
 
     # -- equilibrium handling -------------------------------------------
 
@@ -154,9 +136,8 @@ class DerivativeController:
                                           "x_star")
         raw = float(self._raw_batch(x_star)[0])
         return DerivativeController(
-            self.kernel, self.points, self.weights,
-            value_points=self.value_points, value_weights=self.value_weights,
-            offset=raw, offset_point=x_star[0], metric=self.metric,
+            self.kernel, self.points, self.weights, offset=raw,
+            offset_point=x_star[0], metric=self.metric,
             diagnostics=self.diagnostics)
 
     # -- serialization ---------------------------------------------------
@@ -170,23 +151,19 @@ class DerivativeController:
         }
         if self.offset_point is not None:
             out["offset_point"] = [float(v) for v in self.offset_point]
-        if self.value_points is not None:
-            out["value_points"] = [[float(v) for v in row] for row in self.value_points]
-            out["value_weights"] = [float(v) for v in self.value_weights]
         if self.metric is not None:
             out["metric"] = [[float(v) for v in row] for row in self.metric]
         return out
 
     @classmethod
     def from_dict(cls, data):
+        if "value_points" in data or "value_weights" in data:
+            raise ValueError("value observations are not supported; the law "
+                             "is conditioned on gradient data only")
         return cls(
             Kernel.from_dict(data["kernel"]),
             np.asarray(data["points"], dtype=float),
             np.asarray(data["weights"], dtype=float),
-            value_points=(np.asarray(data["value_points"], dtype=float)
-                          if "value_points" in data else None),
-            value_weights=(np.asarray(data["value_weights"], dtype=float)
-                           if "value_weights" in data else None),
             offset=data.get("offset", 0.0),
             offset_point=data.get("offset_point"),
             metric=(np.asarray(data["metric"], dtype=float)
@@ -223,48 +200,3 @@ def fit(kernel: Kernel, dataset: DerivativeDataset, jitter=None):
             "is badly conditioned, add jitter or sigma_p")
     return DerivativeController(kernel, dataset.points, h,
                                 diagnostics=diagnostics)
-
-
-def fit_with_values(kernel: Kernel, dataset: DerivativeDataset, value_points,
-                    sigma=0.0, jitter=None):
-    """Posterior mean conditioned on gradient data plus value observations.
-
-    ``value_points`` is a sequence of ``(x, y)`` pairs with noise std
-    ``sigma``; with ``sigma == 0`` the mean passes through each pair
-    exactly.  An empty list reduces to :func:`fit`.
-    """
-    value_points = list(value_points)
-    if len(value_points) == 0:
-        return fit(kernel, dataset, jitter=jitter)
-    if sigma < 0.0:
-        raise DataError("sigma must be nonnegative")
-    Xv = np.atleast_2d(np.asarray([p for p, _ in value_points], dtype=float))
-    yv = np.asarray([v for _, v in value_points], dtype=float).reshape(-1)
-    if Xv.shape[1] != kernel.dim:
-        raise DimensionError("value_points", f"(*, {kernel.dim})", Xv.shape)
-    if not np.all(np.isfinite(yv)):
-        raise DataError("value targets contain NaN or infinite entries")
-
-    X = dataset.points
-    N, n = X.shape
-    M = Xv.shape[0]
-    K0 = build_gram_K0(kernel, X)
-    Kvv = kernel.value_outer(Xv, Xv)
-    # cov(p(xv_i), grad p(x_j)) rows: dk(xv_i, x_j)/dx_j
-    Kvd = kernel.grad_x2_outer(Xv, X).reshape(M, N * n)
-    G = np.zeros((M + N * n, M + N * n))
-    G[:M, :M] = Kvv + sigma ** 2 * np.eye(M)
-    G[:M, M:] = Kvd
-    G[M:, :M] = Kvd.T
-    G[M:, M:] = K0 + dataset.sigma_p ** 2 * np.eye(N * n)
-    rhs = np.concatenate([yv, dataset.stacked_targets()])
-    try:
-        L, used = chol_with_jitter(G, jitter=jitter)
-    except FactorizationError as exc:
-        raise FactorizationError(
-            f"joint Gram factorization failed ({exc}); add jitter or "
-            "observation noise") from exc
-    alpha = cho_solve((L, True), rhs)
-    return DerivativeController(kernel, X, alpha[M:],
-                                value_points=Xv, value_weights=alpha[:M],
-                                diagnostics={"jitter_used": used})

@@ -58,9 +58,7 @@ class Kernel:
         try:
             # lower Cholesky factor of the length-scale matrix
             chol = cholesky(sigma, lower=True)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - scipy raises its own
-            raise DataError("sigma must be positive definite") from exc
-        except Exception as exc:
+        except (np.linalg.LinAlgError, ValueError) as exc:
             raise DataError("sigma must be positive definite") from exc
         if family == "polynomial":
             if degree is None or int(degree) < 1:

@@ -13,11 +13,6 @@ def symmetrize(A):
     return 0.5 * (A + np.swapaxes(A, -1, -2))
 
 
-def eig_min_sym(A):
-    """Smallest eigenvalue of a symmetric matrix."""
-    return float(np.linalg.eigvalsh(symmetrize(np.asarray(A, dtype=float)))[0])
-
-
 JITTER_TRIES = 4
 
 # states per kernel evaluation of a posterior mean, a law or their
@@ -47,9 +42,7 @@ def chol_with_jitter(A, jitter=None):
         return np.zeros((0, 0)), 0.0
     try:
         return cholesky(A, lower=True), 0.0
-    except np.linalg.LinAlgError:
-        pass
-    except Exception:
+    except (np.linalg.LinAlgError, ValueError):
         pass
     if np.any(np.diag(A) <= 0.0):
         raise FactorizationError(
@@ -64,7 +57,7 @@ def chol_with_jitter(A, jitter=None):
             jitter *= 10.0
         try:
             return cholesky(A + jitter * eye, lower=True), jitter
-        except Exception:
+        except (np.linalg.LinAlgError, ValueError):
             pass
     raise FactorizationError(
         f"Cholesky factorization failed even with jitter up to {jitter:.3e}; "

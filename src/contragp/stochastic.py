@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .linalg import eig_min_sym, symmetrize
+from .linalg import symmetrize
 
 __all__ = ["sigma_jacobian", "moment_ies_check", "MomentReport",
            "chebyshev_hulls", "quadratic_margin"]
@@ -29,7 +29,7 @@ def quadratic_margin(A, P):
     linear(ized) map in the metric P."""
     A = np.asarray(A, dtype=float)
     P = np.asarray(P, dtype=float)
-    return eig_min_sym(P - A.T @ P @ A)
+    return float(np.linalg.eigvalsh(symmetrize(P - A.T @ P @ A))[0])
 
 
 def sigma_jacobian(model, X):

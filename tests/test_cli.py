@@ -522,6 +522,15 @@ def _drop_weights(text):
     return json.dumps(data)
 
 
+def _add_value_anchors(text):
+    # the value-observation keys of a law conditioned on values as well as
+    # gradients; loading it without them would certify a different law
+    data = json.loads(text)
+    data["value_points"] = [[0.0, 0.0]]
+    data["value_weights"] = [0.5]
+    return json.dumps(data)
+
+
 # (command run on the corrupted artifact, file it names, corruption)
 MALFORMED_ARTIFACTS = {
     "empty-data": ("learn", "data.csv", _rewrite("data.csv", lambda t: "")),
@@ -534,6 +543,9 @@ MALFORMED_ARTIFACTS = {
     "controller-without-weights": ("verify", "controller.json",
                                    _rewrite("controller.json",
                                             _drop_weights)),
+    "controller-with-value-anchors": ("verify", "controller.json",
+                                      _rewrite("controller.json",
+                                               _add_value_anchors)),
 }
 
 

@@ -128,54 +128,13 @@ class TestFit:
             assert np.abs(c.control_grad_batch([x])[0] - fd).max() < 1e-6 * scale
 
 
-class TestValueConditioning:
-    def test_value_only_interpolation(self):
-        ds = deriv_gp.DerivativeDataset([[1e3]], [[0.0]], 0.0)  # far away
-        c = deriv_gp.fit_with_values(Kernel(dim=1), ds, [([0.0], 5.0)], sigma=0.0)
-        assert c.control_batch([[0.0]])[0] == pytest.approx(5.0, abs=1e-9)
-
-    def test_joint_value_and_gradient_hand_solve(self):
-        # derivative -2 at 0 plus value anchor (0, 0): the 2x2 joint system
-        # is diagonal (cross term vanishes at coincident points), so the
-        # anchored law keeps gradient -2 and value 0 at the origin
-        ds = deriv_gp.DerivativeDataset([[0.0]], [[-2.0]], 0.0)
-        c = deriv_gp.fit_with_values(Kernel(dim=1), ds, [([0.0], 0.0)], sigma=0.0)
-        assert c.control_batch([[0.0]])[0] == pytest.approx(0.0, abs=1e-12)
-        np.testing.assert_allclose(c.control_grad_batch([[0.0]])[0], [-2.0],
-                                   rtol=1e-10)
-
-    def test_empty_value_list_reduces_to_fit(self):
-        rng = np.random.default_rng(9)
-        X = rng.normal(size=(4, 2))
-        T = rng.normal(size=(4, 2))
-        ds = deriv_gp.DerivativeDataset(X, T, 0.0)
-        k = Kernel(dim=2)
-        c1 = deriv_gp.fit(k, ds)
-        c2 = deriv_gp.fit_with_values(k, ds, [], sigma=0.0)
-        np.testing.assert_array_equal(c1.weights, c2.weights)
-
-    def test_value_gradient_consistency(self):
-        rng = np.random.default_rng(10)
-        X = rng.normal(size=(3, 2))
-        T = rng.normal(size=(3, 2))
-        ds = deriv_gp.DerivativeDataset(X, T, 0.0)
-        vals = [(rng.normal(size=2), float(rng.normal())) for _ in range(2)]
-        c = deriv_gp.fit_with_values(Kernel(dim=2), ds, vals, sigma=0.0)
-        h = 1e-5
-        for x in rng.normal(size=(10, 2)):
-            fd = np.array([
-                (c.control_batch([x + h * np.eye(2)[i]])[0]
-                 - c.control_batch([x - h * np.eye(2)[i]])[0])
-                / (2 * h) for i in range(2)])
-            assert np.abs(c.control_grad_batch([x])[0] - fd).max() < 1e-5
-
+class TestBlockwiseEvaluation:
     def test_long_stack_matches_one_row_calls(self):
         # stacks longer than linalg.BLOCK are evaluated block by block
         rng = np.random.default_rng(11)
         ds = deriv_gp.DerivativeDataset(rng.normal(size=(4, 2)),
                                         rng.normal(size=(4, 2)), 0.0)
-        vals = [(rng.normal(size=2), float(rng.normal())) for _ in range(2)]
-        c = deriv_gp.fit_with_values(Kernel(dim=2), ds, vals, sigma=0.0)
+        c = deriv_gp.fit(Kernel(dim=2), ds)
         X = rng.normal(size=(600, 2))
         u, g = c.control_batch(X), c.control_grad_batch(X)
         assert u.shape == (600,) and g.shape == (600, 2)
@@ -199,24 +158,17 @@ class TestContractionForm:
                            sigma=[[2.0, 0.4], [0.4, 1.2]]),
     }
 
-    @pytest.mark.parametrize("with_values", [False, True])
     @pytest.mark.parametrize("family", sorted(KERNELS))
-    def test_matches_gradient_rows(self, family, with_values):
+    def test_matches_gradient_rows(self, family):
         rng = np.random.default_rng(17)
         kernel = Kernel(**self.KERNELS[family])
         Y = rng.uniform(-2.0, 2.0, size=(9, 2))
         w = rng.normal(size=18) * 10.0 ** rng.integers(-2, 5, 18)
-        values = ({"value_points": rng.normal(size=(3, 2)),
-                   "value_weights": rng.normal(size=3)} if with_values else {})
-        law = deriv_gp.DerivativeController(kernel, Y, w, **values)
+        law = deriv_gp.DerivativeController(kernel, Y, w)
         # random states, the design points and states 1e-9 from them
         X = np.vstack([rng.uniform(-3.0, 3.0, size=(40, 2)), Y, Y + 1e-9])
         terms = kernel.grad_x2_outer(X, Y).reshape(len(X), -1) * w
         ref, scale = terms.sum(axis=1), np.abs(terms).sum(axis=1)
-        if with_values:
-            kv = (kernel.value_outer(X, values["value_points"])
-                  * values["value_weights"])
-            ref, scale = ref + kv.sum(axis=1), scale + np.abs(kv).sum(axis=1)
         assert np.all(np.abs(law.control_batch(X) - ref) <= 1e-9 * scale)
         x_star = np.array([0.3, -0.7])
         assert law.with_offset_at(x_star).control_batch([x_star])[0] == 0.0
