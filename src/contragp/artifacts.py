@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from itertools import zip_longest
 
 import numpy as np
 
@@ -81,10 +80,19 @@ def _column_text(column):
 
 def write_csv(path, header, columns):
     """Write a CSV table given column by column, one sequence per header
-    name; a column shorter than the longest ends in empty cells."""
-    rows = zip_longest(*map(_column_text, columns), fillvalue="")
-    atomic_write_text(path, "\n".join([",".join(header),
-                                       *map(",".join, rows)]) + "\n")
+    name; a column shorter than the longest ends in empty cells.  Cells
+    and separators are interleaved in one list, each column's texts set
+    by one slice assignment, and the table is joined once."""
+    columns = list(columns)
+    rows = max(map(len, columns), default=0)
+    width = 2 * len(columns)
+    cells = [""] * (rows * width)
+    cells[1::2] = [","] * (rows * len(columns))
+    if width:
+        cells[width - 1::width] = ["\n"] * rows
+    for j, column in enumerate(columns):
+        cells[2 * j:width * len(column):width] = _column_text(column)
+    atomic_write_text(path, ",".join(header) + "\n" + "".join(cells))
 
 
 def read_csv(path):

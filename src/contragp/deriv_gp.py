@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .errors import DataError, DimensionError, FactorizationError
 from .kernels import Kernel
@@ -174,8 +173,8 @@ class DerivativeController:
 def fit(kernel: Kernel, dataset: DerivativeDataset, jitter=None):
     """Fit a controller to gradient data.
 
-    Solves ``(K0 + sigma_p^2 I) h = Y`` through a symmetric factorization;
-    jitter is added only if the factorization fails (default scale
+    Solves ``(K0 + sigma_p^2 I) h = Y``; jitter is added only if its
+    Cholesky factorization fails (default scale
     ``1e-10 * trace(K0) / (nN)``).  With ``sigma_p == 0`` and K0 positive
     definite the fitted gradient interpolates the targets exactly.
     """
@@ -185,12 +184,12 @@ def fit(kernel: Kernel, dataset: DerivativeDataset, jitter=None):
     A = K0 + dataset.sigma_p ** 2 * np.eye(K0.shape[0])
     y = dataset.stacked_targets()
     try:
-        L, used = chol_with_jitter(A, jitter=jitter)
+        _, used = chol_with_jitter(A, jitter=jitter)
     except FactorizationError as exc:
         raise FactorizationError(
             f"gradient Gram factorization failed ({exc}); pass a jitter or "
             "use sigma_p > 0") from exc
-    h = cho_solve((L, True), y)
+    h = np.linalg.solve(A + used * np.eye(len(A)), y)
     resid = float(np.linalg.norm(A @ h - y))
     scale = 1.0 + float(np.linalg.norm(y))
     diagnostics = {"jitter_used": used, "residual": resid}

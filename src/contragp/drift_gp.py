@@ -11,9 +11,9 @@ evaluated on a stack of states, shape (B, n).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .errors import DataError, DimensionError, FactorizationError
 from .kernels import Kernel
@@ -124,7 +124,13 @@ class GPComponent:
                 "observation noise") from exc
         self._chol = L
         self.jitter_used = used
-        self.weights = cho_solve((L, True), self.y)
+        self.weights = np.linalg.solve(A + used * np.eye(N), self.y)
+
+    @cached_property
+    def _chol_inv(self):
+        """The inverse Cholesky factor, once per model: every posterior
+        variance is a product with it."""
+        return np.linalg.inv(self._chol)
 
     def mean(self, X):
         """Posterior means at a stack of states, shape (B,)."""
@@ -146,9 +152,8 @@ class GPComponent:
     def value_variance(self, X):
         """Posterior variances of the value at a stack of states, shape
         (B,)."""
-        K = self.kernel.value_outer(self.points, X)  # (N, B)
-        alpha = cho_solve((self._chol, True), K)
-        v = self.kernel.diag_value(X) - np.sum(K * alpha, axis=0)
+        V = self._chol_inv @ self.kernel.value_outer(self.points, X)
+        v = self.kernel.diag_value(X) - np.sum(V * V, axis=0)
         return np.maximum(v, 0.0)
 
     def jac_variance(self, X):
@@ -156,16 +161,15 @@ class GPComponent:
         symmetrized, shape (B, n, n)."""
         # G[j, b] = d k(x_b, x^{(j)}) / dx_b
         G = self.kernel.grad_x2_outer(self.points, X)
-        Z = cho_solve((self._chol, True),
-                      G.reshape(G.shape[0], -1)).reshape(G.shape)
-        V = self.kernel.diag_hess_cross(X) - np.einsum("jbk,jbl->bkl", G, Z)
+        Z = (self._chol_inv @ G.reshape(G.shape[0], -1)).reshape(G.shape)
+        V = self.kernel.diag_hess_cross(X) - np.einsum("jbk,jbl->bkl", Z, Z)
         return symmetrize(V)
 
     def variance_total_gradient(self, X):
         """d/dx of the posterior value variance v(x, x) at a stack of states,
         shape (B, n)."""
-        alpha = cho_solve((self._chol, True),
-                          self.kernel.value_outer(self.points, X))
+        Li = self._chol_inv
+        alpha = Li.T @ (Li @ self.kernel.value_outer(self.points, X))
         G = self.kernel.grad_x2_outer(self.points, X)
         return (self.kernel.diag_value_gradient(X)
                 - 2.0 * np.einsum("jb,jbk->bk", alpha, G))

@@ -13,7 +13,6 @@ the results are shaped back to C-ordered (N, M[, n[, n]]) arrays.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
 
 from .errors import DataError, DimensionError
 
@@ -53,12 +52,15 @@ class Kernel:
         sigma = np.asarray(sigma, dtype=float)
         if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
             raise DimensionError("sigma", "square matrix", sigma.shape)
+        # numpy's factor carries a NaN or an inf through instead of failing
+        if not np.isfinite(sigma).all():
+            raise DataError("sigma must be finite")
         if not np.allclose(sigma, sigma.T, rtol=0.0, atol=1e-12 * (1.0 + np.abs(sigma).max())):
             raise DataError("sigma must be symmetric")
         try:
             # lower Cholesky factor of the length-scale matrix
-            chol = cholesky(sigma, lower=True)
-        except (np.linalg.LinAlgError, ValueError) as exc:
+            chol = np.linalg.cholesky(sigma)
+        except np.linalg.LinAlgError as exc:
             raise DataError("sigma must be positive definite") from exc
         if family == "polynomial":
             if degree is None or int(degree) < 1:
@@ -73,8 +75,8 @@ class Kernel:
         self.degree = degree
         self.dim = sigma.shape[0]
         self._chol = chol
-        self._sigma_inv = cho_solve((chol, True), np.eye(self.dim))
-        self._chol_inv = solve_triangular(chol, np.eye(self.dim), lower=True)
+        self._chol_inv = np.linalg.inv(chol)
+        self._sigma_inv = self._chol_inv.T @ self._chol_inv
 
     # ------------------------------------------------------------------
     # helpers

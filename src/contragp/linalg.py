@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cholesky
 
 from .errors import FactorizationError
 
@@ -40,9 +39,13 @@ def chol_with_jitter(A, jitter=None):
     dim = A.shape[0]
     if dim == 0:
         return np.zeros((0, 0)), 0.0
+    # numpy's factor carries a NaN through instead of failing
+    if not np.isfinite(A).all():
+        raise FactorizationError(
+            "matrix has non-finite entries; jitter cannot help")
     try:
-        return cholesky(A, lower=True), 0.0
-    except (np.linalg.LinAlgError, ValueError):
+        return np.linalg.cholesky(A), 0.0
+    except np.linalg.LinAlgError:
         pass
     if np.any(np.diag(A) <= 0.0):
         raise FactorizationError(
@@ -56,8 +59,8 @@ def chol_with_jitter(A, jitter=None):
         if k:
             jitter *= 10.0
         try:
-            return cholesky(A + jitter * eye, lower=True), jitter
-        except (np.linalg.LinAlgError, ValueError):
+            return np.linalg.cholesky(A + jitter * eye), jitter
+        except np.linalg.LinAlgError:
             pass
     raise FactorizationError(
         f"Cholesky factorization failed even with jitter up to {jitter:.3e}; "

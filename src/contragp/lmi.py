@@ -16,16 +16,21 @@ mu shrinks by a factor of 50 per centering (sec. 11.3.3 recommends 10 to
 Each Newton step factors the Jacobi-scaled Hessian D^-1/2 H D^-1/2 with
 D = |diag H|: near the boundary the curvature of the entries spans many
 orders of magnitude, and the scaled system keeps the regularizer from
-swamping the flat directions.  A centering ends at a negligible Newton
-decrement, or at the roundoff floor: the objective is self-concordant, so
-once the decrement is at most (1/2 - ARMIJO)**2 a full Newton step passes
-the Armijo test in exact arithmetic (sec. 9.6.4), and a full step that
-fails it means roundoff in the barrier value hides the decrease.  Each
-point of the path is factored once: an accepted line-search trial's
-Cholesky factors give the Newton derivatives there, and each centering
-starts from the previous one's final point, since mu enters only through
-t/mu.  Margins reported on solutions are always recomputed from eigenvalue
-decompositions of the assembled blocks, independent of the path.
+swamping the flat directions.  The factor follows the family's structure
+(sec. 10.4.2): entries that one index list alone touches, such as one
+design point's gains, form small local blocks, factored as one stack, and
+only their Schur complement on the other entries, the border, is factored
+dense.  Everything runs on numpy alone.  A centering ends at a
+negligible Newton decrement, or at the roundoff floor: the objective is
+self-concordant, so once the decrement is at most (1/2 - ARMIJO)**2 a full
+Newton step passes the Armijo test in exact arithmetic (sec. 9.6.4), and a
+full step that fails it means roundoff in the barrier value hides the
+decrease.  Each point of the path is factored once: an accepted
+line-search trial's Cholesky factors give the Newton derivatives there,
+and each centering starts from the previous one's final point, since mu
+enters only through t/mu.  Margins reported on solutions are always
+recomputed from eigenvalue decompositions of the assembled blocks,
+independent of the path.
 
 Blocks may carry coefficient matrices for a subset of the decision entries
 (``var_indices``); this keeps large point families cheap when each
@@ -39,7 +44,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dtrtrs
 
 from .errors import (DataError, DimensionError, NumericalFailureError,
                      UnboundedMarginError)
@@ -206,6 +210,66 @@ def _margins(groups, z, count):
 # so block j reads  C_j + sum_k z_k A_{j,k} + t I  and is linear in w.
 
 
+def _local_blocks(m, index_lists):
+    """The local blocks of the Newton system of z: the entries that one
+    index list alone touches, per list, stacked by block size as (k, b)
+    arrays of entries in order of their first.  No two blocks share a
+    Hessian entry, since a constraint touching both would list both.  A
+    list repeated by consecutive blocks of a group counts once; any other
+    repetition, or an entry listed twice in one list, counts as another
+    list and keeps its entries in the border.  With fewer than two lists
+    that own entries there is nothing to eliminate, and every entry stays
+    in the border."""
+    entries, owners, count = [], [], 0
+    for idx in index_lists:
+        new = np.ones(len(idx), dtype=bool)
+        new[1:] = (idx[1:] != idx[:-1]).any(axis=1)
+        rows = idx[new]
+        entries.append(rows.ravel())
+        owners.append(np.repeat(np.arange(count, count + len(rows)),
+                                rows.shape[1]))
+        count += len(rows)
+    entries, owners = np.concatenate(entries), np.concatenate(owners)
+    local = np.bincount(entries, minlength=m)[entries] == 1
+    entries, sizes = entries[local], np.bincount(owners[local])
+    sizes = sizes[sizes > 0]
+    if len(sizes) < 2:
+        return []
+    start = np.cumsum(sizes) - sizes
+    stacks = []
+    for b in np.unique(sizes):
+        stack = entries[start[sizes == b][:, None] + np.arange(b)]
+        stacks.append(stack[np.argsort(stack[:, 0])])
+    return stacks
+
+
+class _Split:
+    """The partition of an n x n Newton system into local blocks, stacks
+    of (k, b) entries that share no Hessian entry with one another, and
+    the border, every other entry (ascending).  ``bb`` holds the flat
+    indices in H of the border block.  A stack is kept with the stack
+    last: its (b, k) entries ``loc``, and for the rows [diagonal blocks;
+    border rows], (b + nb, b, k), each entry's row and its flat index in
+    H (its column is the entry of ``loc`` below it)."""
+
+    def __init__(self, n, stacks=()):
+        self.n = n
+        taken = np.zeros(n, dtype=bool)
+        for loc in stacks:
+            taken[loc] = True
+        self.border = border = np.flatnonzero(~taken)
+        nb = len(border)
+        self.bb = border[:, None] * n + border
+        self.eye = np.eye(nb)
+        self.stacks = []
+        for loc in stacks:
+            loc = np.ascontiguousarray(np.asarray(loc, dtype=int).T)
+            rows = np.empty((len(loc) + nb,) + loc.shape, dtype=int)
+            rows[:len(loc)] = loc[:, None]
+            rows[len(loc):] = border[:, None, None]
+            self.stacks.append((loc, rows, rows * n + loc))
+
+
 class _Workspace:
     """Precomputed arrays for fast barrier assembly.
 
@@ -216,7 +280,9 @@ class _Workspace:
     of the coefficients.  Each group carries an identity slot for t.  The
     gradient and Hessian terms of all groups accumulate through one
     ``np.bincount`` each, over the groups' active indices and the distinct
-    flat indices of H, concatenated in group order.
+    flat indices of H, concatenated in group order.  ``split`` is the
+    Newton system's partition into local blocks and border
+    (:func:`_local_blocks`, :class:`_Split`), made once per problem.
     """
 
     def __init__(self, problem: LmiProblem):
@@ -246,6 +312,8 @@ class _Workspace:
             (grp["idx"][:, :, None] * (m + 1) + grp["idx"][:, None, :]).ravel()
             for grp in self.groups])
         self.h_entries, self.h_bins = np.unique(flat, return_inverse=True)
+        self.split = _Split(m + 1, _local_blocks(
+            m, [idx for *_, idx in self.block_groups]))
 
     @staticmethod
     def assemble(group, w):
@@ -324,34 +392,133 @@ def _derivs(ws: _Workspace, factors):
     return g, H.reshape(n, n)
 
 
-def _newton_solve(H, g):
+def _stack_cholesky(A, reg):
+    """Lower Cholesky factors of A + reg I for a stack of symmetric
+    matrices laid out (b, b, k), the stack last, column by column, each
+    sum taken in order; the upper triangle is left unset.  None when a
+    pivot is not positive (NaN included): positive pivots certify that
+    every matrix of the stack is positive definite."""
+    b = A.shape[0]
+    L = np.empty_like(A)
+    for j in range(b):
+        p = A[j, j] + reg
+        for q in range(j):
+            p -= L[j, q] * L[j, q]
+        if not p.min() > 0.0:
+            return None
+        np.sqrt(p, out=L[j, j])
+        if j + 1 < b:
+            s = A[j + 1:, j]
+            for q in range(j):
+                s = s - L[j + 1:, q] * L[j, q]
+            np.divide(s, L[j, j], out=L[j + 1:, j])
+    return L
+
+
+def _stack_forward(L, R):
+    """L^-1 R for the factors of :func:`_stack_cholesky` and right-hand
+    sides laid out (c, b, k), row by row."""
+    Y = np.empty_like(R)
+    for i in range(L.shape[0]):
+        s = R[:, i]
+        for q in range(i):
+            s = s - L[i, q] * Y[:, q]
+        np.divide(s, L[i, i], out=Y[:, i])
+    return Y
+
+
+def _stack_backward(L, Z):
+    """L^-T Z for the factors of :func:`_stack_cholesky` and Z laid out
+    (b, k), row by row from the last."""
+    b = L.shape[0]
+    X = np.empty_like(Z)
+    for i in reversed(range(b)):
+        s = Z[i]
+        for q in range(i + 1, b):
+            s = s - L[q, i] * X[q]
+        np.divide(s, L[i, i], out=X[i])
+    return X
+
+
+def _eliminate(split, border, rhs, local, reg):
+    """The solution of a scaled Newton system plus reg I by block
+    elimination over ``split``.  ``border`` and ``rhs`` are the border's
+    block and right-hand side (``rhs`` is updated in place); ``local``
+    holds per stack the rows [A; B; r], A its diagonal blocks, B its
+    border rows and r its right-hand side.  Each stack is factored,
+    A = L L^T, and Y = L^-1 [B; r]^T formed; Y^T Y holds its part of the
+    border's Schur complement and right-hand side.  The Schur complement
+    gets a dense Cholesky factor (its certificate) and a solve; one of t
+    alone is a number, its own factor.  The local entries follow by back
+    substitution.  None when a factor fails."""
+    nb = len(rhs)
+    S = border + reg * split.eye
+    s = rhs
+    solved = []
+    for (loc, *_), P in zip(split.stacks, local):
+        L = _stack_cholesky(P[:len(loc)], reg)
+        if L is None:
+            return None
+        Y = _stack_forward(L, P[len(loc):])
+        W = Y.reshape(nb + 1, -1)
+        G = W @ W.T
+        S -= G[:nb, :nb]
+        s -= G[:nb, nb]
+        solved.append((L, Y))
+    if nb == 1:
+        if not S[0, 0] > 0.0:
+            return None
+        yb = s / S[0, 0]
+    else:
+        try:
+            np.linalg.cholesky(S)
+        except np.linalg.LinAlgError:
+            return None
+        yb = np.linalg.solve(S, s)
+    y = np.empty(split.n)
+    y[split.border] = yb
+    for (loc, *_), (L, Y) in zip(split.stacks, solved):
+        Z = Y[nb]
+        for c in range(nb):
+            Z = Z - yb[c] * Y[c]
+        y[loc] = _stack_backward(L, Z)
+    return y
+
+
+def _newton_solve(H, g, split):
     """The Newton step -H^-1 g, from the Jacobi-scaled system
     S H S y = -S g with S = D^-1/2, D = |diag H| (1 where it is 0), and
-    step = S y.  The factor sees a unit diagonal, so the regularizer
+    step = S y.  The factors see a unit diagonal, so the regularizer
     1e-13 (1 + max |diag|) no longer swamps directions of low curvature
-    when other entries' curvature is many orders larger."""
-    d = np.abs(np.diag(H))
+    when other entries' curvature is many orders larger.
+
+    H is read on the pattern of ``split`` (a :class:`_Split`) only, and
+    the scaled system is solved by block elimination (Boyd & Vandenberghe,
+    sec. 10.4.2): the local blocks by one stacked Cholesky factor, the
+    border by a dense one of its Schur complement.  reg grows x100 while a
+    factor fails or the solution (so H or g) is not finite, six tries,
+    then ``lstsq`` solves the whole scaled system."""
+    hd = np.diagonal(H)
+    d = np.abs(hd)
     r = 1.0 / np.sqrt(np.where(d > 0.0, d, 1.0))
-    H = r[:, None] * H
-    H *= r
-    g = r * g
-    # scipy's cholesky and solve_triangular minus their input checks: reg
-    # grows while a factor fails or H or y (so g) is not finite
-    reg = 1e-13 * (1.0 + float(np.abs(np.diag(H)).max(initial=0.0)))
-    diag = np.diag_indices(H.shape[0])
-    finite = np.isfinite(H).all()
+    reg = 1e-13 * (1.0 + float(np.abs(r * hd * r).max(initial=0.0)))
+    gr = -g * r
+    rb = r[split.border]
+    border = H.reshape(-1)[split.bb] * (rb[:, None] * rb)
+    local = []
+    for loc, rows, flat in split.stacks:
+        P = np.empty((len(rows) + 1,) + loc.shape)
+        np.multiply(H.reshape(-1)[flat], r[rows] * r[loc], out=P[:-1])
+        P[-1] = gr[loc]
+        local.append(P)
     for _ in range(6):
-        if finite:
-            Hr = H.copy(order="F")  # LAPACK's layout, factored in place
-            Hr[diag] += reg  # H + reg I
-            L, info = dpotrf(Hr, lower=1, clean=1, overwrite_a=1)
-            if info == 0:
-                y, info = dtrtrs(L, -g, lower=1)
-                if info == 0 and np.isfinite(y).all():
-                    return r * dtrtrs(L, y, lower=1, trans=1)[0]
+        y = _eliminate(split, border, gr[split.border], local, reg)
+        if y is not None and np.isfinite(y).all():
+            return r * y
         reg *= 100.0
-    return r * np.linalg.lstsq(H + reg * np.eye(H.shape[0]), -g,
-                               rcond=None)[0]
+    n = H.shape[0]
+    return r * np.linalg.lstsq(r[:, None] * H * r + reg * np.eye(n),
+                               -(r * g), rcond=None)[0]
 
 
 def _minimize_barrier(ws, point, mu, info):
@@ -371,7 +538,7 @@ def _minimize_barrier(ws, point, mu, info):
         f = phi + w[-1] / mu
         g = dphi.copy()
         g[-1] += 1.0 / mu
-        step = _newton_solve(H, g)
+        step = _newton_solve(H, g, ws.split)
         decrement = float(-g @ step)
         if not np.isfinite(decrement):
             raise NumericalFailureError("non-finite Newton decrement", trace)

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, qr
 
 from . import lmi
 from .deriv_gp import DerivativeController, build_gram_K0
@@ -65,7 +64,7 @@ def left_annihilator(b):
     n, m = B.shape
     if np.linalg.matrix_rank(B, tol=1e-12 * max(1.0, np.abs(B).max())) < m:
         raise DataError("input matrix must have full column rank")
-    Q, _ = qr(B, mode="full")
+    Q, _ = np.linalg.qr(B, mode="complete")
     rows = Q[:, m:].T.copy()
     for r in rows:
         j = int(np.argmax(np.abs(r)))
@@ -400,21 +399,24 @@ def solve_metric(model, points, hulls=None, rho=DEFAULT_RHO, record=None):
 # step 2: gain selection over the law's design-point gradients
 
 
-def _gram_factor(kernel, X):
-    """The gradient Gram matrix K0 of the design points and its lower
-    Cholesky factor, with no jitter: the gain variables are the law's
+def _design_gram(kernel, X):
+    """The gradient Gram matrix K0 of the design points, checked to have a
+    Cholesky factor with no jitter: the gain variables are the law's
     gradients g there, and its weights are K0^{-1} g."""
     K0 = build_gram_K0(kernel, X)
-    try:
-        return K0, cholesky(K0, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise FactorizationError(
-            "the gradient Gram matrix K0 of the design points must factor "
-            "without jitter; use fewer or better-separated design "
-            "points") from exc
+    # numpy's factor carries a NaN or an inf through instead of failing
+    if np.isfinite(K0).all():
+        try:
+            np.linalg.cholesky(K0)
+            return K0
+        except np.linalg.LinAlgError:
+            pass
+    raise FactorizationError(
+        "the gradient Gram matrix K0 of the design points must factor "
+        "without jitter; use fewer or better-separated design points")
 
 
-def _gain_problem(model, P, kernel, X, L, family):
+def _gain_problem(model, P, kernel, X, K0, family):
     """Blocks [[P, (A P)^T], [A P, P]] with A = J + b g^T (+ u db for a
     state-dependent input vector) affine in the law's gradients g at the
     design points, one per design Jacobian or hull vertex of ``family``.
@@ -431,7 +433,7 @@ def _gain_problem(model, P, kernel, X, L, family):
         # b_i e_l^T on point i's own entries, plus its value times db_i
         eye = np.eye(N * n)
         rows = kernel.grad_x2_outer(X, X).reshape(N, N * n)
-        values = rows @ cho_solve((L, True), eye)
+        values = np.linalg.solve(K0, rows.T).T  # rows K0^{-1}
         own = eye.reshape(N, n, N * n).transpose(0, 2, 1)
         G = (model.input(X)[:, None, :, None] * own[:, :, None, :]
              + values[:, :, None, None] * model.input_jac(X)[:, None])
@@ -444,14 +446,13 @@ def _gain_problem(model, P, kernel, X, L, family):
                           initial_z=np.zeros(N * n))
 
 
-def _finish_gain(model, P, kernel, X, gram, g, family, sol, mode, eps_p):
+def _finish_gain(model, P, kernel, X, K0, g, family, sol, mode, eps_p):
     """Build the law from its stacked gradients g at the design points:
-    weights w = K0^{-1} g from ``gram`` = (K0, L), one residual guard
+    weights w = K0^{-1} g, one residual guard
     ||K0 w - g|| <= 1e-6 (1 + ||g||), zero at the model's equilibrium.
     Then close the loop at each constraint's own point (a vertex's cell
     center) and recompute every certificate."""
-    K0, L = gram
-    w = cho_solve((L, True), g)
+    w = np.linalg.solve(K0, g)
     resid = float(np.linalg.norm(K0 @ w - g))
     bound = 1e-6 * (1.0 + float(np.linalg.norm(g)))
     if not resid <= bound:
@@ -496,16 +497,15 @@ def solve_gain(model, P, kernel, points, hulls=None, eps_p=None,
     X = np.atleast_2d(np.asarray(points, dtype=float))
     P = np.asarray(P, dtype=float)
     family = _metric_constraint_mats(model, X, hulls)
-    gram = _gram_factor(kernel, X)
-    sol = _solve(_gain_problem(model, P, kernel, X, gram[1], family), rho,
-                 "gain")
+    K0 = _design_gram(kernel, X)
+    sol = _solve(_gain_problem(model, P, kernel, X, K0, family), rho, "gain")
     if hulls is not None:
         mode = "polytopic"
     elif model.constant_input:
         mode = "two-step"
     else:
         mode = "two-step-nonconstant-b"
-    report = _finish_gain(model, P, kernel, X, gram, sol.z, family, sol,
+    report = _finish_gain(model, P, kernel, X, K0, sol.z, family, sol,
                           mode, eps_p)
     r = None if hulls is None else hulls.subdivisions
     if r is not None and r > 1:
@@ -535,7 +535,7 @@ def solve_joint(model, kernel, points, rho=DEFAULT_RHO):
     N, n = X.shape
     if not model.constant_input:
         raise DataError("the joint route needs a constant input vector")
-    gram = _gram_factor(kernel, X)  # raises before the solve if K0 is singular
+    K0 = _design_gram(kernel, X)  # raises before the solve if K0 is singular
 
     basis = sym_basis(n)
     mP = len(basis)
@@ -559,7 +559,7 @@ def solve_joint(model, kernel, points, rho=DEFAULT_RHO):
     sol = _solve(problem, rho, "joint")
     P = unvech(sol.z[:mP], n)
     g = (sol.z[mP:].reshape(N, n) @ np.linalg.inv(P)).reshape(-1)
-    return _finish_gain(model, P, kernel, X, gram, g, family, sol, "joint",
+    return _finish_gain(model, P, kernel, X, K0, g, family, sol, "joint",
                         None)
 
 

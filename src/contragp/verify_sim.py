@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular
 
 from .errors import DataError, DimensionError
 from .synthesis import closed_loop_jacobians, ies_block
@@ -70,20 +69,23 @@ def verify_grid(model, controller, P, domain: Box, resolution):
     factor is below one).
     """
     P = np.asarray(P, dtype=float)
+    # numpy's factor carries a NaN or an inf through instead of failing
+    if not np.isfinite(P).all():
+        raise DataError("the metric P must be finite")
     pts = grid_points(domain, resolution)
-    L = cholesky(P, lower=True)
+    L = np.linalg.cholesky(P)
     if controller is None:
         closed = np.asarray(model.drift_jacobian(pts), dtype=float)
     else:
         closed = closed_loop_jacobians(model, controller, pts)
     margins = np.linalg.eigvalsh(ies_block(P, closed))[:, 0]
-    factors = np.array([np.linalg.svd(solve_triangular(L, A @ L, lower=True),
+    factors = np.array([np.linalg.svd(np.linalg.solve(L, A @ L),
                                       compute_uv=False)[0] for A in closed])
     lam = float(factors.max())
     min_margin = float(margins.min())
     consistent = (lam < 1.0) == (min_margin > 0.0)
-    Pinvs = solve_triangular(L, np.eye(P.shape[0]), lower=True)
-    weight = Pinvs.T @ Pinvs
+    Li = np.linalg.inv(L)
+    weight = Li.T @ Li
     return VerificationReport(domain=domain, resolution=int(np.max(resolution)),
                               points=pts, margins=margins, factors=factors,
                               min_margin=min_margin, lam=lam,

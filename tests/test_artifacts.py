@@ -1,6 +1,7 @@
 """Artifact IO tests: the CSV text of every value type."""
 
 import numpy as np
+import pytest
 
 from contragp.artifacts import _fmt, write_csv
 
@@ -53,3 +54,39 @@ def test_empty_table_is_the_header_line(tmp_path):
     path = tmp_path / "empty.csv"
     write_csv(path, ["a", "b"], [np.zeros(0), []])
     assert path.read_bytes() == b"a,b\n"
+
+
+def _zip_join_text(header, columns):
+    """The text of the row-joining writer: cells zipped into rows (empty
+    past a short column's end), one ``",".join`` per row, then the lines
+    joined."""
+    from itertools import zip_longest
+    from contragp.artifacts import _column_text
+    rows = zip_longest(*map(_column_text, columns), fillvalue="")
+    return "\n".join([",".join(header), *map(",".join, rows)]) + "\n"
+
+
+@pytest.mark.parametrize("header, columns", [
+    pytest.param(["k", "x", "u"],
+                 [np.arange(4), np.array([0.5, -0.0, 1e300, 1e-7]),
+                  np.array([1.0, 2.0])], id="ragged"),
+    pytest.param(["a", "b"], [[1, None, 3], ["x", None]], id="none-cells"),
+    pytest.param(["s", "b"], [["label", "two words", ""], [True, False]],
+                 id="string-bool"),
+    pytest.param(["i", "j"], [np.array([1, -2, 3]), [np.int64(4), 5, 6]],
+                 id="int"),
+    pytest.param(["f", "g"], [np.array([np.nan, np.inf, -np.inf]),
+                              [float("nan"), np.float64(np.inf), 1.0]],
+                 id="nan-inf"),
+    pytest.param(["b", "f"], [np.array([True, False]),
+                              np.array([0.1, 0.2], dtype=np.float32)],
+                 id="bool-float32-arrays"),
+    pytest.param(["a", "b", "c"], [np.zeros(0), [], ()], id="zero-rows"),
+    pytest.param(["a"], [], id="zero-columns"),
+    pytest.param([], [], id="no-header"),
+    pytest.param(["m"], np.array([[1.5, 2.5]]), id="matrix-rows"),
+])
+def test_single_join_matches_row_joins(tmp_path, header, columns):
+    path = tmp_path / "t.csv"
+    write_csv(path, header, columns)
+    assert path.read_bytes() == _zip_join_text(header, columns).encode()

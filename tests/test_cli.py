@@ -865,3 +865,36 @@ class TestSimulationStats:
         box = Box.make([-1.0, -1.0], [1.0, 1.0])
         got = cli._weighted_monotone_stats(traj, W, box)
         assert got == reference(traj, W, box) == (2, 5)
+
+
+NUMPY_ONLY_RUN = r"""
+import sys
+sys.path.insert(0, sys.argv[1])
+from contragp import cli
+cli.load_config(sys.argv[2])
+for command in ("gen-data", "learn", "synth", "verify", "simulate"):
+    code = cli.main([command, "--config", sys.argv[3], "--out", sys.argv[4],
+                     "--quiet"])
+    assert code == 0, (command, code)
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+class TestNumpyOnly:
+    def test_pipeline_never_imports_scipy(self, tmp_path):
+        # a fresh interpreter imports the package, loads the default config
+        # and runs every stage on a short horizon with numpy alone
+        import subprocess
+        import sys
+
+        import contragp
+        cfg = small_osc_config()
+        cfg["sim"]["horizon"] = 30
+        proc = subprocess.run(
+            [sys.executable, "-c", NUMPY_ONLY_RUN,
+             os.path.dirname(os.path.dirname(contragp.__file__)),
+             write_cfg(tmp_path, default_oscillator_config(), "default.json"),
+             write_cfg(tmp_path, cfg), str(tmp_path / "out")],
+            capture_output=True, text=True, check=True)
+        assert proc.stdout.splitlines()[-1] == "[]"
+        assert (tmp_path / "out" / "sim_summary.json").exists()

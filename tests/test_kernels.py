@@ -299,6 +299,14 @@ class TestValidationAndSerialization:
         with pytest.raises(DataError):
             Kernel(family="polynomial", dim=1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_sigma_rejected(self, bad):
+        # a factor that carries NaN or inf through must not slip past
+        for sigma in ([[bad, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, bad]],
+                      [[1.0, bad], [bad, 1.0]]):
+            with pytest.raises(DataError):
+                Kernel(sigma=sigma)
+
     def test_json_round_trip(self):
         k = Kernel(family="polynomial", beta=1.7,
                    sigma=[[2.0, 0.3], [0.3, 1.0]], degree=3)

@@ -14,6 +14,18 @@ def test_failure_reports_last_jitter_tried():
         chol_with_jitter(np.array([[1.0, 2.0], [2.0, 1.0]]), jitter=1e-4)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("at", [(0, 0), (1, 0), (0, 1), (2, 2)])
+def test_non_finite_gram_raises(bad, at):
+    # a factor that carries NaN or inf through must not slip past, with or
+    # without jitter
+    A = np.array([[2.0, 0.5, 0.0], [0.5, 2.0, 0.5], [0.0, 0.5, 2.0]])
+    A[at] = bad
+    for jitter in (None, 1e-3):
+        with pytest.raises(FactorizationError):
+            chol_with_jitter(A, jitter=jitter)
+
+
 @pytest.mark.parametrize("rows", [0, 1, BLOCK, BLOCK + 1, 3 * BLOCK - 7])
 def test_blockwise_matches_one_call(rows):
     X = np.random.default_rng(rows).normal(size=(rows, 2))

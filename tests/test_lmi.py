@@ -2,6 +2,8 @@
 randomly constructed feasible problems, monotonicity/scaling properties, and
 the independent eigenvalue certification path."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import cholesky, solve_triangular
@@ -495,30 +497,191 @@ def jacobi_scaled(H, g):
     return r[:, None] * H * r, r * g, r
 
 
+def scipy_dense_step(H, g):
+    """The unscaled Newton step from scipy's dense Cholesky factor of the
+    whole Jacobi-scaled system."""
+    Hs, gs, r = jacobi_scaled(H, g)
+    return r * scipy_newton_step(Hs, gs)[0]
+
+
 def spd_with_spectrum(rng, eigs):
     Q = np.linalg.qr(rng.normal(size=(len(eigs), len(eigs))))[0]
     return (Q * eigs) @ Q.T
 
 
+def owner_factor(A, reg):
+    """Lower Cholesky factor of one local block A + reg I, in Python
+    floats, column by column with each sum in order; None at a pivot that
+    is not positive."""
+    b = len(A)
+    L = [[0.0] * b for _ in range(b)]
+    for j in range(b):
+        p = A[j][j] + reg
+        for q in range(j):
+            p = p - L[j][q] * L[j][q]
+        if not p > 0.0:
+            return None
+        L[j][j] = math.sqrt(p)
+        for i in range(j + 1, b):
+            t = A[i][j]
+            for q in range(j):
+                t = t - L[i][q] * L[j][q]
+            L[i][j] = t / L[j][j]
+    return L
+
+
+def owner_forward(L, row):
+    """L^-1 row by forward substitution, each sum in order."""
+    y = []
+    for i, t in enumerate(row):
+        for q in range(i):
+            t = t - L[i][q] * y[q]
+        y.append(t / L[i][i])
+    return y
+
+
+def owner_backward(L, z):
+    """L^-T z by back substitution from the last entry, each sum in
+    order."""
+    b = len(z)
+    x = [0.0] * b
+    for i in reversed(range(b)):
+        t = z[i]
+        for q in range(i + 1, b):
+            t = t - L[q][i] * x[q]
+        x[i] = t / L[i][i]
+    return x
+
+
+def owner_loop_elimination(H, r, rhs, split, reg):
+    """One try of the block elimination, owner by owner: each local
+    block's factor, its rows [border columns; right-hand side] solved
+    forward and its entries solved back on their own.  The owners' rows
+    enter the border's Schur complement through the program's one product
+    over a stack, laid out (rows, b, owners) as there."""
+    border = split.border.tolist()
+    nb = len(border)
+    rb = r[split.border]
+    S = H[np.ix_(border, border)] * (rb[:, None] * rb) + reg * np.eye(nb)
+    s = rhs[split.border].copy()
+    owners = []
+    for loc, *_ in split.stacks:
+        rows = []
+        for e in loc.T.tolist():
+            L = owner_factor([[H[u, v] * (r[u] * r[v]) for v in e]
+                              for u in e], reg)
+            if L is None:
+                return None
+            Y = [owner_forward(L, [H[c, v] * (r[c] * r[v]) for v in e])
+                 for c in border] + [owner_forward(L, [rhs[v] for v in e])]
+            owners.append((e, L, Y))
+            rows.append(Y)
+        W = np.array(rows).transpose(1, 2, 0).reshape(nb + 1, -1)
+        G = W @ W.T
+        S -= G[:nb, :nb]
+        s -= G[:nb, nb]
+    if nb == 1:
+        if not S[0, 0] > 0.0:
+            return None
+        yb = s / S[0, 0]
+    else:
+        try:
+            np.linalg.cholesky(S)
+        except np.linalg.LinAlgError:
+            return None
+        yb = np.linalg.solve(S, s)
+    y = np.empty(len(r))
+    y[split.border] = yb
+    for e, L, Y in owners:
+        z = []
+        for i in range(len(e)):
+            t = Y[nb][i]
+            for c in range(nb):
+                t = t - yb[c] * Y[c][i]
+            z.append(t)
+        y[e] = owner_backward(L, z)
+    return y
+
+
+def owner_loop_step(H, g, split):
+    """The Newton step of ``lmi._newton_solve`` by the same block
+    elimination with each local block on its own (see
+    ``owner_loop_elimination``) and the same regularizer and escalation;
+    None where all six tries fail."""
+    hd = np.diagonal(H)
+    d = np.abs(hd)
+    r = 1.0 / np.sqrt(np.where(d > 0.0, d, 1.0))
+    reg = 1e-13 * (1.0 + float(np.abs(r * hd * r).max(initial=0.0)))
+    for _ in range(6):
+        y = owner_loop_elimination(H, r, -g * r, split, reg)
+        if y is not None and np.isfinite(y).all():
+            return r * y
+        reg *= 100.0
+    return None
+
+
+def arrow_system(rng, stacks, nb, orders=0.0):
+    """A positive definite Newton system whose local blocks couple with the
+    border alone, on randomly permuted entries: ``stacks`` lists (owners,
+    block size) pairs.  Each owner adds M M^T over its entries and the
+    border; the entries are then scaled over ``orders`` decades.  Returns
+    (H, g, split)."""
+    n = sum(k * b for k, b in stacks) + nb
+    perm = rng.permutation(n)
+    border = perm[n - nb:]
+    H = 1e-3 * np.eye(n)
+    locs, start = [], 0
+    for k, b in stacks:
+        loc = perm[start:start + k * b].reshape(k, b)
+        start += k * b
+        locs.append(loc)
+        for e in loc:
+            idx = np.r_[e, border]
+            M = rng.normal(size=(len(idx), len(idx) + 2))
+            H[np.ix_(idx, idx)] += M @ M.T
+    D = 10.0 ** rng.uniform(-orders, orders, n)
+    return D[:, None] * H * D, rng.normal(size=n), lmi._Split(n, locs)
+
+
+STRUCTURED = {
+    "polytopic-like": ([(64, 2)], 1),
+    "joint-like": ([(49, 2)], 4),
+    "three-per-owner": ([(7, 3)], 2),
+    "two-stacks": ([(5, 1), (4, 3)], 3),
+}
+
+
 class TestNewtonStep:
-    # the oracles apply to the Jacobi-scaled system that the factor sees;
-    # the step is its solution times S
-    def test_spd_steps_match_scipy_bit_for_bit(self):
+    # the step solves the Jacobi-scaled system by block elimination over
+    # the split; the oracles are an owner-by-owner loop of the same
+    # elimination (bit for bit) and scipy's dense Cholesky factor of the
+    # whole scaled system (to a stated tolerance)
+    @pytest.mark.parametrize("case", sorted(STRUCTURED))
+    def test_structured_steps_match_owner_loop_bit_for_bit(self, case):
+        rng = np.random.default_rng(len(case))
+        H, g, split = arrow_system(rng, *STRUCTURED[case], orders=3.0)
+        step = lmi._newton_solve(H, g, split)
+        np.testing.assert_array_equal(step, owner_loop_step(H, g, split))
+        ref = scipy_dense_step(H, g)
+        assert np.linalg.norm(step - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    def test_spd_steps_match_owner_loop_bit_for_bit(self):
         rng = np.random.default_rng(41)
         for n in (4, 73, 129):
             A = rng.normal(size=(n, n))
             H, g = A @ A.T + 1e-3 * np.eye(n), rng.normal(size=n)
-            Hs, gs, r = jacobi_scaled(H, g)
-            step, tries = scipy_newton_step(Hs, gs)
-            assert tries == 0
-            np.testing.assert_array_equal(lmi._newton_solve(H, g), r * step)
+            split = lmi._Split(n)  # all border: one dense factor
+            step = lmi._newton_solve(H, g, split)
+            np.testing.assert_array_equal(step, owner_loop_step(H, g, split))
+            ref = scipy_dense_step(H, g)
+            assert np.linalg.norm(step - ref) <= 1e-10 * np.linalg.norm(ref)
 
     def test_indefinite_escalates_like_scipy(self, monkeypatch):
         rng = np.random.default_rng(42)
         factors = []
-        dpotrf = lmi.dpotrf
-        monkeypatch.setattr(lmi, "dpotrf", lambda *a, **kw: factors.append(
-            a[0].shape) or dpotrf(*a, **kw))
+        cholesky_np = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: factors.append(
+            a.shape) or cholesky_np(a))
         for n in (4, 73, 129):
             # reg starts near 2e-13 and needs about 1e-8: three escalations
             H = spd_with_spectrum(rng, np.r_[-1e-8, np.linspace(1.0, 2.0,
@@ -527,9 +690,69 @@ class TestNewtonStep:
             Hs, gs, r = jacobi_scaled(H, g)
             step, tries = scipy_newton_step(Hs, gs)
             assert tries == 3
+            split = lmi._Split(n)
             factors.clear()
-            np.testing.assert_array_equal(lmi._newton_solve(H, g), r * step)
+            ours = lmi._newton_solve(H, g, split)
             assert len(factors) == tries + 1
+            factors.clear()
+            np.testing.assert_array_equal(ours, owner_loop_step(H, g, split))
+            # the escalated system is nearly singular: about 1e8 times
+            # roundoff apart
+            assert (np.linalg.norm(ours - r * step)
+                    <= 1e-6 * np.linalg.norm(r * step))
+
+    @pytest.mark.parametrize("route", ["two-step", "polytopic", "joint"])
+    def test_captured_steps_match_scipy_dense_factor(self, route, oscillator,
+                                                     control_points,
+                                                     monkeypatch):
+        # every Newton system of the route's solves, the metric solve's
+        # included: H vanishes off the split's pattern, and the step is
+        # scipy's dense Cholesky step to 1e-6 (relative; the largest
+        # difference seen was 3e-8)
+        from contragp import synthesis, systems
+        from contragp.kernels import Kernel
+        seen = []
+        newton = lmi._newton_solve
+        monkeypatch.setattr(lmi, "_newton_solve", lambda H, g, split: seen
+                            .append((H.copy(), g.copy(), split))
+                            or newton(H, g, split))
+        if route == "polytopic":
+            hulls = synthesis.build_hulls(
+                oscillator, systems.Box.make([-2.0, -2.0], [2.0, 2.0]), 4,
+                inflation=0.0)
+            synthesis.run_synthesis(oscillator, Kernel(dim=2), hulls.centers,
+                                    mode=route, rho=10.0, hulls=hulls)
+        else:
+            synthesis.run_synthesis(oscillator, Kernel(dim=2), control_points,
+                                    mode=route, rho=10.0)
+        assert len(seen) > 40
+        for H, g, split in seen:
+            read = np.zeros(H.shape, dtype=bool)
+            read.reshape(-1)[split.bb] = True
+            for *_, flat in split.stacks:
+                read.reshape(-1)[flat] = True
+            assert not H[~(read | read.T)].any()
+            ref = scipy_dense_step(H, g)
+            assert (np.linalg.norm(newton(H, g, split) - ref)
+                    <= 1e-6 * np.linalg.norm(ref))
+
+    def test_failed_local_factor_escalates(self, monkeypatch):
+        # one owner's scaled block [[1, c], [c, 1]] has eigenvalue
+        # 1 - c = -1e-9: its stacked factor fails until reg passes 1e-9,
+        # two escalations for the whole system, as in the owner loop
+        rng = np.random.default_rng(45)
+        H, g, split = arrow_system(rng, [(6, 2)], 1)
+        loc = split.stacks[0][0][:, 2]
+        H[np.ix_(loc, loc)] = 2.0 * np.array([[1.0, 1.0 + 1e-9],
+                                              [1.0 + 1e-9, 1.0]])
+        H[loc, split.border] = H[split.border, loc] = 0.0
+        factors = []
+        stack_cholesky = lmi._stack_cholesky
+        monkeypatch.setattr(lmi, "_stack_cholesky", lambda A, reg: factors
+                            .append(reg) or stack_cholesky(A, reg))
+        step = lmi._newton_solve(H, g, split)
+        assert len(factors) == 3
+        np.testing.assert_array_equal(step, owner_loop_step(H, g, split))
 
     def test_failed_tries_and_non_finite_input_take_lstsq(self, monkeypatch):
         rng = np.random.default_rng(43)
@@ -548,7 +771,7 @@ class TestNewtonStep:
             (A, b), tries = scipy_newton_step(*jacobi_scaled(H, rhs)[:2])
             assert tries == 6
             solved.clear()
-            lmi._newton_solve(H, rhs)
+            lmi._newton_solve(H, rhs, lmi._Split(n))
             assert len(solved) == 1
             np.testing.assert_array_equal(solved[0][0], A)
             np.testing.assert_array_equal(solved[0][1], b)
@@ -561,7 +784,7 @@ class TestNewtonStep:
         Q = spd_with_spectrum(rng, np.linspace(1.0, 3.0, n))
         scale = np.logspace(-6, 6, n)
         H, g = scale[:, None] * Q * scale, rng.normal(size=n)
-        step = lmi._newton_solve(H, g)
+        step = lmi._newton_solve(H, g, lmi._Split(n))
         ref = -np.linalg.solve(Q, g / scale) / scale
         np.testing.assert_allclose(step, ref, rtol=1e-9)
 

@@ -250,6 +250,13 @@ class TestGainStep:
         assert "better-separated design points" in str(err.value)
         assert "increase the jitter" not in str(err.value)
 
+    def test_non_finite_gram_matrix_raises(self):
+        # a factor that carries a NaN through must not slip past
+        pts = np.array([[0.5, 0.5], [np.nan, 0.5]])
+        with pytest.raises(FactorizationError,
+                           match="must factor without jitter"):
+            synthesis._design_gram(Kernel(dim=2), pts)
+
 
 def polynomial_chain(extra, dt=0.05):
     """x_i+ = (1 - dt) x_i + dt x_{i+1} for i < n, x_n+ = x_n + dt x_1, plus
@@ -747,13 +754,13 @@ def ref_metric_blocks(model, mats, labels):
 
 def ref_gain_blocks(model, P, kernel, X, mats, labels):
     N, n = X.shape
-    L = synthesis._gram_factor(kernel, X)[1]
+    K0 = synthesis._design_gram(kernel, X)
     nonconstant = not model.constant_input
     eye = np.eye(N * n)
     bs = model.input(X)
     if nonconstant:
         rows = kernel.grad_x2_outer(X, X).reshape(N, N * n)
-        values = rows @ synthesis.cho_solve((L, True), eye)
+        values = np.linalg.solve(K0, rows.T).T
         dbs = model.input_jac(X)
     coeffs, cols = [], []
     for i, b in enumerate(bs):
@@ -862,6 +869,47 @@ class TestStackedFamilies:
             synthesis.solve_joint(model, Kernel(dim=2), X)
         ref = ref_joint_blocks(model, *ref_family(model, X, None))
         assert_same_blocks(captured[0].blocks[:len(ref)], ref)
+
+    @pytest.mark.parametrize("route", ["two-step", "polytopic", "joint",
+                                       "metric", "state-dependent-b",
+                                       "chain"])
+    def test_newton_split_of_each_route(self, route, oscillator, captured):
+        # the gain variables of one design point (or cell) are local to it;
+        # P's entries on the joint route and t are the border; a family
+        # whose blocks all share one index list is all border
+        case = ("varying-input" if route == "state-dependent-b"
+                else "oscillator", "hull" if route == "polytopic" else "points")
+        model, X, hulls = _route(case, oscillator)
+        if route == "chain":
+            model = polynomial_chain([(0, (1, 1, 0), 0.5),
+                                      (1, (0, 2, 0), -0.3)])
+            X = np.random.default_rng(2).uniform(-1.0, 1.0, size=(7, 3))
+        N, n = X.shape
+        with pytest.raises(_Captured):
+            if route == "metric":
+                synthesis.solve_metric(model, X)
+            elif route == "joint":
+                synthesis.solve_joint(model, Kernel(dim=n), X)
+            else:
+                synthesis.solve_gain(model, np.eye(n), Kernel(dim=n), X,
+                                     hulls=hulls)
+        problem = captured[0]
+        split = lmi._Workspace(problem).split
+        stacks = [loc.T for loc, *_ in split.stacks]
+        m = problem.dim
+        if route in ("metric", "state-dependent-b"):
+            assert stacks == []
+            np.testing.assert_array_equal(split.border, np.arange(m + 1))
+        elif route == "joint":
+            assert len(stacks) == 1
+            np.testing.assert_array_equal(
+                stacks[0], 3 + np.arange(N * n).reshape(N, n))
+            np.testing.assert_array_equal(split.border, [0, 1, 2, m])
+        else:
+            assert len(stacks) == 1
+            np.testing.assert_array_equal(stacks[0],
+                                          np.arange(N * n).reshape(N, n))
+            np.testing.assert_array_equal(split.border, [m])
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_vertices_in_per_cell_product_order(self, n):

@@ -74,6 +74,16 @@ class TestVerifyGrid:
                                      systems.Box.make([-1, -1], [1, 1]), 3)
         assert rep.min_margin < 0.0 and rep.lam > 1.0 and rep.consistent
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_metric_rejected(self, bad):
+        # a factor that carries NaN or inf through must not certify
+        model = systems.linear_system(0.5 * np.eye(2), [0.0, 1.0])
+        P = np.eye(2)
+        P[1, 0] = P[0, 1] = bad
+        with pytest.raises(DataError, match="finite"):
+            verify_sim.verify_grid(model, None, P,
+                                   systems.Box.make([-1, -1], [1, 1]), 3)
+
 
 class TestRollout:
     def test_equilibrium_start_stays_constant(self, oscillator, osc_two_step):
