@@ -96,36 +96,27 @@ def cmd_gen_data(cfg: PipelineConfig, out, quiet=False):
 
 
 def _load_training(cfg, out):
-    header, table = read_csv(_need(_path(out, "data.csv"), "training data"))
+    path = _need(_path(out, "data.csv"), "training data")
+    header, table = read_csv(path)
     n = cfg.dim
     want = [f"x_{i+1}" for i in range(n)] + [f"y_{i+1}" for i in range(n)]
-    if header[:2 * n] != want:
-        raise ConfigError(f"data.csv columns {header} do not match the "
-                          f"configured dimension {n}")
+    if header != want:
+        raise ConfigError(f"malformed training data {path}: columns {header} "
+                          f"are not {want}, those of the configured "
+                          f"dimension {n}")
     if len(table) == 0:
-        raise ConfigError("data.csv holds no training rows")
-    pts = table[:, :n]
-    ys = table[:, n:2 * n]
-    inputs = None
-    if len(header) > 2 * n and header[2 * n] == "u":
-        inputs = table[:, 2 * n]
-    return pts, ys, inputs
+        raise ConfigError(f"malformed training data {path}: no rows")
+    return table[:, :n], table[:, n:]
 
 
 def cmd_learn(cfg: PipelineConfig, out, quiet=False):
-    pts, ys, inputs = _load_training(cfg, out)
-    dataset = drift_gp.DriftDataset(pts, ys, sigma_y=cfg.sigma_y,
-                                    inputs=inputs)
-    if inputs is not None:
-        model, gains = drift_gp.fit_drift_with_input(dataset, cfg.kernel,
-                                                     fixed=cfg.fixed_rows)
-        extra = {"input_gains": [float(g) for g in gains]}
-    else:
-        model = drift_gp.fit_drift(dataset, cfg.kernel, fixed=cfg.fixed_rows)
-        extra = {}
-    artifact = {"drift_model": model.to_dict(),
-                "sigma_y": [float(v) for v in cfg.sigma_y], **extra}
-    write_json(_path(out, "drift_model.json"), artifact)
+    pts, ys = _load_training(cfg, out)
+    model = drift_gp.fit_drift(drift_gp.DriftDataset(pts, ys,
+                                                     sigma_y=cfg.sigma_y),
+                               cfg.kernel, fixed=cfg.fixed_rows)
+    write_json(_path(out, "drift_model.json"),
+               {"drift_model": model.to_dict(),
+                "sigma_y": [float(v) for v in cfg.sigma_y]})
     _error_surfaces(cfg, out, model)
     _say(quiet, f"learned drift model from {pts.shape[0]} samples")
     return {"n_samples": pts.shape[0]}

@@ -110,7 +110,8 @@ def _box(value):
 RAW = (None, None, "")
 FLAG = (None, lambda v: isinstance(v, bool), "true or false")
 COUNT = (_integer, lambda v: v >= 1, "a positive integer")
-NONNEGATIVE = (float, lambda v: v >= 0.0, "a nonnegative number")
+NONNEGATIVE = (float, lambda v: 0.0 <= v < math.inf,
+               "a finite nonnegative number")
 
 
 def _vector(n):
@@ -124,13 +125,15 @@ def _fixed_rows(n):
         rows = {}
         for key, spec in dict(value).items():
             row, linear = _integer(key), _floats(spec["linear"])
+            comp = FixedAffineComponent(linear, spec.get("const", 0.0))
             if (not 0 <= row < n or linear.shape != (n,)
-                    or not set(spec) <= {"linear", "const"}):
+                    or not set(spec) <= {"linear", "const"}
+                    or not np.isfinite([*comp.linear, comp.const]).all()):
                 raise ValueError(value)
-            rows[row] = FixedAffineComponent(linear, spec.get("const", 0.0))
+            rows[row] = comp
         return rows
     return (parse, None, f"an object mapping row indices below {n} to "
-            "{'linear': [...], 'const': ...}")
+            "{'linear': [...], 'const': ...} of finite numbers")
 
 
 def _initial_states(box, n):
@@ -169,8 +172,9 @@ class PipelineConfig:
             system = self._get("system.polynomial", (
                 polynomial_system, None, "a polynomial system description"))
         else:
-            dt = self._get("system.dt", (float, lambda v: v > 0.0,
-                                         "a positive number"), None)
+            dt = self._get("system.dt", (
+                float, lambda v: 0.0 < v < math.inf,
+                "a finite positive number"), None)
             kwargs = {} if dt is None else {"dt": dt}
             system = self._check("system.builtin", builtin, (
                 lambda name: builtin_system(name, **kwargs), None,
@@ -193,21 +197,24 @@ class PipelineConfig:
         self.control_points = self._get("grids.control_points_per_axis", COUNT)
         self.verify_resolution = self._get("grids.verify_resolution", COUNT)
 
-        kernel = {key: self._get(f"kernel.{key}", RAW, default)
-                  for key, default in (("family", "squared-exponential"),
-                                       ("beta", 1.0), ("sigma", None),
-                                       ("degree", None))}
+        kernel = {key: self._get(f"kernel.{key}", spec, default)
+                  for key, spec, default in (
+                      ("family", RAW, "squared-exponential"),
+                      ("beta", RAW, 1.0),
+                      ("sigma", (_floats, lambda v: v.shape == (n, n),
+                                 f"a {n}x{n} matrix"), None),
+                      ("degree", RAW, None))}
         self.kernel = self._check("kernel", kernel, (
             lambda spec: Kernel(dim=n, **spec), None, "a kernel spec"))
 
         self.sigma_y = self._get("noise.sigma_y", (
             lambda v: np.broadcast_to(_floats(v), (n,)).copy(),
-            lambda v: (v >= 0.0).all(),
-            f"a nonnegative number or {n} of them"))
+            lambda v: ((0.0 <= v) & (v < math.inf)).all(),
+            f"a finite nonnegative number or {n} of them"))
         # checked but inert: the law's weights are K0^{-1} g for any noise
         self._get("noise.sigma_p", NONNEGATIVE, 0.0)
-        self.rho = self._get("solver.rho", (float, lambda v: v > 1.0,
-                                            "a number above 1"))
+        self.rho = self._get("solver.rho", (
+            float, lambda v: 1.0 < v < math.inf, "a finite number above 1"))
         self.mode = self._get("mode", (None, lambda v: v in MODES,
                                        f"one of {MODES}"), "two-step")
         self.subdivisions = self._get("polytope.subdivisions", COUNT, 4)
@@ -222,7 +229,8 @@ class PipelineConfig:
         self.chebyshev_inflate = self._get("stochastic.chebyshev_inflate",
                                            FLAG, False)
         self.chebyshev_c = self._get("stochastic.chebyshev_c", (
-            float, lambda v: v > n, f"a number above {n}"), 40.0)
+            float, lambda v: n < v < math.inf, f"a finite number above {n}"),
+            40.0)
         for key in ("moment_check", "chebyshev_inflate"):
             if getattr(self, key) and self.model_source != "learned":
                 raise ConfigError(f"stochastic.{key} needs the learned model "

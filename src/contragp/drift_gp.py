@@ -21,20 +21,18 @@ from .linalg import blockwise, chol_with_jitter, symmetrize
 from .systems import SystemModel
 
 __all__ = ["DriftDataset", "FixedAffineComponent", "GPComponent",
-           "DriftModel", "fit_drift", "fit_drift_with_input"]
+           "DriftModel", "fit_drift"]
 
 
 @dataclass
 class DriftDataset:
     """Training data: row j of ``targets`` holds the sampled next-state
     components at ``points[j]``; ``sigma_y`` is the per-component noise std
-    (scalar broadcasts).  ``inputs`` holds applied inputs for the
-    unknown-input-direction variant."""
+    (scalar broadcasts)."""
 
     points: np.ndarray
     targets: np.ndarray
     sigma_y: np.ndarray | float = 0.0
-    inputs: np.ndarray | None = None
 
     def __post_init__(self):
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
@@ -50,13 +48,6 @@ class DriftDataset:
         self.sigma_y = np.broadcast_to(sy, (self.targets.shape[1],)).copy()
         if np.any(self.sigma_y < 0.0):
             raise DataError("sigma_y must be nonnegative")
-        if self.inputs is not None:
-            self.inputs = np.asarray(self.inputs, dtype=float).reshape(-1)
-            if self.inputs.shape[0] != self.points.shape[0]:
-                raise DimensionError("inputs", self.points.shape[0],
-                                     self.inputs.shape[0])
-            if not np.all(np.isfinite(self.inputs)):
-                raise DataError("inputs contain NaN or infinite entries")
 
     @property
     def dim(self):
@@ -95,35 +86,24 @@ class FixedAffineComponent:
 
 
 class GPComponent:
-    """Posterior of one scalar drift component.
-
-    ``gram_extra`` holds an additive Gram term for augmented kernels (the
-    input-product term of the unknown-input-direction variant); posterior
-    formulas below are evaluated at zero input, where that term drops out
-    of all cross-covariances.
-    """
+    """Posterior of one scalar drift component."""
 
     fixed = False
 
-    def __init__(self, kernel: Kernel, points, y, sigma_y, gram_extra=None,
-                 jitter=None):
+    def __init__(self, kernel: Kernel, points, y, sigma_y):
         self.kernel = kernel
         self.points = np.atleast_2d(np.asarray(points, dtype=float))
         self.y = np.asarray(y, dtype=float).reshape(-1)
         self.sigma_y = float(sigma_y)
         N = self.points.shape[0]
-        K = kernel.value_outer(self.points, self.points)
-        if gram_extra is not None:
-            K = K + gram_extra
-        A = K + self.sigma_y ** 2 * np.eye(N)
+        A = (kernel.value_outer(self.points, self.points)
+             + self.sigma_y ** 2 * np.eye(N))
         try:
-            L, used = chol_with_jitter(A, jitter=jitter)
+            self._chol, used = chol_with_jitter(A)
         except FactorizationError as exc:
             raise FactorizationError(
-                f"drift Gram factorization failed ({exc}); add jitter or "
-                "observation noise") from exc
-        self._chol = L
-        self.jitter_used = used
+                f"drift Gram factorization failed ({exc}); add observation "
+                "noise (sigma_y)") from exc
         self.weights = np.linalg.solve(A + used * np.eye(N), self.y)
 
     @cached_property
@@ -183,10 +163,9 @@ class GPComponent:
 class DriftModel:
     """Per-component posteriors of a learned drift field."""
 
-    def __init__(self, points, components, inputs=None):
+    def __init__(self, points, components):
         self.points = np.atleast_2d(np.asarray(points, dtype=float))
         self.components = list(components)
-        self.inputs = None if inputs is None else np.asarray(inputs, dtype=float)
         self.n = len(self.components)
 
     def mean(self, X):
@@ -207,38 +186,37 @@ class DriftModel:
         return np.sqrt(np.column_stack([c.value_variance(X)
                                         for c in self.components]))
 
-    def as_system_model(self, b=None, b_fun=None, b_jac=None, equilibrium=None):
-        """Wrap the posterior mean field as a SystemModel for synthesis."""
-        return SystemModel(self.n, self.mean, self.jacobian, b=b, b_fun=b_fun,
-                           b_jac=b_jac, equilibrium=equilibrium,
-                           name="learned-drift", validate=False)
+    def as_system_model(self, b, equilibrium=None):
+        """Wrap the posterior mean field, with the constant input vector
+        ``b``, as a SystemModel for synthesis."""
+        return SystemModel(self.n, self.mean, self.jacobian, b=b,
+                           equilibrium=equilibrium, name="learned-drift",
+                           validate=False)
 
     def to_dict(self):
-        out = {
+        return {
             "points": [[float(v) for v in row] for row in self.points],
             "components": [c.to_dict() for c in self.components],
         }
-        if self.inputs is not None:
-            out["inputs"] = [float(v) for v in self.inputs]
-        return out
 
     @classmethod
     def from_dict(cls, data):
+        """The model of :meth:`to_dict`.  The retired input-augmented
+        format, with ``inputs``, raises a ValueError."""
+        if "inputs" in data:
+            raise ValueError("input-augmented drift models (with 'inputs') "
+                             "are no longer supported")
         points = np.asarray(data["points"], dtype=float)
-        inputs = (np.asarray(data["inputs"], dtype=float)
-                  if data.get("inputs") is not None else None)
-        gram_extra = np.outer(inputs, inputs) if inputs is not None else None
         comps = []
         for cd in data["components"]:
             if cd["type"] == "fixed-affine":
                 comps.append(FixedAffineComponent(cd["linear"], cd["const"]))
             else:
                 comp = GPComponent(Kernel.from_dict(cd["kernel"]), points,
-                                   np.zeros(points.shape[0]), cd["sigma_y"],
-                                   gram_extra=gram_extra)
+                                   np.zeros(points.shape[0]), cd["sigma_y"])
                 comp.weights = np.asarray(cd["weights"], dtype=float)
                 comps.append(comp)
-        return cls(points, comps, inputs=inputs)
+        return cls(points, comps)
 
 
 def fit_drift(dataset: DriftDataset, kernels, fixed=None):
@@ -255,30 +233,6 @@ def fit_drift(dataset: DriftDataset, kernels, fixed=None):
             comps.append(GPComponent(kernels[i], dataset.points,
                                      dataset.targets[:, i], dataset.sigma_y[i]))
     return DriftModel(dataset.points, comps)
-
-
-def fit_drift_with_input(dataset: DriftDataset, kernels, fixed=None):
-    """Variant for unknown input direction: the prior covariance gains a
-    product term in the applied inputs, so the posterior mean is affine in
-    the input.  Returns ``(model_at_zero_input, input_gains)`` where entry i
-    of the gains is the input coefficient of component i."""
-    if dataset.inputs is None:
-        raise DataError("dataset has no inputs")
-    fixed = dict(fixed or {})
-    n_out = dataset.targets.shape[1]
-    kernels = _broadcast_kernels(kernels, n_out)
-    gram_extra = np.outer(dataset.inputs, dataset.inputs)
-    comps = []
-    gains = np.zeros(n_out)
-    for i in range(n_out):
-        if i in fixed:
-            comps.append(fixed[i])
-        else:
-            comp = GPComponent(kernels[i], dataset.points, dataset.targets[:, i],
-                               dataset.sigma_y[i], gram_extra=gram_extra)
-            comps.append(comp)
-            gains[i] = float(dataset.inputs @ comp.weights)
-    return DriftModel(dataset.points, comps, inputs=dataset.inputs), gains
 
 
 def _broadcast_kernels(kernels, n_out):

@@ -28,7 +28,7 @@ class Kernel:
         One of ``"squared-exponential"`` (default), ``"linear"``,
         ``"polynomial"``.
     beta : float
-        Output scale, must be positive.
+        Output scale, must be positive and finite.
     sigma : (n, n) array_like, optional
         Symmetric positive-definite length-scale matrix.  Defaults to the
         identity of size ``dim``.
@@ -43,8 +43,8 @@ class Kernel:
         if family not in FAMILIES:
             raise DataError(f"unknown kernel family '{family}'")
         beta = float(beta)
-        if not beta > 0.0:
-            raise DataError(f"beta must be positive, got {beta}")
+        if not 0.0 < beta < np.inf:
+            raise DataError(f"beta must be positive and finite, got {beta}")
         if sigma is None:
             if dim is None:
                 raise DataError("either sigma or dim must be given")

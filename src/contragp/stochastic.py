@@ -11,7 +11,7 @@ guaranteed probability.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -134,10 +134,7 @@ def chebyshev_hulls(model, hulls, c):
         lo[:, i, :] -= hw
         hi[:, i, :] += hw
         pinned[:, i, :] &= hw <= 0.0
-    out = type(hulls)(cells=list(hulls.cells), centers=hulls.centers.copy(),
-                      lo=lo, hi=hi, pinned=pinned,
-                      vertex_cap=hulls.vertex_cap,
-                      confidence=float((1.0 - n / c) ** n),
-                      subdivisions=hulls.subdivisions)
+    out = replace(hulls, lo=lo, hi=hi, pinned=pinned,
+                  confidence=float((1.0 - n / c) ** n))
     out.check_budget()
     return out

@@ -26,6 +26,8 @@ class Box:
         hi = tuple(float(v) for v in np.atleast_1d(hi))
         if len(lo) != len(hi):
             raise DimensionError("hi", len(lo), len(hi))
+        if not np.isfinite(lo + hi).all():
+            raise DataError("box bounds must be finite")
         if any(l >= h for l, h in zip(lo, hi)):
             raise DataError("box needs lo < hi on every axis")
         return cls(lo, hi)
@@ -298,6 +300,8 @@ def polynomial_system(spec):
         raise ConfigError(f"polynomial system spec is malformed: {exc}") from exc
     if len(rows) != n or b.shape[0] != n:
         raise ConfigError("polynomial system spec has inconsistent dimensions")
+    if not np.isfinite(b).all():
+        raise ConfigError(f"b must be finite, got {spec['b']}")
     terms = []
     for i, row in enumerate(rows):
         parsed = []
@@ -307,7 +311,11 @@ def polynomial_system(spec):
             if expo.shape != (n,) or np.any(expo < 0):
                 raise ConfigError(f"bad exponents {term['exponents']} at "
                                   f"rows[{i}][{j}]")
-            parsed.append((expo, float(term["coef"])))
+            coef = float(term["coef"])
+            if not np.isfinite(coef):
+                raise ConfigError(f"rows[{i}][{j}].coef must be finite, got "
+                                  f"{term['coef']}")
+            parsed.append((expo, coef))
         terms.append(parsed)
 
     def drift(X):

@@ -64,6 +64,8 @@ def polynomial_with(edit):
     return apply
 
 
+NAN, INF = float("nan"), float("inf")
+
 # (key path the error must name, edit of small_osc_config)
 MALFORMED = {
     "horizon": ("sim.horizon", set_key("sim.horizon", "abc")),
@@ -107,6 +109,31 @@ MALFORMED = {
         "system.equilibrium: declared equilibrium is not a fixed point",
         lambda cfg: (polynomial_with(lambda spec: None)(cfg),
                      set_key("system.equilibrium", [1.0, 0.0])(cfg))),
+    # JSON's NaN and Infinity parse to floats; each is refused at load
+    "control-domain-nan": ("domain.control", set_key(
+        "domain.control", [[NAN, 2.0], [-2.0, 2.0]])),
+    "dt-infinite": ("system.dt", set_key("system.dt", INF)),
+    "kernel-beta-infinite": ("kernel: beta must be positive and finite",
+                             set_key("kernel.beta", INF)),
+    "kernel-sigma-mis-sized": ("kernel.sigma",
+                               set_key("kernel.sigma", np.eye(3).tolist())),
+    "sigma-y-infinite": ("noise.sigma_y", set_key("noise.sigma_y", [0.0, INF])),
+    "sigma-p-infinite": ("noise.sigma_p", set_key("noise.sigma_p", INF)),
+    "rho-infinite": ("solver.rho", set_key("solver.rho", INF)),
+    "inflation-infinite": ("polytope.inflation",
+                           set_key("polytope.inflation", INF)),
+    "chebyshev-c-infinite": ("stochastic.chebyshev_c",
+                             set_key("stochastic.chebyshev_c", INF)),
+    "fixed-row-const-infinite": ("learn.fixed_rows", set_key(
+        "learn.fixed_rows", {"0": {"linear": [1.0, 0.01], "const": INF}})),
+    "fixed-row-linear-nan": ("learn.fixed_rows", set_key(
+        "learn.fixed_rows", {"0": {"linear": [NAN, 0.01]}})),
+    "polynomial-coef-nan": (
+        "system.polynomial: rows[0][0].coef must be finite",
+        polynomial_with(lambda spec: spec["rows"][0][0].update(coef=NAN))),
+    "polynomial-b-infinite": (
+        "system.polynomial: b must be finite",
+        polynomial_with(lambda spec: spec.update(b=[0.0, INF]))),
 }
 
 
@@ -522,6 +549,24 @@ def _drop_weights(text):
     return json.dumps(data)
 
 
+def _add_column(name, value):
+    """A data.csv corruption: one more column ``name`` holding ``value``."""
+    def edit(text):
+        header, *rows = text.splitlines()
+        return "\n".join([f"{header},{name}"]
+                         + [f"{row},{value}" for row in rows]) + "\n"
+    return edit
+
+
+def _add_drift_inputs(text):
+    # the applied inputs of an input-augmented model, whose posterior has
+    # another Gram matrix; loading it without them would use a different
+    # posterior
+    data = json.loads(text)
+    data["drift_model"]["inputs"] = [0.5] * len(data["drift_model"]["points"])
+    return json.dumps(data)
+
+
 def _add_value_anchors(text):
     # the value-observation keys of a law conditioned on values as well as
     # gradients; loading it without them would certify a different law
@@ -537,6 +582,13 @@ MALFORMED_ARTIFACTS = {
     "non-numeric-cell": ("learn", "data.csv",
                          _rewrite("data.csv", _replace_cell)),
     "ragged-row": ("learn", "data.csv", _rewrite("data.csv", _drop_cell)),
+    "data-with-input-column": ("learn", "data.csv",
+                               _rewrite("data.csv", _add_column("u", 0.5))),
+    "data-with-extra-column": ("learn", "data.csv",
+                               _rewrite("data.csv", _add_column("note", 1))),
+    "drift-model-with-inputs": ("synth", "drift_model.json",
+                                _rewrite("drift_model.json",
+                                         _add_drift_inputs)),
     "truncated-controller": ("verify", "controller.json",
                              _rewrite("controller.json",
                                       lambda t: t[:len(t) // 2])),
@@ -549,17 +601,18 @@ MALFORMED_ARTIFACTS = {
 }
 
 
+PIPELINE = ("gen-data", "learn", "synth", "verify")
+
+
 class TestMalformedArtifacts:
     @pytest.mark.parametrize("case", sorted(MALFORMED_ARTIFACTS))
     def test_malformed_artifact_exits_invalid(self, tmp_path, capsys, case):
         command, name, corrupt = MALFORMED_ARTIFACTS[case]
-        cfg_d = small_osc_config()
-        cfg_d["synthesis"]["model_source"] = "analytic"
-        cfg = write_cfg(tmp_path, cfg_d)
+        cfg = write_cfg(tmp_path, small_osc_config())
         out = tmp_path / "out"
-        producer = "gen-data" if command == "learn" else "synth"
-        assert cli.main([producer, "--config", cfg, "--out", str(out),
-                         "--quiet"]) == 0
+        for producer in PIPELINE[:PIPELINE.index(command)]:
+            assert cli.main([producer, "--config", cfg, "--out", str(out),
+                             "--quiet"]) == 0, producer
         corrupt(out)
         capsys.readouterr()
         assert cli.main([command, "--config", cfg, "--out", str(out),
@@ -797,27 +850,6 @@ class TestSinePolytopic:
                              "--quiet"]) == 0, cmd
         rep = json.load(open(os.path.join(out, "moment_report.json")))
         assert "eps_bar" in rep and "passed" in rep
-
-    def test_learn_with_input_column(self, tmp_path):
-        # external data with an applied-input column trains the augmented
-        # kernel and reports per-component input gains
-        cfg_d = default_sine1d_config()
-        cfg = write_cfg(tmp_path, cfg_d)
-        out = tmp_path / "out"
-        out.mkdir()
-        rng = np.random.default_rng(3)
-        X = rng.uniform(0, 3, size=(40, 1))
-        U = rng.uniform(-1, 1, size=40)
-        Y = X[:, 0] + 0.1 * np.sin(X[:, 0]) + 0.1 * U \
-            + 0.005 * rng.standard_normal(40)
-        lines = ["x_1,y_1,u"] + [f"{x},{y},{u}" for x, y, u in zip(X[:, 0], Y, U)]
-        (out / "data.csv").write_text("\n".join(lines) + "\n")
-        cfg_d["noise"]["sigma_y"] = [0.005]
-        cfg = write_cfg(tmp_path, cfg_d, "cfg2.json")
-        assert cli.main(["learn", "--config", cfg, "--out", str(out),
-                         "--quiet"]) == 0
-        artifact = json.load(open(out / "drift_model.json"))
-        assert abs(artifact["input_gains"][0] - 0.1) < 0.05
 
     def test_emit_svg(self, tmp_path):
         cfg_d = small_osc_config()

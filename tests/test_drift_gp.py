@@ -230,9 +230,9 @@ def contract_models():
         "polynomial": drift_gp.fit_drift(
             drift_gp.DriftDataset(P, Y, [0.1, 0.02]),
             Kernel(family="polynomial", degree=4, beta=0.5, dim=2)),
-        "input-product": drift_gp.fit_drift_with_input(
-            drift_gp.DriftDataset(P, Y, [0.05, 0.01],
-                                  inputs=rng.normal(size=12)), se)[0],
+        "linear": drift_gp.fit_drift(
+            drift_gp.DriftDataset(P, Y, [0.05, 0.01]),
+            Kernel(family="linear", beta=1.5, dim=2)),
         "fixed-row": drift_gp.fit_drift(
             drift_gp.DriftDataset(P, Y, [0.0, 0.05]), se,
             fixed={0: drift_gp.FixedAffineComponent([1.0, 0.01])}),
@@ -240,7 +240,7 @@ def contract_models():
 
 
 class TestStackedPosterior:
-    @pytest.mark.parametrize("name", ["se", "polynomial", "input-product",
+    @pytest.mark.parametrize("name", ["se", "polynomial", "linear",
                                       "fixed-row"])
     def test_rows_match_per_state_formulas(self, name):
         X, models = contract_models()
@@ -273,57 +273,10 @@ class TestStackedPosterior:
                                       np.zeros((9, 2)))
 
 
-class TestInputAugmented:
-    def test_zero_inputs_reduce_to_plain_fit(self):
-        rng = np.random.default_rng(6)
-        X = rng.normal(size=(5, 1))
-        Y = rng.normal(size=(5, 1))
-        ds0 = drift_gp.DriftDataset(X, Y, 0.1)
-        dsu = drift_gp.DriftDataset(X, Y, 0.1, inputs=np.zeros(5))
-        k = Kernel(dim=1)
-        m0 = drift_gp.fit_drift(ds0, k)
-        mu, gains = drift_gp.fit_drift_with_input(dsu, k)
-        np.testing.assert_allclose(mu.components[0].weights,
-                                   m0.components[0].weights, atol=1e-12)
-        assert gains[0] == pytest.approx(0.0, abs=1e-12)
-
-    def test_posterior_mean_linear_in_input(self):
-        # mean at (x, u) = mean at (x, 0) + u * gain: check the scaling
-        # identity mu(x, a u) - mu(x, 0) = a (mu(x, u) - mu(x, 0))
-        rng = np.random.default_rng(7)
-        X = rng.normal(size=(10, 1))
-        U = rng.normal(size=10)
-        Y = rng.normal(size=(10, 1))
-        ds = drift_gp.DriftDataset(X, Y, 0.05, inputs=U)
-        model, gains = drift_gp.fit_drift_with_input(ds, Kernel(dim=1))
-
-        def mu_bar(x, u):
-            return model.components[0].mean(x[None])[0] + gains[0] * u
-
-        x = rng.normal(size=1)
-        for a in (0.3, -2.0, 5.5):
-            lhs = mu_bar(x, a * 1.3) - mu_bar(x, 0.0)
-            rhs = a * (mu_bar(x, 1.3) - mu_bar(x, 0.0))
-            assert lhs == pytest.approx(rhs, rel=1e-10)
-
-    def test_recovers_known_input_gain(self):
-        rng = np.random.default_rng(5)
-        X = rng.uniform(-2, 2, size=(50, 1))
-        U = rng.uniform(-1, 1, size=50)
-        Y = (2 * X[:, 0] + 3 * U + 0.01 * rng.standard_normal(50)).reshape(-1, 1)
-        ds = drift_gp.DriftDataset(X, Y, sigma_y=0.01, inputs=U)
-        _, gains = drift_gp.fit_drift_with_input(ds, Kernel(dim=1))
-        assert abs(gains[0] - 3.0) < 0.1
-
-    def test_missing_inputs_rejected(self):
-        ds = drift_gp.DriftDataset([[0.0]], [[1.0]], 0.0)
-        with pytest.raises(DataError):
-            drift_gp.fit_drift_with_input(ds, Kernel(dim=1))
-
-    @pytest.mark.parametrize("field", ["points", "inputs"])
-    def test_non_finite_points_or_inputs_rejected(self, field):
-        data = {"points": [[0.0], [1.0]], "targets": [[1.0], [2.0]],
-                "inputs": [0.5, -0.5]}
+class TestDataset:
+    @pytest.mark.parametrize("field", ["points", "targets"])
+    def test_non_finite_points_or_targets_rejected(self, field):
+        data = {"points": [[0.0], [1.0]], "targets": [[1.0], [2.0]]}
         data[field] = np.array(data[field], dtype=float)
         data[field][1] = np.nan
         with pytest.raises(DataError, match=f"{field} contain NaN"):

@@ -3,6 +3,7 @@ rollout contracts, seeded stochastic reproducibility, and empirical rate
 bounds."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -218,16 +219,23 @@ def stepwise_rollouts(model, law, X0, horizon):
 
 
 @pytest.fixture(scope="module")
-def reproduction_law(tmp_path_factory):
-    """The feedback law of the shipped reproduction config."""
+def reproduction_run(tmp_path_factory):
+    """The gen-data, learn and synth artifacts of the shipped reproduction
+    config."""
     out = tmp_path_factory.mktemp("reproduction_law")
     path = out / "config.json"
     path.write_text(json.dumps(default_oscillator_config()))
     for command in ("gen-data", "learn", "synth"):
         assert cli.main([command, "--config", str(path), "--out", str(out),
                          "--quiet"]) == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def reproduction_law(reproduction_run):
+    """The feedback law of the shipped reproduction config."""
     return DerivativeController.from_dict(
-        json.load(open(out / "controller.json")))
+        json.load(open(reproduction_run / "controller.json")))
 
 
 class TestRolloutsBitForBit:
@@ -280,6 +288,64 @@ class TestRolloutsBitForBit:
         assert [t.horizon for t in trajs] == [13, 4 if with_law else 3, 14,
                                               40]
         assert np.isnan(trajs[1].states[-1, 1])
+
+
+def reference_law_grad(model, A_star, X):
+    """Gradients at X of u*(x) = (A*_2 . x - f_2(x)) / dt on a matched
+    model, b = (0, dt) and row 1 of the drift's Jacobian fixed: u*'s
+    closed-loop Jacobian is A* at every state."""
+    return (A_star[1] - model.drift_jacobian(X)[:, 1, :]) / model.b[1]
+
+
+class TestMatchedReferenceLaw:
+    """The oscillator is matched, so the reproduction's design points all
+    reach one optimal closed-loop Jacobian A*, and the exactly integrable
+    law u* with that Jacobian everywhere is a closed-form reference for the
+    shipped law on the learned model."""
+
+    @pytest.fixture(scope="class")
+    def design(self, reproduction_run, reproduction_law):
+        cfg = PipelineConfig(default_oscillator_config())
+        model, _ = cli._design_model(cfg, str(reproduction_run))
+        report = json.load(open(reproduction_run / "synthesis_report.json"))
+        P = np.asarray(report["P"], dtype=float)
+        points = systems.grid_points(cfg.control_box, cfg.control_points)
+        A = synthesis.closed_loop_jacobians(model, reproduction_law, points)
+        A_star = A.mean(axis=0)
+        grid = systems.grid_points(cfg.control_box, 257)
+        J = model.drift_jacobian(grid)
+        return SimpleNamespace(
+            model=model, P=P, eps=report["eps"], A=A, J=J,
+            grad=reproduction_law.control_grad_batch(grid),
+            ref_grad=reference_law_grad(model, A_star, grid))
+
+    @staticmethod
+    def margins(d, grad):
+        """Certificate-block margins on the grid of the learned closed loop
+        J + b grad^T."""
+        A = d.J + d.model.b[:, None] * grad[:, None, :]
+        return np.linalg.eigvalsh(synthesis.ies_block(d.P, A))[:, 0]
+
+    def test_design_points_share_one_closed_loop_jacobian(self, design):
+        assert design.A.shape == (49, 2, 2)
+        assert design.model.b[0] == 0.0
+        assert np.abs(design.A - design.A[0]).max() <= 1e-10
+
+    def test_reference_law_margin_is_eps_everywhere(self, design):
+        margins = self.margins(design, design.ref_grad)
+        assert np.abs(margins - design.eps).max() <= 1e-9
+
+    def test_shipped_law_margin_gap_within_weyl_bound(self, design):
+        # the learned closed loops of the two laws differ by the rank-one
+        # b (grad u - grad u*)^T, so the certificate blocks differ by a
+        # symmetric matrix of 2-norm |b| |P (grad u - grad u*)|
+        gap = np.abs(self.margins(design, design.grad) - design.eps)
+        diff = design.grad - design.ref_grad
+        bound = (np.linalg.norm(design.model.b)
+                 * np.linalg.norm(diff @ design.P, axis=1))
+        assert (bound + 1e-12 - gap).min() >= 0.0
+        # the shipped law is not u*: off the design points its margin moves
+        assert gap.max() > 1e-3
 
 
 class TestDivergence:
