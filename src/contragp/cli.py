@@ -202,17 +202,34 @@ def _controller_surface(cfg, out, controller):
                         vals.reshape(len(xs), len(ys)), title="control law")
 
 
-def _load_controller_and_P(out):
+def _metric(dim):
+    """The parser of a synthesis report's metric P: a finite, exactly
+    symmetric dim x dim matrix with a Cholesky factor, as synthesis writes
+    it."""
+    def parse(report):
+        P = np.asarray(report["P"], dtype=float)
+        if P.shape != (dim, dim):
+            raise ValueError(f"P must be {dim}x{dim}, got shape {P.shape}")
+        if not np.isfinite(P).all():
+            raise ValueError("P must be finite")
+        if not np.array_equal(P, P.T):
+            raise ValueError("P must be symmetric")
+        np.linalg.cholesky(P)  # LinAlgError, a ValueError, unless PD
+        return P
+    return parse
+
+
+def _load_controller_and_P(cfg, out):
     controller = _load_json(_path(out, "controller.json"),
                             "controller artifact",
                             DerivativeController.from_dict)
     P = _load_json(_path(out, "synthesis_report.json"), "synthesis report",
-                   lambda report: np.asarray(report["P"], dtype=float))
+                   _metric(cfg.dim))
     return controller, P
 
 
 def cmd_verify(cfg: PipelineConfig, out, quiet=False):
-    controller, P = _load_controller_and_P(out)
+    controller, P = _load_controller_and_P(cfg, out)
     design, drift_model = _design_model(cfg, out)
     box = cfg.control_box
     rep = verify_sim.verify_grid(design, controller, P, box,
@@ -266,7 +283,7 @@ def _final_ratio(traj):
 
 
 def cmd_simulate(cfg: PipelineConfig, out, quiet=False):
-    controller, P = _load_controller_and_P(out)
+    controller, P = _load_controller_and_P(cfg, out)
     system, box = cfg.system, cfg.control_box
     W = np.linalg.inv(P)
     trajs = _rollouts(system, controller, cfg.initial_states, cfg.horizon,

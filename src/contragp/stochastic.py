@@ -19,17 +19,9 @@ from .errors import DataError
 from .linalg import symmetrize
 
 __all__ = ["sigma_jacobian", "moment_ies_check", "MomentReport",
-           "chebyshev_hulls", "quadratic_margin"]
+           "chebyshev_hulls"]
 
 SIGMA_FLOOR = 1e-8
-
-
-def quadratic_margin(A, P):
-    """lambda_min(P - A^T P A): the quadratic one-step decrease margin of a
-    linear(ized) map in the metric P."""
-    A = np.asarray(A, dtype=float)
-    P = np.asarray(P, dtype=float)
-    return float(np.linalg.eigvalsh(symmetrize(P - A.T @ P @ A))[0])
 
 
 def sigma_jacobian(model, X):

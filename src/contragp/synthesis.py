@@ -1,6 +1,8 @@
 """Controller synthesis pipelines.
 
-Three routes produce a constant metric P and a derivative-GP feedback law:
+Three routes produce a constant metric P and a derivative-GP feedback law
+for the control-affine model x+ = f(x) + b u with a constant input vector
+b:
 
 * two-step: pick P from the input-annihilated metric family, then choose
   the law's design-point gradients so every block is PSD with margin;
@@ -116,20 +118,15 @@ def _offdiag(G):
 
 
 def closed_loop_jacobians(model, controller, X, jacs=None, rows=slice(None)):
-    """Closed-loop Jacobians J(x) + b(x) grad u(x)^T at the rows ``rows``
-    of X, plus u(x) db(x) when the input vector varies with the state;
-    (B, n, n).  ``jacs``, one per row taken, replaces J(x): a hull vertex
-    at its cell center.  The law is evaluated once per row of X."""
+    """Closed-loop Jacobians J(x) + b grad u(x)^T at the rows ``rows`` of
+    X; (B, n, n).  ``jacs``, one per row taken, replaces J(x): a hull vertex
+    at its cell center.  The law's gradient is evaluated once per row of
+    X."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if jacs is None:
         jacs = model.drift_jacobian(X)
     grads = controller.control_grad_batch(X)[rows]
-    A = (np.asarray(jacs, dtype=float)
-         + model.input(X)[rows][:, :, None] * grads[:, None, :])
-    if not model.constant_input:
-        A = A + (controller.control_batch(X)[rows][:, None, None]
-                 * model.input_jac(X)[rows])
-    return A
+    return np.asarray(jacs, dtype=float) + model.b[:, None] * grads[:, None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -307,9 +304,10 @@ def _metric_constraint_mats(model, points, hulls):
     """Jacobian matrices entering every family, stacked: one per point, or
     the hulls' :attr:`~VertexHull.family` when hulls are given; with the
     index of each one's point and labels that identify the source."""
-    if hulls is not None and not np.allclose(hulls.centers, points):
-        raise DataError("points must be the hull cell centers")
     if hulls is not None:
+        if (hulls.centers.shape != points.shape
+                or not np.allclose(hulls.centers, points)):
+            raise DataError("points must be the hull cell centers")
         return hulls.family
     mats = np.asarray(model.drift_jacobian(points), dtype=float)
     return (mats, np.arange(len(points)),
@@ -372,9 +370,6 @@ def solve_metric(model, points, hulls=None, rho=DEFAULT_RHO, record=None):
     if points.shape[0] < 1:
         raise DataError("points must be non-empty")
     n = model.n
-    if not model.constant_input:
-        raise DataError("solve_metric expects a constant input vector; "
-                        "evaluate b pointwise for the non-constant variant")
     Bperp = left_annihilator(model.b)
     if Bperp.shape[0] == 0:
         return np.eye(n), None
@@ -416,29 +411,17 @@ def _design_gram(kernel, X):
         "without jitter; use fewer or better-separated design points")
 
 
-def _gain_problem(model, P, kernel, X, K0, family):
-    """Blocks [[P, (A P)^T], [A P, P]] with A = J + b g^T (+ u db for a
-    state-dependent input vector) affine in the law's gradients g at the
-    design points, one per design Jacobian or hull vertex of ``family``.
-    Only a state-dependent input vector couples the points, through the
-    law's values rows @ K0^{-1} g."""
+def _gain_problem(model, P, X, family):
+    """Blocks [[P, (A P)^T], [A P, P]] with A = J + b g^T affine in the
+    law's gradients g at the design points, one per design Jacobian or hull
+    vertex of ``family``.  Each block touches only the n gradient entries
+    of its own point."""
     N, n = X.shape
     mats, owners, labels = family
-    if model.constant_input:
-        # every point's entry a enters as b e_a^T: one shared stack
-        G = model.b[:, None] * np.eye(n)[:, None, :]
-        coeffs = np.broadcast_to(_offdiag(G @ P), (N, n, 2 * n, 2 * n))
-        cols = np.arange(N * n).reshape(N, n)
-    else:
-        # b_i e_l^T on point i's own entries, plus its value times db_i
-        eye = np.eye(N * n)
-        rows = kernel.grad_x2_outer(X, X).reshape(N, N * n)
-        values = np.linalg.solve(K0, rows.T).T  # rows K0^{-1}
-        own = eye.reshape(N, n, N * n).transpose(0, 2, 1)
-        G = (model.input(X)[:, None, :, None] * own[:, :, None, :]
-             + values[:, :, None, None] * model.input_jac(X)[:, None])
-        coeffs = _offdiag(G @ P)
-        cols = np.broadcast_to(np.arange(N * n), (N, N * n))
+    # every point's entry a enters as b e_a^T: one shared stack
+    G = model.b[:, None] * np.eye(n)[:, None, :]
+    coeffs = np.broadcast_to(_offdiag(G @ P), (N, n, 2 * n, 2 * n))
+    cols = np.arange(N * n).reshape(N, n)
     blocks = [lmi.AffineBlock(C, coeffs[i], var_indices=cols[i],
                               label=str(label))
               for C, i, label in zip(ies_block(P, mats), owners, labels)]
@@ -488,23 +471,15 @@ def solve_gain(model, P, kernel, points, hulls=None, eps_p=None,
     closed-loop block is PSD with maximal margin; the law's weights are
     then K0^{-1} g.
 
-    With a state-dependent input vector the law's value multiplies the
-    input Jacobian and its gradient the input vector, both linearly in g.
-    The equilibrium offset then shifts the value term inside the blocks;
-    the report's margins are recomputed from the shifted law, so any
-    degradation is visible there.
+    The blocks are affine in g through A = J + b g^T, so the equilibrium
+    offset, a constant shift of the law's value, leaves them unchanged.
     """
     X = np.atleast_2d(np.asarray(points, dtype=float))
     P = np.asarray(P, dtype=float)
     family = _metric_constraint_mats(model, X, hulls)
     K0 = _design_gram(kernel, X)
-    sol = _solve(_gain_problem(model, P, kernel, X, K0, family), rho, "gain")
-    if hulls is not None:
-        mode = "polytopic"
-    elif model.constant_input:
-        mode = "two-step"
-    else:
-        mode = "two-step-nonconstant-b"
+    sol = _solve(_gain_problem(model, P, X, family), rho, "gain")
+    mode = "two-step" if hulls is None else "polytopic"
     report = _finish_gain(model, P, kernel, X, K0, sol.z, family, sol,
                           mode, eps_p)
     r = None if hulls is None else hulls.subdivisions
@@ -533,8 +508,6 @@ def solve_joint(model, kernel, points, rho=DEFAULT_RHO):
     """
     X = np.atleast_2d(np.asarray(points, dtype=float))
     N, n = X.shape
-    if not model.constant_input:
-        raise DataError("the joint route needs a constant input vector")
     K0 = _design_gram(kernel, X)  # raises before the solve if K0 is singular
 
     basis = sym_basis(n)

@@ -90,65 +90,36 @@ def boundary_states(box: Box, count):
 
 
 class SystemModel:
-    """x_{k+1} = f(x_k) + b(x_k) u_k with a known Jacobian of the drift.
+    """x_{k+1} = f(x_k) + b u_k with a known Jacobian of the drift and a
+    constant input vector b.
 
     Every quantity is evaluated on a stack of states X of shape (B, n):
-    ``drift(X)`` is (B, n) and ``drift_jacobian(X)`` is (B, n, n).  The
-    input direction is either a constant vector ``b`` or an evaluator pair
-    ``(b_fun, b_jac)`` mapping X to (B, n) and (B, n, n).  On construction
-    the drift Jacobian and the input Jacobian are checked against central
-    differences at a stack of deterministic probe states, and a declared
-    equilibrium must actually be a fixed point of the drift.
+    ``drift(X)`` is (B, n) and ``drift_jacobian(X)`` is (B, n, n).  On
+    construction the drift Jacobian is checked against central differences
+    at a stack of deterministic probe states, and a declared equilibrium
+    must actually be a fixed point of the drift.
     """
 
-    def __init__(self, n, drift, drift_jacobian, b=None, b_fun=None,
-                 b_jac=None, equilibrium=None, name=None, validate=True):
+    def __init__(self, n, drift, drift_jacobian, b, equilibrium=None,
+                 name=None, validate=True):
         self.n = int(n)
         self.drift = drift
         self.drift_jacobian = drift_jacobian
         self.name = name
-        if (b is None) == (b_fun is None):
-            raise DataError("provide exactly one of b or (b_fun, b_jac)")
-        if b is not None:
-            self.b = np.asarray(b, dtype=float).reshape(-1)
-            if self.b.shape[0] != self.n:
-                raise DimensionError("b", self.n, self.b.shape[0])
-            self.b_fun = None
-            self.b_jac = None
-        else:
-            if b_jac is None:
-                raise DataError("b_fun requires b_jac")
-            self.b = None
-            self.b_fun = b_fun
-            self.b_jac = b_jac
+        self.b = np.asarray(b, dtype=float).reshape(-1)
+        if self.b.shape[0] != self.n:
+            raise DimensionError("b", self.n, self.b.shape[0])
         self.equilibrium = (None if equilibrium is None
                             else np.asarray(equilibrium, dtype=float).reshape(-1))
         if validate:
             self._validate()
 
-    @property
-    def constant_input(self):
-        return self.b is not None
-
-    def input(self, X):
-        """Input vectors b(x) at a stack of states, shape (B, n)."""
-        if self.constant_input:
-            return np.broadcast_to(self.b, X.shape)
-        return np.asarray(self.b_fun(X), dtype=float)
-
-    def input_jac(self, X):
-        """Input Jacobians db(x) at a stack of states, shape (B, n, n)."""
-        if self.constant_input:
-            return np.zeros((X.shape[0], self.n, self.n))
-        return np.asarray(self.b_jac(X), dtype=float)
-
     def step(self, X, U):
-        """Next states f(x) + b(x) u at a stack of states (B, n) and inputs
+        """Next states f(x) + b u at a stack of states (B, n) and inputs
         (B,), shape (B, n)."""
         X = np.asarray(X, dtype=float)
         U = np.asarray(U, dtype=float)
-        b = self.b if self.constant_input else self.input(X)
-        return self.drift(X) + b * U[:, None]
+        return self.drift(X) + self.b * U[:, None]
 
     def _probe_states(self):
         # the origin, then e_i and -e_i / 2 for each axis, then 3 random
@@ -166,22 +137,18 @@ class SystemModel:
         shifts = h * np.eye(n)
         Xs = np.concatenate([X[:, None, :] + shifts, X[:, None, :] - shifts]
                             ).reshape(-1, n)
-        checks = [("drift_jacobian", self.drift, self.drift_jacobian)]
-        if not self.constant_input:
-            checks.append(("b_jac", self.b_fun, self.b_jac))
-        for name, fun, jac in checks:
-            J = np.asarray(jac(X), dtype=float)
-            if J.shape != (K, n, n):
-                raise DimensionError(f"{name}(X)", (K, n, n), J.shape)
-            F = np.asarray(fun(Xs), dtype=float).reshape(2, K, n, n)
-            fd = ((F[0] - F[1]) / (2 * h)).transpose(0, 2, 1)
-            dev = np.abs(J - fd).max(axis=(1, 2))
-            bad = dev > 1e-4 * (1.0 + np.abs(J).max(axis=(1, 2)))
-            if np.any(bad):
-                i = int(np.argmax(bad))
-                raise DataError(
-                    f"{name} disagrees with finite differences at {X[i]} "
-                    f"(max deviation {dev[i]:.3e})")
+        J = np.asarray(self.drift_jacobian(X), dtype=float)
+        if J.shape != (K, n, n):
+            raise DimensionError("drift_jacobian(X)", (K, n, n), J.shape)
+        F = np.asarray(self.drift(Xs), dtype=float).reshape(2, K, n, n)
+        fd = ((F[0] - F[1]) / (2 * h)).transpose(0, 2, 1)
+        dev = np.abs(J - fd).max(axis=(1, 2))
+        bad = dev > 1e-4 * (1.0 + np.abs(J).max(axis=(1, 2)))
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            raise DataError(
+                f"drift_jacobian disagrees with finite differences at {X[i]} "
+                f"(max deviation {dev[i]:.3e})")
         if self.equilibrium is not None:
             self.check_equilibrium(self.equilibrium)
 

@@ -74,10 +74,7 @@ def verify_grid(model, controller, P, domain: Box, resolution):
         raise DataError("the metric P must be finite")
     pts = grid_points(domain, resolution)
     L = np.linalg.cholesky(P)
-    if controller is None:
-        closed = np.asarray(model.drift_jacobian(pts), dtype=float)
-    else:
-        closed = closed_loop_jacobians(model, controller, pts)
+    closed = closed_loop_jacobians(model, controller, pts)
     margins = np.linalg.eigvalsh(ies_block(P, closed))[:, 0]
     factors = np.array([np.linalg.svd(np.linalg.solve(L, A @ L),
                                       compute_uv=False)[0] for A in closed])

@@ -15,6 +15,7 @@ from test_deriv_gp import fit_objective_gradient
 from test_kernels import fd_grad_x2, fd_hess_cross
 from test_lmi import (assemble_margin, random_feasible_problem,
                       scalar_family_problem)
+from test_stochastic import quadratic_margin
 
 
 def _report(criterion, passed, detail):
@@ -219,7 +220,7 @@ def test_criterion_10_moment_arithmetic():
     margins = stochastic.moment_ies_check(
         Pbar, rng.normal(size=(5, 2)), np.broadcast_to(J, (5, 2, 2)),
         np.zeros((5, 2, 2)), np.zeros((5, 2), dtype=bool)).margins
-    reduction = np.abs(margins - stochastic.quadratic_margin(J, Pbar)).max()
+    reduction = np.abs(margins - quadratic_margin(J, Pbar)).max()
     _report(10, exact and reduction < 1e-10,
             f"plug-ins {m1:.2f}/{m2:.2f} exact, deterministic reduction "
             f"defect {reduction:.2e} (<1e-10)")

@@ -576,6 +576,23 @@ def _add_value_anchors(text):
     return json.dumps(data)
 
 
+def _set_metric(P):
+    """A synthesis-report corruption: the metric replaced by ``P``."""
+    def edit(text):
+        data = json.loads(text)
+        data["P"] = P
+        return json.dumps(data)
+    return edit
+
+
+# metrics that verify and simulate must refuse: not positive definite, the
+# wrong shape, and a non-symmetric one whose lower triangle factors
+BAD_METRICS = {"indefinite": [[1.0, 2.0], [2.0, 1.0]],
+               "3x3": np.eye(3).tolist(),
+               "vector": [1.0, 1.0],
+               "non-symmetric": [[2.0, 1.5], [-1.5, 2.0]]}
+
+
 # (command run on the corrupted artifact, file it names, corruption)
 MALFORMED_ARTIFACTS = {
     "empty-data": ("learn", "data.csv", _rewrite("data.csv", lambda t: "")),
@@ -599,9 +616,14 @@ MALFORMED_ARTIFACTS = {
                                       _rewrite("controller.json",
                                                _add_value_anchors)),
 }
+MALFORMED_ARTIFACTS.update({
+    f"{kind}-metric-{command}": (command, "synthesis_report.json",
+                                 _rewrite("synthesis_report.json",
+                                          _set_metric(P)))
+    for kind, P in BAD_METRICS.items() for command in ("verify", "simulate")})
 
 
-PIPELINE = ("gen-data", "learn", "synth", "verify")
+PIPELINE = ("gen-data", "learn", "synth", "verify", "simulate")
 
 
 class TestMalformedArtifacts:

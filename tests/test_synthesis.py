@@ -1,7 +1,7 @@
 """Synthesis tests: annihilators, the block/quadratic-form equivalence,
-metric and gain steps on hand-checkable systems, hull construction, the
-non-constant input route with its brute-force oracle, and the benchmark
-pipeline certificates."""
+metric and gain steps on hand-checkable systems, the separable gain oracle,
+hull construction, the stacked constraint families against per-block loops,
+and the benchmark pipeline certificates."""
 
 import itertools
 
@@ -88,46 +88,16 @@ class TestSchurEquivalence:
             stacked, np.stack([synthesis.ies_block(P, a) for a in A]))
 
 
-def _expansive_model(varying_input):
+def _expansive_model():
     """x1+ = 2 x1 whatever the input: no law and no metric contract it."""
-    A = np.diag([2.0, 1.0])
-
-    def drift(X):
-        return X @ A.T
-
-    def jac(X):
-        return np.broadcast_to(A, (len(X), 2, 2))
-
-    if not varying_input:
-        return systems.SystemModel(2, drift, jac, b=[0.0, 1.0])
-
-    def b_jac(X):
-        J = np.zeros((len(X), 2, 2))
-        J[:, 1, 0] = 0.2 * X[:, 0]
-        return J
-
-    return systems.SystemModel(
-        2, drift, jac,
-        b_fun=lambda X: np.column_stack([np.zeros(len(X)),
-                                         1.0 + 0.1 * X[:, 0] ** 2]),
-        b_jac=b_jac)
+    return systems.linear_system(np.diag([2.0, 1.0]), [0.0, 1.0])
 
 
-def _varying_input(model):
-    """``model``'s drift with the state-dependent input vector
-    b(x) = (0.1 x2, 1 + sin x1)."""
-
-    def b_jac(X):
-        J = np.zeros((len(X), 2, 2))
-        J[:, 0, 1] = 0.1
-        J[:, 1, 0] = np.cos(X[:, 0])
-        return J
-
-    return systems.SystemModel(
-        2, model.drift, model.drift_jacobian,
-        b_fun=lambda X: np.column_stack([0.1 * X[:, 1],
-                                         1.0 + np.sin(X[:, 0])]),
-        b_jac=b_jac)
+def _oblique_input(model):
+    """``model``'s drift with the constant input vector b = (0.3, -1.0):
+    both entries nonzero, so a transposed input term shows."""
+    return systems.SystemModel(2, model.drift, model.drift_jacobian,
+                               b=[0.3, -1.0])
 
 
 def _learned_oscillator():
@@ -158,11 +128,10 @@ class TestMetricStep:
         assert eps_p > 0.0
         assert np.linalg.eigvalsh(P)[0] >= 1.0 - 1e-6
 
-    @pytest.mark.parametrize("route", ["metric", "gain", "gain-nonconstant-b",
-                                       "joint"])
+    @pytest.mark.parametrize("route", ["metric", "gain", "joint"])
     def test_expansive_unactuated_direction_infeasible(self, route):
         pts = np.array([[0.5, -0.5], [-1.0, 1.0]])
-        model = _expansive_model(route == "gain-nonconstant-b")
+        model = _expansive_model()
         kernel = Kernel(dim=2)
         with pytest.raises(InfeasibleError) as err:
             if route == "metric":
@@ -220,18 +189,20 @@ class TestGainStep:
         assert osc_two_step.mode == "two-step"
         assert_solver_record(osc_two_step)
 
-    def test_ill_conditioned_gram_fails_the_residual_guard(self,
-                                                           oscillator):
-        # K0 of 4x4 points 1/6 apart factors, and the LMI solves, but the
-        # weights K0^{-1} g do not reproduce g to 1e-6 (1 + |g|); the
-        # guard's advice is about the design points
-        near = systems.Box.make([-0.25, -0.25], [0.25, 0.25])
-        pts = systems.grid_points(near, 4)
-        P, eps_p = synthesis.solve_metric(oscillator, pts, rho=10.0)
+    def test_ill_conditioned_gram_fails_the_residual_guard(self):
+        # K0 of 10 points 1/9 apart factors, and the LMI solves, but the
+        # Jacobian 2 + cos(9 pi x) alternates between 3 and 1 there, so the
+        # gradients g = -J alternate too and the weights K0^{-1} g do not
+        # reproduce them to 1e-6 (1 + |g|); the guard's advice is about the
+        # design points
+        k = 9.0 * np.pi
+        model = systems.SystemModel(
+            1, lambda X: 2.0 * X + np.sin(k * X) / k,
+            lambda X: (2.0 + np.cos(k * X))[:, :, None], b=[1.0])
+        pts = np.linspace(0.0, 1.0, 10)[:, None]
         with pytest.raises(FactorizationError,
                            match="weight solve residual") as err:
-            synthesis.solve_gain(_varying_input(oscillator), P, Kernel(dim=2),
-                                 pts, eps_p=eps_p, rho=10.0)
+            synthesis.solve_gain(model, np.eye(1), Kernel(dim=1), pts)
         assert "better-separated design points" in str(err.value)
         assert "sigma_p" not in str(err.value)
 
@@ -345,13 +316,13 @@ class TestClosedLoopJacobians:
         data = deriv_gp.DerivativeDataset(pts, rng.normal(size=(5, 2)))
         return deriv_gp.fit(Kernel(dim=2), data).with_offset_at([0.3, 0.1])
 
-    @pytest.mark.parametrize("model", ["oscillator", "varying-input",
+    @pytest.mark.parametrize("model", ["oscillator", "oblique-input",
                                        "learned"])
     def test_matches_pointwise_formula(self, model, oscillator):
         rng = np.random.default_rng(5)
         law = self._law(rng)
         model = {"oscillator": lambda: oscillator,
-                 "varying-input": lambda: _varying_input(oscillator),
+                 "oblique-input": lambda: _oblique_input(oscillator),
                  "learned": _learned_oscillator}[model]()
         X = rng.uniform(-2.0, 2.0, size=(7, 2))
         A = synthesis.closed_loop_jacobians(model, law, X)
@@ -359,12 +330,10 @@ class TestClosedLoopJacobians:
         for a, x in zip(A, X):
             one = x[None]
             want = (model.drift_jacobian(one)[0]
-                    + np.outer(model.input(one)[0],
-                               law.control_grad_batch(one)[0])
-                    + law.control_batch(one)[0] * model.input_jac(one)[0])
+                    + np.outer(model.b, law.control_grad_batch(one)[0]))
             np.testing.assert_allclose(a, want, rtol=1e-12, atol=1e-12)
 
-    @pytest.mark.parametrize("model", ["oscillator", "varying-input",
+    @pytest.mark.parametrize("model", ["oscillator", "oblique-input",
                                        "learned"])
     def test_once_per_point_matches_once_per_vertex(self, model, oscillator):
         # hull vertices at their cell centers: the law evaluated once per
@@ -372,7 +341,7 @@ class TestClosedLoopJacobians:
         rng = np.random.default_rng(6)
         law = self._law(rng)
         model = {"oscillator": lambda: oscillator,
-                 "varying-input": lambda: _varying_input(oscillator),
+                 "oblique-input": lambda: _oblique_input(oscillator),
                  "learned": _learned_oscillator}[model]()
         X = rng.uniform(-2.0, 2.0, size=(6, 2))
         owners = np.repeat(np.arange(6), [4, 1, 2, 4, 4, 1])[
@@ -500,6 +469,19 @@ class TestHulls:
             synthesis.build_hulls(model, systems.Box.make([-1] * 3, [1] * 3),
                                   1, inflation=0.1, vertex_cap=4)
 
+    @pytest.mark.parametrize("take", [slice(3), slice(None, None, -1)],
+                             ids=["count", "order"])
+    def test_points_must_be_the_cell_centers(self, take):
+        # 3 points against 4 cells is a DataError too, not a broadcast
+        # failure of the comparison
+        sine = systems.sine1d()
+        hulls = synthesis.build_hulls(sine, systems.Box.make([0.0], [np.pi]),
+                                      4, inflation=0.1)
+        with pytest.raises(DataError, match="points must be the hull cell "
+                                            "centers"):
+            synthesis.run_synthesis(sine, Kernel(dim=1), hulls.centers[take],
+                                    mode="polytopic", hulls=hulls)
+
 
 class TestPolytopicTwoD:
     def test_single_vertex_hulls_reduce_to_pointwise_metric(self):
@@ -618,53 +600,6 @@ class TestPolytopicGainSolve:
         assert gain.margin == pytest.approx(shipped.margin, abs=1e-6 * 10.0)
 
 
-class TestNonConstantInput:
-    def test_constant_b_through_nonconstant_path(self, toy_scalar):
-        model = systems.SystemModel(
-            1, toy_scalar.drift, toy_scalar.drift_jacobian,
-            b_fun=lambda X: np.ones((len(X), 1)),
-            b_jac=lambda X: np.zeros((len(X), 1, 1)), equilibrium=[0.0])
-        rep = synthesis.solve_gain(model, np.eye(1), Kernel(dim=1),
-                                   np.array([[0.0]]))
-        assert rep.mode == "two-step-nonconstant-b"
-        assert rep.eps == pytest.approx(1.0, abs=1e-4)
-        np.testing.assert_allclose(
-            rep.controller.control_grad_batch([[0.0]])[0], [-2.0], atol=1e-5)
-
-    def test_brute_force_oracle_scalar(self):
-        # f = 1.5x, b(x) = 1 + 0.1 x^2 on {-1, 0, 1}: grid-search candidate
-        # target vectors and keep the best pointwise margin as the oracle
-        model = systems.SystemModel(
-            1, lambda X: 1.5 * X, lambda X: np.full((len(X), 1, 1), 1.5),
-            b_fun=lambda X: 1.0 + 0.1 * X ** 2,
-            b_jac=lambda X: (0.2 * X)[:, :, None])
-        pts = np.array([[-1.0], [0.0], [1.0]])
-        kernel = Kernel(dim=1)
-        rep = synthesis.solve_gain(model, np.eye(1), kernel, pts)
-
-        K0 = deriv_gp.build_gram_K0(kernel, pts)
-        rows = kernel.grad_x2_outer(pts, pts).reshape(3, 3)
-        Tm = rows @ np.linalg.inv(K0)
-        Js, bs, dbs = (model.drift_jacobian(pts), model.input(pts),
-                       model.input_jac(pts))
-        best = -np.inf
-        grid = np.linspace(-4.0, 0.5, 19)
-        for t0 in grid:
-            for t1 in grid:
-                for t2 in grid:
-                    z = np.array([t0, t1, t2])
-                    mvals = Tm @ z
-                    worst = np.inf
-                    for i in range(len(pts)):
-                        A = (Js[i] + mvals[i] * dbs[i]
-                             + np.outer(bs[i], [z[i]]))
-                        worst = min(worst, float(np.linalg.eigvalsh(
-                            synthesis.ies_block(np.eye(1), A))[0]))
-                    best = max(best, worst)
-        assert best > 0.0  # oracle finds a feasible design
-        assert rep.solver_margin >= best - 1e-6
-
-
 class TestPolytopicConvexity:
     def test_vertex_certificates_dominate_cell_interiors(self):
         # lambda_min is concave over the hull, so with the cell-center
@@ -752,28 +687,16 @@ def ref_metric_blocks(model, mats, labels):
         label=str(label)) for J, label in zip(mats, labels)]
 
 
-def ref_gain_blocks(model, P, kernel, X, mats, labels):
+def ref_gain_blocks(model, P, X, mats, labels):
     N, n = X.shape
-    K0 = synthesis._design_gram(kernel, X)
-    nonconstant = not model.constant_input
     eye = np.eye(N * n)
-    bs = model.input(X)
-    if nonconstant:
-        rows = kernel.grad_x2_outer(X, X).reshape(N, N * n)
-        values = np.linalg.solve(K0, rows.T).T
-        dbs = model.input_jac(X)
     coeffs, cols = [], []
-    for i, b in enumerate(bs):
+    for i in range(N):
         own = np.arange(i * n, (i + 1) * n)
-        idx = np.arange(N * n) if nonconstant else own
-        per_var = []
-        for l in idx:
-            G = np.outer(b, eye[own, l])
-            if nonconstant:
-                G = G + values[i, l] * dbs[i]
-            per_var.append(synthesis._offdiag(G @ P))
-        coeffs.append(np.stack(per_var))
-        cols.append(idx)
+        coeffs.append(np.stack([
+            synthesis._offdiag(np.outer(model.b, eye[own, l]) @ P)
+            for l in own]))
+        cols.append(own)
     return [lmi.AffineBlock(synthesis.ies_block(P, J), coeffs[label[1]],
                             var_indices=cols[label[1]], label=str(label))
             for J, label in zip(mats, labels)]
@@ -821,15 +744,14 @@ def captured(monkeypatch):
     return problems
 
 
-def _route(case, oscillator):
-    """(model, design points, hulls) of a family case."""
+def _route(family, oscillator):
+    """(model, design points, hulls) of the oscillator on 3 x 3 design
+    points or 3 x 3 hull cells, ``family`` "points" or "hull"."""
     box = systems.Box.make([-2.0, -2.0], [2.0, 2.0])
-    model = {"oscillator": oscillator,
-             "varying-input": _varying_input(oscillator)}[case[0]]
-    if case[1] == "points":
-        return model, systems.grid_points(box, 3), None
-    hulls = synthesis.build_hulls(model, box, 3, inflation=0.1)
-    return model, hulls.centers, hulls
+    if family == "points":
+        return oscillator, systems.grid_points(box, 3), None
+    hulls = synthesis.build_hulls(oscillator, box, 3, inflation=0.1)
+    return oscillator, hulls.centers, hulls
 
 
 class TestStackedFamilies:
@@ -837,7 +759,7 @@ class TestStackedFamilies:
     def test_metric_family_matches_per_block_loop(self, case, oscillator,
                                                   captured):
         if case == "hull":
-            model, X, hulls = _route(("oscillator", "hull"), oscillator)
+            model, X, hulls = _route("hull", oscillator)
         else:
             # three states, one input: 2 x 2 annihilated blocks
             model = polynomial_chain([(0, (1, 1, 0), 0.5),
@@ -851,35 +773,35 @@ class TestStackedFamilies:
 
     @pytest.mark.parametrize("case", [("oscillator", "points"),
                                       ("oscillator", "hull"),
-                                      ("varying-input", "points"),
-                                      ("varying-input", "hull")],
+                                      ("oblique-input", "points"),
+                                      ("oblique-input", "hull")],
                              ids="-".join)
     def test_gain_family_matches_per_block_loop(self, case, oscillator,
                                                 captured):
-        model, X, hulls = _route(case, oscillator)
+        model, X, hulls = _route(case[1], oscillator)
+        if case[0] == "oblique-input":
+            model = _oblique_input(model)
         P = np.array([[2.0, -0.7], [-0.7, 1.5]])
         with pytest.raises(_Captured):
             synthesis.solve_gain(model, P, Kernel(dim=2), X, hulls=hulls)
         assert_same_blocks(captured[0].blocks, ref_gain_blocks(
-            model, P, Kernel(dim=2), X, *ref_family(model, X, hulls)))
+            model, P, X, *ref_family(model, X, hulls)))
 
     def test_joint_family_matches_per_block_loop(self, oscillator, captured):
-        model, X, _ = _route(("oscillator", "points"), oscillator)
+        model, X, _ = _route("points", oscillator)
         with pytest.raises(_Captured):
             synthesis.solve_joint(model, Kernel(dim=2), X)
         ref = ref_joint_blocks(model, *ref_family(model, X, None))
         assert_same_blocks(captured[0].blocks[:len(ref)], ref)
 
     @pytest.mark.parametrize("route", ["two-step", "polytopic", "joint",
-                                       "metric", "state-dependent-b",
-                                       "chain"])
+                                       "metric", "chain"])
     def test_newton_split_of_each_route(self, route, oscillator, captured):
         # the gain variables of one design point (or cell) are local to it;
         # P's entries on the joint route and t are the border; a family
-        # whose blocks all share one index list is all border
-        case = ("varying-input" if route == "state-dependent-b"
-                else "oscillator", "hull" if route == "polytopic" else "points")
-        model, X, hulls = _route(case, oscillator)
+        # whose blocks all share one index list (the metric's) is all border
+        model, X, hulls = _route(
+            "hull" if route == "polytopic" else "points", oscillator)
         if route == "chain":
             model = polynomial_chain([(0, (1, 1, 0), 0.5),
                                       (1, (0, 2, 0), -0.3)])
@@ -897,7 +819,7 @@ class TestStackedFamilies:
         split = lmi._Workspace(problem).split
         stacks = [loc.T for loc, *_ in split.stacks]
         m = problem.dim
-        if route in ("metric", "state-dependent-b"):
+        if route == "metric":
             assert stacks == []
             np.testing.assert_array_equal(split.border, np.arange(m + 1))
         elif route == "joint":

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from contragp import drift_gp, systems
-from contragp.errors import ConfigError, DataError
+from contragp.errors import ConfigError, DataError, DimensionError
 from contragp.kernels import Kernel
 
 
@@ -15,15 +15,10 @@ def _diag_stack(V):
     return V[:, :, None] * np.eye(V.shape[1])
 
 
-def _sine_model(**input_spec):
+def _sine_model(b):
     """f(x) = sin(x) entrywise on R^2, built from stacked callables."""
     return systems.SystemModel(2, np.sin, lambda X: _diag_stack(np.cos(X)),
-                               **input_spec)
-
-
-def _varying_input_toy():
-    return _sine_model(b_fun=lambda X: X ** 2,
-                       b_jac=lambda X: _diag_stack(2.0 * X))
+                               b=b)
 
 
 _POLY = {"n": 2, "b": [1.0, 0.0], "rows": [
@@ -49,7 +44,8 @@ MODELS = {
     "linear": lambda: systems.linear_system([[0.9, 0.2], [-0.1, 0.7]],
                                             [0.0, 1.0]),
     "polynomial": lambda: systems.polynomial_system(_POLY),
-    "varying-input": _varying_input_toy,
+    # both entries of b nonzero, so that a misplaced input term shows
+    "oblique-input": lambda: _sine_model(b=[0.6, -0.8]),
     "learned": _fitted_model,
 }
 
@@ -61,28 +57,17 @@ class TestSystemModel:
                 1, lambda X: 2.0 * X, lambda X: np.full((len(X), 1, 1), 5.0),
                 b=[1.0])
 
-    def test_wrong_input_jacobian_rejected_at_construction(self):
-        # b(x) = x^2 entrywise, but the declared db/dx drops the factor 2
-        with pytest.raises(DataError, match="b_jac disagrees with finite "
-                                            "differences"):
-            _sine_model(b_fun=lambda X: X ** 2,
-                        b_jac=lambda X: _diag_stack(X))
-
     def test_false_equilibrium_rejected(self):
         with pytest.raises(DataError, match="fixed point"):
             systems.SystemModel(
                 1, lambda X: 2.0 * X, lambda X: np.full((len(X), 1, 1), 2.0),
                 b=[1.0], equilibrium=[1.0])
 
-    def test_requires_exactly_one_input_spec(self):
-        drift = lambda X: X
-        jac = lambda X: np.ones((len(X), 1, 1))
-        with pytest.raises(DataError):
-            systems.SystemModel(1, drift, jac)
-        with pytest.raises(DataError):
-            systems.SystemModel(1, drift, jac, b=[1.0],
-                                b_fun=lambda X: np.ones((len(X), 1)),
-                                b_jac=lambda X: np.zeros((len(X), 1, 1)))
+    @pytest.mark.parametrize("b", [[1.0], [1.0, 0.0, 0.0], [[1.0, 0.0]] * 2],
+                             ids=["short", "long", "matrix"])
+    def test_input_vector_must_have_length_n(self, b):
+        with pytest.raises(DimensionError, match="'b'"):
+            _sine_model(b=b)
 
     def test_step_applies_input(self):
         model = systems.linear_system(0.5 * np.eye(2), [0.0, 1.0])
@@ -91,7 +76,7 @@ class TestSystemModel:
 
     @pytest.mark.parametrize("name", ["oscillator", "sine1d", "linear",
                                       "polynomial", "pointwise",
-                                      "varying-input"])
+                                      "oblique-input"])
     def test_step_batch_matches_pointwise_step(self, name):
         model = {**MODELS,
                  "pointwise": lambda: _sine_model(b=[0.0, 1.0])}[name]()
@@ -102,7 +87,7 @@ class TestSystemModel:
         assert batch.shape == X.shape
         for i, (u, row) in enumerate(zip(U, batch)):
             x = X[i:i + 1]
-            expected = model.drift(x)[0] + model.input(x)[0] * u
+            expected = model.drift(x)[0] + model.b * u
             np.testing.assert_allclose(row, expected, rtol=1e-14, atol=1e-14)
             np.testing.assert_allclose(model.step(x, [u])[0], row,
                                        rtol=1e-14, atol=1e-14)
@@ -110,8 +95,8 @@ class TestSystemModel:
 
 @pytest.mark.parametrize("name", sorted(MODELS))
 class TestModelContract:
-    """Every model evaluates drift, drift Jacobian, input vector, input
-    Jacobian and step on stacks of states (B, n)."""
+    """Every model evaluates drift, drift Jacobian and step on stacks of
+    states (B, n), with one constant input vector b of shape (n,)."""
 
     @staticmethod
     def _stack(model):
@@ -122,7 +107,6 @@ class TestModelContract:
     def _methods(model):
         U = np.linspace(-1.0, 1.0, 9)
         return {"drift": model.drift, "drift_jacobian": model.drift_jacobian,
-                "input": model.input, "input_jac": model.input_jac,
                 "step": lambda X: model.step(X, U[:len(X)])}
 
     def test_stacked_shapes(self, name):
@@ -130,9 +114,10 @@ class TestModelContract:
         X = self._stack(model)
         B, n = X.shape
         want = {"drift": (B, n), "drift_jacobian": (B, n, n),
-                "input": (B, n), "input_jac": (B, n, n), "step": (B, n)}
+                "step": (B, n)}
         for method, fn in self._methods(model).items():
             assert np.shape(fn(X)) == want[method], method
+        assert model.b.shape == (n,)
 
     def test_jacobian_matches_central_differences(self, name):
         model = MODELS[name]()

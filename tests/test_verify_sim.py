@@ -25,13 +25,19 @@ def random_contracting_pair(rng, n=2):
             return P, A
 
 
+def open_loop(n):
+    """A zero-weight law: u and its gradient vanish everywhere, so the
+    closed-loop Jacobian is the drift Jacobian."""
+    return DerivativeController(Kernel(dim=n), np.zeros((1, n)), np.zeros(n))
+
+
 class TestVerifyGrid:
     def test_linear_loop_uniform_margin_and_factor(self):
         rng = np.random.default_rng(51)
         P, A = random_contracting_pair(rng)
         model = systems.linear_system(A, [0.0, 1.0])
         box = systems.Box.make([-1, -1], [1, 1])
-        rep = verify_sim.verify_grid(model, None, P, box, 5)
+        rep = verify_sim.verify_grid(model, open_loop(2), P, box, 5)
         expect_margin = float(np.linalg.eigvalsh(synthesis.ies_block(P, A))[0])
         np.testing.assert_allclose(rep.margins, expect_margin, rtol=1e-9)
         # independent oracle: generalized eigenvalue of A P A^T against P
@@ -71,7 +77,7 @@ class TestVerifyGrid:
 
     def test_margin_sign_matches_factor_on_expansive_model(self):
         model = systems.linear_system(1.5 * np.eye(2), [0.0, 1.0])
-        rep = verify_sim.verify_grid(model, None, np.eye(2),
+        rep = verify_sim.verify_grid(model, open_loop(2), np.eye(2),
                                      systems.Box.make([-1, -1], [1, 1]), 3)
         assert rep.min_margin < 0.0 and rep.lam > 1.0 and rep.consistent
 
@@ -82,7 +88,7 @@ class TestVerifyGrid:
         P = np.eye(2)
         P[1, 0] = P[0, 1] = bad
         with pytest.raises(DataError, match="finite"):
-            verify_sim.verify_grid(model, None, P,
+            verify_sim.verify_grid(model, open_loop(2), P,
                                    systems.Box.make([-1, -1], [1, 1]), 3)
 
 
