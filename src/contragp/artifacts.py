@@ -3,7 +3,8 @@
 Every float is serialized with shortest round-trip decimal form (``repr``),
 so reading an artifact back reproduces the exact bits; writes land in a
 temporary file first and are renamed into place, so failed commands leave
-no partial artifacts behind.
+no partial artifacts behind; a table too long to hold as text is appended
+to its temporary file in row blocks (``atomic_files`` and ``csv_rows``).
 """
 
 from __future__ import annotations
@@ -11,13 +12,14 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from contextlib import contextmanager
 
 import numpy as np
 
 from .errors import ConfigError
 
-__all__ = ["canonical_json", "write_json", "write_csv", "read_csv",
-           "atomic_write_text"]
+__all__ = ["canonical_json", "write_json", "csv_rows", "write_csv",
+           "read_csv", "atomic_files", "atomic_write_text"]
 
 
 def _jsonable(obj):
@@ -41,19 +43,39 @@ def canonical_json(obj):
     return json.dumps(_jsonable(obj), sort_keys=True, indent=2) + "\n"
 
 
-def atomic_write_text(path, text):
-    path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+@contextmanager
+def atomic_files(paths):
+    """Text files opened for writing, one per path, that land at their
+    paths when the block exits: each is written to a temporary file in its
+    directory and renamed into place at the end.  When the block raises,
+    every temporary file is removed and no path is touched."""
+    paths = [os.fspath(p) for p in paths]
+    tmps, files = [], []
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        for path in paths:
+            directory = os.path.dirname(path) or "."
+            os.makedirs(directory, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-",
+                                       text=True)
+            tmps.append(tmp)
+            files.append(os.fdopen(fd, "w", encoding="utf-8", newline="\n"))
+        yield files
+        for fh in files:
+            fh.close()
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for fh in files:
+            fh.close()
+        for tmp in tmps:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
         raise
+
+
+def atomic_write_text(path, text):
+    with atomic_files([path]) as (fh,):
+        fh.write(text)
 
 
 def write_json(path, obj):
@@ -78,11 +100,12 @@ def _column_text(column):
     return map(_fmt, column)
 
 
-def write_csv(path, header, columns):
-    """Write a CSV table given column by column, one sequence per header
-    name; a column shorter than the longest ends in empty cells.  Cells
-    and separators are interleaved in one list, each column's texts set
-    by one slice assignment, and the table is joined once."""
+def csv_rows(columns):
+    """The rows of a CSV table given column by column, one sequence per
+    column, as text; a column shorter than the longest ends in empty
+    cells.  Cells and separators are interleaved in one list, each
+    column's texts set by one slice assignment, and the rows are joined
+    once."""
     columns = list(columns)
     rows = max(map(len, columns), default=0)
     width = 2 * len(columns)
@@ -92,7 +115,13 @@ def write_csv(path, header, columns):
         cells[width - 1::width] = ["\n"] * rows
     for j, column in enumerate(columns):
         cells[2 * j:width * len(column):width] = _column_text(column)
-    atomic_write_text(path, ",".join(header) + "\n" + "".join(cells))
+    return "".join(cells)
+
+
+def write_csv(path, header, columns):
+    """Write a CSV table given column by column, one sequence per header
+    name, through :func:`csv_rows`."""
+    atomic_write_text(path, ",".join(header) + "\n" + csv_rows(columns))
 
 
 def read_csv(path):

@@ -21,7 +21,8 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import drift_gp, stochastic, synthesis, verify_sim, viz
-from .artifacts import read_csv, write_csv, write_json
+from .artifacts import (atomic_files, csv_rows, read_csv, write_csv,
+                        write_json)
 from .config import (MODES, PipelineConfig, default_oscillator_config,
                      load_config, read_config)
 from .deriv_gp import DerivativeController
@@ -220,11 +221,17 @@ def _metric(dim):
 
 
 def _load_controller_and_P(cfg, out):
-    controller = _load_json(_path(out, "controller.json"),
-                            "controller artifact",
+    """The law of controller.json and the metric P of
+    synthesis_report.json, which synthesis also writes into the law as its
+    ``metric``; ConfigError naming both files when they differ."""
+    law_path = _path(out, "controller.json")
+    controller = _load_json(law_path, "controller artifact",
                             DerivativeController.from_dict)
-    P = _load_json(_path(out, "synthesis_report.json"), "synthesis report",
-                   _metric(cfg.dim))
+    path = _path(out, "synthesis_report.json")
+    P = _load_json(path, "synthesis report", _metric(cfg.dim))
+    if controller.metric is None or not np.array_equal(controller.metric, P):
+        raise ConfigError(f"malformed synthesis report {path}: its metric P "
+                          f"is not the metric of the law in {law_path}")
     return controller, P
 
 
@@ -253,61 +260,94 @@ def cmd_verify(cfg: PipelineConfig, out, quiet=False):
     return outputs
 
 
-def _weighted_monotone_stats(traj, W, box, floor=1e-10):
-    """Per-step decrease of the weighted norm while the state stays inside
-    the certified region; steps already at the numerical floor are skipped
-    (ratios there are roundoff noise, not dynamics)."""
-    d = verify_sim.weighted_norms(traj.states, W)
+def _weighted_monotone_stats(states, W, box, floor=1e-10):
+    """Per-step decrease of the weighted norm along consecutive ``states``
+    while the state stays inside the certified region, as counts (steps
+    that rose, steps counted); steps already at the numerical floor are
+    skipped (ratios there are roundoff noise, not dynamics).  The counts of
+    pieces that share their boundary states add up to the whole's."""
+    d = verify_sim.weighted_norms(states, W)
     d0, d1 = d[:-1], d[1:]
-    counted = box.contains_rows(traj.states[:-1]) & (d0 >= floor)
+    counted = box.contains_rows(states[:-1]) & (d0 >= floor)
     viol = np.count_nonzero(counted & (d1 > d0 * (1.0 + 1e-9)))
     return int(viol), int(np.count_nonzero(counted))
 
 
-def _rollouts(system, law, inits, horizon, directory):
+def _final_ratio(first, last):
+    return float(np.linalg.norm(last) / max(np.linalg.norm(first), 1e-300))
+
+
+def _rollouts(system, law, inits, horizon, directory, W=None, box=None,
+              keep=False):
     """Roll the law out on the system from every initial state in lockstep,
-    writing ``<directory>/traj_XX.csv``; returns the trajectories."""
+    appending each chunk of steps to ``<directory>/traj_XX.csv`` as it
+    arrives; the files land once the last chunk is written.  Returns each
+    trajectory's final ratio and divergence flag, with the weight ``W``
+    its monotone stats inside ``box`` as well, and the trajectories when
+    ``keep`` (else None)."""
+    inits = np.atleast_2d(np.asarray(inits, dtype=float))
+    count, n = inits.shape
+    header = ",".join(["k"] + [f"x_{i+1}" for i in range(n)] + ["u"]) + "\n"
+    names = [os.path.join(directory, f"traj_{i:02d}.csv")
+             for i in range(count)]
+    finals = [None] * count
+    viol, inside = [0] * count, [0] * count
+    diverged = np.zeros(count, dtype=bool)
+    kept = []
     os.makedirs(directory, exist_ok=True)
-    header = ["k"] + [f"x_{i+1}" for i in range(system.n)] + ["u"]
-    trajs = verify_sim.rollouts(system, law, inits, horizon)
-    for idx, traj in enumerate(trajs):
-        # one input fewer than states: the last row's u cell stays empty
-        write_csv(os.path.join(directory, f"traj_{idx:02d}.csv"), header,
-                  [np.arange(traj.horizon + 1), *traj.states.T, traj.inputs])
-    return trajs
-
-
-def _final_ratio(traj):
-    return float(np.linalg.norm(traj.states[-1])
-                 / max(np.linalg.norm(traj.states[0]), 1e-300))
+    with atomic_files(names) as files:
+        for fh in files:
+            fh.write(header)
+        for chunk in verify_sim.rollout_chunks(system, law, inits, horizon):
+            for i, fh in enumerate(files):
+                steps = chunk.steps(i)
+                if not steps:
+                    continue
+                last = int(chunk.start + steps == chunk.ends[i])
+                states = chunk.states[i, :steps + 1]
+                # one input fewer than states: the last row's u cell stays
+                # empty
+                fh.write(csv_rows([
+                    np.arange(chunk.start, chunk.start + steps + last),
+                    *states[:steps + last].T, chunk.inputs[i, :steps]]))
+                if W is not None:
+                    v, c = _weighted_monotone_stats(states, W, box)
+                    viol[i] += v
+                    inside[i] += c
+                finals[i] = states[-1].copy()
+            diverged = chunk.diverged
+            if keep:
+                kept.append(chunk)
+    stats = [{"final_ratio": _final_ratio(x0, x), "diverged": bool(d)}
+             for x0, x, d in zip(inits, finals, diverged)]
+    if W is not None:
+        for s, v, c in zip(stats, viol, inside):
+            s.update(monotone_violations=v, steps_inside=c)
+    return stats, (verify_sim.gather(kept) if keep else None)
 
 
 def cmd_simulate(cfg: PipelineConfig, out, quiet=False):
     controller, P = _load_controller_and_P(cfg, out)
     system, box = cfg.system, cfg.control_box
-    W = np.linalg.inv(P)
-    trajs = _rollouts(system, controller, cfg.initial_states, cfg.horizon,
-                      _path(out, "trajectories"))
-    stats = []
-    for x0, traj in zip(cfg.initial_states, trajs):
-        viol, inside = _weighted_monotone_stats(traj, W, box)
-        stats.append({"initial": [float(v) for v in x0],
-                      "final_ratio": _final_ratio(traj),
-                      "diverged": traj.diverged,
-                      "monotone_violations": viol, "steps_inside": inside})
+    portrait = cfg.emit_svg and system.n == 2
+    stats, trajs = _rollouts(system, controller, cfg.initial_states,
+                             cfg.horizon, _path(out, "trajectories"),
+                             W=np.linalg.inv(P), box=box, keep=portrait)
+    for x0, s in zip(cfg.initial_states, stats):
+        s["initial"] = [float(v) for v in x0]
     summary = {"horizon": cfg.horizon, "trajectories": stats,
                "max_final_ratio": max(s["final_ratio"] for s in stats),
                "any_diverged": any(s["diverged"] for s in stats),
                "total_monotone_violations": sum(s["monotone_violations"]
                                                 for s in stats)}
-    if cfg.emit_svg and system.n == 2:
+    if portrait:
         viz.phase_portrait_svg(_path(out, "phase_portrait.svg"), trajs, box,
                                title="closed loop")
     baseline = _baseline_runs(cfg, out, quiet)
     if baseline is not None:
         summary["baseline"] = baseline
     write_json(_path(out, "sim_summary.json"), summary)
-    _say(quiet, f"simulated {len(trajs)} trajectories, max final ratio "
+    _say(quiet, f"simulated {len(stats)} trajectories, max final ratio "
          f"{summary['max_final_ratio']:.4f}")
     return summary
 
@@ -328,13 +368,13 @@ def _baseline_runs(cfg, out, quiet):
         def control_batch(self, X):
             return -model.components[comp].mean(X) + X @ gain
 
-    trajs = _rollouts(system, _BaselineLaw(), cfg.initial_states,
-                      cfg.horizon, _path(out, "baseline"))
-    stats = [{"final_ratio": _final_ratio(traj), "diverged": traj.diverged}
-             for traj in trajs]
+    portrait = cfg.emit_svg and system.n == 2
+    stats, trajs = _rollouts(system, _BaselineLaw(), cfg.initial_states,
+                             cfg.horizon, _path(out, "baseline"),
+                             keep=portrait)
     nonconv = sum(1 for s in stats
                   if s["diverged"] or s["final_ratio"] > 0.1)
-    if cfg.emit_svg and system.n == 2:
+    if portrait:
         viz.phase_portrait_svg(_path(out, "baseline_portrait.svg"), trajs,
                                cfg.control_box, title="baseline")
     _say(quiet, f"baseline: {nonconv}/{len(stats)} trajectories flagged "

@@ -25,7 +25,10 @@ from .systems import Box, grid_points
 __all__ = [
     "VerificationReport",
     "Trajectory",
+    "Chunk",
     "verify_grid",
+    "rollout_chunks",
+    "gather",
     "rollouts",
     "contraction_rate",
     "weighted_norms",
@@ -102,6 +105,7 @@ class Trajectory:
 
 
 DIVERGENCE_LIMIT = 1e6
+CHUNK = 2500  # steps per chunk of rollout_chunks
 
 
 def _diverged(X):
@@ -110,22 +114,45 @@ def _diverged(X):
     return ~(np.abs(X) <= DIVERGENCE_LIMIT).all(axis=-1)
 
 
-def rollouts(model, law, X0, horizon, noise_std=None, seed=None):
+@dataclass
+class Chunk:
+    """Steps ``start`` to ``start + m - 1`` of lockstep rollouts, m at most
+    ``CHUNK``: ``states[i, j]`` is trajectory i's state at step
+    ``start + j`` (row 0 repeats the previous chunk's last state) and
+    ``inputs[i, j]`` the input applied there.  ``ends[i]`` is the step at
+    which trajectory i ends: the horizon, or the step at which it diverged;
+    the entries past it hold no data."""
+    start: int
+    states: np.ndarray  # (count, m + 1, n)
+    inputs: np.ndarray  # (count, m)
+    ends: np.ndarray  # (count,)
+    diverged: np.ndarray  # (count,) bool
+
+    def steps(self, i):
+        """The number of trajectory i's steps in this chunk, 0 once it has
+        ended in an earlier one."""
+        return int(min(self.inputs.shape[1], max(self.ends[i] - self.start,
+                                                 0)))
+
+
+def rollout_chunks(model, law, X0, horizon, noise_std=None, seed=None):
     """Closed-loop trajectories from every row of ``X0``, simulated in
-    lockstep.
+    lockstep and yielded as :class:`Chunk` s of ``CHUNK`` steps, so a
+    consumer holds one chunk's states at a time.
 
     Each step makes one ``law.control_batch`` call on the stack of active
-    states (zero input when ``law`` is None) and one ``model.step``.
-    With ``noise_std`` the loop is the stochastic one x+ = f(x) + b u +
-    diag(sigma(x)) w: each step adds ``noise_std(X) * w``, sigma taken at
-    the pre-step states and w standard normal from
-    ``np.random.default_rng(seed)``.  The active rows share that one
-    stream, so a row's noise depends on which other rows are active; a
-    one-row stack is reproducible per seed on its own.
+    states and one ``model.step``.  With ``noise_std`` the loop is the
+    stochastic one x+ = f(x) + b u + diag(sigma(x)) w: each step adds
+    ``noise_std(X) * w``, sigma taken at the pre-step states and w standard
+    normal from ``np.random.default_rng(seed)``, one stream across the
+    chunks.  The active rows share that stream, so a row's noise depends on
+    which other rows are active; a one-row stack is reproducible per seed
+    on its own.
     A trajectory whose state turns non-finite or passes 1e6 in any
     coordinate is truncated at that step, flagged as diverged, and leaves
     the active set.  Until one does, every trajectory is active: the
-    active set is a slice and the divergence test one reduction.
+    active set is a slice and the divergence test one reduction.  The last
+    chunk ends with the last active trajectory.
     """
     if horizon < 1:
         raise DataError("horizon must be at least 1")
@@ -133,35 +160,60 @@ def rollouts(model, law, X0, horizon, noise_std=None, seed=None):
     if not np.all(np.isfinite(X)):
         raise DataError("initial states contain NaN or infinite entries")
     count, n = X.shape
-    # one row per trajectory, so each returned trajectory is a view
-    states = np.empty((count, horizon + 1, n))
-    inputs = np.zeros((count, horizon))
-    states[:, 0] = X
     ends = np.full(count, horizon)
     diverged = np.zeros(count, dtype=bool)
     active = slice(None)  # the rows of the active trajectories
     rng = None if noise_std is None else np.random.default_rng(seed)
-    for k in range(horizon):
-        U = np.zeros(len(X)) if law is None else law.control_batch(X)
-        inputs[active, k] = U
-        if rng is None:
-            X = model.step(X, U)
-        else:
-            X = model.step(X, U) + noise_std(X) * rng.standard_normal(X.shape)
-        states[active, k + 1] = X
-        # NaN fails the comparison too; an empty stack passes
-        if np.abs(X).max(initial=0.0) <= DIVERGENCE_LIMIT:
-            continue
-        bad = _diverged(X)
-        rows = np.arange(count)[active]
-        ends[rows[bad]] = k + 1
-        diverged[rows[bad]] = True
-        active, X = rows[~bad], X[~bad]
-        if active.size == 0:
-            break
-    return [Trajectory(states[i, :ends[i] + 1], inputs[i, :ends[i]],
-                       seed=seed, diverged=bool(diverged[i]))
-            for i in range(count)]
+    start = 0
+    while start < horizon and len(X):
+        steps = min(CHUNK, horizon - start)
+        states = np.empty((count, steps + 1, n))
+        inputs = np.zeros((count, steps))
+        states[active, 0] = X
+        for j in range(steps):
+            U = law.control_batch(X)
+            inputs[active, j] = U
+            if rng is None:
+                X = model.step(X, U)
+            else:
+                X = (model.step(X, U)
+                     + noise_std(X) * rng.standard_normal(X.shape))
+            states[active, j + 1] = X
+            # NaN fails the comparison too
+            if np.abs(X).max() <= DIVERGENCE_LIMIT:
+                continue
+            bad = _diverged(X)
+            rows = np.arange(count)[active]
+            ends[rows[bad]] = start + j + 1
+            diverged[rows[bad]] = True
+            active, X = rows[~bad], X[~bad]
+            if not len(X):
+                break
+        yield Chunk(start, states[:, :j + 2], inputs[:, :j + 1], ends.copy(),
+                    diverged.copy())
+        start += steps
+
+
+def gather(chunks, seed=None):
+    """The whole trajectories of one :func:`rollout_chunks` run from its
+    chunks, each tagged with ``seed``."""
+    chunks = list(chunks)
+    if not chunks:
+        return []
+    last = chunks[-1]
+    return [Trajectory(
+        np.concatenate([chunks[0].states[i, :1]]
+                       + [c.states[i, 1:c.steps(i) + 1] for c in chunks]),
+        np.concatenate([c.inputs[i, :c.steps(i)] for c in chunks]),
+        seed=seed, diverged=bool(last.diverged[i]))
+        for i in range(len(last.ends))]
+
+
+def rollouts(model, law, X0, horizon, noise_std=None, seed=None):
+    """The whole closed-loop trajectories of :func:`rollout_chunks` from
+    every row of ``X0``, one :class:`Trajectory` per row."""
+    return gather(rollout_chunks(model, law, X0, horizon, noise_std, seed),
+                  seed)
 
 
 def contraction_rate(pairs, P, region: Box | None = None, tiny=1e-12):

@@ -1,9 +1,10 @@
-"""Artifact IO tests: the CSV text of every value type."""
+"""Artifact IO tests: the CSV text of every value type, tables written in
+row blocks, and files that land together or not at all."""
 
 import numpy as np
 import pytest
 
-from contragp.artifacts import _fmt, write_csv
+from contragp.artifacts import _fmt, atomic_files, csv_rows, write_csv
 
 
 def test_csv_text_of_each_value_type(tmp_path):
@@ -90,3 +91,41 @@ def test_single_join_matches_row_joins(tmp_path, header, columns):
     path = tmp_path / "t.csv"
     write_csv(path, header, columns)
     assert path.read_bytes() == _zip_join_text(header, columns).encode()
+
+
+@pytest.mark.parametrize("bounds", [[0, 41], [0, 7, 14, 41], [0, 1, 40, 41]])
+def test_row_blocks_match_one_table(tmp_path, bounds):
+    """A trajectory table appended in blocks of rows, the last block one
+    input short, has the bytes of the table written at once."""
+    rng = np.random.default_rng(6)
+    states = rng.normal(size=(41, 2)) * 10.0 ** rng.integers(-9, 9, (41, 2))
+    inputs = rng.normal(size=40)
+    header = ["k", "x_1", "x_2", "u"]
+    write_csv(tmp_path / "whole.csv", header,
+              [np.arange(41), *states.T, inputs])
+    with atomic_files([tmp_path / "blocks.csv"]) as (fh,):
+        fh.write(",".join(header) + "\n")
+        for a, b in zip(bounds, bounds[1:]):
+            fh.write(csv_rows([np.arange(a, b), *states[a:b].T,
+                               inputs[a:b]]))
+    assert ((tmp_path / "blocks.csv").read_bytes()
+            == (tmp_path / "whole.csv").read_bytes())
+
+
+def test_atomic_files_land_together_or_not_at_all(tmp_path):
+    paths = [tmp_path / "a.csv", tmp_path / "sub" / "b.csv"]
+    paths[0].write_text("old\n")
+    with pytest.raises(RuntimeError):
+        with atomic_files(paths) as files:
+            for fh in files:
+                fh.write("new\n")
+            raise RuntimeError("a failed run")
+    # the old file is untouched, the new one absent, no temporary is left
+    assert paths[0].read_text() == "old\n" and not paths[1].exists()
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["a.csv", "sub"]
+    with atomic_files(paths) as files:
+        for fh, text in zip(files, ["one\n", "two\n"]):
+            fh.write(text)
+    assert [p.read_text() for p in paths] == ["one\n", "two\n"]
+    assert sorted(p.name for p in tmp_path.rglob("*")) == [
+        "a.csv", "b.csv", "sub"]

@@ -3,17 +3,20 @@ data command, and the polynomial-system config path."""
 
 import json
 import os
+import shutil
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from contragp import cli, lmi
-from contragp.artifacts import read_csv
+from contragp import cli, lmi, verify_sim, viz
+from contragp.artifacts import read_csv, write_csv
 from contragp.deriv_gp import DerivativeController
+from contragp.errors import NumericalFailureError
 from contragp.config import (PipelineConfig, default_oscillator_config,
                              default_sine1d_config)
 from contragp.systems import Box
+from contragp.verify_sim import Trajectory
 
 
 def small_osc_config():
@@ -890,15 +893,12 @@ class TestSinePolytopic:
 
 class TestSimulationStats:
     def test_weighted_monotone_stats_match_reference_loop(self):
-        from contragp.systems import Box
-        from contragp.verify_sim import Trajectory
-
-        def reference(traj, W, box, floor=1e-10):
+        def reference(states, W, box, floor=1e-10):
             viol = inside = 0
-            for k in range(traj.horizon):
-                if not box.contains_rows(traj.states[k:k + 1])[0]:
+            for k in range(len(states) - 1):
+                if not box.contains_rows(states[k:k + 1])[0]:
                     continue
-                x0, x1 = traj.states[k], traj.states[k + 1]
+                x0, x1 = states[k], states[k + 1]
                 d0 = np.sqrt(max(x0 @ W @ x0, 0.0))
                 if d0 < floor:
                     continue
@@ -914,11 +914,212 @@ class TestSimulationStats:
                            [1.0, -1.0], [0.1, 0.0], [1e-11, 0.0],
                            [3e-11, 0.0], [0.0, 0.0], [1.5, 0.0],
                            [0.2, 0.1]])
-        traj = Trajectory(states, np.zeros(len(states) - 1))
         W = np.array([[2.0, 0.5], [0.5, 1.0]])
         box = Box.make([-1.0, -1.0], [1.0, 1.0])
-        got = cli._weighted_monotone_stats(traj, W, box)
-        assert got == reference(traj, W, box) == (2, 5)
+        assert reference(states, W, box) == (2, 5)
+        # chunks share their boundary states: the steps 0-3, 3-6 and 6-10,
+        # whose first boundary sits between the two rises and whose second
+        # is below the floor, count what the whole trajectory counts
+        for bounds in ([0, 10], [0, 3, 6, 10], [0, 1, 2, 7, 9, 10]):
+            counts = [cli._weighted_monotone_stats(states[a:b + 1], W, box)
+                      for a, b in zip(bounds, bounds[1:])]
+            assert tuple(map(sum, zip(*counts))) == (2, 5)
+
+
+def whole_trajectory_artifacts(cfg, out, directory):
+    """The closed-loop artifacts of ``simulate`` as written from whole
+    trajectories: the stepwise oracle's rollouts, each table written by
+    one ``write_csv`` call, the stats of each whole trajectory, and the
+    phase portrait.  Returns {name: bytes} and the summary's trajectory
+    stats."""
+    from test_verify_sim import stepwise_rollouts
+
+    law = DerivativeController.from_dict(
+        json.load(open(os.path.join(out, "controller.json"))))
+    W = np.linalg.inv(law.metric)
+    states, inputs, ends, diverged = stepwise_rollouts(
+        cfg.system, law, cfg.initial_states, cfg.horizon)
+    header = ["k", "x_1", "x_2", "u"]
+    files, stats, trajs = {}, [], []
+    for i, x0 in enumerate(cfg.initial_states):
+        traj = Trajectory(states[i, :ends[i] + 1], inputs[i, :ends[i]],
+                          diverged=bool(diverged[i]))
+        trajs.append(traj)
+        name = f"trajectories/traj_{i:02d}.csv"
+        write_csv(os.path.join(directory, name), header,
+                  [np.arange(traj.horizon + 1), *traj.states.T, traj.inputs])
+        viol, inside = cli._weighted_monotone_stats(traj.states, W,
+                                                    cfg.control_box)
+        stats.append({"diverged": traj.diverged,
+                      "final_ratio": float(
+                          np.linalg.norm(traj.states[-1])
+                          / max(np.linalg.norm(traj.states[0]), 1e-300)),
+                      "initial": [float(v) for v in x0],
+                      "monotone_violations": viol, "steps_inside": inside})
+    viz.phase_portrait_svg(os.path.join(directory, "phase_portrait.svg"),
+                           trajs, cfg.control_box, title="closed loop")
+    for root, _, names in os.walk(directory):
+        for name in names:
+            path = os.path.join(root, name)
+            files[os.path.relpath(path, directory)] = open(path, "rb").read()
+    return files, stats
+
+
+def simulated_files(out):
+    """{path under out: bytes} of everything ``simulate`` writes."""
+    files = {}
+    for root, _, names in os.walk(out):
+        for name in names:
+            rel = os.path.relpath(os.path.join(root, name), out)
+            if (rel.startswith(("trajectories", "baseline"))
+                    or rel in ("phase_portrait.svg", "baseline_portrait.svg",
+                               "sim_summary.json")):
+                files[rel] = open(os.path.join(out, rel), "rb").read()
+    return files
+
+
+class TestChunkedSimulate:
+    """``simulate`` streams its rollouts in chunks of ``verify_sim.CHUNK``
+    steps; its artifacts are those written from whole trajectories."""
+
+    @pytest.fixture(scope="class")
+    def designed(self, tmp_path_factory):
+        """gen-data, learn and synth of the small oscillator config with
+        the portraits on; its learned baseline diverges at step 18."""
+        out = tmp_path_factory.mktemp("chunked")
+        cfg = small_osc_config()
+        cfg["emit_svg"] = True
+        path = write_cfg(out, cfg)
+        for command in ("gen-data", "learn", "synth"):
+            assert cli.main([command, "--config", path, "--out",
+                             str(out / "run"), "--quiet"]) == 0
+        return cfg, out / "run"
+
+    @staticmethod
+    def simulate(designed, tmp_path, name, horizon):
+        cfg_d, run = designed
+        cfg_d = json.loads(json.dumps(cfg_d))
+        cfg_d["sim"]["horizon"] = horizon
+        out = tmp_path / name
+        shutil.copytree(run, out)
+        assert cli.main(["simulate", "--config", write_cfg(tmp_path, cfg_d),
+                         "--out", str(out), "--quiet"]) == 0
+        return PipelineConfig(cfg_d), str(out)
+
+    @pytest.mark.parametrize("horizon", [20, 21, 22])
+    def test_chunks_of_7_write_the_one_chunk_bytes(self, designed, tmp_path,
+                                                   monkeypatch, horizon):
+        # horizons 3 * 7 - 1, 3 * 7 and 3 * 7 + 1; the baseline's second
+        # trajectory diverges at step 18, inside the third chunk
+        trees = {}
+        for chunk in (7, horizon):
+            monkeypatch.setattr(verify_sim, "CHUNK", chunk)
+            _, out = self.simulate(designed, tmp_path, f"chunk{chunk}",
+                                   horizon)
+            trees[chunk] = simulated_files(out)
+        assert trees[7] == trees[horizon]
+        assert {"phase_portrait.svg", "baseline_portrait.svg",
+                "trajectories/traj_01.csv",
+                "baseline/traj_01.csv"} <= set(trees[7])
+        summary = json.loads(trees[7]["sim_summary.json"])
+        assert [t["diverged"] for t in summary["baseline"]["trajectories"]] \
+            == [False, True]
+        assert trees[7]["baseline/traj_01.csv"].count(b"\n") == 1 + 19
+        assert not any(name.startswith(".tmp-") for name in
+                       os.listdir(os.path.join(out, "trajectories")))
+
+    @pytest.mark.parametrize("horizon", [20, 21, 22])
+    def test_artifacts_match_the_whole_trajectory_writer(
+            self, designed, tmp_path, monkeypatch, horizon):
+        monkeypatch.setattr(verify_sim, "CHUNK", 7)
+        cfg, out = self.simulate(designed, tmp_path, "out", horizon)
+        want, stats = whole_trajectory_artifacts(cfg, out, tmp_path / "ref")
+        got = simulated_files(out)
+        assert {name: got[name] for name in want} == want
+        summary = json.loads(got["sim_summary.json"])
+        assert summary["trajectories"] == stats
+
+    def test_failed_run_leaves_no_trajectory_file(self, designed, tmp_path,
+                                                  monkeypatch):
+        # the rollouts fail after their first chunk: the rows written so
+        # far never land
+        chunks = verify_sim.rollout_chunks
+
+        def failing(*args, **kwargs):
+            yield next(chunks(*args, **kwargs))
+            raise NumericalFailureError("the rollout failed")
+
+        monkeypatch.setattr(verify_sim, "CHUNK", 7)
+        monkeypatch.setattr(verify_sim, "rollout_chunks", failing)
+        cfg_d, run = designed
+        out = tmp_path / "out"
+        shutil.copytree(run, out)
+        assert cli.main(["simulate", "--config", write_cfg(tmp_path, cfg_d),
+                         "--out", str(out), "--quiet"]) == 4
+        assert os.listdir(out / "trajectories") == []
+        assert not (out / "sim_summary.json").exists()
+
+    def test_peak_memory_does_not_grow_with_the_horizon(
+            self, designed, tmp_path, monkeypatch):
+        # 2 rollouts of 2 and of 20 chunks of 50 steps; written from whole
+        # trajectories, the second run peaked at 8.5 times the first
+        import tracemalloc
+
+        monkeypatch.setattr(verify_sim, "CHUNK", 50)
+        cfg_d, run = designed
+        cfg_d = json.loads(json.dumps(cfg_d))
+        cfg_d["emit_svg"] = False
+        cfg_d["sim"]["baseline"] = False
+        out = str(tmp_path / "out")
+        shutil.copytree(run, out)
+        peaks = {}
+        for chunks in (2, 2, 20):  # the first run warms up
+            cfg_d["sim"]["horizon"] = 50 * chunks
+            cfg = PipelineConfig(cfg_d)
+            tracemalloc.start()
+            try:
+                cli.cmd_simulate(cfg, out, quiet=True)
+                peaks[chunks] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[20] <= 1.25 * peaks[2], peaks
+
+
+class TestMetricAgreement:
+    """verify and simulate read the metric P of synthesis_report.json and
+    the law of controller.json, which carries the P it was designed for;
+    when the two differ they exit 3, name both files, and write
+    nothing."""
+
+    @staticmethod
+    def _drop_law_metric(text):
+        data = json.loads(text)
+        del data["metric"]
+        return json.dumps(data)
+
+    @pytest.mark.parametrize("command", ["verify", "simulate"])
+    @pytest.mark.parametrize("corrupt", ["report-identity", "law-without"])
+    def test_disagreeing_metrics_exit_invalid(self, tmp_path, capsys,
+                                              command, corrupt):
+        cfg = write_cfg(tmp_path, small_osc_config())
+        out = tmp_path / "out"
+        for producer in ("gen-data", "learn", "synth"):
+            assert cli.main([producer, "--config", cfg, "--out", str(out),
+                             "--quiet"]) == 0, producer
+        if corrupt == "report-identity":
+            # a valid metric, not the law's
+            _rewrite("synthesis_report.json",
+                     _set_metric(np.eye(2).tolist()))(out)
+        else:
+            _rewrite("controller.json", self._drop_law_metric)(out)
+        before = sorted(p.name for p in out.rglob("*"))
+        capsys.readouterr()
+        assert cli.main([command, "--config", cfg, "--out", str(out),
+                         "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input: malformed")
+        assert "synthesis_report.json" in err and "controller.json" in err
+        assert sorted(p.name for p in out.rglob("*")) == before
 
 
 NUMPY_ONLY_RUN = r"""

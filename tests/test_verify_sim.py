@@ -31,6 +31,13 @@ def open_loop(n):
     return DerivativeController(Kernel(dim=n), np.zeros((1, n)), np.zeros(n))
 
 
+@pytest.fixture
+def chunk(request, monkeypatch):
+    """``verify_sim.CHUNK`` set to the test's parameter."""
+    monkeypatch.setattr(verify_sim, "CHUNK", request.param)
+    return request.param
+
+
 class TestVerifyGrid:
     def test_linear_loop_uniform_margin_and_factor(self):
         rng = np.random.default_rng(51)
@@ -128,13 +135,13 @@ class TestRollout:
 
     def test_divergence_flagged_and_truncated(self):
         model = systems.linear_system(np.diag([3.0, 3.0]), [0.0, 1.0])
-        traj = verify_sim.rollouts(model, None, [[1.0, 1.0]], 100)[0]
+        traj = verify_sim.rollouts(model, open_loop(2), [[1.0, 1.0]], 100)[0]
         assert traj.diverged
         assert traj.horizon < 100
 
     def test_bad_horizon_rejected(self, oscillator):
         with pytest.raises(DataError):
-            verify_sim.rollouts(oscillator, None, [[0.0, 0.0]], 0)
+            verify_sim.rollouts(oscillator, open_loop(2), [[0.0, 0.0]], 0)
 
 
 class TestLockstepRollouts:
@@ -159,7 +166,7 @@ class TestLockstepRollouts:
         # 3^13 is the first power of 3 above the 1e6 limit, so the first
         # state diverges at step 13, which is the last step when horizon=13
         model = systems.linear_system(np.diag([3.0, 0.5]), [0.0, 1.0])
-        grow, shrink = verify_sim.rollouts(model, None,
+        grow, shrink = verify_sim.rollouts(model, open_loop(2),
                                            [[1.0, 0.0], [0.0, 1.0]], horizon)
         assert grow.diverged and grow.horizon == 13
         assert grow.inputs.shape == (13,)
@@ -168,8 +175,7 @@ class TestLockstepRollouts:
         np.testing.assert_allclose(shrink.states[:, 1],
                                    0.5 ** np.arange(horizon + 1))
 
-    @pytest.mark.parametrize("with_law", [False, True])
-    def test_non_finite_state_is_divergence(self, with_law):
+    def test_non_finite_state_is_divergence(self):
         # doubling map whose drift is NaN once |x| reaches 3: 1, 2, 4, NaN
         def drift(X):
             return np.where(np.abs(X) < 3.0, 2.0 * X, np.nan)
@@ -177,23 +183,23 @@ class TestLockstepRollouts:
         toy = systems.SystemModel(1, drift,
                                   lambda X: np.full((len(X), 1, 1), 2.0),
                                   b=[1.0], validate=False)
-        # a zero law still refuses non-finite states (scipy's check_finite)
-        law = (DerivativeController(Kernel(dim=1), [[0.0]], [0.0])
-               if with_law else None)
-        traj, calm = verify_sim.rollouts(toy, law, [[1.0], [0.0]], 10)
+        # the NaN row leaves the stack before the law sees it
+        traj, calm = verify_sim.rollouts(toy, open_loop(1), [[1.0], [0.0]],
+                                         10)
         assert traj.diverged and traj.horizon == 3
         np.testing.assert_array_equal(traj.states[:3, 0], [1.0, 2.0, 4.0])
         assert np.isnan(traj.states[3, 0])
         assert not calm.diverged and calm.horizon == 10
 
     def test_empty_stack_gives_no_trajectories(self, oscillator):
-        assert verify_sim.rollouts(oscillator, None, np.zeros((0, 2)), 5) == []
+        assert verify_sim.rollouts(oscillator, open_loop(2),
+                                   np.zeros((0, 2)), 5) == []
 
     def test_non_finite_initial_state_rejected(self, oscillator):
         with pytest.raises(DataError):
-            verify_sim.rollouts(oscillator, None, [[np.nan, 0.0]], 5)
+            verify_sim.rollouts(oscillator, open_loop(2), [[np.nan, 0.0]], 5)
         with pytest.raises(DataError):
-            verify_sim.rollouts(oscillator, None, [[np.inf, 0.0]], 5,
+            verify_sim.rollouts(oscillator, open_loop(2), [[np.inf, 0.0]], 5,
                                 noise_std=np.zeros_like, seed=0)
 
 
@@ -210,7 +216,7 @@ def stepwise_rollouts(model, law, X0, horizon):
     diverged = np.zeros(count, dtype=bool)
     active = np.arange(count)
     for k in range(horizon):
-        U = np.zeros(active.size) if law is None else law.control_batch(X)
+        U = law.control_batch(X)
         inputs[active, k] = U
         X = model.step(X, U)
         states[active, k + 1] = X
@@ -268,9 +274,13 @@ class TestRolloutsBitForBit:
                                  cfg.initial_states, 300)
         assert len(trajs) == 16 and not any(t.diverged for t in trajs)
 
-    @pytest.mark.parametrize("with_law", [False, True])
-    def test_mixed_stack_switches_to_the_index_path(self, with_law):
-        # x1 triples and x2 doubles until |x2| reaches 3, then turns NaN
+    @staticmethod
+    def mixed_stack(with_law):
+        """A toy model, a law and four initial states: x1 triples and x2
+        doubles until |x2| reaches 3, then turns NaN.  3^13 > 1e6: the
+        first row diverges at step 13, the second row turns NaN at step 3
+        (at step 4 under the halving law, else under a zero law), the third
+        diverges at step 14 and the last stays put."""
         def drift(X):
             return np.column_stack(
                 [3.0 * X[:, 0],
@@ -285,15 +295,44 @@ class TestRolloutsBitForBit:
             def control_batch(self, X):
                 return -0.5 * X[:, 1]
 
-        # 3^13 > 1e6: the first row diverges at step 13, the second row
-        # turns NaN at step 3 (at step 4 under the law), the third
-        # diverges at step 14 and the last stays put
         X0 = [[1.0, 0.0], [0.0, 1.0], [0.5, 0.0], [0.0, 0.0]]
-        trajs = self.assert_same(toy, Law() if with_law else None, X0, 40)
+        return toy, Law() if with_law else open_loop(2), X0
+
+    @pytest.mark.parametrize("with_law", [False, True])
+    def test_mixed_stack_switches_to_the_index_path(self, with_law):
+        trajs = self.assert_same(*self.mixed_stack(with_law), 40)
         assert [t.diverged for t in trajs] == [True, True, True, False]
         assert [t.horizon for t in trajs] == [13, 4 if with_law else 3, 14,
                                               40]
         assert np.isnan(trajs[1].states[-1, 1])
+
+    @pytest.mark.parametrize("chunk", [3, 4, 5, 13, 14], indirect=True)
+    def test_divergence_inside_and_at_chunk_ends(self, chunk):
+        # the rows end at steps 4, 13 and 14: inside a chunk or on its
+        # last step, and the last row runs to the horizon
+        trajs = self.assert_same(*self.mixed_stack(True), 40)
+        assert [t.horizon for t in trajs] == [13, 4, 14, 40]
+
+    @pytest.mark.parametrize("chunk", [3], indirect=True)
+    def test_every_row_diverged_ends_the_chunks(self, chunk):
+        toy, law, X0 = self.mixed_stack(True)
+        chunks = list(verify_sim.rollout_chunks(toy, law, X0[:3], 40))
+        # the last row ends at step 14, so the chunk from step 12 stops
+        # after two of its three steps
+        assert [c.start for c in chunks] == [0, 3, 6, 9, 12]
+        assert chunks[-1].inputs.shape == (3, 2)
+        assert [chunks[-1].steps(i) for i in range(3)] == [1, 0, 2]
+        self.assert_same(toy, law, X0[:3], 40)
+
+    @pytest.mark.parametrize("chunk", [5], indirect=True)
+    @pytest.mark.parametrize("horizon", [14, 15, 16])
+    def test_horizons_around_chunk_multiples(self, chunk, horizon,
+                                             oscillator, osc_two_step,
+                                             control_box):
+        trajs = self.assert_same(oscillator, osc_two_step.controller,
+                                 systems.boundary_states(control_box, 16),
+                                 horizon)
+        assert {t.horizon for t in trajs} == {horizon}
 
 
 def reference_law_grad(model, A_star, X):
@@ -416,15 +455,13 @@ class TestStochasticRolloutsBitForBit:
 
     @staticmethod
     def assert_same(design, law, noise_std, x0, horizon, seed):
-        def control(X):
-            return np.zeros(1) if law is None else law.control_batch(X)
-
         def closed_loop_mean(X):
             # the learned loop's mean as the single-state loop built it
-            return design.drift(X) + design.b * control(X)[:, None]
+            return design.drift(X) + design.b * law.control_batch(X)[:, None]
 
         states, inputs, diverged = stepwise_stochastic_rollout(
-            closed_loop_mean, noise_std, control, x0, horizon, seed)
+            closed_loop_mean, noise_std, law.control_batch, x0, horizon,
+            seed)
         traj, = verify_sim.rollouts(design, law, [x0], horizon,
                                     noise_std=noise_std, seed=seed)
         assert np.array_equal(traj.states, states)
@@ -452,11 +489,22 @@ class TestStochasticRolloutsBitForBit:
                                 [1.5, -1.0], 500, 11)
         assert not traj.diverged and traj.horizon == 500
 
-    def test_diverging_stub(self):
-        # x+ = 3 x + 0.1 w passes the 1e6 limit within the horizon
-        traj = self.assert_same(scalar_model(3.0), None,
+    @pytest.mark.parametrize("chunk", [verify_sim.CHUNK, 4], indirect=True)
+    def test_diverging_stub(self, chunk):
+        # x+ = 3 x + 0.1 w passes the 1e6 limit within the horizon, at
+        # step 13, inside the fourth chunk of 4 steps
+        traj = self.assert_same(scalar_model(3.0), open_loop(1),
                                 lambda X: np.full(X.shape, 0.1), [1.0], 40, 5)
-        assert traj.diverged and traj.horizon < 40
+        assert traj.diverged and traj.horizon == 13
+
+    @pytest.mark.parametrize("chunk", [7], indirect=True)
+    def test_stream_continues_across_chunks(self, chunk, oscillator,
+                                            control_box, osc_two_step):
+        model = learned_drift(oscillator, control_box, 11, 3)
+        traj = self.assert_same(model.as_system_model(b=oscillator.b),
+                                osc_two_step.controller, model.value_std,
+                                [1.5, -1.0], 50, 11)
+        assert not traj.diverged and traj.horizon == 50
 
 
 class TestStochasticRollout:
@@ -465,14 +513,16 @@ class TestStochasticRollout:
         return lambda X: np.full(X.shape, level)
 
     def test_zero_noise_matches_deterministic(self):
-        traj, = verify_sim.rollouts(scalar_model(0.5), None, [[1.0]], 10,
+        traj, = verify_sim.rollouts(scalar_model(0.5), open_loop(1), [[1.0]],
+                                    10,
                                     noise_std=self.noise(0.0), seed=1)
         np.testing.assert_allclose(traj.states.reshape(-1),
                                    [0.5 ** k for k in range(11)], atol=1e-14)
 
     def test_same_seed_bitwise_identical(self):
         def run(seed):
-            return verify_sim.rollouts(scalar_model(0.5), None, [[1.0]], 100,
+            return verify_sim.rollouts(scalar_model(0.5), open_loop(1),
+                                       [[1.0]], 100,
                                        noise_std=self.noise(0.1),
                                        seed=seed)[0]
 
@@ -484,12 +534,27 @@ class TestStochasticRollout:
     def test_rows_share_one_stream(self):
         # the noise of a stack's first step is one draw of the stack's shape
         X0 = np.array([[1.0], [-2.0], [0.5]])
-        trajs = verify_sim.rollouts(scalar_model(0.5), None, X0, 1,
+        trajs = verify_sim.rollouts(scalar_model(0.5), open_loop(1), X0, 1,
                                     noise_std=self.noise(0.1), seed=9)
         w = np.random.default_rng(9).standard_normal(X0.shape)
         np.testing.assert_array_equal([t.states[1] for t in trajs],
                                       0.5 * X0 + 0.1 * w)
         assert [t.seed for t in trajs] == [9, 9, 9]
+
+    @pytest.mark.parametrize("chunk", [4], indirect=True)
+    def test_rows_share_one_stream_across_chunks(self, chunk):
+        # one draw of the stack's shape per step, continued from chunk to
+        # chunk: x+ = 0.5 x + 0.1 w under the zero law
+        X0 = np.array([[1.0], [-2.0], [0.5]])
+        trajs = verify_sim.rollouts(scalar_model(0.5), open_loop(1), X0, 10,
+                                    noise_std=self.noise(0.1), seed=9)
+        rng = np.random.default_rng(9)
+        X, states = X0, [X0]
+        for _ in range(10):
+            X = 0.5 * X + 0.1 * rng.standard_normal(X.shape)
+            states.append(X)
+        np.testing.assert_array_equal(np.stack([t.states for t in trajs]),
+                                      np.stack(states, axis=1))
 
     def test_learned_loop_records_inputs(self):
         rng = np.random.default_rng(8)
@@ -508,7 +573,7 @@ class TestStochasticRollout:
 
     def test_second_moment_matches_linear_recursion(self):
         # x+ = 0.5 x + 0.1 w has stationary variance 0.01 / (1 - 0.25)
-        trajs = verify_sim.rollouts(scalar_model(0.5), None,
+        trajs = verify_sim.rollouts(scalar_model(0.5), open_loop(1),
                                     np.zeros((10_000, 1)), 50,
                                     noise_std=self.noise(0.1), seed=0)
         finals = [traj.states[-1, 0] for traj in trajs]
@@ -529,7 +594,7 @@ class TestContractionRate:
         rng = np.random.default_rng(52)
         P, A = random_contracting_pair(rng)
         model = systems.linear_system(A, [0.0, 1.0])
-        trajs = [verify_sim.rollouts(model, None, [x0], 30)[0]
+        trajs = [verify_sim.rollouts(model, open_loop(2), [x0], 30)[0]
                  for x0 in rng.normal(size=(4, 2))]
         pairs = [(trajs[0], trajs[1]), (trajs[2], trajs[3])]
         lam, info = verify_sim.contraction_rate(pairs, P)
@@ -541,8 +606,8 @@ class TestContractionRate:
 
     def test_region_filter_reports_exclusions(self):
         model = systems.linear_system(0.5 * np.eye(2), [0.0, 1.0])
-        t1 = verify_sim.rollouts(model, None, [[4.0, 0.0]], 10)[0]
-        t2 = verify_sim.rollouts(model, None, [[0.0, 4.0]], 10)[0]
+        t1 = verify_sim.rollouts(model, open_loop(2), [[4.0, 0.0]], 10)[0]
+        t2 = verify_sim.rollouts(model, open_loop(2), [[0.0, 4.0]], 10)[0]
         box = systems.Box.make([-1, -1], [1, 1])
         lam, info = verify_sim.contraction_rate([(t1, t2)], np.eye(2),
                                                 region=box)
