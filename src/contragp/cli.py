@@ -20,12 +20,10 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from . import drift_gp, stochastic, synthesis, verify_sim, viz
-from .artifacts import (atomic_files, csv_rows, read_csv, write_csv,
-                        write_json)
+# The config check needs these alone. Every stage module is imported by the
+# function that runs it, so a command loads only the stages it runs.
 from .config import (MODES, PipelineConfig, default_oscillator_config,
                      load_config, read_config)
-from .deriv_gp import DerivativeController
 from .errors import (ConfigError, ContragpError, FactorizationError,
                      InfeasibleError, NumericalFailureError)
 from .systems import grid_points
@@ -63,6 +61,7 @@ def _load_json(path, what, parse):
 
 
 def _drift_model(data):
+    from . import drift_gp
     return drift_gp.DriftModel.from_dict(data["drift_model"])
 
 
@@ -85,6 +84,7 @@ class StageTimes(dict):
 
 
 def cmd_gen_data(cfg: PipelineConfig, out, quiet=False):
+    from .artifacts import write_csv
     pts = grid_points(cfg.model_box, cfg.model_points)
     rng = np.random.default_rng(cfg.seed)
     targets = np.asarray(cfg.system.drift(pts), dtype=float)
@@ -97,6 +97,7 @@ def cmd_gen_data(cfg: PipelineConfig, out, quiet=False):
 
 
 def _load_training(cfg, out):
+    from .artifacts import read_csv
     path = _need(_path(out, "data.csv"), "training data")
     header, table = read_csv(path)
     n = cfg.dim
@@ -111,6 +112,8 @@ def _load_training(cfg, out):
 
 
 def cmd_learn(cfg: PipelineConfig, out, quiet=False):
+    from . import drift_gp
+    from .artifacts import write_json
     pts, ys = _load_training(cfg, out)
     model = drift_gp.fit_drift(drift_gp.DriftDataset(pts, ys,
                                                      sigma_y=cfg.sigma_y),
@@ -125,6 +128,7 @@ def cmd_learn(cfg: PipelineConfig, out, quiet=False):
 
 def _error_surfaces(cfg, out, model):
     """Learned vs analytic mean/gradient surfaces on the model domain."""
+    from .artifacts import write_csv
     box = cfg.model_box
     n = box.dim
     # 201 points on a line, 41 per axis on a plane, about 41^2 in all beyond
@@ -161,6 +165,8 @@ def _design_model(cfg, out):
 
 
 def cmd_synth(cfg: PipelineConfig, out, quiet=False):
+    from . import synthesis
+    from .artifacts import write_csv, write_json
     design, drift_model = _design_model(cfg, out)
     hulls = confidence = None
     if cfg.mode == "polytopic":
@@ -168,6 +174,7 @@ def cmd_synth(cfg: PipelineConfig, out, quiet=False):
             design, cfg.control_box, cfg.subdivisions,
             inflation=cfg.inflation, samples_per_axis=cfg.samples_per_axis)
         if cfg.chebyshev_inflate:
+            from . import stochastic
             hulls = stochastic.chebyshev_hulls(drift_model, hulls,
                                                cfg.chebyshev_c)
             confidence = hulls.confidence
@@ -191,12 +198,14 @@ def cmd_synth(cfg: PipelineConfig, out, quiet=False):
 
 
 def _controller_surface(cfg, out, controller):
+    from .artifacts import write_csv
     box = cfg.control_box
     pts = grid_points(box, cfg.verify_resolution)
     vals = controller.control_batch(pts)
     header = [f"x_{i+1}" for i in range(box.dim)] + ["u"]
     write_csv(_path(out, "controller_surface.csv"), header, [*pts.T, vals])
     if cfg.emit_svg and box.dim == 2:
+        from . import viz
         xs = np.unique(pts[:, 0])
         ys = np.unique(pts[:, 1])
         viz.heatmap_svg(_path(out, "controller_surface.svg"), xs, ys,
@@ -224,6 +233,7 @@ def _load_controller_and_P(cfg, out):
     """The law of controller.json and the metric P of
     synthesis_report.json, which synthesis also writes into the law as its
     ``metric``; ConfigError naming both files when they differ."""
+    from .deriv_gp import DerivativeController
     law_path = _path(out, "controller.json")
     controller = _load_json(law_path, "controller artifact",
                             DerivativeController.from_dict)
@@ -236,6 +246,8 @@ def _load_controller_and_P(cfg, out):
 
 
 def cmd_verify(cfg: PipelineConfig, out, quiet=False):
+    from . import verify_sim
+    from .artifacts import write_csv, write_json
     controller, P = _load_controller_and_P(cfg, out)
     design, drift_model = _design_model(cfg, out)
     box = cfg.control_box
@@ -248,6 +260,7 @@ def cmd_verify(cfg: PipelineConfig, out, quiet=False):
     outputs = {"min_margin": rep.min_margin, "lambda": rep.lam,
                "consistent": rep.consistent}
     if cfg.moment_check:
+        from . import stochastic, synthesis
         grid = grid_points(box, cfg.control_points)
         mrep = stochastic.moment_ies_check(
             rep.weight, grid,
@@ -266,6 +279,7 @@ def _weighted_monotone_stats(states, W, box, floor=1e-10):
     that rose, steps counted); steps already at the numerical floor are
     skipped (ratios there are roundoff noise, not dynamics).  The counts of
     pieces that share their boundary states add up to the whole's."""
+    from . import verify_sim
     d = verify_sim.weighted_norms(states, W)
     d0, d1 = d[:-1], d[1:]
     counted = box.contains_rows(states[:-1]) & (d0 >= floor)
@@ -285,6 +299,8 @@ def _rollouts(system, law, inits, horizon, directory, W=None, box=None,
     trajectory's final ratio and divergence flag, with the weight ``W``
     its monotone stats inside ``box`` as well, and the trajectories when
     ``keep`` (else None)."""
+    from . import verify_sim
+    from .artifacts import atomic_files, csv_rows
     inits = np.atleast_2d(np.asarray(inits, dtype=float))
     count, n = inits.shape
     header = ",".join(["k"] + [f"x_{i+1}" for i in range(n)] + ["u"]) + "\n"
@@ -327,6 +343,7 @@ def _rollouts(system, law, inits, horizon, directory, W=None, box=None,
 
 
 def cmd_simulate(cfg: PipelineConfig, out, quiet=False):
+    from .artifacts import write_json
     controller, P = _load_controller_and_P(cfg, out)
     system, box = cfg.system, cfg.control_box
     portrait = cfg.emit_svg and system.n == 2
@@ -341,6 +358,7 @@ def cmd_simulate(cfg: PipelineConfig, out, quiet=False):
                "total_monotone_violations": sum(s["monotone_violations"]
                                                 for s in stats)}
     if portrait:
+        from . import viz
         viz.phase_portrait_svg(_path(out, "phase_portrait.svg"), trajs, box,
                                title="closed loop")
     baseline = _baseline_runs(cfg, out, quiet)
@@ -375,6 +393,7 @@ def _baseline_runs(cfg, out, quiet):
     nonconv = sum(1 for s in stats
                   if s["diverged"] or s["final_ratio"] > 0.1)
     if portrait:
+        from . import viz
         viz.phase_portrait_svg(_path(out, "baseline_portrait.svg"), trajs,
                                cfg.control_box, title="baseline")
     _say(quiet, f"baseline: {nonconv}/{len(stats)} trajectories flagged "
@@ -384,6 +403,7 @@ def _baseline_runs(cfg, out, quiet):
 
 
 def cmd_reproduce(cfg: PipelineConfig, out, quiet=False, times=None):
+    from .artifacts import write_json
     times = StageTimes() if times is None else times
     with times.stage("gen_data"):
         cmd_gen_data(cfg, out, quiet)
@@ -490,6 +510,7 @@ def main(argv=None):
                 # looked up per call, so a wrapped cmd_<stage> is the one run
                 globals()[f"cmd_{stage}"](cfg, args.out, args.quiet)
         if args.timings is not None:
+            from .artifacts import write_json
             write_json(args.timings, times)
         return EXIT_OK
     except InfeasibleError as exc:

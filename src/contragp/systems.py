@@ -122,12 +122,16 @@ class SystemModel:
         return self.drift(X) + self.b * U[:, None]
 
     def _probe_states(self):
-        # the origin, then e_i and -e_i / 2 for each axis, then 3 random
+        # the origin, then e_i and -e_i / 2 for each axis, then 3 generic
+        # states in (-1, 1)^n with no zero coordinate, which catch a
+        # Jacobian error that vanishes on the axes: the Weyl sequence
+        # 2 frac(k phi) - 1, k = 1 ... 3n, for the golden ratio phi
         eye = np.eye(self.n)
         axes = np.stack([eye, -0.5 * eye], axis=1).reshape(-1, self.n)
-        rng = np.random.default_rng(20240401)
+        k = np.arange(1, 3 * self.n + 1)
+        generic = 2.0 * np.modf(k * (1.0 + np.sqrt(5.0)) / 2.0)[0] - 1.0
         return np.vstack([np.zeros((1, self.n)), axes,
-                          rng.uniform(-1.0, 1.0, size=(3, self.n))])
+                          generic.reshape(3, self.n)])
 
     def _validate(self):
         X = self._probe_states()

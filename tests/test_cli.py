@@ -1153,3 +1153,73 @@ class TestNumpyOnly:
             capture_output=True, text=True, check=True)
         assert proc.stdout.splitlines()[-1] == "[]"
         assert (tmp_path / "out" / "sim_summary.json").exists()
+
+
+START_UP = r"""
+import sys
+sys.path.insert(0, sys.argv[1])
+from contragp import cli
+cli.load_config(sys.argv[2])
+print(sorted(name for name in sys.modules
+             if name == "numpy.random" or name.startswith("contragp.")))
+"""
+
+ONE_COMMAND = r"""
+import sys
+sys.path.insert(0, sys.argv[1])
+from contragp import cli
+code = cli.main(sys.argv[2:])
+print(code, "numpy.random" in sys.modules)
+"""
+
+STAGE_MODULES = ("lmi", "synthesis", "stochastic", "verify_sim", "viz",
+                 "deriv_gp")
+
+
+def _fresh_python(script, *args):
+    """The last stdout line of ``script`` run in a fresh interpreter with
+    the package's source directory as its first argument."""
+    import subprocess
+    import sys
+
+    import contragp
+    proc = subprocess.run(
+        [sys.executable, "-c", script,
+         os.path.dirname(os.path.dirname(contragp.__file__)), *args],
+        capture_output=True, text=True, check=True)
+    return proc.stdout.splitlines()[-1]
+
+
+class TestStartUpImports:
+    """A command imports the stage modules it runs and no others, and only
+    ``gen-data`` (its seeded data noise) loads ``numpy.random``."""
+
+    @pytest.fixture(scope="class")
+    def reproduced(self, tmp_path_factory):
+        # the optional branches on: the portraits and heatmap (viz) and the
+        # moment check (stochastic) run too
+        tmp = tmp_path_factory.mktemp("start_up")
+        cfg = small_osc_config()
+        cfg["sim"]["horizon"] = 30
+        cfg["emit_svg"] = True
+        cfg["stochastic"]["moment_check"] = True
+        path = write_cfg(tmp, cfg)
+        out = tmp / "out"
+        assert cli.main(["reproduce-oscillator", "--config", path, "--out",
+                         str(out), "--quiet"]) == 0
+        return path, out
+
+    def test_config_check_imports_no_stage_module(self, tmp_path):
+        loaded = _fresh_python(START_UP, write_cfg(
+            tmp_path, default_oscillator_config()))
+        assert "'numpy.random'" not in loaded
+        for name in STAGE_MODULES:
+            assert f"'contragp.{name}'" not in loaded
+
+    @pytest.mark.parametrize("command, random", [
+        ("gen-data", True), ("learn", False), ("synth", False),
+        ("verify", False), ("simulate", False)])
+    def test_each_command_alone(self, reproduced, command, random):
+        path, out = reproduced
+        assert _fresh_python(ONE_COMMAND, command, "--config", path, "--out",
+                             str(out), "--quiet") == f"0 {random}"

@@ -57,6 +57,24 @@ class TestSystemModel:
                 1, lambda X: 2.0 * X, lambda X: np.full((len(X), 1, 1), 5.0),
                 b=[1.0])
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_wrong_jacobian_off_the_axes_rejected(self, n, monkeypatch):
+        # the term (x_1 ... x_n)^2 has a gradient that vanishes wherever a
+        # coordinate is 0: the origin and axis probes miss a Jacobian that
+        # leaves it out, the generic probes must not
+        def drift(X):
+            return 0.5 * X + np.prod(X, axis=1, keepdims=True) ** 2
+
+        def jacobian(X):
+            return np.broadcast_to(0.5 * np.eye(n), (len(X), n, n))
+
+        with pytest.raises(DataError, match="finite differences"):
+            systems.SystemModel(n, drift, jacobian, b=np.eye(n)[0])
+        probes = systems.SystemModel._probe_states
+        monkeypatch.setattr(systems.SystemModel, "_probe_states",
+                            lambda self: probes(self)[:1 + 2 * n])
+        systems.SystemModel(n, drift, jacobian, b=np.eye(n)[0])
+
     def test_false_equilibrium_rejected(self):
         with pytest.raises(DataError, match="fixed point"):
             systems.SystemModel(
