@@ -20,8 +20,10 @@ from contextlib import contextmanager
 
 import numpy as np
 
-# The config check needs these alone. Every stage module is imported by the
-# function that runs it, so a command loads only the stages it runs.
+# The config check loads these modules anyway (config builds on drift_gp).
+# Every stage module is imported by the function that runs it, so a command
+# loads only the stages it runs.
+from . import drift_gp
 from .config import (MODES, PipelineConfig, default_oscillator_config,
                      load_config, read_config)
 from .errors import (ConfigError, ContragpError, FactorizationError,
@@ -61,7 +63,6 @@ def _load_json(path, what, parse):
 
 
 def _drift_model(data):
-    from . import drift_gp
     return drift_gp.DriftModel.from_dict(data["drift_model"])
 
 
@@ -112,7 +113,6 @@ def _load_training(cfg, out):
 
 
 def cmd_learn(cfg: PipelineConfig, out, quiet=False):
-    from . import drift_gp
     from .artifacts import write_json
     pts, ys = _load_training(cfg, out)
     model = drift_gp.fit_drift(drift_gp.DriftDataset(pts, ys,

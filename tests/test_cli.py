@@ -1135,23 +1135,30 @@ print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """
 
 
+def _fresh_python(script, *args):
+    """The last stdout line of ``script`` run in a fresh interpreter with
+    the package's source directory as its first argument."""
+    import subprocess
+    import sys
+
+    import contragp
+    proc = subprocess.run(
+        [sys.executable, "-c", script,
+         os.path.dirname(os.path.dirname(contragp.__file__)), *args],
+        capture_output=True, text=True, check=True)
+    return proc.stdout.splitlines()[-1]
+
+
 class TestNumpyOnly:
     def test_pipeline_never_imports_scipy(self, tmp_path):
         # a fresh interpreter imports the package, loads the default config
         # and runs every stage on a short horizon with numpy alone
-        import subprocess
-        import sys
-
-        import contragp
         cfg = small_osc_config()
         cfg["sim"]["horizon"] = 30
-        proc = subprocess.run(
-            [sys.executable, "-c", NUMPY_ONLY_RUN,
-             os.path.dirname(os.path.dirname(contragp.__file__)),
-             write_cfg(tmp_path, default_oscillator_config(), "default.json"),
-             write_cfg(tmp_path, cfg), str(tmp_path / "out")],
-            capture_output=True, text=True, check=True)
-        assert proc.stdout.splitlines()[-1] == "[]"
+        assert _fresh_python(
+            NUMPY_ONLY_RUN,
+            write_cfg(tmp_path, default_oscillator_config(), "default.json"),
+            write_cfg(tmp_path, cfg), str(tmp_path / "out")) == "[]"
         assert (tmp_path / "out" / "sim_summary.json").exists()
 
 
@@ -1176,23 +1183,11 @@ STAGE_MODULES = ("lmi", "synthesis", "stochastic", "verify_sim", "viz",
                  "deriv_gp")
 
 
-def _fresh_python(script, *args):
-    """The last stdout line of ``script`` run in a fresh interpreter with
-    the package's source directory as its first argument."""
-    import subprocess
-    import sys
-
-    import contragp
-    proc = subprocess.run(
-        [sys.executable, "-c", script,
-         os.path.dirname(os.path.dirname(contragp.__file__)), *args],
-        capture_output=True, text=True, check=True)
-    return proc.stdout.splitlines()[-1]
-
-
 class TestStartUpImports:
-    """A command imports the stage modules it runs and no others, and only
-    ``gen-data`` (its seeded data noise) loads ``numpy.random``."""
+    """Loading a config imports no stage module, and of the commands only
+    ``gen-data`` (its seeded data noise) loads ``numpy.random``. Each
+    command runs alone in a fresh interpreter, so one that uses a stage
+    module it does not import fails here."""
 
     @pytest.fixture(scope="class")
     def reproduced(self, tmp_path_factory):

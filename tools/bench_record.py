@@ -14,9 +14,10 @@ from a ``git archive`` export of it in a temporary directory, with its own
 
 The output gives, per workload and side, every end-to-end metric of
 BENCHMARK.json as median, quartiles and run count, each run's attempted and
-failed operation counts, and, with ``--against``, the pairs the tree won per
-metric. It also records the commits, the ``src/contragp`` line counts, the
-Python and NumPy versions, the BLAS thread setting and the CPU count.
+failed operation counts and metric values, and, with ``--against``, the
+pairs the tree won per metric. It also records the commits, the
+``src/contragp`` line counts, the Python and NumPy versions, the BLAS
+thread setting and the CPU count.
 """
 
 import argparse
@@ -78,7 +79,9 @@ def side_record(runs, metrics):
                                                for r in runs]),
                                     "unit": m["unit"]} for m in metrics},
             "runs": [{"seed": r["seed"], "correct": r["correct"],
-                      "attempted": r["attempted"], "failed": r["failed"]}
+                      "attempted": r["attempted"], "failed": r["failed"],
+                      "values": {m["name"]: r["metrics"][m["name"]]["value"]
+                                 for m in metrics}}
                      for r in runs]}
 
 
