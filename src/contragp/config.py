@@ -20,7 +20,7 @@ import numpy as np
 
 from .drift_gp import FixedAffineComponent
 from .errors import ConfigError, ContragpError
-from .kernels import Kernel
+from .kernels import FAMILIES, Kernel
 from .systems import Box, boundary_states, builtin_system, polynomial_system
 
 __all__ = ["PipelineConfig", "load_config", "read_config",
@@ -199,11 +199,12 @@ class PipelineConfig:
 
         kernel = {key: self._get(f"kernel.{key}", spec, default)
                   for key, spec, default in (
-                      ("family", RAW, "squared-exponential"),
+                      ("family", (None, lambda v: v in FAMILIES,
+                                  "'squared-exponential'"),
+                       "squared-exponential"),
                       ("beta", RAW, 1.0),
                       ("sigma", (_floats, lambda v: v.shape == (n, n),
-                                 f"a {n}x{n} matrix"), None),
-                      ("degree", RAW, None))}
+                                 f"a {n}x{n} matrix"), None))}
         self.kernel = self._check("kernel", kernel, (
             lambda spec: Kernel(dim=n, **spec), None, "a kernel spec"))
 

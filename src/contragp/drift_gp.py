@@ -147,12 +147,12 @@ class GPComponent:
 
     def variance_total_gradient(self, X):
         """d/dx of the posterior value variance v(x, x) at a stack of states,
-        shape (B, n)."""
+        shape (B, n).  The prior term d/dx k(x, x) is zero, since the kernel
+        is stationary."""
         Li = self._chol_inv
         alpha = Li.T @ (Li @ self.kernel.value_outer(self.points, X))
         G = self.kernel.grad_x2_outer(self.points, X)
-        return (self.kernel.diag_value_gradient(X)
-                - 2.0 * np.einsum("jb,jbk->bk", alpha, G))
+        return -2.0 * np.einsum("jb,jbk->bk", alpha, G)
 
     def to_dict(self):
         return {"type": "gp", "kernel": self.kernel.to_dict(),

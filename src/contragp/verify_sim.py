@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DimensionError
-from .synthesis import closed_loop_jacobians, ies_block
 from .systems import Box, grid_points
 
 __all__ = [
@@ -71,6 +70,8 @@ def verify_grid(model, controller, P, domain: Box, resolution):
     extremes, and whether the two agree (margin positive exactly where the
     factor is below one).
     """
+    # imported here, so that the rollouts load neither synthesis nor lmi
+    from .synthesis import closed_loop_jacobians, ies_block
     P = np.asarray(P, dtype=float)
     # numpy's factor carries a NaN or an inf through instead of failing
     if not np.isfinite(P).all():

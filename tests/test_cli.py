@@ -35,6 +35,12 @@ def write_cfg(tmp_path, cfg, name="config.json"):
     return str(path)
 
 
+def artifact_tree(root):
+    """Every file under ``root``, relative path -> bytes."""
+    return {p.relative_to(root): p.read_bytes()
+            for p in root.rglob("*") if p.is_file()}
+
+
 def set_key(path, value):
     """A config edit that sets the dotted key ``path`` to ``value``."""
     def edit(cfg):
@@ -120,6 +126,12 @@ MALFORMED = {
                              set_key("kernel.beta", INF)),
     "kernel-sigma-mis-sized": ("kernel.sigma",
                                set_key("kernel.sigma", np.eye(3).tolist())),
+    # the squared exponential is the one kernel; the retired dot-product
+    # families and their degree are refused
+    "kernel-family-linear": ("kernel.family must be 'squared-exponential'",
+                             set_key("kernel.family", "linear")),
+    "kernel-degree": ("unknown config key 'kernel.degree'",
+                      set_key("kernel.degree", 3)),
     "sigma-y-infinite": ("noise.sigma_y", set_key("noise.sigma_y", [0.0, INF])),
     "sigma-p-infinite": ("noise.sigma_p", set_key("noise.sigma_p", INF)),
     "rho-infinite": ("solver.rho", set_key("solver.rho", INF)),
@@ -579,6 +591,19 @@ def _add_value_anchors(text):
     return json.dumps(data)
 
 
+def _set_kernel(path, edit):
+    """A JSON-artifact corruption: ``edit`` applied to the kernel dict at
+    the key ``path`` (dotted, list indices as numbers)."""
+    def apply(text):
+        data = json.loads(text)
+        node = data
+        for key in path.split("."):
+            node = node[int(key) if key.isdigit() else key]
+        edit(node)
+        return json.dumps(data)
+    return apply
+
+
 def _set_metric(P):
     """A synthesis-report corruption: the metric replaced by ``P``."""
     def edit(text):
@@ -618,6 +643,14 @@ MALFORMED_ARTIFACTS = {
     "controller-with-value-anchors": ("verify", "controller.json",
                                       _rewrite("controller.json",
                                                _add_value_anchors)),
+    # the retired dot-product kernel families
+    "controller-with-polynomial-kernel": (
+        "verify", "controller.json", _rewrite("controller.json", _set_kernel(
+            "kernel", lambda k: k.update(family="polynomial", degree=3)))),
+    "drift-model-with-linear-kernel": (
+        "synth", "drift_model.json", _rewrite("drift_model.json", _set_kernel(
+            "drift_model.components.1.kernel",
+            lambda k: k.update(family="linear")))),
 }
 MALFORMED_ARTIFACTS.update({
     f"{kind}-metric-{command}": (command, "synthesis_report.json",
@@ -639,12 +672,14 @@ class TestMalformedArtifacts:
             assert cli.main([producer, "--config", cfg, "--out", str(out),
                              "--quiet"]) == 0, producer
         corrupt(out)
+        before = artifact_tree(out)
         capsys.readouterr()
         assert cli.main([command, "--config", cfg, "--out", str(out),
                          "--quiet"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("invalid input: malformed")
         assert name in err
+        assert artifact_tree(out) == before
 
 
 class TestConfigValidation:
@@ -806,11 +841,7 @@ class TestTimings:
         # the flag leaves the artifact tree as it is without it
         assert cli.main(["reproduce-oscillator", "--config", cfg, "--out",
                          str(plain), "--quiet"]) == 0
-
-        def tree(root):
-            return {p.relative_to(root): p.read_bytes()
-                    for p in root.rglob("*") if p.is_file()}
-        assert tree(out) == tree(plain)
+        assert artifact_tree(out) == artifact_tree(plain)
 
     def test_one_command_times_its_stage(self, tmp_path):
         times = tmp_path / "times.json"
@@ -1176,7 +1207,8 @@ import sys
 sys.path.insert(0, sys.argv[1])
 from contragp import cli
 code = cli.main(sys.argv[2:])
-print(code, "numpy.random" in sys.modules)
+print(code, "numpy.random" in sys.modules,
+      any(f"contragp.{name}" in sys.modules for name in ("lmi", "synthesis")))
 """
 
 STAGE_MODULES = ("lmi", "synthesis", "stochastic", "verify_sim", "viz",
@@ -1185,9 +1217,10 @@ STAGE_MODULES = ("lmi", "synthesis", "stochastic", "verify_sim", "viz",
 
 class TestStartUpImports:
     """Loading a config imports no stage module, and of the commands only
-    ``gen-data`` (its seeded data noise) loads ``numpy.random``. Each
-    command runs alone in a fresh interpreter, so one that uses a stage
-    module it does not import fails here."""
+    ``gen-data`` (its seeded data noise) loads ``numpy.random`` and only
+    ``synth`` and ``verify`` load the solver (``synthesis`` and ``lmi``).
+    Each command runs alone in a fresh interpreter, so one that uses a
+    stage module it does not import fails here."""
 
     @pytest.fixture(scope="class")
     def reproduced(self, tmp_path_factory):
@@ -1211,10 +1244,11 @@ class TestStartUpImports:
         for name in STAGE_MODULES:
             assert f"'contragp.{name}'" not in loaded
 
-    @pytest.mark.parametrize("command, random", [
-        ("gen-data", True), ("learn", False), ("synth", False),
-        ("verify", False), ("simulate", False)])
-    def test_each_command_alone(self, reproduced, command, random):
+    @pytest.mark.parametrize("command, random, solver", [
+        ("gen-data", True, False), ("learn", False, False),
+        ("synth", False, True), ("verify", False, True),
+        ("simulate", False, False)])
+    def test_each_command_alone(self, reproduced, command, random, solver):
         path, out = reproduced
         assert _fresh_python(ONE_COMMAND, command, "--config", path, "--out",
-                             str(out), "--quiet") == f"0 {random}"
+                             str(out), "--quiet") == f"0 {random} {solver}"

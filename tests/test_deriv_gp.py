@@ -149,19 +149,9 @@ class TestContractionForm:
     """The law's values, sum_j dk(x, y_j)/dy_j . w_j, against the
     contraction of the full (B, N, n) gradient rows."""
 
-    KERNELS = {
-        "squared-exponential": dict(beta=1.3,
-                                    sigma=[[0.8, 0.2], [0.2, 0.5]]),
-        "linear": dict(family="linear", beta=0.7,
-                       sigma=[[1.5, -0.3], [-0.3, 0.9]]),
-        "polynomial": dict(family="polynomial", degree=3, beta=0.4,
-                           sigma=[[2.0, 0.4], [0.4, 1.2]]),
-    }
-
-    @pytest.mark.parametrize("family", sorted(KERNELS))
-    def test_matches_gradient_rows(self, family):
+    def test_matches_gradient_rows(self):
         rng = np.random.default_rng(17)
-        kernel = Kernel(**self.KERNELS[family])
+        kernel = Kernel(beta=1.3, sigma=[[0.8, 0.2], [0.2, 0.5]])
         Y = rng.uniform(-2.0, 2.0, size=(9, 2))
         w = rng.normal(size=18) * 10.0 ** rng.integers(-2, 5, 18)
         law = deriv_gp.DerivativeController(kernel, Y, w)

@@ -10,8 +10,8 @@ import pytest
 from contragp import drift_gp, stochastic, synthesis, systems
 from contragp.errors import DataError
 from contragp.kernels import Kernel
-from test_drift_gp import (contract_models, prior_scale, ref_value_variance,
-                           ref_variance_total_gradient)
+from test_drift_gp import (contract_models, prior_scale, ref_jac_variance,
+                           ref_value_variance, ref_variance_total_gradient)
 
 
 def quadratic_margin(A, P):
@@ -113,9 +113,11 @@ class TestSigmaJacobian:
 
 def ref_sigma_jacobian(model, x):
     """The per-state rows and flags that the stacked sigma_jacobian
-    replaced.  Floored rows are one-sided differences of sigma, which
-    match the closed form where sigma is exactly linear in the step (the
-    linear-kernel case of ``mixed_model``)."""
+    replaced.  A floored row is sqrt(diag(C)), C the per-state posterior
+    covariance of the gradient row: from a point where the variance
+    vanishes, such as the data point of ``mixed_model``, sigma grows like
+    |h| sqrt(C_jj).  A one-sided difference of sigma there carries the
+    cancellation in 1 - exp(-q), about 1e-4 relative at h = 1e-6."""
     n = len(model.components)
     rows = np.zeros((n, x.shape[0]))
     flags = np.zeros(n, dtype=bool)
@@ -127,32 +129,34 @@ def ref_sigma_jacobian(model, x):
             rows[i] = ref_variance_total_gradient(comp, x) / (2.0 * sd)
         else:
             flags[i] = True
-            h = 1e-6
-            for j in range(x.shape[0]):
-                e = np.zeros_like(x)
-                e[j] = h
-                rows[i, j] = (np.sqrt(ref_value_variance(comp, x + e)) - sd) / h
+            rows[i] = np.sqrt(np.clip(np.diag(ref_jac_variance(comp, x)),
+                                      0.0, None))
     return rows, flags
 
 
 def mixed_model():
-    """A fixed row and a linear-kernel row whose posterior std vanishes
-    exactly at the origin (floored and flagged) and is well above the floor
-    off the line through the data point."""
-    ds = drift_gp.DriftDataset([[1.0, 0.3]], [[0.0, 0.3]], sigma_y=0.1)
+    """A fixed row and a noiseless SE row, whose posterior std vanishes
+    exactly at its one data point (floored and flagged) and is well above
+    the floor away from it."""
+    ds = drift_gp.DriftDataset([[1.0, 0.3]], [[0.0, 0.3]], sigma_y=0.0)
     return drift_gp.fit_drift(
-        ds, Kernel(family="linear", dim=2),
+        ds, Kernel(dim=2),
         fixed={0: drift_gp.FixedAffineComponent([1.0, 0.01])})
 
 
 def stacked_cases():
+    """name -> (model, stack of states); the mixed stack holds the mixed
+    model's data point twice among states away from it."""
     X, models = contract_models()
-    mixed = np.vstack([np.zeros((1, 2)), X[:4], np.zeros((1, 2)), X[4:]])
-    return [(models[name], X) for name in models] + [(mixed_model(), mixed)]
+    mixed = mixed_model()
+    p = mixed.points
+    cases = {name: (model, X) for name, model in models.items()}
+    cases["mixed"] = (mixed, np.vstack([p, X[:4], p, X[4:]]))
+    return cases
 
 
 class TestStackedSigmaJacobian:
-    @pytest.mark.parametrize("case", range(5))
+    @pytest.mark.parametrize("case", ["se", "fixed-row", "mixed"])
     def test_rows_and_flags_match_per_state_formula(self, case):
         model, X = stacked_cases()[case]
         rows, flags = stochastic.sigma_jacobian(model, X)
@@ -163,13 +167,14 @@ class TestStackedSigmaJacobian:
         np.testing.assert_array_equal(flags, ref_flags)
         tol = 1e-11 * max(prior_scale(model, X), np.abs(ref_rows).max())
         assert np.abs(rows - ref_rows).max() <= tol
-        if case == 4:
+        if case == "mixed":
             # the stack mixes floored and unfloored states
+            assert flags.any()
             np.testing.assert_array_equal(
-                flags[:, 1], np.all(X == 0.0, axis=1))
+                flags[:, 1], np.all(X == model.points[0], axis=1))
             assert not flags[:, 0].any()
 
-    @pytest.mark.parametrize("case", [0, 4])
+    @pytest.mark.parametrize("case", ["se", "mixed"])
     def test_moment_check_matches_per_point_loop(self, case):
         model, X = stacked_cases()[case]
         rng = np.random.default_rng(41)

@@ -12,10 +12,16 @@ runs the two sides of each pair in alternating order. The other commit runs
 from a ``git archive`` export of it in a temporary directory, with its own
 ``perfbench/``.
 
+Run i also runs ``python -m contragp.cli reproduce-oscillator --quiet
+--timings <file>`` once per side, in the same alternating order, on the
+default config, with the timings file outside ``--out``.
+
 The output gives, per workload and side, every end-to-end metric of
 BENCHMARK.json as median, quartiles and run count, each run's attempted and
 failed operation counts and metric values, and, with ``--against``, the
-pairs the tree won per metric. It also records the commits, the
+pairs the tree won per metric. Per side it gives the median and quartiles
+of the reproduction's wall time, child process start-up included, and of
+each of its five stages' CPU times. It also records the commits, the
 ``src/contragp`` line counts, the Python and NumPy versions, the BLAS
 thread setting and the CPU count.
 """
@@ -31,6 +37,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -64,6 +71,35 @@ def run_once(root, workload, seed):
         raise RuntimeError(f"{' '.join(cmd)} in {root} exited "
                            f"{proc.returncode}: {proc.stderr[-2000:]}")
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def reproduce_once(root, directory):
+    """Wall seconds of one ``reproduce-oscillator`` child process run from
+    the source of ``root``, and its ``--timings``, ``{"wall_s", "stages":
+    {stage: {"wall_s", "cpu_s"}}}``.  Its ``--out`` and timings file go
+    under ``directory``."""
+    out, timings = directory / "out", directory / "timings.json"
+    shutil.rmtree(out, ignore_errors=True)
+    cmd = [sys.executable, "-m", "contragp.cli", "reproduce-oscillator",
+           "--out", str(out), "--quiet", "--timings", str(timings)]
+    env = {**os.environ, **BLAS, "PYTHONPATH": str(root / "src")}
+    start = time.perf_counter()
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True,
+                          env=env, timeout=600)
+    wall = time.perf_counter() - start
+    if proc.returncode != 0:
+        raise RuntimeError(f"{' '.join(cmd)} in {root} exited "
+                           f"{proc.returncode}: {proc.stderr[-2000:]}")
+    return {"wall_s": wall, "stages": json.loads(timings.read_text())}
+
+
+def reproduce_record(runs):
+    """Median, quartiles and count of the wall time and of each stage's CPU
+    time over runs of :func:`reproduce_once`."""
+    return {"wall_s": summary([r["wall_s"] for r in runs]),
+            "stage_cpu_s": {stage: summary([r["stages"][stage]["cpu_s"]
+                                            for r in runs])
+                            for stage in runs[0]["stages"]}}
 
 
 def summary(values):
@@ -115,14 +151,14 @@ def main(argv=None):
     workloads = [w["name"] for w in bench["workloads"]]
     metrics = bench["end_to_end"]
     roots = {"tree": ROOT}
-    scratch = None
+    scratch = Path(tempfile.mkdtemp(prefix="bench_record_"))
     try:
         if args.against:
-            scratch = Path(tempfile.mkdtemp(prefix="bench_record_"))
             roots["against"] = scratch / "against"
             export(args.against, roots["against"])
         lines = {side: src_lines(root) for side, root in roots.items()}
         results = {w: {side: [] for side in roots} for w in workloads}
+        reproduced = {side: [] for side in roots}
         for i in range(args.runs):
             seed = args.first_seed + i
             start = i % len(workloads)
@@ -134,9 +170,13 @@ def main(argv=None):
                     print(f"[{w}] {side} seed {seed}: "
                           f"{r['attempted']} operations, {r['failed']} failed",
                           file=sys.stderr)
+            for side in sides:
+                r = reproduce_once(roots[side], scratch)
+                reproduced[side].append(r)
+                print(f"[reproduce-oscillator] {side}: {r['wall_s']:.2f} s",
+                      file=sys.stderr)
     finally:
-        if scratch is not None:
-            shutil.rmtree(scratch, ignore_errors=True)
+        shutil.rmtree(scratch, ignore_errors=True)
 
     import numpy
     record = {
@@ -153,6 +193,11 @@ def main(argv=None):
         "runs": args.runs,
         "seeds": [args.first_seed, args.first_seed + args.runs - 1],
         "workloads": {},
+        "reproduce_command": "python -m contragp.cli reproduce-oscillator "
+                             "--quiet --timings <file outside --out>, one "
+                             "child process per run",
+        "reproduce": {side: reproduce_record(reproduced[side])
+                      for side in roots},
     }
     if args.against:
         record["against"] = {
