@@ -149,9 +149,16 @@ class TestContractionForm:
     """The law's values, sum_j dk(x, y_j)/dy_j . w_j, against the
     contraction of the full (B, N, n) gradient rows."""
 
-    def test_matches_gradient_rows(self):
+    SIGMAS = {
+        "full": [[0.8, 0.2], [0.2, 0.5]],
+        "diagonal": [[1.5, 0.0], [0.0, 0.4]],
+        "isotropic": [[0.6, 0.0], [0.0, 0.6]],
+    }
+
+    @pytest.mark.parametrize("shape", sorted(SIGMAS))
+    def test_matches_gradient_rows(self, shape):
         rng = np.random.default_rng(17)
-        kernel = Kernel(beta=1.3, sigma=[[0.8, 0.2], [0.2, 0.5]])
+        kernel = Kernel(beta=1.3, sigma=self.SIGMAS[shape])
         Y = rng.uniform(-2.0, 2.0, size=(9, 2))
         w = rng.normal(size=18) * 10.0 ** rng.integers(-2, 5, 18)
         law = deriv_gp.DerivativeController(kernel, Y, w)

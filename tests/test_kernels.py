@@ -37,9 +37,19 @@ def fd_hess_cross(kernel, x, y, h=1e-5):
     return out
 
 
-def random_kernel(dim, rng):
-    M = rng.normal(size=(dim, dim))
-    sigma = M @ M.T + dim * np.eye(dim)
+# length-scale shapes of Sigma: a full SPD matrix, per-axis scales (ARD)
+# and one shared scale
+SHAPES = ["full", "diagonal", "isotropic"]
+
+
+def random_kernel(dim, rng, shape="full"):
+    if shape == "full":
+        M = rng.normal(size=(dim, dim))
+        sigma = M @ M.T + dim * np.eye(dim)
+    elif shape == "diagonal":
+        sigma = np.diag(rng.uniform(0.2, 4.0, size=dim))
+    else:
+        sigma = float(rng.uniform(0.2, 4.0)) * np.eye(dim)
     return Kernel(beta=float(rng.uniform(0.5, 2.5)), sigma=sigma)
 
 
@@ -92,33 +102,36 @@ class TestWorkedValues:
 
 
 class TestDerivativeOracles:
-    def test_grad_matches_finite_differences(self):
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_grad_matches_finite_differences(self, shape):
         rng = np.random.default_rng(11)
         for _ in range(100):
             dim = int(rng.integers(1, 4))
-            k = random_kernel(dim, rng)
+            k = random_kernel(dim, rng, shape)
             x, y = rng.normal(size=dim), rng.normal(size=dim)
             fd = fd_grad_x2(k, x, y)
             scale = max(1.0, np.abs(fd).max())
             got = k.grad_x2_outer([x], [y])[0, 0]
             assert np.abs(got - fd).max() < 1e-6 * scale
 
-    def test_hess_matches_finite_differences(self):
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_hess_matches_finite_differences(self, shape):
         rng = np.random.default_rng(12)
         for _ in range(100):
             dim = int(rng.integers(1, 4))
-            k = random_kernel(dim, rng)
+            k = random_kernel(dim, rng, shape)
             x, y = rng.normal(size=dim), rng.normal(size=dim)
             fd = fd_hess_cross(k, x, y)
             scale = max(1.0, np.abs(fd).max())
             got = k.hess_cross_outer([x], [y])[0, 0]
             assert np.abs(got - fd).max() < 1e-5 * scale
 
-    def test_diagonal_terms_match_pair_evaluations(self):
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_diagonal_terms_match_pair_evaluations(self, shape):
         # k(x, x) and d^2k/dx dx' at (x, x) equal the single-pair values
         rng = np.random.default_rng(13)
         for dim in (1, 2, 3):
-            k = random_kernel(dim, rng)
+            k = random_kernel(dim, rng, shape)
             X = rng.normal(size=(5, dim))
             value = k.diag_value(X)
             hess = k.diag_hess_cross(X)
@@ -129,6 +142,23 @@ class TestDerivativeOracles:
                 np.testing.assert_allclose(
                     hess[b], k.hess_cross_outer([x], [x])[0, 0],
                     rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_diagonal_value_is_constant(self, shape):
+        # k(x, x) = beta everywhere, so d/dx k(x, x) is zero and the drift
+        # GP's variance gradient carries no prior term
+        rng = np.random.default_rng(14)
+        h = 1e-6
+        for dim in (1, 2, 3):
+            k = random_kernel(dim, rng, shape)
+            X = rng.normal(size=(5, dim))
+            assert np.all(k.diag_value(X) == k.beta)
+            for x in X:
+                fd = np.array([(k.value_outer([x + h * e], [x + h * e])[0, 0]
+                                - k.value_outer([x - h * e],
+                                                [x - h * e])[0, 0]) / (2 * h)
+                               for e in np.eye(dim)])
+                assert np.all(fd == 0.0)
 
 
 class TestProperties:
@@ -148,10 +178,11 @@ class TestProperties:
             assert k.value_outer([x], [y])[0, 0] == pytest.approx(
                 k.value_outer([x + d], [y + d])[0, 0], rel=1e-12, abs=1e-15)
 
-    def test_gram_psd_on_random_sets(self):
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_gram_psd_on_random_sets(self, shape):
         rng = np.random.default_rng(23)
         for _ in range(10):
-            k = random_kernel(2, rng)
+            k = random_kernel(2, rng, shape)
             X = rng.normal(size=(8, 2))
             G = k.value_outer(X, X)
             vals = np.linalg.eigvalsh(0.5 * (G + G.T))
