@@ -62,10 +62,6 @@ def _load_json(path, what, parse):
             raise ConfigError(f"malformed {what} {path}: {exc!r}") from exc
 
 
-def _drift_model(data):
-    return drift_gp.DriftModel.from_dict(data["drift_model"])
-
-
 class StageTimes(dict):
     """Wall and CPU seconds of each stage run, ``{stage: {"wall_s",
     "cpu_s"}}``, for ``--timings``."""
@@ -159,7 +155,8 @@ def _design_model(cfg, out):
     if cfg.model_source == "analytic":
         return cfg.system, None
     model = _load_json(_path(out, "drift_model.json"), "drift-model artifact",
-                       _drift_model)
+                       lambda data: drift_gp.DriftModel.from_dict(
+                           data["drift_model"]))
     return model.as_system_model(b=cfg.system.b,
                                  equilibrium=cfg.equilibrium), model
 
@@ -291,13 +288,12 @@ def _final_ratio(first, last):
     return float(np.linalg.norm(last) / max(np.linalg.norm(first), 1e-300))
 
 
-def _rollouts(system, law, inits, horizon, directory, W=None, box=None,
-              keep=False):
+def _rollouts(system, law, inits, horizon, directory, W, box, keep=False):
     """Roll the law out on the system from every initial state in lockstep,
     appending each chunk of steps to ``<directory>/traj_XX.csv`` as it
     arrives; the files land once the last chunk is written.  Returns each
-    trajectory's final ratio and divergence flag, with the weight ``W``
-    its monotone stats inside ``box`` as well, and the trajectories when
+    trajectory's initial state, final ratio, divergence flag and monotone
+    stats of the weight ``W`` inside ``box``, and the trajectories when
     ``keep`` (else None)."""
     from . import verify_sim
     from .artifacts import atomic_files, csv_rows
@@ -326,19 +322,17 @@ def _rollouts(system, law, inits, horizon, directory, W=None, box=None,
                 fh.write(csv_rows([
                     np.arange(chunk.start, chunk.start + steps + last),
                     *states[:steps + last].T, chunk.inputs[i, :steps]]))
-                if W is not None:
-                    v, c = _weighted_monotone_stats(states, W, box)
-                    viol[i] += v
-                    inside[i] += c
+                v, c = _weighted_monotone_stats(states, W, box)
+                viol[i] += v
+                inside[i] += c
                 finals[i] = states[-1].copy()
             diverged = chunk.diverged
             if keep:
                 kept.append(chunk)
-    stats = [{"final_ratio": _final_ratio(x0, x), "diverged": bool(d)}
-             for x0, x, d in zip(inits, finals, diverged)]
-    if W is not None:
-        for s, v, c in zip(stats, viol, inside):
-            s.update(monotone_violations=v, steps_inside=c)
+    stats = [{"initial": x0.tolist(), "final_ratio": _final_ratio(x0, x),
+              "diverged": bool(d), "monotone_violations": v,
+              "steps_inside": c}
+             for x0, x, d, v, c in zip(inits, finals, diverged, viol, inside)]
     return stats, (verify_sim.gather(kept) if keep else None)
 
 
@@ -350,8 +344,6 @@ def cmd_simulate(cfg: PipelineConfig, out, quiet=False):
     stats, trajs = _rollouts(system, controller, cfg.initial_states,
                              cfg.horizon, _path(out, "trajectories"),
                              W=np.linalg.inv(P), box=box, keep=portrait)
-    for x0, s in zip(cfg.initial_states, stats):
-        s["initial"] = [float(v) for v in x0]
     summary = {"horizon": cfg.horizon, "trajectories": stats,
                "max_final_ratio": max(s["final_ratio"] for s in stats),
                "any_diverged": any(s["diverged"] for s in stats),
@@ -361,45 +353,10 @@ def cmd_simulate(cfg: PipelineConfig, out, quiet=False):
         from . import viz
         viz.phase_portrait_svg(_path(out, "phase_portrait.svg"), trajs, box,
                                title="closed loop")
-    baseline = _baseline_runs(cfg, out, quiet)
-    if baseline is not None:
-        summary["baseline"] = baseline
     write_json(_path(out, "sim_summary.json"), summary)
     _say(quiet, f"simulated {len(stats)} trajectories, max final ratio "
          f"{summary['max_final_ratio']:.4f}")
     return summary
-
-
-def _baseline_runs(cfg, out, quiet):
-    """Cancel-then-linear-feedback baseline on the true system, recorded but
-    never asserted: its behaviour depends on the learning-error realization."""
-    if not cfg.baseline:
-        return None
-    drift_path = _path(out, "drift_model.json")
-    if not os.path.exists(drift_path):
-        return None
-    gain, system = cfg.baseline_gain, cfg.system
-    model = _load_json(drift_path, "drift-model artifact", _drift_model)
-    comp = int(np.argmax(np.abs(system.b)))
-
-    class _BaselineLaw:
-        def control_batch(self, X):
-            return -model.components[comp].mean(X) + X @ gain
-
-    portrait = cfg.emit_svg and system.n == 2
-    stats, trajs = _rollouts(system, _BaselineLaw(), cfg.initial_states,
-                             cfg.horizon, _path(out, "baseline"),
-                             keep=portrait)
-    nonconv = sum(1 for s in stats
-                  if s["diverged"] or s["final_ratio"] > 0.1)
-    if portrait:
-        from . import viz
-        viz.phase_portrait_svg(_path(out, "baseline_portrait.svg"), trajs,
-                               cfg.control_box, title="baseline")
-    _say(quiet, f"baseline: {nonconv}/{len(stats)} trajectories flagged "
-         "non-converging (recorded, not asserted)")
-    return {"gain": [float(g) for g in gain],
-            "nonconverging": nonconv, "trajectories": stats}
 
 
 def cmd_reproduce(cfg: PipelineConfig, out, quiet=False, times=None):
@@ -425,7 +382,6 @@ def cmd_reproduce(cfg: PipelineConfig, out, quiet=False, times=None):
         "grid_certified": verify["min_margin"] > 0.0 and verify["lambda"] < 1.0,
         "max_final_ratio": sim["max_final_ratio"],
         "monotone_violations": sim["total_monotone_violations"],
-        "baseline_nonconverging": sim.get("baseline", {}).get("nonconverging"),
     }
     write_json(_path(out, "summary.json"), summary)
     _say(quiet, "reproduction summary:", json.dumps(

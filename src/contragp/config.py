@@ -54,8 +54,7 @@ def default_oscillator_config():
         "synthesis": {"model_source": "learned"},
         "learn": {"fixed_rows": {"0": {"linear": [1.0, 0.01], "const": 0.0}}},
         "stochastic": {"moment_check": False, "chebyshev_c": 40.0},
-        "sim": {"horizon": 10000, "initial_states": "boundary-16",
-                "baseline": True, "baseline_gain": [-49.8, 40.6]},
+        "sim": {"horizon": 10000, "initial_states": "boundary-16"},
         "seeds": {"data": 7},
         "emit_svg": False,
     }
@@ -79,8 +78,7 @@ def default_sine1d_config():
         "synthesis": {"model_source": "analytic"},
         "learn": {"fixed_rows": {}},
         "stochastic": {"moment_check": False, "chebyshev_c": 40.0},
-        "sim": {"horizon": 200, "initial_states": [[3.0], [2.0], [0.5]],
-                "baseline": False},
+        "sim": {"horizon": 200, "initial_states": [[3.0], [2.0], [0.5]]},
         "seeds": {"data": 7},
         "emit_svg": False,
     }
@@ -241,11 +239,9 @@ class PipelineConfig:
         self.initial_states = self._get(
             "sim.initial_states", _initial_states(self.control_box, n),
             "boundary-16" if n == 2 else REQUIRED)
-        self.baseline = self._get("sim.baseline", FLAG, False)
-        self.baseline_gain = self._get("sim.baseline_gain", _vector(n), None)
-        if self.baseline and self.baseline_gain is None:
-            raise ConfigError(f"sim.baseline needs sim.baseline_gain, "
-                              f"{_vector(n)[2]}")
+        # accepted but inert: configs written for the retired
+        # cancel-then-linear baseline turn it off with false
+        self._get("sim.baseline", (None, lambda v: v is False, "false"), False)
         self.seed = self._get("seeds.data", (_integer, lambda v: v >= 0,
                                              "a nonnegative integer"))
         self.emit_svg = self._get("emit_svg", FLAG, False)

@@ -24,8 +24,7 @@ def small_osc_config():
     cfg = default_oscillator_config()
     cfg["grids"] = {"model_points_per_axis": 7, "control_points_per_axis": 4,
                     "verify_resolution": 9}
-    cfg["sim"] = {"horizon": 300, "initial_states": [[1.0, 1.0], [-1.0, 0.5]],
-                  "baseline": True, "baseline_gain": [-49.8, 40.6]}
+    cfg["sim"] = {"horizon": 300, "initial_states": [[1.0, 1.0], [-1.0, 0.5]]}
     return cfg
 
 
@@ -83,8 +82,12 @@ MALFORMED = {
         "learn.fixed_rows", {"abc": {"linear": [1.0, 0.01]}})),
     "initial-states": ("sim.initial_states",
                        set_key("sim.initial_states", "boundary-x")),
-    "baseline-without-gain": ("sim.baseline_gain",
-                              lambda cfg: cfg["sim"].pop("baseline_gain")),
+    # the cancel-then-linear baseline is retired: sim.baseline takes only
+    # false, and its gain left the schema
+    "baseline-on": ("sim.baseline must be false",
+                    set_key("sim.baseline", True)),
+    "baseline-gain": ("unknown config key 'sim.baseline_gain'",
+                      set_key("sim.baseline_gain", [-49.8, 40.6])),
     "verify-resolution": ("grids.verify_resolution",
                           set_key("grids.verify_resolution", "x")),
     "sigma-p": ("noise.sigma_p", set_key("noise.sigma_p", "a")),
@@ -205,8 +208,9 @@ class TestLearnAndSynth:
         ver = json.load(open(os.path.join(out, "verification.json")))
         assert ver["consistent"]
         sim = json.load(open(os.path.join(out, "sim_summary.json")))
-        assert "baseline" in sim
+        assert "baseline" not in sim
         assert os.path.exists(os.path.join(out, "trajectories/traj_00.csv"))
+        assert not os.path.exists(os.path.join(out, "baseline"))
 
     def test_large_training_set_within_desk_budget(self, tmp_path):
         import time
@@ -504,8 +508,7 @@ class TestLearnAndSynth:
     def test_simulate_from_equilibrium_is_constant(self, tmp_path):
         cfg_d = small_osc_config()
         cfg_d["synthesis"]["model_source"] = "analytic"
-        cfg_d["sim"] = {"horizon": 50, "initial_states": [[0.0, 0.0]],
-                        "baseline": False}
+        cfg_d["sim"] = {"horizon": 50, "initial_states": [[0.0, 0.0]]}
         cfg = write_cfg(tmp_path, cfg_d)
         out = str(tmp_path / "out")
         assert cli.main(["synth", "--config", cfg, "--out", out,
@@ -521,8 +524,7 @@ class TestLearnAndSynth:
         # synthesis zeroes the law there as on the analytic source
         cfg_d = small_osc_config()
         cfg_d["synthesis"]["model_source"] = "learned"
-        cfg_d["sim"] = {"horizon": 50, "initial_states": [[0.0, 0.0]],
-                        "baseline": False}
+        cfg_d["sim"] = {"horizon": 50, "initial_states": [[0.0, 0.0]]}
         cfg = write_cfg(tmp_path, cfg_d)
         out = str(tmp_path / "out")
         for command in ("gen-data", "learn", "synth", "simulate"):
@@ -769,6 +771,25 @@ class TestConfigValidation:
         assert key in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
+    def test_baseline_false_is_inert(self, tmp_path):
+        # sim.baseline keeps false, its one value, written as the
+        # benchmark's small config writes it: simulate runs, writes no
+        # baseline/ and the bytes of a config without the key
+        trees = {}
+        for name, extra in (("off", {"baseline": False}), ("absent", {})):
+            cfg = small_osc_config()
+            cfg["synthesis"]["model_source"] = "analytic"
+            cfg["sim"].update(horizon=50, **extra)
+            path = write_cfg(tmp_path, cfg, f"{name}.json")
+            out = tmp_path / name
+            for command in ("synth", "simulate"):
+                assert cli.main([command, "--config", path, "--out",
+                                 str(out), "--quiet"]) == 0, command
+            assert not (out / "baseline").exists()
+            trees[name] = artifact_tree(out)
+        assert "sim_summary.json" in {p.name for p in trees["off"]}
+        assert trees["off"] == trees["absent"]
+
     def test_seed_flag_is_validated_like_the_file(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert cli.main(["gen-data", "--config",
@@ -911,7 +932,6 @@ class TestSinePolytopic:
         cfg_d = small_osc_config()
         cfg_d["synthesis"]["model_source"] = "analytic"
         cfg_d["emit_svg"] = True
-        cfg_d["sim"]["baseline"] = False
         cfg = write_cfg(tmp_path, cfg_d)
         out = str(tmp_path / "out")
         assert cli.main(["synth", "--config", cfg, "--out", out,
@@ -1002,9 +1022,8 @@ def simulated_files(out):
     for root, _, names in os.walk(out):
         for name in names:
             rel = os.path.relpath(os.path.join(root, name), out)
-            if (rel.startswith(("trajectories", "baseline"))
-                    or rel in ("phase_portrait.svg", "baseline_portrait.svg",
-                               "sim_summary.json")):
+            if (rel.startswith("trajectories")
+                    or rel in ("phase_portrait.svg", "sim_summary.json")):
                 files[rel] = open(os.path.join(out, rel), "rb").read()
     return files
 
@@ -1016,10 +1035,12 @@ class TestChunkedSimulate:
     @pytest.fixture(scope="class")
     def designed(self, tmp_path_factory):
         """gen-data, learn and synth of the small oscillator config with
-        the portraits on; its learned baseline diverges at step 18."""
+        the portraits on and a third initial state, (5, 0), outside the
+        certified box, from which the law's rollout diverges at step 17."""
         out = tmp_path_factory.mktemp("chunked")
         cfg = small_osc_config()
         cfg["emit_svg"] = True
+        cfg["sim"]["initial_states"].append([5.0, 0.0])
         path = write_cfg(out, cfg)
         for command in ("gen-data", "learn", "synth"):
             assert cli.main([command, "--config", path, "--out",
@@ -1040,8 +1061,8 @@ class TestChunkedSimulate:
     @pytest.mark.parametrize("horizon", [20, 21, 22])
     def test_chunks_of_7_write_the_one_chunk_bytes(self, designed, tmp_path,
                                                    monkeypatch, horizon):
-        # horizons 3 * 7 - 1, 3 * 7 and 3 * 7 + 1; the baseline's second
-        # trajectory diverges at step 18, inside the third chunk
+        # horizons 3 * 7 - 1, 3 * 7 and 3 * 7 + 1; the third trajectory
+        # diverges at step 17, inside the third chunk
         trees = {}
         for chunk in (7, horizon):
             monkeypatch.setattr(verify_sim, "CHUNK", chunk)
@@ -1049,13 +1070,12 @@ class TestChunkedSimulate:
                                    horizon)
             trees[chunk] = simulated_files(out)
         assert trees[7] == trees[horizon]
-        assert {"phase_portrait.svg", "baseline_portrait.svg",
-                "trajectories/traj_01.csv",
-                "baseline/traj_01.csv"} <= set(trees[7])
+        assert {"phase_portrait.svg",
+                "trajectories/traj_02.csv"} <= set(trees[7])
         summary = json.loads(trees[7]["sim_summary.json"])
-        assert [t["diverged"] for t in summary["baseline"]["trajectories"]] \
-            == [False, True]
-        assert trees[7]["baseline/traj_01.csv"].count(b"\n") == 1 + 19
+        assert [t["diverged"] for t in summary["trajectories"]] \
+            == [False, False, True]
+        assert trees[7]["trajectories/traj_02.csv"].count(b"\n") == 1 + 18
         assert not any(name.startswith(".tmp-") for name in
                        os.listdir(os.path.join(out, "trajectories")))
 
@@ -1092,15 +1112,15 @@ class TestChunkedSimulate:
 
     def test_peak_memory_does_not_grow_with_the_horizon(
             self, designed, tmp_path, monkeypatch):
-        # 2 rollouts of 2 and of 20 chunks of 50 steps; written from whole
-        # trajectories, the second run peaked at 8.5 times the first
+        # the 2 rollouts that converge run 2 and 20 chunks of 50 steps;
+        # written from whole trajectories, the second run peaked at 8.5
+        # times the first
         import tracemalloc
 
         monkeypatch.setattr(verify_sim, "CHUNK", 50)
         cfg_d, run = designed
         cfg_d = json.loads(json.dumps(cfg_d))
         cfg_d["emit_svg"] = False
-        cfg_d["sim"]["baseline"] = False
         out = str(tmp_path / "out")
         shutil.copytree(run, out)
         peaks = {}
